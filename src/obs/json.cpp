@@ -9,7 +9,7 @@ namespace sci::obs::json {
 namespace {
 
 [[noreturn]] void fail(std::size_t offset, const std::string& what) {
-  throw std::runtime_error("json: " + what + " at offset " + std::to_string(offset));
+  throw ParseError("json: " + what + " at offset " + std::to_string(offset));
 }
 
 class Parser {
@@ -17,6 +17,10 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value document() {
+    if (text_.size() > kMaxDocumentBytes) {
+      fail(0, "document of " + std::to_string(text_.size()) + " bytes exceeds the " +
+                  std::to_string(kMaxDocumentBytes) + "-byte limit");
+    }
     Value v = value();
     skip_ws();
     if (pos_ != text_.size()) fail(pos_, "trailing garbage");
@@ -52,9 +56,16 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // Each container is one level of recursion: cap it before a
+        // hostile "[[[[..." can exhaust the stack.
+        if (++depth_ > kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -196,6 +207,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

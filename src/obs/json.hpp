@@ -55,8 +55,25 @@ struct Value {
   [[nodiscard]] std::size_t as_size() const;
 };
 
+/// Every failure of parse(): malformed text or an exceeded limit. The
+/// message carries a byte offset. Derives from std::runtime_error, so
+/// callers that catch that keep working.
+class ParseError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// parse() limits. Input reaches the parser from sockets and files that
+/// anyone can write, and the parser recurses once per nesting level, so
+/// depth is capped well below what a thread stack can hold; the size cap
+/// bounds what one document may make it allocate. Both sit far above
+/// anything this repo emits (a few levels, at most a few MB).
+inline constexpr std::size_t kMaxDepth = 128;
+inline constexpr std::size_t kMaxDocumentBytes = std::size_t{64} << 20;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws std::runtime_error with a byte offset.
+/// garbage rejected). Throws ParseError on malformed text, on documents
+/// over kMaxDocumentBytes, and on nesting deeper than kMaxDepth.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Canonical number emit: shortest round-trip form via std::to_chars;

@@ -1,6 +1,10 @@
 // Quantile regression (Section 3.2.3): models the effect of factors on
-// arbitrary quantiles. Solved exactly as a linear program (Koenker &
-// Bassett 1978) on the sci_lp simplex substrate.
+// arbitrary quantiles. Solved exactly: the Koenker & Bassett (1978)
+// linear program is walked vertex to vertex by a Barrodale-Roberts
+// descent over p basic observations (p x p basis inverse, O(n p) per
+// step), with degenerate vertices resolved by lexicographic
+// perturbation. Fits are LP optima; where the optimum is not unique,
+// any optimal vertex may be returned.
 //
 // The paper's Figure 4 use case -- latency ~ system indicator -- is a
 // one-regressor design; the general interface accepts any design matrix.
@@ -16,6 +20,8 @@
 namespace sci::stats {
 
 struct QuantRegResult {
+  /// False -- and coefficients empty -- when y or the design holds a NaN
+  /// or infinity; rank-deficient designs still converge.
   bool converged = false;
   double tau = 0.5;                   ///< fitted quantile
   std::vector<double> coefficients;   ///< [intercept, beta_1, ...]

@@ -12,6 +12,7 @@
 #include "ci/detect.hpp"
 #include "ci/history.hpp"
 #include "obs/bench_report.hpp"
+#include "obs/json.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 
@@ -82,6 +83,38 @@ TEST(BenchJson, EmitParseReEmitIsByteIdentical) {
   EXPECT_EQ(parsed.metrics[1].improve, obs::Improve::kHigher);
   EXPECT_EQ(parsed.metrics[1].median, 1234.5);
   ASSERT_EQ(parsed.counters.size(), 2u);
+}
+
+TEST(Json, HostileNestingIsATypedErrorNotACrash) {
+  // 2 MB of '[': the recursive parser must stop at the depth limit
+  // instead of recursing once per byte until the stack overflows.
+  const std::string hostile(std::size_t{2} << 20, '[');
+  try {
+    (void)obs::json::parse(hostile);
+    FAIL() << "hostile nesting parsed";
+  } catch (const obs::json::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos)
+        << e.what();
+  }
+  // The limit is exact: kMaxDepth levels parse, one more does not.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)obs::json::parse(nested(obs::json::kMaxDepth)));
+  EXPECT_THROW((void)obs::json::parse(nested(obs::json::kMaxDepth + 1)),
+               obs::json::ParseError);
+  EXPECT_THROW((void)obs::json::parse("{\"a\": " + nested(obs::json::kMaxDepth) + "}"),
+               obs::json::ParseError);
+  // Malformed text throws the same type.
+  EXPECT_THROW((void)obs::json::parse("[1, 2"), obs::json::ParseError);
+}
+
+TEST(Json, OversizedDocumentIsATypedError) {
+  std::string big(obs::json::kMaxDocumentBytes + 1, ' ');
+  big.front() = '0';
+  EXPECT_THROW((void)obs::json::parse(big), obs::json::ParseError);
+  big.pop_back();
+  EXPECT_EQ(obs::json::parse(big).as_number(), 0.0);
 }
 
 TEST(BenchJson, NonFiniteBoundsSurviveAsNaN) {
@@ -183,6 +216,28 @@ TEST(History, TornTailIsSkippedAndHealed) {
   HistoryStore reloaded(path);
   ASSERT_EQ(reloaded.points().size(), 3u);
   EXPECT_EQ(reloaded.points()[2].git_sha, "s4");
+  EXPECT_EQ(reloaded.skipped_lines(), 1u);
+}
+
+TEST(History, HostileLineIsSkippedNotFatal) {
+  // scibench_ci's entry point: one line of 2 MB of '[' in history.jsonl
+  // is a scar like a torn append, not a crash.
+  const std::string path = temp_path("hist_hostile.jsonl");
+  {
+    HistoryStore store(path);
+    store.ingest(make_report("s1", 1.0));
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << std::string(std::size_t{2} << 20, '[') << '\n';
+  }
+  {
+    HistoryStore store(path);
+    store.ingest(make_report("s2", 1.1));
+  }
+  const HistoryStore reloaded(path);
+  ASSERT_EQ(reloaded.points().size(), 2u);
+  EXPECT_EQ(reloaded.points()[1].git_sha, "s2");
   EXPECT_EQ(reloaded.skipped_lines(), 1u);
 }
 
@@ -424,6 +479,132 @@ TEST(Detect, WideBaselineWindowEscapesDegeneracy) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_FALSE(findings[0].baseline_ci_degenerate);
   EXPECT_EQ(findings[0].note.find("degenerate"), std::string::npos);
+}
+
+// ------------------------------------------------------------- trend
+
+/// An in-memory series of `medians` (metric "lat", lower is better).
+MetricSeries series_of(const std::vector<double>& medians,
+                       obs::Improve improve = obs::Improve::kLower) {
+  MetricSeries series;
+  series.bench = "demo";
+  series.metric = "lat";
+  series.unit = "us";
+  series.improve = improve;
+  for (std::size_t i = 0; i < medians.size(); ++i) {
+    HistoryPoint point;
+    point.seq = i;
+    point.git_sha = "sha" + std::to_string(i);
+    point.bench = series.bench;
+    point.metric.name = series.metric;
+    point.metric.unit = series.unit;
+    point.metric.improve = improve;
+    point.metric.n = 50;
+    point.metric.median = medians[i];
+    point.metric.ci_lo = medians[i] * 0.99;
+    point.metric.ci_hi = medians[i] * 1.01;
+    series.points.push_back(point);
+  }
+  return series;
+}
+
+/// `n` medians drifting linearly by `drift` (relative, start to end)
+/// under +-`noise` relative jitter.
+std::vector<double> drifting(rng::Xoshiro256& gen, std::size_t n, double drift, double noise) {
+  std::vector<double> medians;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double level = 1.0 + drift * static_cast<double>(i) / static_cast<double>(n - 1);
+    medians.push_back(level * (1.0 + noise * (2.0 * rng::uniform(gen, 0.0, 1.0) - 1.0)));
+  }
+  return medians;
+}
+
+TEST(Trend, SustainedDriftSetsTheFlagButNotTheVerdict) {
+  // 8% creep over 40 points under +-0.5% jitter: no point-to-point step
+  // is big enough for the CI gate, the change-point scan or the tail
+  // test, but the median-regression slope is significant and its
+  // implied drift clears min_effect.
+  rng::Xoshiro256 gen(0x7e4d);
+  for (const double drift : {0.08, -0.08}) {
+    const MetricSeries series = series_of(drifting(gen, 40, drift, 0.005));
+    const Finding f = analyze_series(series);
+    EXPECT_TRUE(f.trend) << drift;
+    EXPECT_EQ(f.trend_slope > 0.0, drift > 0.0) << drift;
+    EXPECT_NE(f.note.find("sustained trend"), std::string::npos) << drift;
+    // The trend is dashboard-only: the verdict comes from the other
+    // detectors, which all stay quiet on a smooth creep.
+    EXPECT_FALSE(f.ci_disjoint || f.changepoint || f.tail_step) << drift;
+    EXPECT_EQ(f.verdict, Verdict::kStable) << drift;
+
+    const std::vector<MetricSeries> all = {series};
+    const std::string md = render_markdown_dashboard({f}, all);
+    EXPECT_NE(md.find("| trend "), std::string::npos) << md;
+  }
+}
+
+TEST(Trend, FlatNoisyHistoriesStayUnflagged) {
+  rng::Xoshiro256 gen(0xf1a7);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Finding f = analyze_series(series_of(drifting(gen, 30, 0.0, 0.02)));
+    EXPECT_FALSE(f.trend) << trial;
+  }
+}
+
+TEST(Trend, LateStepIsAStepNotATrend) {
+  // The perfbench shape: flat noise, then a 30% step in the last two
+  // points. Median regression is robust to the two stepped points, so
+  // the slope stays near zero; the tail test owns this regression.
+  rng::Xoshiro256 gen(0x57e9);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<double> medians = drifting(gen, 32, 0.0, 0.015);
+    medians[30] *= 1.3;
+    medians[31] *= 1.3;
+    const Finding f = analyze_series(series_of(medians));
+    EXPECT_FALSE(f.trend) << trial;
+    EXPECT_TRUE(f.tail_step) << trial;
+    EXPECT_EQ(f.verdict, Verdict::kRegression) << trial;
+  }
+}
+
+TEST(Trend, ShortSeriesAreNeverFitted) {
+  // n < 6: no trend fit at all, however steep the series.
+  for (std::size_t n = 4; n < 6; ++n) {
+    std::vector<double> medians;
+    for (std::size_t i = 0; i < n; ++i) medians.push_back(1.0 + 0.2 * static_cast<double>(i));
+    const Finding f = analyze_series(series_of(medians));
+    EXPECT_FALSE(f.trend) << n;
+    EXPECT_EQ(f.trend_slope, 0.0) << n;
+  }
+}
+
+TEST(Trend, SeededCorpusFlagsArePinned) {
+  // 200 seeded series -- flat, drifting, stepped, quantised, short --
+  // whose trend flags were recorded with the dense-simplex solver the
+  // detector used before. A solver change may move coefficients where
+  // the optimum is not unique, but must not move a single flag.
+  rng::Xoshiro256 gen(0xc0de5);
+  std::string flags;
+  for (int s = 0; s < 200; ++s) {
+    const std::size_t n = 4 + static_cast<std::size_t>(rng::uniform_below(gen, 45));
+    const double drift = 0.3 * (rng::uniform(gen, 0.0, 1.0) - 0.5);
+    const double noise = 0.002 + 0.03 * rng::uniform(gen, 0.0, 1.0);
+    std::vector<double> medians = drifting(gen, n, s % 4 == 0 ? 0.0 : drift, noise);
+    if (s % 5 == 1) {
+      const std::size_t at = static_cast<std::size_t>(rng::uniform_below(gen, n));
+      for (std::size_t i = at; i < n; ++i) medians[i] *= 1.25;
+    }
+    if (s % 3 == 2) {
+      // Recorded medians carry a few significant digits: ties and
+      // exactly collinear triples, the solver's degenerate vertices.
+      for (double& m : medians) m = std::round(m * 100.0) / 100.0;
+    }
+    const obs::Improve improve = s % 2 == 0 ? obs::Improve::kLower : obs::Improve::kHigher;
+    flags += analyze_series(series_of(medians, improve)).trend ? '1' : '0';
+  }
+  EXPECT_EQ(flags,
+            "01100111011101010101010101000001001100010111000101110011110101100111000000"
+            "11100000000001000001111111001100000110010011110010010101100011001001010011"
+            "0111001011110010010000000110111101110100010101100011");
 }
 
 // --------------------------------------------------------- dashboard

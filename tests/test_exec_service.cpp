@@ -28,6 +28,7 @@
 #include "exec/service.hpp"
 #include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
+#include "obs/json.hpp"
 
 namespace sci::exec {
 namespace {
@@ -145,6 +146,16 @@ TEST(Wire, SeedOverrideIsNotSerializable) {
   CampaignSpec spec = grid_spec();
   spec.seed_override = [](const Config&, std::size_t) { return 7ULL; };
   EXPECT_THROW((void)wire::campaign_to_json(spec, {}), std::invalid_argument);
+}
+
+TEST(Wire, HostileEnvelopeIsATypedErrorNotACrash) {
+  // scibenchd parses the header line with json::parse and the campaign
+  // line with parse_campaign_json. 2 MB of '[' on either must throw the
+  // parser's typed error -- which the daemon answers with a "rejected"
+  // event -- before one-level-per-byte recursion can exhaust the stack.
+  const std::string hostile(std::size_t{2} << 20, '[');
+  EXPECT_THROW((void)obs::json::parse(hostile), obs::json::ParseError);
+  EXPECT_THROW((void)wire::parse_campaign_json(hostile), obs::json::ParseError);
 }
 
 TEST(Wire, JobAndCellResultRoundTrip) {

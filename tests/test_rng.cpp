@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -106,6 +107,10 @@ struct MomentCase {
   double expected_var;
   double (*sample)(Xoshiro256&);
 };
+
+// gtest embeds the printed parameter in the test name; without this it dumps
+// the raw bytes, including the address of `name`, which differs per process.
+void PrintTo(const MomentCase& mc, std::ostream* os) { *os << mc.name; }
 
 class DistributionMoments : public ::testing::TestWithParam<MomentCase> {};
 
