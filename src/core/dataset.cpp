@@ -1,87 +1,190 @@
 #include "core/dataset.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace sci::core {
+
+namespace {
+
+/// Duplicate names would make column(name) pick one of them silently.
+/// Sorting keeps this O(n log n) for hostile files with huge headers.
+void check_unique(const std::vector<std::string>& columns) {
+  std::vector<std::string_view> names(columns.begin(), columns.end());
+  std::sort(names.begin(), names.end());
+  const auto dup = std::adjacent_find(names.begin(), names.end());
+  if (dup != names.end()) {
+    throw std::invalid_argument("Dataset: duplicate column name '" + std::string(*dup) +
+                                "'");
+  }
+}
+
+}  // namespace
 
 Dataset::Dataset(Experiment experiment, std::vector<std::string> columns)
     : experiment_(std::move(experiment)), columns_(std::move(columns)) {
   if (columns_.empty()) throw std::invalid_argument("Dataset: at least one column");
-  for (const auto& c : columns_) {
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    const std::string& c = columns_[i];
     // A separator or newline inside a column name would silently shift
-    // every subsequent column on re-import; refuse it up front.
+    // every subsequent column on re-import; an empty name would not
+    // read back at all as the last (or only) one. Refuse both up front.
+    if (c.empty()) {
+      throw std::invalid_argument("Dataset: column " + std::to_string(i + 1) +
+                                  " has an empty name");
+    }
     if (c.find_first_of(",\n\r") != std::string::npos) {
       throw std::invalid_argument("Dataset: column name '" + c +
                                   "' contains a comma or newline");
     }
   }
+  // The loader skips '#' lines, so the column line must not start so.
+  if (columns_.front().front() == '#') {
+    throw std::invalid_argument("Dataset: first column name '" + columns_.front() +
+                                "' would be written as a '#' comment line");
+  }
+  check_unique(columns_);
   base_columns_ = columns_.size();
 }
 
-void Dataset::add_row(const std::vector<double>& row) {
+void Dataset::add_row(std::span<const double> row) {
   if (row.size() != columns_.size())
     throw std::invalid_argument("Dataset::add_row: arity mismatch");
-  data_.push_back(row);
+  cells_.insert(cells_.end(), row.begin(), row.end());
 }
 
 void Dataset::enable_provenance() {
   if (provenance_) return;
-  if (!data_.empty())
+  if (!cells_.empty())
     throw std::logic_error("Dataset::enable_provenance: call before the first row");
   const auto& extra = obs::provenance_columns();
-  columns_.insert(columns_.end(), extra.begin(), extra.end());
+  std::vector<std::string> widened = columns_;
+  widened.insert(widened.end(), extra.begin(), extra.end());
+  check_unique(widened);
+  columns_ = std::move(widened);
   provenance_ = true;
 }
 
-void Dataset::add_row(const std::vector<double>& row, const obs::SampleProvenance& prov) {
+void Dataset::add_row(std::span<const double> row, const obs::SampleProvenance& prov) {
   if (!provenance_)
     throw std::logic_error("Dataset::add_row(prov): enable_provenance() first");
   if (row.size() != base_columns_)
     throw std::invalid_argument("Dataset::add_row: arity mismatch");
-  std::vector<double> full = row;
   const auto cells = obs::provenance_row(prov);
-  full.insert(full.end(), cells.begin(), cells.end());
-  data_.push_back(std::move(full));
+  cells_.insert(cells_.end(), row.begin(), row.end());
+  cells_.insert(cells_.end(), cells.begin(), cells.end());
+}
+
+std::span<const double> Dataset::row(std::size_t i) const {
+  if (i >= rows()) {
+    throw std::out_of_range("Dataset::row: index " + std::to_string(i) + " of " +
+                            std::to_string(rows()) + " rows");
+  }
+  return {cells_.data() + i * columns_.size(), columns_.size()};
 }
 
 std::vector<double> Dataset::column(const std::string& name) const {
-  std::size_t idx = columns_.size();
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i] == name) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == columns_.size())
+  const auto it = std::find(columns_.begin(), columns_.end(), name);
+  if (it == columns_.end())
     throw std::out_of_range("Dataset::column: no column '" + name + "'");
+  const std::size_t stride = columns_.size();
   std::vector<double> out;
-  out.reserve(data_.size());
-  for (const auto& row : data_) out.push_back(row[idx]);
+  out.reserve(rows());
+  for (std::size_t at = static_cast<std::size_t>(it - columns_.begin()); at < cells_.size();
+       at += stride) {
+    out.push_back(cells_[at]);
+  }
   return out;
 }
 
-void Dataset::write_csv(std::ostream& os) const {
-  std::istringstream header(experiment_.to_header());
-  std::string line;
-  while (std::getline(header, line)) os << "# " << line << '\n';
+namespace {
 
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    os << columns_[i] << (i + 1 < columns_.size() ? "," : "\n");
-  }
-  os << std::setprecision(17);
-  for (const auto& row : data_) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      os << row[i] << (i + 1 < row.size() ? "," : "\n");
+/// Buffered CSV output: cells are formatted in place into a fixed
+/// block, which goes to the stream whenever it fills.
+class CsvWriter {
+ public:
+  explicit CsvWriter(std::ostream& os) : os_(os) {}
+  CsvWriter(const CsvWriter&) = delete;
+  CsvWriter& operator=(const CsvWriter&) = delete;
+
+  void text(std::string_view s) {
+    while (!s.empty()) {
+      if (used_ == kBlock) flush();
+      const std::size_t n = std::min(s.size(), kBlock - used_);
+      std::memcpy(buf_ + used_, s.data(), n);
+      used_ += n;
+      s.remove_prefix(n);
     }
   }
+
+  /// Appends `v` exactly as printf("%.17g") prints it, then `sep`.
+  void cell(double v, char sep) {
+    if (kBlock - used_ < kMaxCell) flush();
+    char* const first = buf_ + used_;
+    char* const last = buf_ + kBlock;
+    char* end = nullptr;
+    // Integral cells (indices, counts) print as plain digits under
+    // %.17g well below 1e15; the integer conversion is several times
+    // cheaper. -0 keeps its sign through the general path.
+    if (v > -1e15 && v < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v)) &&
+        !(v == 0.0 && std::signbit(v))) {
+      end = std::to_chars(first, last, static_cast<std::int64_t>(v)).ptr;
+    } else {
+      end = std::to_chars(first, last, v, std::chars_format::general, 17).ptr;
+    }
+    *end++ = sep;
+    used_ = static_cast<std::size_t>(end - buf_);
+  }
+
+  void flush() {
+    os_.write(buf_, static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 32 * 1024;
+  /// Longest %.17g output ("-2.2250738585072014e-308") plus separator.
+  static constexpr std::size_t kMaxCell = 32;
+
+  std::ostream& os_;
+  std::size_t used_ = 0;
+  char buf_[kBlock]{};
+};
+
+}  // namespace
+
+void Dataset::write_csv(std::ostream& os) const {
+  CsvWriter out(os);
+  const std::string header = experiment_.to_header();
+  std::string_view rest = header;
+  while (!rest.empty()) {
+    const std::size_t eol = std::min(rest.find('\n'), rest.size());
+    out.text("# ");
+    out.text(rest.substr(0, eol));
+    out.text("\n");
+    rest.remove_prefix(std::min(eol + 1, rest.size()));
+  }
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    out.text(columns_[i]);
+    out.text(i + 1 < columns_.size() ? "," : "\n");
+  }
+  const std::size_t width = columns_.size();
+  for (std::size_t at = 0; at < cells_.size(); at += width) {
+    for (std::size_t i = 0; i + 1 < width; ++i) out.cell(cells_[at + i], ',');
+    out.cell(cells_[at + width - 1], '\n');
+  }
+  out.flush();
 }
 
 void Dataset::save_csv(const std::string& path) const {
-  std::ofstream os(path);
+  std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("Dataset::save_csv: cannot open " + path);
   write_csv(os);
   os.flush();
@@ -92,9 +195,15 @@ void Dataset::save_csv(const std::string& path) const {
 
 namespace {
 
+[[noreturn]] void load_error(const std::string& path, std::size_t lineno,
+                             const std::string& what) {
+  throw std::runtime_error("Dataset::load_csv: " + path + ":" + std::to_string(lineno) +
+                           ": " + what);
+}
+
 /// Strict numeric cell parse; accepts what write_csv emits (decimal
 /// doubles, inf, nan). Positions are 1-based for error messages.
-double parse_cell(const std::string& cell, const std::string& path, std::size_t lineno,
+double parse_cell(std::string_view cell, const std::string& path, std::size_t lineno,
                   std::size_t column) {
   double value = 0.0;
   const char* begin = cell.data();
@@ -104,63 +213,104 @@ double parse_cell(const std::string& cell, const std::string& path, std::size_t 
   while (end > begin && (end[-1] == ' ' || end[-1] == '\t' || end[-1] == '\r')) --end;
   const auto [ptr, ec] = std::from_chars(begin, end, value);
   if (ec != std::errc{} || ptr != end || begin == end) {
-    throw std::runtime_error("Dataset::load_csv: " + path + ":" +
-                             std::to_string(lineno) + ": column " +
-                             std::to_string(column) + ": malformed numeric cell '" +
-                             cell + "'");
+    load_error(path, lineno,
+               "column " + std::to_string(column) + ": malformed numeric cell '" +
+                   std::string(cell) + "'");
   }
   return value;
+}
+
+/// Calls `f` on each ','-separated cell of `line`. Like
+/// std::getline(is, cell, ','), a trailing separator does not open a
+/// final empty cell: "1,2," is two cells, "1,2,," three.
+template <class F>
+void for_each_cell(std::string_view line, F&& f) {
+  std::size_t pos = 0;
+  while (pos < line.size()) {
+    const std::size_t comma = line.find(',', pos);
+    if (comma == std::string_view::npos) {
+      f(line.substr(pos));
+      return;
+    }
+    f(line.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+}
+
+/// The whole file in one buffer.
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("Dataset::load_csv: cannot open " + path);
+  std::ostringstream text;
+  text << is.rdbuf();
+  return std::move(text).str();
 }
 
 }  // namespace
 
 Dataset Dataset::load_csv(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("Dataset::load_csv: cannot open " + path);
+  const std::string text = read_file(path);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  std::size_t lineno = 0;
+  // std::getline semantics: '\n' ends a line, the last line needs none.
+  const auto next_line = [&](std::string_view& line) {
+    if (p == end) return false;
+    const auto* nl =
+        static_cast<const char*>(std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char* stop = nl != nullptr ? nl : end;
+    line = std::string_view(p, static_cast<std::size_t>(stop - p));
+    p = nl != nullptr ? nl + 1 : end;
+    ++lineno;
+    return true;
+  };
 
   Experiment exp;
-  std::string line;
-  std::size_t lineno = 0;
   std::vector<std::string> cols;
   // Header comments are provenance for humans/R; keep the raw text in
   // the description so round-trips do not silently drop it.
   std::string header_text;
-  while (std::getline(is, line)) {
-    ++lineno;
+  std::string_view line;
+  while (next_line(line)) {
     if (line.empty()) continue;
     if (line.front() == '#') {
-      header_text += line.substr(line.size() > 1 && line[1] == ' ' ? 2 : 1) + "\n";
+      header_text += line.substr(line.size() > 1 && line[1] == ' ' ? 2 : 1);
+      header_text += '\n';
       continue;
     }
     // First non-comment line: column names.
-    std::istringstream ls(line);
-    std::string cell;
-    while (std::getline(ls, cell, ',')) {
-      if (!cell.empty() && cell.back() == '\r') cell.pop_back();
-      cols.push_back(cell);
-    }
+    for_each_cell(line, [&](std::string_view cell) {
+      if (!cell.empty() && cell.back() == '\r') cell.remove_suffix(1);
+      cols.emplace_back(cell);
+    });
     break;
   }
+  if (cols.empty()) {
+    load_error(path, std::max<std::size_t>(lineno, 1),
+               "no column names (the file is empty or only comments)");
+  }
   exp.name = "loaded:" + path;
-  exp.description = header_text;
+  exp.description = std::move(header_text);
 
-  Dataset ds(std::move(exp), std::move(cols));
-  while (std::getline(is, line)) {
-    ++lineno;
+  Dataset ds = [&] {
+    try {
+      return Dataset(std::move(exp), std::move(cols));
+    } catch (const std::invalid_argument& e) {
+      load_error(path, lineno, e.what());  // a bad or duplicate column name
+    }
+  }();
+  const std::size_t width = ds.columns_.size();
+  while (next_line(line)) {
     if (line.empty() || line.front() == '#') continue;
-    std::istringstream ls(line);
-    std::string cell;
-    std::vector<double> row;
-    while (std::getline(ls, cell, ',')) {
-      row.push_back(parse_cell(cell, path, lineno, row.size() + 1));
+    std::size_t cells = 0;
+    for_each_cell(line, [&](std::string_view cell) {
+      ds.cells_.push_back(parse_cell(cell, path, lineno, ++cells));
+    });
+    if (cells != width) {
+      load_error(path, lineno,
+                 "expected " + std::to_string(width) + " cells, got " +
+                     std::to_string(cells));
     }
-    if (row.size() != ds.columns().size()) {
-      throw std::runtime_error("Dataset::load_csv: " + path + ":" +
-                               std::to_string(lineno) + ": expected " +
-                               std::to_string(ds.columns().size()) + " cells, got " +
-                               std::to_string(row.size()));
-    }
-    ds.add_row(row);
   }
   return ds;
 }

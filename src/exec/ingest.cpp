@@ -1,9 +1,11 @@
 #include "exec/ingest.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -44,6 +46,19 @@ std::size_t header_env_count(const std::string& header_text, const std::string& 
   char* end = nullptr;
   const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
   return end != nullptr && *end == '\0' ? static_cast<std::size_t>(n) : 0;
+}
+
+/// A config or rep cell as an index. Anything but a non-negative
+/// integer (NaN, -1, 2.5, 1e300) is a corrupt or hand-edited file, and
+/// converting it to an integer would be undefined.
+std::size_t index_cell(double v, const std::string& path, std::size_t row,
+                       const char* what) {
+  if (!(v >= 0.0 && v < 9007199254740992.0) || v != std::floor(v)) {
+    throw std::runtime_error("exec::load_measurements: " + path + ": data row " +
+                             std::to_string(row + 1) + ": " + what +
+                             " is not a non-negative integer");
+  }
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace
@@ -90,9 +105,9 @@ Ingested load_measurements(const std::string& path) {
   // but a map keeps ingestion robust to externally sorted files.
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> index;
   for (std::size_t r = 0; r < out.dataset.rows(); ++r) {
-    const auto& row = out.dataset.row(r);
-    const auto key = std::make_pair(static_cast<std::size_t>(row[config_col]),
-                                    static_cast<std::size_t>(row[rep_col]));
+    const auto row = out.dataset.row(r);
+    const auto key = std::make_pair(index_cell(row[config_col], path, r, "config"),
+                                    index_cell(row[rep_col], path, r, "rep"));
     auto it = index.find(key);
     if (it == index.end()) {
       IngestedSeries series;

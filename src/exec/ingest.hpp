@@ -50,8 +50,9 @@ struct Ingested {
 };
 
 /// Loads `path` via core::Dataset::load_csv and detects/regroups
-/// campaign exports. Throws (with file/line/column positions) on
-/// malformed input.
+/// campaign exports. Throws std::runtime_error (with file/line/column
+/// positions) on malformed input, including a campaign export whose
+/// config or rep cell is not a non-negative integer.
 [[nodiscard]] Ingested load_measurements(const std::string& path);
 
 /// One config's pooled measurement summary (all reps concatenated in

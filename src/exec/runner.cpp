@@ -17,6 +17,8 @@
 #include "obs/trace.hpp"
 #include "sim/callback.hpp"
 #include "sim/frame_pool.hpp"
+#include "stats/confidence.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/online.hpp"
 
 namespace sci::exec {
@@ -86,13 +88,41 @@ std::vector<std::string> cell_columns(const std::vector<CampaignCell>& cells) {
   return cols;
 }
 
-std::vector<double> cell_prefix(const CampaignCell& cell) {
-  std::vector<double> row = {static_cast<double>(cell.config.index),
-                             static_cast<double>(cell.rep)};
+/// Overwrites `row` with a cell's leading cells: config, rep and the
+/// factor level indices.
+void set_cell_prefix(const CampaignCell& cell, std::vector<double>& row) {
+  row.clear();
+  row.push_back(static_cast<double>(cell.config.index));
+  row.push_back(static_cast<double>(cell.rep));
   for (std::size_t idx : cell.config.level_indices) {
     row.push_back(static_cast<double>(idx));
   }
-  return row;
+}
+
+/// Appends the six statistics of a summary row: n, median, the
+/// median's rank CI, mean, min, max. These are core::summarize_series'
+/// values from the same stats calls under the same rules (no CI for a
+/// deterministic series or n <= 5), without its diagnostics.
+void append_summary(std::span<const double> xs, std::vector<double>& row) {
+  if (xs.empty()) throw std::invalid_argument("summary_dataset: empty series");
+  const core::SummaryOptions options;
+  const auto sorted = stats::sorted_copy(xs);
+  const double median = stats::quantile_sorted(sorted, 0.5);
+  const double min = sorted.front();
+  const double max = sorted.back();
+  const bool deterministic = (max - min) <= options.deterministic_rtol * std::fabs(median);
+  std::optional<stats::Interval> ci;
+  if (!deterministic && xs.size() > 5) {
+    ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, options.confidence);
+  }
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  row.push_back(static_cast<double>(xs.size()));
+  row.push_back(median);
+  row.push_back(ci ? ci->lower : nan);
+  row.push_back(ci ? ci->upper : nan);
+  row.push_back(stats::arithmetic_mean(xs));
+  row.push_back(min);
+  row.push_back(max);
 }
 
 }  // namespace
@@ -102,13 +132,20 @@ core::Dataset CampaignResult::samples_dataset() const {
   cols.push_back("sample");
   cols.push_back("value");
   core::Dataset ds(experiment, std::move(cols));
+  std::size_t rows = 0;
+  for (const auto& cell : cells) {
+    if (cell.result.error.empty()) rows += cell.result.samples.size();
+  }
+  ds.reserve(rows);
+  std::vector<double> row;
   for (const auto& cell : cells) {
     if (!cell.result.error.empty()) continue;
-    const auto prefix = cell_prefix(cell);
+    set_cell_prefix(cell, row);
+    row.resize(row.size() + 2);
+    const std::size_t sample_at = row.size() - 2;
     for (std::size_t i = 0; i < cell.result.samples.size(); ++i) {
-      auto row = prefix;
-      row.push_back(static_cast<double>(i));
-      row.push_back(cell.result.samples[i]);
+      row[sample_at] = static_cast<double>(i);
+      row[sample_at + 1] = cell.result.samples[i];
       ds.add_row(row);
     }
   }
@@ -121,26 +158,21 @@ core::Dataset CampaignResult::summary_dataset() const {
     cols.emplace_back(c);
   }
   core::Dataset ds(experiment, std::move(cols));
+  ds.reserve(cells.size());
   constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> row;
   for (const auto& cell : cells) {
     // Failed cells keep their row (failed=1, NaN statistics) so a
     // partially-failed campaign renders with explicit holes instead of
     // silently shrinking the grid.
     const bool cell_failed = !cell.result.error.empty();
-    auto row = cell_prefix(cell);
+    set_cell_prefix(cell, row);
     row.push_back(cell_failed ? 1.0 : 0.0);
     if (cell_failed) {
       row.push_back(0.0);
       for (int i = 0; i < 6; ++i) row.push_back(nan);
     } else {
-      const auto s = core::summarize_series(cell.result.samples);
-      row.push_back(static_cast<double>(s.n));
-      row.push_back(s.median);
-      row.push_back(s.median_ci ? s.median_ci->lower : nan);
-      row.push_back(s.median_ci ? s.median_ci->upper : nan);
-      row.push_back(s.mean);
-      row.push_back(s.min);
-      row.push_back(s.max);
+      append_summary(cell.result.samples, row);
     }
     ds.add_row(row);
   }

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/dataset.hpp"
+#include "csv_corpus.hpp"
 
 namespace sci::core {
 namespace {
@@ -136,6 +142,199 @@ TEST(Dataset, AcceptsInfNanAndWhitespaceAndCrlf) {
   EXPECT_EQ(loaded.column("a"), (std::vector<double>{1.0, -2.0}));
   EXPECT_TRUE(std::isinf(loaded.column("b")[0]));
   EXPECT_TRUE(std::isnan(loaded.column("b")[1]));
+}
+
+// ------------------------------------------------ CSV format contract
+
+std::string csv_text(const Dataset& ds) {
+  std::ostringstream os;
+  ds.write_csv(os);
+  return os.str();
+}
+
+TEST(Dataset, CsvBytesMatchPrintf17g) {
+  std::vector<double> values = csv_corpus::csv_special_values();
+  const auto random = csv_corpus::csv_random_values(100000, 0x17c5u);
+  values.insert(values.end(), random.begin(), random.end());
+  // Three columns so the separators are pinned too.
+  const std::vector<std::string> cols = {"a", "b", "c"};
+  while (values.size() % cols.size() != 0) values.push_back(0.0);
+
+  Dataset ds(make_experiment(), cols);
+  const std::string header = csv_text(ds);  // comment block + column names
+  std::string expected = header;
+  char buf[64];
+  for (std::size_t i = 0; i < values.size(); i += cols.size()) {
+    ds.add_row({values[i], values[i + 1], values[i + 2]});
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      std::snprintf(buf, sizeof buf, "%.17g", values[i + c]);
+      expected += buf;
+      expected += c + 1 < cols.size() ? ',' : '\n';
+    }
+  }
+  const std::string got = csv_text(ds);
+  ASSERT_EQ(got.size(), expected.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) mismatches += got[i] != expected[i];
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(got == expected);
+}
+
+TEST(Dataset, LoadGrammarCrlfLineEndings) {
+  const std::string path =
+      write_temp("scibench_grammar_crlf.csv", "# c\r\na,b\r\n1,2\r\n3,4\r\n");
+  const auto loaded = Dataset::load_csv(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.columns(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(loaded.column("a"), (std::vector<double>{1.0, 3.0}));
+  EXPECT_EQ(loaded.column("b"), (std::vector<double>{2.0, 4.0}));
+  // Comment text is kept verbatim, carriage return included.
+  EXPECT_EQ(loaded.experiment().description, "c\r\n");
+  EXPECT_EQ(loaded.experiment().name, "loaded:" + path);
+}
+
+TEST(Dataset, LoadGrammarTrailingCommaEndsTheRow) {
+  // `1,2,` is two cells, in the header and in data rows alike ...
+  const std::string ok = write_temp("scibench_grammar_comma.csv", "a,b,\n1,2,\n");
+  const auto loaded = Dataset::load_csv(ok);
+  std::remove(ok.c_str());
+  EXPECT_EQ(loaded.columns(), (std::vector<std::string>{"a", "b"}));
+  ASSERT_EQ(loaded.rows(), 1u);
+  EXPECT_EQ(loaded.column("b"), (std::vector<double>{2.0}));
+  // ... but only one trailing comma is forgiven.
+  const std::string bad = write_temp("scibench_grammar_commas.csv", "a,b\n1,2,,\n");
+  EXPECT_EQ(load_error(bad),
+            "Dataset::load_csv: " + bad + ":2: column 3: malformed numeric cell ''");
+  std::remove(bad.c_str());
+}
+
+TEST(Dataset, LoadGrammarSkipsBlankAndCommentLinesBetweenRows) {
+  const std::string path = write_temp("scibench_grammar_blank.csv",
+                                      "# head\n\na\n1\n\n# note\n2\n\n#\n3\n");
+  const auto loaded = Dataset::load_csv(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.column("a"), (std::vector<double>{1.0, 2.0, 3.0}));
+  // Only comments before the column names become the description.
+  EXPECT_EQ(loaded.experiment().description, "head\n");
+}
+
+TEST(Dataset, LoadGrammarSpaceAndTabPadding) {
+  const std::string path =
+      write_temp("scibench_grammar_pad.csv", "a,b\n 1 ,\t2\t\n  -3\t, 4 \t \n");
+  const auto loaded = Dataset::load_csv(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.column("a"), (std::vector<double>{1.0, -3.0}));
+  EXPECT_EQ(loaded.column("b"), (std::vector<double>{2.0, 4.0}));
+}
+
+TEST(Dataset, LoadGrammarNoFinalNewline) {
+  const std::string path = write_temp("scibench_grammar_eof.csv", "a,b\n1,2\n3,4");
+  const auto loaded = Dataset::load_csv(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.column("b"), (std::vector<double>{2.0, 4.0}));
+}
+
+TEST(Dataset, LoadGrammarExactErrorTexts) {
+  const std::string empty_cell = write_temp("scibench_grammar_empty.csv", "a,b\n1,2\n,3\n");
+  EXPECT_EQ(load_error(empty_cell),
+            "Dataset::load_csv: " + empty_cell + ":3: column 1: malformed numeric cell ''");
+  std::remove(empty_cell.c_str());
+
+  const std::string arity =
+      write_temp("scibench_grammar_arity.csv", "a,b\n1,2\n# c\n3,4,5\n");
+  EXPECT_EQ(load_error(arity),
+            "Dataset::load_csv: " + arity + ":4: expected 2 cells, got 3");
+  std::remove(arity.c_str());
+
+  // A malformed cell wins over the arity mismatch on the same row.
+  const std::string both = write_temp("scibench_grammar_both.csv", "a\n1,x\n");
+  EXPECT_EQ(load_error(both),
+            "Dataset::load_csv: " + both + ":2: column 2: malformed numeric cell 'x'");
+  std::remove(both.c_str());
+}
+
+TEST(Dataset, WriteThenLoadRoundTripsEveryCorpusValue) {
+  std::vector<double> values = csv_corpus::csv_special_values();
+  const auto random = csv_corpus::csv_random_values(2000, 0x5eedu);
+  values.insert(values.end(), random.begin(), random.end());
+  Dataset ds(make_experiment(), {"v"});
+  for (double v : values) ds.add_row({v});
+  const std::string path = ::testing::TempDir() + "/scibench_corpus_roundtrip.csv";
+  ds.save_csv(path);
+  const auto loaded = Dataset::load_csv(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.rows(), values.size());
+  const auto back = loaded.column("v");
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (std::isnan(values[i])) {
+      EXPECT_TRUE(std::isnan(back[i])) << i;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+                std::bit_cast<std::uint64_t>(values[i]))
+          << i << ": " << values[i];
+    }
+  }
+}
+
+// Load errors are std::runtime_error naming the file and line, never a
+// bare std::invalid_argument from the constructor.
+std::string typed_load_error(const std::string& path) {
+  try {
+    (void)Dataset::load_csv(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    return std::string("untyped: ") + e.what();
+  }
+  return "";
+}
+
+TEST(Dataset, LoadEmptyOrCommentOnlyFileIsATypedErrorWithPath) {
+  const std::string empty = write_temp("scibench_empty.csv", "");
+  EXPECT_EQ(typed_load_error(empty),
+            "Dataset::load_csv: " + empty +
+                ":1: no column names (the file is empty or only comments)");
+  std::remove(empty.c_str());
+
+  const std::string comments = write_temp("scibench_comments.csv", "# a\n\n# b\n");
+  EXPECT_EQ(typed_load_error(comments),
+            "Dataset::load_csv: " + comments +
+                ":3: no column names (the file is empty or only comments)");
+  std::remove(comments.c_str());
+}
+
+TEST(Dataset, LoadHeaderNameWithBareCarriageReturnIsATypedError) {
+  const std::string path = write_temp("scibench_bare_cr.csv", "# c\na\rb,c\n1,2\n");
+  const std::string what = typed_load_error(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(what.rfind("Dataset::load_csv: " + path + ":2: ", 0), 0u) << what;
+  EXPECT_NE(what.find("contains a comma or newline"), std::string::npos) << what;
+}
+
+TEST(Dataset, RejectsDuplicateColumnNames) {
+  EXPECT_THROW(Dataset(make_experiment(), {"a", "b", "a"}), std::invalid_argument);
+  // A user column that shadows a provenance column is a duplicate too.
+  Dataset shadow(make_experiment(), {obs::provenance_columns().front()});
+  EXPECT_THROW(shadow.enable_provenance(), std::invalid_argument);
+  EXPECT_FALSE(shadow.provenance_enabled());
+
+  const std::string path = write_temp("scibench_dup.csv", "a,a\n1,2\n");
+  const std::string what = typed_load_error(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(what, "Dataset::load_csv: " + path + ":1: Dataset: duplicate column name 'a'");
+}
+
+TEST(Dataset, RowIsAViewOfOneRow) {
+  Dataset ds(make_experiment(), {"a", "b"});
+  ds.reserve(2);
+  ds.add_row({1.0, 2.0});
+  const std::vector<double> second = {3.0, 4.0};
+  ds.add_row(second);
+  ASSERT_EQ(ds.rows(), 2u);
+  EXPECT_EQ(ds.row(1).size(), 2u);
+  EXPECT_EQ(ds.row(1)[0], 3.0);
+  EXPECT_EQ(ds.row(0)[1], 2.0);
+  EXPECT_THROW((void)ds.row(2), std::out_of_range);
 }
 
 TEST(Dataset, RejectsColumnNamesThatBreakCsv) {

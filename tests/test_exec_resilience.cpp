@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/measurement.hpp"
 #include "exec/ingest.hpp"
 #include "exec/journal.hpp"
 #include "exec/runner.hpp"
@@ -541,6 +543,105 @@ TEST(FailedCells, CleanCampaignHasNoAccounting) {
   EXPECT_EQ(ingested.interrupted, 0u);
   EXPECT_TRUE(ingested.failed_cells.empty());
   std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace sci::exec
+
+// ------------------------------------------------ CSV bytes pinned
+
+namespace sci::exec {
+namespace {
+
+std::string read_golden(const std::string& leaf) {
+  std::ifstream is(std::string(SCIBENCH_GOLDEN_DIR) + "/" + leaf, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+/// Compares `got` with the committed golden file; on a mismatch the
+/// actual bytes land next to the test's temp files for inspection.
+void expect_golden(const std::string& leaf, const std::string& got) {
+  const std::string want = read_golden(leaf);
+  if (got == want) return;
+  const std::string actual = ::testing::TempDir() + "/" + leaf;
+  std::ofstream(actual, std::ios::binary) << got;
+  std::size_t at = 0;
+  while (at < got.size() && at < want.size() && got[at] == want[at]) ++at;
+  ADD_FAILURE() << leaf << ": bytes differ from the golden file at offset " << at
+                << " (got " << got.size() << " bytes, want " << want.size()
+                << "); actual bytes written to " << actual;
+}
+
+TEST(CampaignCsv, GoldenSamplesAndSummaryBytes) {
+  // A tiny campaign with one unknown system: its cells fail, so the
+  // summary carries failed=1 rows of NaN statistics and the header the
+  // damage report.
+  SimBackendOptions opts;
+  opts.kernel = SimKernel::kPingPong;
+  opts.samples = 12;
+  opts.warmup = 2;
+  opts.scale = 1e6;
+  opts.unit = "us";
+  SimBackend backend(opts);
+  CampaignSpec spec;
+  spec.name = "golden_grid";
+  spec.base.synchronization_method = "none (pingpong)";
+  spec.factors.push_back({"system", {"dora", "nosuch"}});
+  spec.factors.push_back({"message_bytes", {"8", "4096"}});
+  spec.replications = 2;
+  spec.seed = 20150917;
+  CampaignRunnerOptions ropts;
+  ropts.workers = 2;
+  CampaignRunner runner(backend, Campaign(spec), ropts);
+  const CampaignResult result = runner.run();
+  ASSERT_EQ(result.failed, 4u);
+  expect_golden("campaign_samples.csv.golden", csv_of(result.samples_dataset()));
+  expect_golden("campaign_summary.csv.golden", csv_of(result.summary_dataset()));
+}
+
+TEST(CampaignCsv, SummaryRowsMatchSummarizeSeries) {
+  // The summary export computes its six statistics directly; every
+  // branch of core::summarize_series that shapes them must agree:
+  // constant series (no CI), n <= 5 (no CI), n > 5, infinities.
+  const std::vector<std::vector<double>> series = {
+      {3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0},
+      {1.0, 2.0, 3.0},
+      {5.0},
+      {4.0, 1.0, 9.0, 2.0, 7.0, 3.0, 8.0, 6.0, 5.0, 0.5},
+      {1.0, 2.0, std::numeric_limits<double>::infinity(), 4.0, 5.0, 6.0, 7.0},
+      {-0.0, 0.0, -0.0, 0.0, 0.0, 0.0},
+  };
+  CampaignResult result;
+  result.experiment.name = "summary_differential";
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    CampaignCell cell;
+    cell.config.index = i;
+    cell.rep = 0;
+    cell.result.samples = series[i];
+    result.cells.push_back(std::move(cell));
+  }
+  const core::Dataset ds = result.summary_dataset();
+  ASSERT_EQ(ds.rows(), series.size());
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0 || (a != a && b != b);
+  };
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const core::MeasurementSummary s = core::summarize_series(series[i]);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> want = {
+        static_cast<double>(i), 0.0, 0.0, static_cast<double>(s.n), s.median,
+        s.median_ci ? s.median_ci->lower : nan, s.median_ci ? s.median_ci->upper : nan,
+        s.mean, s.min, s.max};
+    const auto got = ds.row(i);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_TRUE(same(got[c], want[c]))
+          << "cell " << i << " column " << ds.columns()[c] << ": " << got[c] << " vs "
+          << want[c];
+    }
+  }
 }
 
 }  // namespace
