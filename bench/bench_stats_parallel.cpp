@@ -1,5 +1,5 @@
 // Acceptance benchmark for the vectorized bootstrap stack (multi-lane
-// xoshiro streams + branchless selection + thread-sharded lanes),
+// xoshiro streams + histogram rank selection + thread-sharded lanes),
 // dogfooding the library's methodology: medians with 95% nonparametric
 // CIs, interleaved duels so drift hits every configuration equally.
 //
@@ -17,11 +17,14 @@
 // and the median (selection-bound -- where lanes exist to be sharded
 // across threads, and the single-thread delta is honestly ~1x).
 //
-// Part 2 pins what the speedup must not buy: distributions byte-equal
+// Part 2 times median CIs on small samples (n = 64), where the
+// histogram walk is shortest; part 3 times BCa thread scaling.
+//
+// Part 4 pins what the speedup must not buy: distributions byte-equal
 // across {1,2,4,8} threads at fixed lanes, and lanes=1 byte-equal to
 // the legacy path.
 //
-// Part 3 audits the alloc-free steady state: a warmed engine's
+// Part 5 audits the alloc-free steady state: a warmed engine's
 // distribution() makes exactly zero calls into the global allocator.
 //
 // `--smoke` shrinks sizes for CI; determinism and allocation invariants
@@ -47,7 +50,6 @@
 #include "stats/bootstrap_engine.hpp"
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/histogram_select.hpp"
 #include "stats/simd_dispatch.hpp"
 
 // ---------------------------------------------------------------------------
@@ -200,56 +202,27 @@ DuelOutcome duel(const char* name, const char* slug, const stats::ResampleStat& 
   return outcome;
 }
 
-// ------------------------------------- small-n duel: PR 8 vs histogram
+// ------------------------------------------------- small-n median
 
-struct SmallnOutcome {
-  Summary partition;
-  Summary histogram;
-};
-
-/// Interleaved duel on the small-n resample regime: the same vectorized
-/// engine configuration {1t, 8 lanes} with the histogram path disabled
-/// (crossover 0 == the PR 8 median kernel: partition selection) vs
-/// always-on. The crossover is re-set around every pass, so both
-/// configurations see identical drift.
-SmallnOutcome smalln_median_duel(const Workload& w, std::size_t reps) {
+/// Absolute small-n median-CI throughput of the vectorized engine
+/// configuration {1t, 8 lanes}. Timing only; no gate.
+void smalln_median(const Workload& w, std::size_t reps) {
   const stats::ResampleStat stat = stats::ResampleStat::median();
-  const std::size_t saved = stats::histogram_select_crossover();
-  constexpr std::size_t kAlways = static_cast<std::size_t>(-1);
-
-  stats::BootstrapEngine partition_engine(stats::ExecPolicy{1, 8});
-  stats::BootstrapEngine histogram_engine(stats::ExecPolicy{1, 8});
-  stats::set_histogram_select_crossover(0);
-  (void)time_pass(partition_engine, w, stat);
-  stats::set_histogram_select_crossover(kAlways);
-  (void)time_pass(histogram_engine, w, stat);
-
-  std::vector<double> partition_s, histogram_s;
+  stats::BootstrapEngine engine(stats::ExecPolicy{1, 8});
+  (void)time_pass(engine, w, stat);
+  std::vector<double> histogram_s;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    stats::set_histogram_select_crossover(0);
-    partition_s.push_back(time_pass(partition_engine, w, stat));
-    stats::set_histogram_select_crossover(kAlways);
-    histogram_s.push_back(time_pass(histogram_engine, w, stat));
+    histogram_s.push_back(time_pass(engine, w, stat));
   }
-  stats::set_histogram_select_crossover(saved);
-
   if (g_reporter != nullptr) {
-    g_reporter->add_metric("median_ci_smalln.partition", "ci/s", partition_s,
-                           obs::Improve::kHigher);
     g_reporter->add_metric("median_ci_smalln.histogram", "ci/s", histogram_s,
                            obs::Improve::kHigher);
   }
-  SmallnOutcome outcome;
-  outcome.partition = summarize(partition_s);
-  outcome.histogram = summarize(histogram_s);
+  const Summary histogram = summarize(histogram_s);
   std::printf("  median CI, n=%zu, {1t, 8 lanes}, isa=%s\n", w.series.front().size(),
               to_string(stats::simd::active_isa()));
-  std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s\n", "partition (PR 8 kernel)",
-              outcome.partition.median, outcome.partition.lo, outcome.partition.hi);
-  std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s   %.2fx\n", "histogram select",
-              outcome.histogram.median, outcome.histogram.lo, outcome.histogram.hi,
-              outcome.histogram.median / outcome.partition.median);
-  return outcome;
+  std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s\n", "histogram select",
+              histogram.median, histogram.lo, histogram.hi);
 }
 
 // --------------------------------------------- BCa jackknife scaling
@@ -306,45 +279,6 @@ BcaOutcome bca_duel(const Workload& w, std::size_t reps) {
               outcome.parallel.lo, outcome.parallel.hi,
               outcome.parallel.median / outcome.serial.median);
   return outcome;
-}
-
-// ------------------------------------------------- crossover sweep
-
-/// Measures the histogram/partition crossover: per sample size n, the
-/// median-CI replicate throughput of each kernel, interleaved. This is
-/// how the kDefaultCrossover in histogram_select.cpp was chosen (table
-/// in DESIGN.md); rerun with --crossover on new hardware.
-void crossover_sweep(std::size_t reps) {
-  const stats::ResampleStat stat = stats::ResampleStat::median();
-  const std::size_t saved = stats::histogram_select_crossover();
-  constexpr std::size_t kAlways = static_cast<std::size_t>(-1);
-  std::printf("  isa=%s; replicates/s per kernel (median of %zu interleaved reps)\n",
-              to_string(stats::simd::active_isa()), reps);
-  std::printf("    %8s %14s %14s %8s\n", "n", "partition", "histogram", "ratio");
-  for (const std::size_t n : {16u, 64u, 256u, 1024u, 4096u, 16384u, 65536u, 262144u}) {
-    Workload w;
-    w.series = make_series(4, n);
-    // Keep the per-cell draw count roughly constant so each pass stays
-    // around a few milliseconds at every n.
-    w.replicates = std::max<std::size_t>(200'000 / n, 50);
-    stats::BootstrapEngine partition_engine(stats::ExecPolicy{1, 8});
-    stats::BootstrapEngine histogram_engine(stats::ExecPolicy{1, 8});
-    stats::set_histogram_select_crossover(0);
-    (void)time_pass(partition_engine, w, stat);
-    stats::set_histogram_select_crossover(kAlways);
-    (void)time_pass(histogram_engine, w, stat);
-    std::vector<double> partition_s, histogram_s;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      stats::set_histogram_select_crossover(0);
-      partition_s.push_back(time_pass(partition_engine, w, stat));
-      stats::set_histogram_select_crossover(kAlways);
-      histogram_s.push_back(time_pass(histogram_engine, w, stat));
-    }
-    const double part = summarize(partition_s).median * static_cast<double>(w.replicates);
-    const double hist = summarize(histogram_s).median * static_cast<double>(w.replicates);
-    std::printf("    %8zu %14.0f %14.0f %7.2fx\n", n, part, hist, hist / part);
-  }
-  stats::set_histogram_select_crossover(saved);
 }
 
 // -------------------------------------------------- determinism checks
@@ -444,18 +378,9 @@ void audit_global_allocator(const Workload& w) {
 
 int main(int argc, char** argv) {
   std::string json_dir;
-  bool crossover_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-    if (std::strcmp(argv[i], "--crossover") == 0) crossover_only = true;
-  }
-  if (crossover_only) {
-    std::printf("bench_stats_parallel --crossover\n");
-    crossover_sweep(g_smoke ? 3 : 15);
-    if (g_failures == 0) return 0;
-    std::printf("\n%d check(s) FAILED\n", g_failures);
-    return 1;
   }
   obs::BenchReporter reporter("stats_parallel");
   reporter.set_context("mode", g_smoke ? "smoke" : "full");
@@ -479,13 +404,13 @@ int main(int argc, char** argv) {
       duel("median CI (selection-bound)", "median_ci", stats::ResampleStat::median(), w,
            reps);
 
-  std::printf("\n[2] small-n median duel: partition (PR 8) vs histogram select\n");
+  std::printf("\n[2] small-n median CI\n");
   Workload smalln;
   smalln.series = make_series(g_smoke ? 8 : 32, 64);
   smalln.replicates = w.replicates;
   std::printf("  workload: %zu series x n=%zu, %zu bootstrap replicates each\n",
               smalln.series.size(), smalln.series.front().size(), smalln.replicates);
-  const SmallnOutcome hist = smalln_median_duel(smalln, reps);
+  smalln_median(smalln, reps);
 
   std::printf("\n[3] BCa CI thread scaling\n");
   const BcaOutcome bca = bca_duel(w, reps);
@@ -495,11 +420,6 @@ int main(int argc, char** argv) {
 
   std::printf("\n[5] allocation audit\n");
   audit_global_allocator(w);
-
-  if (!g_smoke) {
-    std::printf("\n[6] crossover sweep (informational)\n");
-    crossover_sweep(5);
-  }
 
   if (!g_smoke) {
     // Single-thread acceptance, on the statistic whose kernels the
@@ -528,13 +448,6 @@ int main(int argc, char** argv) {
     } else {
       std::printf("  (multi-core gates skipped: %u hardware thread(s))\n", hc);
     }
-    // Small-n acceptance: the counting-sort kernel must beat the PR 8
-    // partition kernel on the same single thread -- no hardware gate,
-    // this is pure per-core work.
-    check(hist.histogram.median >= 1.5 * hist.partition.median,
-          "small-n median CI: histogram select >= 1.5x partition kernel");
-    check(hist.histogram.lo > hist.partition.hi,
-          "small-n median CI: 95% CIs disjoint from partition kernel");
     // BCa scaling is a thread story; arm it only where threads exist.
     // (Serial-vs-serial there is a wash by construction: the jackknife
     // kernels are byte-for-byte the PR 8 loops, just range-sharded.)

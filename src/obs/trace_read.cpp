@@ -1,7 +1,6 @@
 #include "obs/trace_read.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -10,197 +9,24 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace sci::obs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON parser, sufficient for the trace schema
-// (objects, arrays, strings, numbers, true/false/null). Kept local: the
-// toolchain has no JSON dependency and the input is our own writer.
+using json::Value;
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("trace JSON parse error at offset " + std::to_string(pos_) +
-                             ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        v.boolean = text_.compare(pos_, 4, "true") == 0;
-        pos_ += v.boolean ? 4 : 5;
-        return v;
-      }
-      case 'n': {
-        pos_ += 4;
-        return {};
-      }
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("bad escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          const unsigned code =
-              static_cast<unsigned>(std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16));
-          pos_ += 4;
-          // The writer only escapes control characters; anything else is
-          // passed through as a single byte.
-          out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  JsonValue parse_number() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double d = std::strtod(begin, &end);
-    if (end == begin) fail("expected number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = d;
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-double require_number(const JsonValue& event, const std::string& key) {
-  const JsonValue* v = event.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
+double require_number(const Value& event, const std::string& key) {
+  const Value* v = event.find(key);
+  if (v == nullptr || v->type != Value::Type::kNumber) {
     throw std::runtime_error("trace event missing numeric '" + key + "'");
   }
   return v->number;
 }
 
-std::string require_string(const JsonValue& event, const std::string& key) {
-  const JsonValue* v = event.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) {
+std::string require_string(const Value& event, const std::string& key) {
+  const Value* v = event.find(key);
+  if (v == nullptr || v->type != Value::Type::kString) {
     throw std::runtime_error("trace event missing string '" + key + "'");
   }
   return v->string;
@@ -208,26 +34,26 @@ std::string require_string(const JsonValue& event, const std::string& key) {
 
 }  // namespace
 
-ParsedTrace parse_trace(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  if (root.kind != JsonValue::Kind::kObject) {
+ParsedTrace parse_trace(const std::string& text) {
+  const Value root = json::parse(text);
+  if (root.type != Value::Type::kObject) {
     throw std::runtime_error("trace JSON: top level must be an object");
   }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+  const Value* events = root.find("traceEvents");
+  if (events == nullptr || events->type != Value::Type::kArray) {
     throw std::runtime_error("trace JSON: missing traceEvents array");
   }
 
   ParsedTrace trace;
-  for (const JsonValue& ev : events->array) {
+  for (const Value& ev : events->array) {
     const std::string ph = require_string(ev, "ph");
     const int tid = static_cast<int>(require_number(ev, "tid"));
     const std::string name = require_string(ev, "name");
 
     if (ph == "M") {
-      const JsonValue* args = ev.find("args");
+      const Value* args = ev.find("args");
       if (args != nullptr) {
-        if (const JsonValue* label = args->find("name"); label != nullptr) {
+        if (const Value* label = args->find("name"); label != nullptr) {
           if (name == "thread_name") trace.track_names[tid] = label->string;
           if (name == "process_name") trace.process_name = label->string;
         }
@@ -239,12 +65,12 @@ ParsedTrace parse_trace(const std::string& json) {
     out.phase = ph.empty() ? '?' : ph[0];
     out.tid = tid;
     out.name = name;
-    if (const JsonValue* cat = ev.find("cat"); cat != nullptr) out.cat = cat->string;
+    if (const Value* cat = ev.find("cat"); cat != nullptr) out.cat = cat->string;
     out.ts_s = require_number(ev, "ts") * 1e-6;
     if (out.phase == 'X') out.dur_s = require_number(ev, "dur") * 1e-6;
-    if (const JsonValue* args = ev.find("args"); args != nullptr) {
+    if (const Value* args = ev.find("args"); args != nullptr) {
       for (const auto& [key, value] : args->object) {
-        if (value.kind == JsonValue::Kind::kNumber) out.args[key] = value.number;
+        if (value.type == Value::Type::kNumber) out.args[key] = value.number;
       }
     }
     trace.events.push_back(std::move(out));

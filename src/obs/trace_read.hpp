@@ -39,11 +39,13 @@ struct ParsedTrace {
   [[nodiscard]] std::vector<int> rank_tracks() const;
 };
 
-/// Parses TraceSink output. Throws std::runtime_error with a position
-/// message on malformed JSON or events missing required keys -- this is
-/// the schema check the tests rely on.
+/// Parses TraceSink output with obs::json::parse. Throws
+/// std::runtime_error on malformed JSON (a json::ParseError carrying the
+/// byte offset), on documents over json::kMaxDocumentBytes (64 MiB) or
+/// nested deeper than json::kMaxDepth, and on events missing required
+/// keys -- this is the schema check the tests rely on.
 [[nodiscard]] ParsedTrace parse_trace(std::istream& is);
-[[nodiscard]] ParsedTrace parse_trace(const std::string& json);
+[[nodiscard]] ParsedTrace parse_trace(const std::string& text);
 [[nodiscard]] ParsedTrace load_trace(const std::string& path);
 
 /// Where one rank's simulated time went.

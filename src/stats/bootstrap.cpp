@@ -5,33 +5,24 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "rng/distributions.hpp"
-#include "rng/xoshiro.hpp"
 #include "stats/bootstrap_detail.hpp"
-#include "stats/bootstrap_engine.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/special_functions.hpp"
 
 namespace sci::stats {
 
 // ---------------------------------------------------------------------------
-// Selection fast path.
+// Rank trick behind the quantile kernels.
 //
-// The trick: sort the sample once and precompute rank[i] = position of
-// xs[i] in the sorted order (ties broken by index, so ranks are a
-// strict total order refining the value order). A resample of values
-// then becomes a resample of ranks drawn with the *same* RNG calls, and
-// the k-th order statistic of the resample is sorted[k-th smallest
-// resampled rank] -- equal values share a value even though their ranks
-// differ, so ties cannot perturb the result. Each replicate costs one
-// selection + one linear scan instead of a full sort, and never
+// Sort the sample once and precompute rank[i] = position of xs[i] in the
+// sorted order (ties broken by index, so ranks are a strict total order
+// refining the value order). A resample of values then becomes a
+// resample of ranks drawn with the *same* RNG calls, and the k-th order
+// statistic of the resample is sorted[k-th smallest resampled rank] --
+// equal values share a value even though their ranks differ, so ties
+// cannot perturb the result. BootstrapEngine answers each replicate by
+// histogram selection over those ranks (histogram_select.hpp) and never
 // materializes a resample vector of doubles.
-//
-// The kernels live in stats::detail (shared with BootstrapEngine, the
-// multi-lane/threaded variant) and stats::selection_quantile
-// (selection.hpp). The ResampleStat overloads below delegate to a
-// single-lane engine: one code path, pinned bit-identical to the
-// callback reference by test_bootstrap.cpp.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -114,21 +105,6 @@ void jackknife_quantile_range(std::span<const double> sorted, const std::uint32_
   }
 }
 
-void fast_jackknife_into(std::span<const double> xs, const ResampleStat& stat,
-                         std::vector<double>& jack, std::vector<double>& sorted_scratch,
-                         std::vector<std::uint32_t>& rank_scratch,
-                         std::vector<std::uint32_t>& order_scratch) {
-  const std::size_t n = xs.size();
-  jack.resize(n);
-  if (stat.kind() == ResampleStat::Kind::kMean) {
-    jackknife_mean_range(xs, jack.data(), 0, n);
-  } else {
-    rank_into(xs, sorted_scratch, rank_scratch, order_scratch);
-    jackknife_quantile_range(sorted_scratch, rank_scratch.data(), stat.prob(),
-                             stat.method(), jack.data(), 0, n);
-  }
-}
-
 Interval bca_interval(std::span<const double> dist, double theta_hat,
                       std::span<const double> jack, double confidence) {
   // Bias correction z0: fraction of bootstrap stats below the point estimate.
@@ -162,29 +138,6 @@ Interval bca_interval(std::span<const double> dist, double theta_hat,
 
 }  // namespace detail
 
-namespace {
-
-/// Leave-one-out statistic values, generic path: materializes each loo
-/// vector and calls the statistic, exactly as before the fast path
-/// existed.
-template <typename Stat>
-std::vector<double> generic_jackknife(std::span<const double> xs, const Stat& statistic) {
-  const std::size_t n = xs.size();
-  std::vector<double> jack(n);
-  std::vector<double> loo;
-  loo.reserve(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    loo.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) loo.push_back(xs[j]);
-    }
-    jack[i] = statistic(loo);
-  }
-  return jack;
-}
-
-}  // namespace
-
 ResampleStat ResampleStat::quantile(double p, QuantileMethod method) {
   if (p < 0.0 || p > 1.0) throw std::domain_error("ResampleStat::quantile: p in [0,1]");
   ResampleStat s;
@@ -209,56 +162,20 @@ double ResampleStat::evaluate(std::span<const double> xs) const {
 std::vector<double> bootstrap_distribution(std::span<const double> xs,
                                            const Statistic& statistic,
                                            std::size_t replicates, std::uint64_t seed) {
-  detail::require_valid(xs, replicates);
-  rng::Xoshiro256 gen(seed);
-  const std::size_t n = xs.size();
-  std::vector<double> resample(n);
-  std::vector<double> stats;
-  stats.reserve(replicates);
-  for (std::size_t r = 0; r < replicates; ++r) {
-    for (std::size_t i = 0; i < n; ++i) {
-      resample[i] = xs[static_cast<std::size_t>(rng::uniform_below(gen, n))];
-    }
-    stats.push_back(statistic(resample));
-  }
-  return stats;
-}
-
-std::vector<double> bootstrap_distribution(std::span<const double> xs,
-                                           const ResampleStat& statistic,
-                                           std::size_t replicates, std::uint64_t seed) {
-  // Single-lane engine == the historical scalar fast path, draw for draw.
-  return bootstrap_distribution(xs, statistic, replicates, seed, ExecPolicy{});
+  return bootstrap_distribution(xs, ResampleStat::custom(statistic), replicates, seed);
 }
 
 Interval bootstrap_percentile_ci(std::span<const double> xs, const Statistic& statistic,
                                  std::size_t replicates, double confidence,
                                  std::uint64_t seed) {
-  auto dist = bootstrap_distribution(xs, statistic, replicates, seed);
-  std::sort(dist.begin(), dist.end());
-  const double alpha = 1.0 - confidence;
-  return {quantile_sorted(dist, alpha / 2.0), quantile_sorted(dist, 1.0 - alpha / 2.0),
-          confidence};
-}
-
-Interval bootstrap_percentile_ci(std::span<const double> xs, const ResampleStat& statistic,
-                                 std::size_t replicates, double confidence,
-                                 std::uint64_t seed) {
-  return bootstrap_percentile_ci(xs, statistic, replicates, confidence, seed, ExecPolicy{});
+  return bootstrap_percentile_ci(xs, ResampleStat::custom(statistic), replicates,
+                                 confidence, seed);
 }
 
 Interval bootstrap_bca_ci(std::span<const double> xs, const Statistic& statistic,
                           std::size_t replicates, double confidence, std::uint64_t seed) {
-  auto dist = bootstrap_distribution(xs, statistic, replicates, seed);
-  std::sort(dist.begin(), dist.end());
-  const double theta_hat = statistic(xs);
-  const auto jack = generic_jackknife(xs, statistic);
-  return detail::bca_interval(dist, theta_hat, jack, confidence);
-}
-
-Interval bootstrap_bca_ci(std::span<const double> xs, const ResampleStat& statistic,
-                          std::size_t replicates, double confidence, std::uint64_t seed) {
-  return bootstrap_bca_ci(xs, statistic, replicates, confidence, seed, ExecPolicy{});
+  return bootstrap_bca_ci(xs, ResampleStat::custom(statistic), replicates, confidence,
+                          seed);
 }
 
 }  // namespace sci::stats

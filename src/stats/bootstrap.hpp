@@ -3,16 +3,14 @@
 // natural extension for CIs of statistics with no analytic error theory
 // (trimmed means, CoV, quantile-regression coefficients, ...).
 //
-// Two statistic interfaces coexist:
-//   - Statistic: an opaque callable, evaluated on a materialized
-//     resample vector per replicate. Fully general, O(n log n) per
-//     replicate for rank statistics.
-//   - ResampleStat: a structural description (mean / quantile / custom)
-//     that lets bootstrap_* dispatch to kernels which sort the sample
-//     once and select order statistics per replicate (nth_element on
-//     resampled ranks, O(n) per replicate) without materializing a
-//     resample at all. Same seed => bit-identical results to the
-//     callback path (tested seed-for-seed in test_bootstrap.cpp).
+// One resampling path: every entry point runs BootstrapEngine
+// (bootstrap_engine.hpp). A statistic is a ResampleStat, a structural
+// description (mean / quantile / custom) that lets the engine sort the
+// sample once and answer each quantile replicate by histogram rank
+// selection over resampled ranks, without materializing a resample of
+// doubles. custom() wraps any callable and evaluates it on a
+// materialized resample. The Statistic overloads are exactly the
+// custom() overloads at the default policy.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +22,7 @@
 
 #include "stats/confidence.hpp"  // Interval
 #include "stats/descriptive.hpp"  // QuantileMethod
+#include "stats/exec_policy.hpp"
 
 namespace sci::stats {
 
@@ -32,8 +31,8 @@ using Statistic = std::function<double(std::span<const double>)>;
 
 /// Structural description of a bootstrap statistic. Naming the shape
 /// (mean, p-quantile) instead of hiding it behind a callable is what
-/// unlocks the selection fast path; custom() keeps full generality at
-/// callback-path speed.
+/// unlocks the rank-selection kernels; custom() keeps full generality
+/// at the cost of one materialized resample per replicate.
 class ResampleStat {
  public:
   enum class Kind { kMean, kQuantile, kCustom };
@@ -70,47 +69,51 @@ class ResampleStat {
 };
 
 /// Bootstrap distribution of `statistic` over `replicates` resamples
-/// with replacement. Deterministic for a fixed seed.
+/// with replacement. A pure function of (xs, statistic, replicates,
+/// seed, policy.lanes); policy.threads only changes wall time, and the
+/// default policy is the single-stream path. With threads > 1 a custom
+/// statistic's callable runs concurrently and must be thread-safe.
+[[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
+                                                         const ResampleStat& statistic,
+                                                         std::size_t replicates,
+                                                         std::uint64_t seed = 0xb00f,
+                                                         const ExecPolicy& policy = {});
+
+/// Percentile-method CI: quantiles of the bootstrap distribution.
+[[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
+                                               const ResampleStat& statistic,
+                                               std::size_t replicates = 1000,
+                                               double confidence = 0.95,
+                                               std::uint64_t seed = 0xb00f,
+                                               const ExecPolicy& policy = {});
+
+/// BCa (bias-corrected and accelerated) CI; second-order accurate. The
+/// acceleration comes from jackknife influence values: O(n) for
+/// quantiles (each leave-one-out order statistic is an index shift in
+/// the sorted sample), O(n^2) adds for the mean, and O(n^2) callable
+/// work for custom statistics.
+[[nodiscard]] Interval bootstrap_bca_ci(std::span<const double> xs,
+                                        const ResampleStat& statistic,
+                                        std::size_t replicates = 1000,
+                                        double confidence = 0.95,
+                                        std::uint64_t seed = 0xb00f,
+                                        const ExecPolicy& policy = {});
+
+/// Opaque-callable conveniences: the ResampleStat::custom(statistic)
+/// overloads above at the default policy.
 [[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
                                                          const Statistic& statistic,
                                                          std::size_t replicates,
                                                          std::uint64_t seed = 0xb00f);
 
-/// Fast-path overload: mean/quantile statistics skip the per-replicate
-/// resample vector and sort (see header comment). Bit-identical to the
-/// Statistic overload for the same seed.
-[[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
-                                                         const ResampleStat& statistic,
-                                                         std::size_t replicates,
-                                                         std::uint64_t seed = 0xb00f);
-
-/// Percentile-method CI: quantiles of the bootstrap distribution.
 [[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
                                                const Statistic& statistic,
                                                std::size_t replicates = 1000,
                                                double confidence = 0.95,
                                                std::uint64_t seed = 0xb00f);
 
-[[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
-                                               const ResampleStat& statistic,
-                                               std::size_t replicates = 1000,
-                                               double confidence = 0.95,
-                                               std::uint64_t seed = 0xb00f);
-
-/// BCa (bias-corrected and accelerated) CI; second-order accurate.
-/// Acceleration from jackknife influence values -- O(n^2) in statistic
-/// evaluations, so intended for small/medium n.
 [[nodiscard]] Interval bootstrap_bca_ci(std::span<const double> xs,
                                         const Statistic& statistic,
-                                        std::size_t replicates = 1000,
-                                        double confidence = 0.95,
-                                        std::uint64_t seed = 0xb00f);
-
-/// BCa with structural statistics: the jackknife drops from O(n^2 log n)
-/// to O(n) for quantiles (each leave-one-out order statistic is an index
-/// shift in the sorted sample) and O(n^2) adds for the mean.
-[[nodiscard]] Interval bootstrap_bca_ci(std::span<const double> xs,
-                                        const ResampleStat& statistic,
                                         std::size_t replicates = 1000,
                                         double confidence = 0.95,
                                         std::uint64_t seed = 0xb00f);

@@ -1,7 +1,7 @@
-// Internal kernels shared by the scalar bootstrap fast path
-// (bootstrap.cpp) and the multi-lane BootstrapEngine
-// (bootstrap_engine.cpp). One definition each, so the two paths cannot
-// drift apart arithmetically. Not part of the public stats API.
+// Internal kernels of the bootstrap: sample ranking, leave-one-out
+// jackknife values and the BCa interval, defined in bootstrap.cpp and
+// run by BootstrapEngine (bootstrap_engine.cpp). Not part of the public
+// stats API.
 #pragma once
 
 #include <cstddef>
@@ -38,14 +38,6 @@ void jackknife_mean_range(std::span<const double> xs, double* jack, std::size_t 
 void jackknife_quantile_range(std::span<const double> sorted, const std::uint32_t* rank,
                               double p, QuantileMethod method, double* jack,
                               std::size_t lo, std::size_t hi);
-
-/// Jackknife (leave-one-out) statistic values for structural statistics:
-/// O(n^2) adds for the mean, O(n) for quantiles. `stat` must not be
-/// kCustom. Serial convenience over the range kernels above.
-void fast_jackknife_into(std::span<const double> xs, const ResampleStat& stat,
-                         std::vector<double>& jack, std::vector<double>& sorted_scratch,
-                         std::vector<std::uint32_t>& rank_scratch,
-                         std::vector<std::uint32_t>& order_scratch);
 
 /// BCa interval from a *sorted* bootstrap distribution + jackknife values.
 [[nodiscard]] Interval bca_interval(std::span<const double> dist, double theta_hat,

@@ -87,11 +87,7 @@ void BootstrapEngine::distribution(std::span<const double> xs, const ResampleSta
   if (stat.kind() == ResampleStat::Kind::kQuantile) {
     detail::rank_into(xs, sorted_, rank_, order_);
     plan_ = make_quantile_plan(n, stat.prob(), stat.method());
-    const std::size_t crossover = histogram_select_crossover();
-    use_hist_ = crossover != 0 && n <= crossover &&
-                plan_.mode != QuantilePlan::Mode::kMin &&
-                plan_.mode != QuantilePlan::Mode::kMax;
-    if (use_hist_) counts_.resize(lane_workers_ * n);
+    counts_.resize(lane_workers_ * n);
   } else if (stat.kind() == ResampleStat::Kind::kCustom) {
     resample_.resize(lanes * n);
   }
@@ -139,18 +135,11 @@ void BootstrapEngine::process_lanes(std::size_t worker, std::size_t lane_lo,
         break;
       }
       case ResampleStat::Kind::kQuantile: {
-        if (use_hist_) {
-          const std::span<std::uint32_t> counts(counts_.data() + worker * n, n);
-          for (std::size_t l = 0; l < active; ++l) {
-            out_[block_start(lane_lo + l) + w] = histogram_select_quantile(
-                std::span<const std::uint32_t>(rows + l * n, n), sorted_, counts, plan_,
-                kernels);
-          }
-        } else {
-          for (std::size_t l = 0; l < active; ++l) {
-            out_[block_start(lane_lo + l) + w] =
-                selection_quantile(std::span(rows + l * n, n), sorted_, plan_);
-          }
+        const std::span<std::uint32_t> counts(counts_.data() + worker * n, n);
+        for (std::size_t l = 0; l < active; ++l) {
+          out_[block_start(lane_lo + l) + w] = histogram_select_quantile(
+              std::span<const std::uint32_t>(rows + l * n, n), sorted_, counts, plan_,
+              kernels);
         }
         break;
       }

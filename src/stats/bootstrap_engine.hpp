@@ -5,25 +5,24 @@
 // R%L) and lane l draws from Xoshiro256(seed) jumped l times. Threads
 // shard whole lanes, so for a fixed (data, statistic, replicates, seed,
 // lanes) the output vector is byte-identical at any thread count -- and
-// with lanes = 1 it is byte-identical to the legacy single-stream
-// scalar path (which now delegates here). Within a thread, lanes are
-// processed in waves of up to four: the index rows are filled lane by
-// lane, then consumed together (4-wide interleaved Kahan accumulation
-// for the mean). The wave tiling is pure instruction scheduling; it
-// never changes any per-lane draw or evaluation order.
+// with lanes = 1 it is the single stream the bootstrap.hpp entry points
+// run at their default policy. Within a thread, lanes are processed in
+// waves of up to four: the index rows are filled lane by lane, then
+// consumed together (4-wide interleaved Kahan accumulation for the
+// mean). The wave tiling is pure instruction scheduling; it never
+// changes any per-lane draw or evaluation order.
 //
 // Hot kernels come from stats::simd::dispatch() (simd_dispatch.hpp):
 // AVX2 on hosts that have it, scalar elsewhere, bit-identical either
-// way. Quantile replicates use histogram rank selection
-// (histogram_select.hpp) when n is at or below the measured crossover
-// and the partition kernels above it; both consume one QuantilePlan,
-// so the switch affects speed only, never bytes.
+// way. Every quantile replicate is answered by histogram rank
+// selection (histogram_select.hpp) over the resampled ranks.
 //
-// All scratch (sorted sample, rank permutation, index rows, resample
-// rows, distribution buffer) lives in reusable member buffers: after a
-// warm-up call of each shape, distribution() and the CI entry points
-// perform zero allocator calls for mean/quantile statistics
-// (bench_stats_parallel audits this with an operator-new counter).
+// All scratch (sorted sample, rank permutation, index rows, rank
+// histograms, resample rows, distribution buffer) lives in reusable
+// member buffers: after a warm-up call of each shape, distribution()
+// and the CI entry points perform zero allocator calls for
+// mean/quantile statistics (bench_stats_parallel audits this with an
+// operator-new counter).
 #pragma once
 
 #include <cstddef>
@@ -99,7 +98,6 @@ class BootstrapEngine {
   std::size_t rem_ = 0;   // replicates % lanes
   const simd::Kernels* kernels_ = nullptr;  // picked once per job
   QuantilePlan plan_;                       // kQuantile jobs
-  bool use_hist_ = false;                   // n <= histogram crossover
 
   // Reusable scratch.
   std::vector<double> sorted_;
@@ -107,29 +105,11 @@ class BootstrapEngine {
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> idx_;      // lanes x n index/rank rows
   std::vector<double> resample_;        // lanes x n rows (kCustom only)
-  std::vector<std::uint32_t> counts_;   // lane_workers x n histograms
+  std::vector<std::uint32_t> counts_;   // lane_workers x n histograms (kQuantile)
   std::vector<double> dist_;            // CI entry points
   std::vector<double> jack_;            // bca_ci
   std::vector<double> jack_loo_;        // bca_ci, kCustom: team_size x (n-1)
 };
-
-/// Policy-taking conveniences; ExecPolicy{} (or {1, 1}) is bit-identical
-/// to the policy-free overloads in bootstrap.hpp.
-[[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
-                                                         const ResampleStat& statistic,
-                                                         std::size_t replicates,
-                                                         std::uint64_t seed,
-                                                         const ExecPolicy& policy);
-
-[[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
-                                               const ResampleStat& statistic,
-                                               std::size_t replicates, double confidence,
-                                               std::uint64_t seed, const ExecPolicy& policy);
-
-[[nodiscard]] Interval bootstrap_bca_ci(std::span<const double> xs,
-                                        const ResampleStat& statistic,
-                                        std::size_t replicates, double confidence,
-                                        std::uint64_t seed, const ExecPolicy& policy);
 
 /// Per-group percentile CIs with group-level thread fan-out (each group
 /// runs a serial engine with `policy.lanes` lanes; group g's stream seed

@@ -1,32 +1,6 @@
 #include "stats/histogram_select.hpp"
 
-#include <atomic>
-
 namespace sci::stats {
-
-namespace {
-
-// Measured on the reference host (see DESIGN.md crossover table,
-// bench_stats_parallel --crossover): at m = n draws per replicate the
-// histogram path never lost -- 2.3x at n = 16 shrinking monotonically
-// to 1.2x at n = 262144, the largest size measured. Both kernels are
-// O(n) per lane; the histogram's sequential memset/fill/walk simply
-// beats the partition kernel's data-dependent swaps at every size we
-// can time. The default therefore covers the whole measured regime and
-// falls back to partition selection beyond it rather than extrapolate.
-constexpr std::size_t kDefaultCrossover = 262144;
-
-std::atomic<std::size_t> g_crossover{kDefaultCrossover};
-
-}  // namespace
-
-std::size_t histogram_select_crossover() noexcept {
-  return g_crossover.load(std::memory_order_relaxed);
-}
-
-void set_histogram_select_crossover(std::size_t n) noexcept {
-  g_crossover.store(n, std::memory_order_relaxed);
-}
 
 double histogram_select_quantile(std::span<const std::uint32_t> row,
                                  std::span<const double> sorted,
@@ -34,8 +8,8 @@ double histogram_select_quantile(std::span<const std::uint32_t> row,
                                  const QuantilePlan& plan,
                                  const simd::Kernels& kernels) noexcept {
   const std::size_t m = row.size();
-  // Extremes need no histogram at all -- a straight min/max scan of the
-  // draws matches the partition path's min_of/max_of exactly.
+  // Extremes need no histogram at all: a straight min/max scan of the
+  // draws.
   if (plan.mode == QuantilePlan::Mode::kMin) return sorted[min_of(row.data(), m)];
   if (plan.mode == QuantilePlan::Mode::kMax) return sorted[max_of(row.data(), m)];
 

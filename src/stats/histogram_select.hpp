@@ -1,19 +1,19 @@
-// Histogram (counting-sort) rank selection for small-n bootstrap
-// resamples -- the data-parallel alternative to the partition kernels
-// in selection.hpp.
+// Histogram (counting-sort) rank selection: the bootstrap engine's one
+// quantile replicate kernel.
 //
 // A quantile replicate is "k-th smallest of m ranks drawn from [0, n)".
-// The partition path (select_kth / select_kth_pair) is O(m) per
-// replicate but every pass chases data-dependent swaps. When n is
-// small, counting wins: bump counts[rank] for each draw (O(m) stores,
-// no comparisons), then walk the prefix sum to the k-th entry (O(n),
-// vectorized 8 bins/step under AVX2). The fill also leaves the input
-// row intact, so the engine skips the copy-into-scratch the destructive
-// partition kernels force on it.
+// Counting answers it without a single data-dependent branch: bump
+// counts[rank] for each draw (O(m) stores, no comparisons), then walk
+// the prefix sum to the k-th entry (O(n), vectorized 8 bins/step under
+// AVX2). The fill leaves the input row intact, so the engine never
+// copies a row into scratch. Against the branchless partition kernel it
+// replaced, it was 2.2x faster at n = 16, even at n = 2^20, and 7-12%
+// slower at n = 2^21..2^22, sizes no caller reaches
+// (bench/RESULTS_stats_parallel.md).
 //
-// Both kernels consume the same QuantilePlan and share the
-// `a + frac * (b - a)` interpolation verbatim, so switching on the
-// crossover never changes a byte -- pinned by differential tests.
+// The result is bit-identical to quantile() on the materialized
+// resample: the kernel consumes a QuantilePlan (selection.hpp) and
+// interpolates `a + frac * (b - a)` exactly as quantile_sorted() does.
 #pragma once
 
 #include <cstddef>
@@ -25,20 +25,10 @@
 
 namespace sci::stats {
 
-/// Largest sample size n for which the engine prefers histogram
-/// selection over partition selection. Default chosen by measurement
-/// (bench_stats_parallel --crossover; table in DESIGN.md). 0 disables
-/// the histogram path entirely.
-[[nodiscard]] std::size_t histogram_select_crossover() noexcept;
-
-/// Test/bench override for the crossover. Affects speed only, never
-/// bytes.
-void set_histogram_select_crossover(std::size_t n) noexcept;
-
 /// p-quantile (per `plan`) of the resample whose sorted-sample ranks
 /// are in `row`. `counts` is caller-owned scratch with
 /// counts.size() == sorted.size(); all ranks must be < sorted.size().
-/// Unlike selection_quantile, `row` is left intact.
+/// `row` is left intact.
 [[nodiscard]] double histogram_select_quantile(std::span<const std::uint32_t> row,
                                                std::span<const double> sorted,
                                                std::span<std::uint32_t> counts,

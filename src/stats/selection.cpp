@@ -2,62 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace sci::stats {
-
-namespace {
-
-// Below this the partition machinery costs more than a straight
-// insertion sort of the remaining window.
-constexpr std::size_t kSmallCutoff = 24;
-
-void insertion_sort(std::uint32_t* a, std::size_t n) noexcept {
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::uint32_t v = a[i];
-    std::size_t j = i;
-    while (j > 0 && a[j - 1] > v) {
-      a[j] = a[j - 1];
-      --j;
-    }
-    a[j] = v;
-  }
-}
-
-/// Branchless Lomuto: unconditional swap, predicated advance. After the
-/// loop a[0..ret) < pivot and a[ret..n) >= pivot.
-std::size_t partition_less(std::uint32_t* a, std::size_t n, std::uint32_t pivot) noexcept {
-  std::size_t store = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = a[i];
-    a[i] = a[store];
-    a[store] = v;
-    store += static_cast<std::size_t>(v < pivot);
-  }
-  return store;
-}
-
-/// Same, splitting == pivot from > pivot; callers apply it to a region
-/// already known to be >= pivot, so the prefix it returns is the tie run.
-std::size_t partition_leq(std::uint32_t* a, std::size_t n, std::uint32_t pivot) noexcept {
-  std::size_t store = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = a[i];
-    a[i] = a[store];
-    a[store] = v;
-    store += static_cast<std::size_t>(v <= pivot);
-  }
-  return store;
-}
-
-std::uint32_t median3(std::uint32_t x, std::uint32_t y, std::uint32_t z) noexcept {
-  const std::uint32_t lo = std::min(x, y);
-  const std::uint32_t hi = std::max(x, y);
-  return std::max(lo, std::min(hi, z));
-}
-
-}  // namespace
 
 std::uint32_t min_of(const std::uint32_t* a, std::size_t n) noexcept {
   std::uint32_t best = a[0];
@@ -69,58 +16,6 @@ std::uint32_t max_of(const std::uint32_t* a, std::size_t n) noexcept {
   std::uint32_t best = a[0];
   for (std::size_t i = 1; i < n; ++i) best = std::max(best, a[i]);
   return best;
-}
-
-std::uint32_t select_kth(std::uint32_t* a, std::size_t n, std::size_t k) noexcept {
-  while (n > kSmallCutoff) {
-    const std::uint32_t pivot = median3(a[0], a[n / 2], a[n - 1]);
-    const std::size_t lt = partition_less(a, n, pivot);
-    if (k < lt) {
-      n = lt;
-      continue;
-    }
-    // a[lt..n) >= pivot, and the pivot value itself lives there, so the
-    // <= prefix is a nonempty tie run: guaranteed progress.
-    const std::size_t eq = partition_leq(a + lt, n - lt, pivot);
-    if (k < lt + eq) return pivot;
-    a += lt + eq;
-    n -= lt + eq;
-    k -= lt + eq;
-  }
-  insertion_sort(a, n);
-  return a[k];
-}
-
-SelectedPair select_kth_pair(std::uint32_t* a, std::size_t n, std::size_t k) noexcept {
-  // Minimum over every discarded right region. Each such region's
-  // minimum is its pivot (it holds the >= pivot elements, pivot
-  // included), so a running min of discarded pivots suffices.
-  std::uint32_t right_min = std::numeric_limits<std::uint32_t>::max();
-  bool have_right = false;
-  while (n > kSmallCutoff) {
-    const std::uint32_t pivot = median3(a[0], a[n / 2], a[n - 1]);
-    const std::size_t lt = partition_less(a, n, pivot);
-    if (k < lt) {
-      right_min = have_right ? std::min(right_min, pivot) : pivot;
-      have_right = true;
-      n = lt;
-      continue;
-    }
-    const std::size_t eq = partition_leq(a + lt, n - lt, pivot);
-    if (k < lt + eq) {
-      if (k + 1 < lt + eq) return {pivot, pivot};
-      std::uint32_t next = have_right ? right_min : std::numeric_limits<std::uint32_t>::max();
-      if (lt + eq < n) next = std::min(next, min_of(a + lt + eq, n - lt - eq));
-      return {pivot, next};
-    }
-    a += lt + eq;
-    n -= lt + eq;
-    k -= lt + eq;
-  }
-  insertion_sort(a, n);
-  const std::uint32_t kth = a[k];
-  const std::uint32_t next = (k + 1 < n) ? a[k + 1] : right_min;
-  return {kth, next};
 }
 
 QuantilePlan make_quantile_plan(std::size_t n, double p, QuantileMethod method) {
@@ -166,32 +61,6 @@ QuantilePlan make_quantile_plan(std::size_t n, double p, QuantileMethod method) 
     }
   }
   throw std::logic_error("make_quantile_plan: unknown quantile method");
-}
-
-double selection_quantile(std::span<std::uint32_t> picks, std::span<const double> sorted,
-                          double p, QuantileMethod method) {
-  return selection_quantile(picks, sorted, make_quantile_plan(picks.size(), p, method));
-}
-
-double selection_quantile(std::span<std::uint32_t> picks, std::span<const double> sorted,
-                          const QuantilePlan& plan) noexcept {
-  const std::size_t n = picks.size();
-  std::uint32_t* a = picks.data();
-  switch (plan.mode) {
-    case QuantilePlan::Mode::kMin:
-      return sorted[min_of(a, n)];
-    case QuantilePlan::Mode::kMax:
-      return sorted[max_of(a, n)];
-    case QuantilePlan::Mode::kSingle:
-      return sorted[select_kth(a, n, plan.k)];
-    case QuantilePlan::Mode::kPair: {
-      const SelectedPair pair = select_kth_pair(a, n, plan.k);
-      const double a_val = sorted[pair.kth];
-      const double b_val = sorted[pair.next];
-      return a_val + plan.frac * (b_val - a_val);
-    }
-  }
-  return sorted[0];  // unreachable: all modes handled above
 }
 
 }  // namespace sci::stats

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "bootstrap_reference.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "stats/bootstrap.hpp"
@@ -88,7 +89,8 @@ TEST(Bootstrap, InputValidation) {
 }
 
 // ---------------------------------------------------------------------------
-// Selection fast path vs generic callback path: the contract is exact,
+// Engine vs the naive oracle (bootstrap_reference.hpp), through both the
+// ResampleStat and the Statistic overloads: the contract is exact,
 // seed-for-seed, bit-for-bit equality -- not statistical closeness.
 // ---------------------------------------------------------------------------
 
@@ -142,9 +144,11 @@ TEST(BootstrapFastPath, DistributionBitIdenticalToGenericPath) {
   for (const auto& xs : equality_fixtures()) {
     for (const auto& pair : stat_pairs()) {
       for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xb00f}}) {
-        const auto fast = bootstrap_distribution(xs, pair.fast, 300, seed);
-        const auto slow = bootstrap_distribution(xs, pair.generic, 300, seed);
-        ASSERT_EQ(fast, slow) << pair.name << " seed " << seed << " n " << xs.size();
+        const auto want = reference_multilane(xs, pair.generic, 300, seed, 1);
+        ASSERT_EQ(bootstrap_distribution(xs, pair.fast, 300, seed), want)
+            << pair.name << " seed " << seed << " n " << xs.size();
+        ASSERT_EQ(bootstrap_distribution(xs, pair.generic, 300, seed), want)
+            << pair.name << " seed " << seed << " n " << xs.size();
       }
     }
   }
@@ -153,10 +157,13 @@ TEST(BootstrapFastPath, DistributionBitIdenticalToGenericPath) {
 TEST(BootstrapFastPath, PercentileCiBitIdenticalToGenericPath) {
   for (const auto& xs : equality_fixtures()) {
     for (const auto& pair : stat_pairs()) {
+      const auto want = reference_percentile_ci(xs, pair.generic, 400, 0.95, 21);
       const auto fast = bootstrap_percentile_ci(xs, pair.fast, 400, 0.95, 21);
-      const auto slow = bootstrap_percentile_ci(xs, pair.generic, 400, 0.95, 21);
-      EXPECT_EQ(fast.lower, slow.lower) << pair.name;
-      EXPECT_EQ(fast.upper, slow.upper) << pair.name;
+      const auto generic = bootstrap_percentile_ci(xs, pair.generic, 400, 0.95, 21);
+      EXPECT_EQ(fast.lower, want.lower) << pair.name;
+      EXPECT_EQ(fast.upper, want.upper) << pair.name;
+      EXPECT_EQ(generic.lower, want.lower) << pair.name;
+      EXPECT_EQ(generic.upper, want.upper) << pair.name;
     }
   }
 }
@@ -164,25 +171,29 @@ TEST(BootstrapFastPath, PercentileCiBitIdenticalToGenericPath) {
 TEST(BootstrapFastPath, BcaCiBitIdenticalToGenericPath) {
   for (const auto& xs : equality_fixtures()) {
     for (const auto& pair : stat_pairs()) {
+      const auto want = reference_bca_ci(xs, pair.generic, 400, 0.95, 31);
       const auto fast = bootstrap_bca_ci(xs, pair.fast, 400, 0.95, 31);
-      const auto slow = bootstrap_bca_ci(xs, pair.generic, 400, 0.95, 31);
-      EXPECT_EQ(fast.lower, slow.lower) << pair.name;
-      EXPECT_EQ(fast.upper, slow.upper) << pair.name;
+      const auto generic = bootstrap_bca_ci(xs, pair.generic, 400, 0.95, 31);
+      EXPECT_EQ(fast.lower, want.lower) << pair.name;
+      EXPECT_EQ(fast.upper, want.upper) << pair.name;
+      EXPECT_EQ(generic.lower, want.lower) << pair.name;
+      EXPECT_EQ(generic.upper, want.upper) << pair.name;
     }
   }
 }
 
 TEST(BootstrapFastPath, SmallSamplesAndOddReplicateCountsStayBitIdentical) {
-  // Edge shapes for the engine the fast path now delegates to: n below
-  // the 4-wide wave width, replicate counts that don't divide evenly,
-  // and a single replicate.
+  // Edge shapes for the engine: n below the 4-wide wave width, replicate
+  // counts that don't divide evenly, and a single replicate.
   for (const std::size_t n : {2u, 3u, 5u}) {
     const auto xs = normal_sample(n, 70 + n);
     for (const auto& pair : stat_pairs()) {
       for (const std::size_t replicates : {1u, 7u, 33u}) {
-        const auto fast = bootstrap_distribution(xs, pair.fast, replicates, 23);
-        const auto slow = bootstrap_distribution(xs, pair.generic, replicates, 23);
-        ASSERT_EQ(fast, slow) << pair.name << " n " << n << " R " << replicates;
+        const auto want = reference_multilane(xs, pair.generic, replicates, 23, 1);
+        ASSERT_EQ(bootstrap_distribution(xs, pair.fast, replicates, 23), want)
+            << pair.name << " n " << n << " R " << replicates;
+        ASSERT_EQ(bootstrap_distribution(xs, pair.generic, replicates, 23), want)
+            << pair.name << " n " << n << " R " << replicates;
       }
     }
   }
@@ -193,10 +204,13 @@ TEST(BootstrapFastPath, CustomKindMatchesStatisticOverloadExactly) {
   const Statistic cov = [](std::span<const double> xs) {
     return coefficient_of_variation(xs);
   };
+  const auto want = reference_bca_ci(v, cov, 300, 0.95, 5);
   const auto via_custom = bootstrap_bca_ci(v, ResampleStat::custom(cov), 300, 0.95, 5);
   const auto via_statistic = bootstrap_bca_ci(v, cov, 300, 0.95, 5);
-  EXPECT_EQ(via_custom.lower, via_statistic.lower);
-  EXPECT_EQ(via_custom.upper, via_statistic.upper);
+  EXPECT_EQ(via_custom.lower, want.lower);
+  EXPECT_EQ(via_custom.upper, want.upper);
+  EXPECT_EQ(via_statistic.lower, want.lower);
+  EXPECT_EQ(via_statistic.upper, want.upper);
 }
 
 TEST(BootstrapFastPath, EvaluateMatchesDirectStatistics) {

@@ -75,6 +75,16 @@ TEST(TraceSink, ParserRejectsMalformedJson) {
                std::runtime_error);
 }
 
+TEST(TraceSink, ParserRejectsDeepNestingWithoutCrashing) {
+  // 1 MB of '[' would recurse once per byte in an unbounded parser and
+  // blow the stack; the bounded one stops at json::kMaxDepth.
+  EXPECT_THROW((void)parse_trace(std::string(std::size_t{1} << 20, '[')),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_trace(R"({"traceEvents":)" + std::string(200, '[') +
+                                 std::string(200, ']') + "}"),
+               std::runtime_error);
+}
+
 // ------------------------------------------------------------- counters
 
 TEST(Counters, RegistryAddsAndSnapshots) {

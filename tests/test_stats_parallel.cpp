@@ -1,13 +1,13 @@
 // Differential and property tests for the vectorized bootstrap stack:
-// multi-lane RNG streams, branchless selection kernels, the
+// multi-lane RNG streams, the histogram rank-selection kernels, the
 // BootstrapEngine's thread/lane determinism contract, and the grouped
 // policy-taking entry points.
 //
-// The oracle throughout is a deliberately naive scalar reference: lane
-// l draws from Xoshiro256(seed) jumped l times and evaluates each
-// replicate on a materialized resample. The engine -- waves, selection,
-// Kahan rows, thread sharding -- must reproduce it bit for bit at every
-// thread count.
+// The oracle throughout is the deliberately naive scalar reference in
+// bootstrap_reference.hpp: lane l draws from Xoshiro256(seed) jumped l
+// times and evaluates each replicate on a materialized resample. The
+// engine -- waves, rank selection, Kahan rows, thread sharding -- must
+// reproduce it bit for bit at every thread count.
 //
 // Own test binary: overrides global operator new/delete to count
 // allocator entries, proving the engine's warmed steady state performs
@@ -17,11 +17,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <new>
 #include <span>
 #include <vector>
 
+#include "bootstrap_reference.hpp"
 #include "rng/distributions.hpp"
 #include "rng/lanes.hpp"
 #include "rng/xoshiro.hpp"
@@ -31,7 +31,6 @@
 #include "stats/descriptive.hpp"
 #include "stats/histogram_select.hpp"
 #include "stats/quantile_regression.hpp"
-#include "stats/selection.hpp"
 #include "stats/simd_dispatch.hpp"
 
 namespace {
@@ -62,36 +61,6 @@ std::vector<double> lognormal_sample(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// The naive multi-lane oracle: contiguous per-lane replicate blocks,
-/// lane l = Xoshiro256(seed) jumped l times, every replicate evaluated
-/// on a materialized resample. No waves, no selection, no threads.
-std::vector<double> reference_multilane(std::span<const double> xs, const Statistic& stat,
-                                        std::size_t replicates, std::uint64_t seed,
-                                        std::size_t lanes) {
-  rng::Xoshiro256 root(seed);
-  std::vector<rng::Xoshiro256> gens;
-  for (std::size_t l = 0; l < lanes; ++l) gens.push_back(root.split());
-
-  const std::size_t n = xs.size();
-  const std::size_t base = replicates / lanes;
-  const std::size_t rem = replicates % lanes;
-  std::vector<double> out(replicates);
-  std::vector<double> resample(n);
-  std::size_t start = 0;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const std::size_t len = base + (l < rem ? 1 : 0);
-    auto& gen = gens[l];
-    for (std::size_t r = 0; r < len; ++r) {
-      for (std::size_t i = 0; i < n; ++i) {
-        resample[i] = xs[rng::uniform_below(gen, n)];
-      }
-      out[start + r] = stat(resample);
-    }
-    start += len;
-  }
-  return out;
-}
-
 struct StatCase {
   const char* name;
   ResampleStat fast;
@@ -112,6 +81,11 @@ std::vector<StatCase> stat_cases() {
                    [](std::span<const double> xs) {
                      return quantile(xs, 0.25, QuantileMethod::kR1InverseEcdf);
                    }});
+  // p = 0 and p = 1 plan to plain min/max scans of the drawn ranks.
+  cases.push_back({"p0", ResampleStat::quantile(0.0),
+                   [](std::span<const double> xs) { return quantile(xs, 0.0); }});
+  cases.push_back({"p1", ResampleStat::quantile(1.0),
+                   [](std::span<const double> xs) { return quantile(xs, 1.0); }});
   const Statistic cov = [](std::span<const double> xs) {
     return coefficient_of_variation(xs);
   };
@@ -173,65 +147,27 @@ TEST(LaneRng, FillIndicesMatchesScalarUniformBelowDrawForDraw) {
 
 // ------------------------------------------------ selection kernels
 
-TEST(Selection, SelectKthMatchesNthElementUnderDuplicates) {
+TEST(Selection, MinMaxOfMatchSortedUnderDuplicates) {
   rng::Xoshiro256 gen(7);
   for (std::size_t n : {1u, 2u, 3u, 5u, 24u, 25u, 100u, 257u}) {
-    // Small bounds force heavy duplication -- the three-way partition's
-    // worst case and the reason it exists.
+    // Small bounds force heavy duplication.
     for (std::uint64_t bound : {1ull, 3ull, 8ull, 1000ull}) {
       std::vector<std::uint32_t> data(n);
       for (auto& v : data) v = static_cast<std::uint32_t>(rng::uniform_below(gen, bound));
       auto sorted = data;
       std::sort(sorted.begin(), sorted.end());
-      for (std::size_t k : {std::size_t{0}, n / 2, n - 1}) {
-        auto scratch = data;
-        ASSERT_EQ(select_kth(scratch.data(), n, k), sorted[k])
-            << "n " << n << " bound " << bound << " k " << k;
-      }
-      if (n >= 2) {
-        auto scratch = data;
-        const auto pair = select_kth_pair(scratch.data(), n, n / 2 - 1);
-        ASSERT_EQ(pair.kth, sorted[n / 2 - 1]);
-        ASSERT_EQ(pair.next, sorted[n / 2]);
-      }
-      ASSERT_EQ(min_of(data.data(), n), sorted.front());
-      ASSERT_EQ(max_of(data.data(), n), sorted.back());
-    }
-  }
-}
-
-TEST(Selection, SelectionQuantileMatchesMaterializedResample) {
-  const auto values = lognormal_sample(41, 3);
-  const auto sorted = sorted_copy(values);
-  rng::Xoshiro256 gen(11);
-  for (const auto method : {QuantileMethod::kR1InverseEcdf, QuantileMethod::kR6Weibull,
-                            QuantileMethod::kR7Linear}) {
-    for (const double p : {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
-      for (const std::size_t m : {1u, 2u, 7u, 41u}) {
-        std::vector<std::uint32_t> picks(m);
-        std::vector<double> resample(m);
-        for (std::size_t i = 0; i < m; ++i) {
-          picks[i] = static_cast<std::uint32_t>(rng::uniform_below(gen, sorted.size()));
-          resample[i] = sorted[picks[i]];
-        }
-        const double want = quantile(resample, p, method);
-        const double got = selection_quantile(picks, sorted, p, method);
-        ASSERT_EQ(got, want) << "p " << p << " m " << m;
-      }
+      ASSERT_EQ(min_of(data.data(), n), sorted.front()) << "n " << n << " bound " << bound;
+      ASSERT_EQ(max_of(data.data(), n), sorted.back()) << "n " << n << " bound " << bound;
     }
   }
 }
 
 // ------------------------------------- SIMD dispatch + histogram path
 
-/// Restores the dispatch override and the histogram crossover no matter
-/// how a test exits, so ISA/crossover state never leaks between tests.
+/// Restores the dispatch override no matter how a test exits, so ISA
+/// state never leaks between tests.
 struct KernelStateGuard {
-  std::size_t saved_crossover = histogram_select_crossover();
-  ~KernelStateGuard() {
-    simd::reset_isa();
-    set_histogram_select_crossover(saved_crossover);
-  }
+  ~KernelStateGuard() { simd::reset_isa(); }
 };
 
 TEST(SimdDispatch, ForceIsaOverridesAndCapsAtHostSupport) {
@@ -305,10 +241,10 @@ TEST(SimdDispatch, RankSelectMatchesExpandedMultisetAcrossIsaTables) {
   }
 }
 
-TEST(HistogramSelect, MatchesPartitionSelectionAndMaterializedQuantile) {
-  // Three-way differential per (n, m, p, method): histogram select under
-  // both kernel tables == partition select == quantile() on the
-  // materialized resample. This is the crossover's byte-safety proof.
+TEST(HistogramSelect, MatchesMaterializedQuantile) {
+  // Differential per (n, m, p, method), m != n included: histogram
+  // select under both kernel tables == quantile() on the materialized
+  // resample. p in {0, 1} covers the kMin/kMax scans.
   rng::Xoshiro256 gen(21);
   for (const std::size_t n : {2u, 3u, 8u, 24u, 57u, 256u}) {
     const auto sorted = sorted_copy(lognormal_sample(n, 500 + n));
@@ -331,9 +267,6 @@ TEST(HistogramSelect, MatchesPartitionSelectionAndMaterializedQuantile) {
                 << "n " << n << " m " << m << " p " << p
                 << " isa " << to_string(kt->isa);
           }
-          auto picks = row;
-          ASSERT_EQ(selection_quantile(picks, sorted, plan), want)
-              << "n " << n << " m " << m << " p " << p;
         }
       }
     }
@@ -364,34 +297,6 @@ TEST(BootstrapEngine, IsaForcedOffIsByteIdenticalAcrossLanesAndReplicates) {
               << "n=" << n << " R=" << replicates << " lanes=" << lanes;
         }
       }
-    }
-  }
-}
-
-TEST(BootstrapEngine, HistogramCrossoverNeverChangesBytes) {
-  // The crossover is a speed knob only: force the histogram path off
-  // (0) and always-on (max) and require identical distributions,
-  // including the kMin/kMax plans the histogram path routes to min/max
-  // scans.
-  KernelStateGuard guard;
-  const ResampleStat stats[] = {
-      ResampleStat::median(), ResampleStat::quantile(0.9, QuantileMethod::kR6Weibull),
-      ResampleStat::quantile(0.25, QuantileMethod::kR1InverseEcdf),
-      ResampleStat::quantile(0.0, QuantileMethod::kR7Linear),
-      ResampleStat::quantile(1.0, QuantileMethod::kR7Linear)};
-  for (const std::size_t n : {2u, 23u, 300u}) {
-    const auto xs = lognormal_sample(n, 1100 + n);
-    for (const ResampleStat& stat : stats) {
-      set_histogram_select_crossover(0);
-      std::vector<double> partition_out;
-      BootstrapEngine off(ExecPolicy{1, 4});
-      off.distribution(xs, stat, 101, 23, partition_out);
-
-      set_histogram_select_crossover(std::numeric_limits<std::size_t>::max());
-      std::vector<double> histogram_out;
-      BootstrapEngine on(ExecPolicy{1, 4});
-      on.distribution(xs, stat, 101, 23, histogram_out);
-      ASSERT_EQ(histogram_out, partition_out) << "n=" << n;
     }
   }
 }

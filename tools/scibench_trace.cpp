@@ -18,6 +18,10 @@
 //   --late-senders   per source rank, how long receivers sat blocked on
 //                    its messages ("wait_s" sums)
 //
+// Traces are read whole and parsed by obs::json::parse, so a file over
+// 64 MiB or nested deeper than 128 levels is rejected as a parse error
+// (a 1024-rank --emit-demo trace is about 1.4 MB).
+//
 // Exit code 0 on success, 1 on usage/parse errors (a malformed or
 // schema-violating trace is reported with a position message).
 #include <cstdio>
@@ -41,7 +45,9 @@ int usage(const char* argv0) {
                "       %s --emit-demo <trace.json> [--ranks N] [--seed S]\n"
                "  no section flag: print every section\n"
                "  --emit-demo: run a seeded reduce over N simulated ranks\n"
-               "               (default 16, seed 42) and write its trace\n",
+               "               (default 16, seed 42) and write its trace\n"
+               "  traces over 64 MiB or nested deeper than 128 levels are\n"
+               "  rejected (a 1024-rank --emit-demo trace is about 1.4 MB)\n",
                argv0, argv0);
   return 1;
 }
