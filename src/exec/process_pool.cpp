@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "exec/wire.hpp"
+#include "obs/json.hpp"
 
 extern char** environ;
 
@@ -32,18 +33,22 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
-/// Reads one newline-terminated line; false on EOF/error (dead worker).
-bool read_line(std::FILE* stream, std::string& line) {
+}  // namespace
+
+bool read_line_stream(std::FILE* stream, std::string& line) {
+  // One stream lock per line and getc_unlocked from the stdio buffer.
+  // POSIX getline would take a runaway line whole before the cap could
+  // refuse it.
   line.clear();
-  for (;;) {
-    const int c = std::fgetc(stream);
-    if (c == EOF) return false;
-    if (c == '\n') return true;
+  ::flockfile(stream);
+  int c = 0;
+  while ((c = ::getc_unlocked(stream)) != EOF && c != '\n') {
+    if (line.size() == obs::json::kMaxDocumentBytes) break;
     line.push_back(static_cast<char>(c));
   }
+  ::funlockfile(stream);
+  return c == '\n';
 }
-
-}  // namespace
 
 ProcessPool::ProcessPool(ProcessPoolOptions options) : options_(std::move(options)) {
   if (options_.worker_path.empty()) {
@@ -149,7 +154,7 @@ CellResult ProcessPool::run(const SimBackendOptions& backend, const Config& conf
 
     std::string reply;
     const bool ok = write_all(worker->to_child, job.data(), job.size()) &&
-                    read_line(worker->from_child, reply);
+                    read_line_stream(worker->from_child, reply);
     if (ok) {
       CellResult result;
       bool parsed = true;

@@ -23,11 +23,13 @@
 //      carried in the result with the error recorded -- the campaign
 //      survives, minus one cell.
 //
-// Workers are stateless (every job line carries the full backend
+// The protocol is stateless (every job line carries the full backend
 // options), so any worker can run any job and the pool needs no
-// affinity bookkeeping. run() is thread-safe; the runner's worker
-// threads call it concurrently and block on the free list when all
-// worker processes are busy.
+// affinity bookkeeping. A worker keeps one warm simulation context
+// while consecutive jobs carry equal options; that saves the per-job
+// world rebuild and never changes bytes. run() is thread-safe; the
+// runner's worker threads call it concurrently and block on the free
+// list when all worker processes are busy.
 #pragma once
 
 #include <sys/types.h>
@@ -46,6 +48,13 @@
 #include "exec/sim_backend.hpp"
 
 namespace sci::exec {
+
+/// Reads one '\n'-terminated line (newline stripped) from a worker
+/// pipe: the job lines a worker reads from stdin, the replies the pool
+/// reads back. False on EOF (also mid-line), on a read error, and on a
+/// line longer than obs::json::kMaxDocumentBytes, which is refused
+/// before it is buffered whole.
+bool read_line_stream(std::FILE* stream, std::string& line);
 
 struct ProcessPoolOptions {
   /// Path to the scibench_worker binary (argv[0] of the children).

@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -62,7 +63,6 @@ void CampaignService::emit(ServiceEventSink* sink, const std::string& line) {
 
 std::uint64_t CampaignService::submit(Submission submission, ServiceEventSink* sink) {
   std::uint64_t id = 0;
-  const int priority = submission.priority;
   bool rejected = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -76,6 +76,10 @@ std::uint64_t CampaignService::submit(Submission submission, ServiceEventSink* s
       outcomes_.emplace(id, std::move(outcome));
     } else {
       metrics_.jobs_submitted += 1;
+      // Under the lock: the service thread cannot pop the job, and
+      // write "started" to the same sink, before "queued" is out.
+      emit(sink, "{\"event\": \"queued\", \"job\": " + json::dump_size(id) +
+                     ", \"priority\": " + std::to_string(submission.priority) + "}");
       QueuedJob job;
       job.id = id;
       job.priority = submission.priority;
@@ -91,8 +95,6 @@ std::uint64_t CampaignService::submit(Submission submission, ServiceEventSink* s
     done_cv_.notify_all();
     return id;
   }
-  emit(sink, "{\"event\": \"queued\", \"job\": " + json::dump_size(id) +
-                 ", \"priority\": " + std::to_string(priority) + "}");
   queue_cv_.notify_one();
   return id;
 }
@@ -278,7 +280,7 @@ int listen_unix(const std::string& path, int backlog) {
   if (path.size() >= sizeof addr.sun_path) {
     throw std::runtime_error("listen_unix: socket path too long: " + path);
   }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw std::runtime_error("listen_unix: socket: " + std::string(std::strerror(errno)));
   }
@@ -303,7 +305,7 @@ int connect_unix(const std::string& path) {
   if (path.size() >= sizeof addr.sun_path) {
     throw std::runtime_error("connect_unix: socket path too long: " + path);
   }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw std::runtime_error("connect_unix: socket: " +
                              std::string(std::strerror(errno)));
@@ -341,17 +343,41 @@ bool write_line_fd(int fd, const std::string& line) {
 
 bool read_line_fd(int fd, std::string& line) {
   line.clear();
+  char buf[4096];
   for (;;) {
-    char c = 0;
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n < 0) {
+    const ssize_t peeked = ::recv(fd, buf, sizeof buf, MSG_PEEK);
+    if (peeked < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    if (n == 0) return false;  // EOF mid-line: dead peer
-    if (c == '\n') return true;
-    line.push_back(c);
+    if (peeked == 0) return false;  // EOF mid-line: dead peer
+    const auto* newline =
+        static_cast<const char*>(std::memchr(buf, '\n', static_cast<std::size_t>(peeked)));
+    const std::size_t want = newline != nullptr
+                                 ? static_cast<std::size_t>(newline - buf) + 1
+                                 : static_cast<std::size_t>(peeked);
+    ssize_t got = 0;
+    do {
+      got = ::recv(fd, buf, want, 0);
+    } while (got < 0 && errno == EINTR);
+    if (got <= 0) return false;
+    const bool complete = newline != nullptr && static_cast<std::size_t>(got) == want;
+    const std::size_t payload = static_cast<std::size_t>(got) - (complete ? 1 : 0);
+    if (payload > json::kMaxDocumentBytes - line.size()) return false;  // over-long line
+    line.append(buf, payload);
+    if (complete) return true;
   }
+}
+
+SocketEventSink::SocketEventSink(int fd) : fd_(fd) {
+  timeval timeout{};
+  timeout.tv_sec = kEventSendTimeoutMs / 1000;
+  timeout.tv_usec = (kEventSendTimeoutMs % 1000) * 1000;
+  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+}
+
+void SocketEventSink::on_event(const std::string& json_line) {
+  if (alive_) alive_ = write_line_fd(fd_, json_line);
 }
 
 }  // namespace sci::exec

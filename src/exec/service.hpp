@@ -85,9 +85,12 @@ struct JobOutcome {
   bool sequential = false;
 };
 
-/// Receives the event stream of one submission. Called from the service
-/// thread (never concurrently for one sink); implementations that write
-/// to sockets should tolerate slow/dead peers without throwing.
+/// Receives the event stream of one submission, never concurrently for
+/// one sink: "queued" from the submitting thread under the service's
+/// lock (so on_event must not call back into the service), the rest
+/// from the service thread. Implementations that write to sockets
+/// should tolerate slow/dead peers without throwing, as SocketEventSink
+/// does.
 class ServiceEventSink {
  public:
   virtual ~ServiceEventSink() = default;
@@ -165,17 +168,50 @@ class CampaignService {
 
 // ---------------------------------------------------------------------
 // Unix-domain line transport shared by scibenchd and scibench_submit.
-// Control-plane only: one short JSON line per read/write.
+// One JSON document per '\n'-terminated line in both directions: the
+// client's two submission lines, then the daemon's event stream (one
+// short line per cell). A line is at most obs::json::kMaxDocumentBytes
+// long, the largest document the parser accepts anyway. Every socket is
+// close-on-exec, so a worker process the pool respawns never inherits
+// (and holds open) a client's connection.
 
 /// Binds + listens on `path` (unlinking a stale socket first). Throws
 /// std::runtime_error; returns the listening fd.
 [[nodiscard]] int listen_unix(const std::string& path, int backlog = 8);
 /// Connects to a listening daemon; throws std::runtime_error.
 [[nodiscard]] int connect_unix(const std::string& path);
-/// Writes `line` + '\n'; false on a dead peer (never throws, never
-/// raises SIGPIPE -- callers sit in event loops).
+/// Writes `line` + '\n'; false on a dead peer or an expired send
+/// timeout (never throws, never raises SIGPIPE -- callers sit in event
+/// loops).
 bool write_line_fd(int fd, const std::string& line);
-/// Reads one '\n'-terminated line; false on EOF/error.
+/// Reads one '\n'-terminated line into `line` (newline stripped).
+/// `fd` must be a stream socket: the reader peeks at what is queued,
+/// then consumes exactly the bytes up to and including the newline, so
+/// it keeps no buffer between calls and costs two syscalls per line.
+/// False on EOF (also mid-line), on an error or an expired receive
+/// timeout, and on a line longer than obs::json::kMaxDocumentBytes --
+/// the rest of that line stays unread, so the caller drops the peer.
 bool read_line_fd(int fd, std::string& line);
+
+/// How long one event send may block before SocketEventSink gives up
+/// on its client.
+inline constexpr int kEventSendTimeoutMs = 2000;
+
+/// Streams one submission's events to a connected client socket, one
+/// line each. A client that stops reading fills its socket buffer, and
+/// an unbounded blocking send would then stall the job and every job
+/// queued behind it. The constructor therefore arms a send timeout
+/// (SO_SNDTIMEO, kEventSendTimeoutMs) on `fd`; after one failed or
+/// timed-out send the sink mutes itself, and the job runs on and writes
+/// its CSVs. Does not own `fd`.
+class SocketEventSink : public ServiceEventSink {
+ public:
+  explicit SocketEventSink(int fd);
+  void on_event(const std::string& json_line) override;
+
+ private:
+  int fd_;
+  bool alive_ = true;
+};
 
 }  // namespace sci::exec

@@ -53,6 +53,9 @@ struct SimBackendOptions {
   /// `unit` (e.g. scale=1e6, unit="us") so reports stay unambiguous.
   double scale = 1.0;
   std::string unit = "s";
+
+  /// Field-wise equality; doubles compare by value, so -0.0 == 0.0.
+  [[nodiscard]] bool operator==(const SimBackendOptions&) const = default;
 };
 
 class SimBackend : public Backend {

@@ -2,21 +2,27 @@
 // round trips, process-pool crash isolation, and the PR invariant --
 // campaigns run through worker processes (any count, even across
 // worker deaths) produce CSVs byte-identical to an in-process
-// CampaignRunner. Plus the service-level queue/dedupe semantics and
-// the cooperative interrupt drain (exec/interrupt.hpp).
+// CampaignRunner. Plus the service-level queue/dedupe semantics, the
+// cooperative interrupt drain (exec/interrupt.hpp), a worker's warm
+// context across backend switches, a client that never reads, and the
+// bounded line framing of the socket and pipe readers.
 //
 // SCIBENCH_WORKER_PATH is injected by tests/CMakeLists.txt as the
 // build-tree path of the scibench_worker binary.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -288,6 +294,50 @@ TEST(ProcessPoolBackend, AbortingCellIsContainedAsFailedCell) {
   EXPECT_EQ(ok_cells, 2u);
 }
 
+TEST(ProcessPoolBackend, WarmWorkerContextMatchesFreshBackendAcrossOptionSwitches) {
+  // One worker sees pingpong and reduce jobs interleaved, so its warm
+  // context must be replaced on every job; a worker that kept the
+  // previous job's context would run the wrong kernel.
+  SimBackendOptions reduce;
+  reduce.kernel = SimKernel::kReduce;
+  reduce.iterations = 6;
+  CampaignSpec reduce_spec;
+  reduce_spec.name = "warm_reduce";
+  reduce_spec.factors.push_back({"system", {"dora", "pilatus"}});
+  reduce_spec.factors.push_back({"processes", {"4", "8"}});
+  const Campaign pingpong_grid{grid_spec("warm_pingpong")};
+  const Campaign reduce_grid{reduce_spec};
+
+  std::vector<std::pair<SimBackendOptions, Config>> jobs;
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      jobs.emplace_back(small_sim_options(), pingpong_grid.config(i));
+      jobs.emplace_back(reduce, reduce_grid.config(i));
+    }
+  }
+  // Runs of equal options keep the context warm across configs.
+  for (std::size_t i = 0; i < 4; ++i) jobs.emplace_back(reduce, reduce_grid.config(3 - i));
+  for (std::size_t i = 0; i < 4; ++i) {
+    jobs.emplace_back(small_sim_options(), pingpong_grid.config(3 - i));
+  }
+
+  // Every reply must equal a fresh in-process SimBackend(options).run().
+  // The cell line encodes samples as IEEE-754 bit patterns, so equal
+  // lines mean bit-identical results.
+  ProcessPool pool(pool_options(1));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto& [options, config] = jobs[i];
+    const std::uint64_t seed = derive_seed(99, config.index, i);
+    const CellResult got = pool.run(options, config, seed);
+    const CellResult want = SimBackend(options).run(config, seed);
+    ASSERT_FALSE(want.samples.empty());
+    EXPECT_EQ(wire::cell_result_to_json(got), wire::cell_result_to_json(want))
+        << "job " << i << " (" << to_string(options.kernel) << ", " << config.to_string()
+        << ") differs from a fresh backend";
+  }
+  EXPECT_EQ(pool.workers_crashed(), 0u);
+}
+
 // ------------------------------------------------------ the service
 
 /// Collects the event stream of one submission.
@@ -379,6 +429,51 @@ TEST(CampaignService, RejectsInvalidSpecWithoutDying) {
   const JobOutcome ok = service.wait(service.submit(good));
   EXPECT_TRUE(ok.ran) << ok.error;
   EXPECT_EQ(ok.failed, 0u);
+}
+
+TEST(CampaignService, ClientThatNeverReadsDoesNotStallTheQueue) {
+  // Client A submits a 1000-cell campaign and never reads: its ~100 kB
+  // of per-cell events overfill the socket buffer, so a plain blocking
+  // send would wedge the job -- and client B queued behind it -- until
+  // A hung up. The sink's send timeout mutes A instead; A's job still
+  // finishes and writes its CSV, and B's job runs.
+  int fds[2];  // [0]: the daemon's end, [1]: the client that never reads
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  SocketEventSink never_read(fds[0]);
+  CollectSink sink_b;
+
+  ProcessPool pool(pool_options(2));
+  CampaignService service(pool);
+
+  Submission flood;
+  flood.spec.name = "svc_flood";
+  flood.spec.factors.push_back({"system", {"dora", "pilatus"}});
+  flood.spec.factors.push_back({"message_bytes", {"8", "64", "512", "4096"}});
+  flood.spec.replications = 125;
+  flood.spec.seed = 5;
+  flood.backend = small_sim_options();
+  flood.backend.samples = 4;
+  flood.samples_csv = temp_path("svc_flood.csv");
+  Submission next;
+  next.spec = grid_spec("svc_after_flood");
+  next.backend = small_sim_options();
+
+  const std::uint64_t job_a = service.submit(flood, &never_read);
+  const std::uint64_t job_b = service.submit(next, &sink_b);
+  auto waiting = std::async(std::launch::async, [&] { return service.wait(job_b); });
+  const bool finished = waiting.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  ::close(fds[1]);  // frees a wedged sender, so the test ends either way
+  EXPECT_TRUE(finished) << "a client that never reads stalled the job queued behind it";
+
+  const JobOutcome out_b = waiting.get();
+  const JobOutcome out_a = service.wait(job_a);
+  EXPECT_TRUE(out_a.ran) << out_a.error;
+  EXPECT_EQ(out_a.cells, 1000u);
+  EXPECT_EQ(out_a.failed, 0u);
+  EXPECT_FALSE(slurp(flood.samples_csv).empty());
+  EXPECT_TRUE(out_b.ran) << out_b.error;
+  EXPECT_TRUE(sink_b.saw("\"event\": \"done\""));
+  ::close(fds[0]);
 }
 
 // -------------------------------------------------------- interrupt
@@ -475,6 +570,152 @@ TEST(UnixSocket, LineTransportRoundTrips) {
   server.join();
   ::close(listen_fd);
   ::unlink(path.c_str());
+}
+
+/// A connected stream-socket pair; both ends close on destruction.
+struct SocketPair {
+  int writer = -1;
+  int reader = -1;
+  SocketPair() {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0) {
+      writer = fds[0];
+      reader = fds[1];
+    }
+  }
+  ~SocketPair() {
+    close_writer();
+    close_reader();
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+  void close_writer() {
+    if (writer >= 0) ::close(writer);
+    writer = -1;
+  }
+  void close_reader() {
+    if (reader >= 0) ::close(reader);
+    reader = -1;
+  }
+};
+
+/// Sends all of `data` unless the peer goes away.
+void send_all(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n <= 0) return;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+}
+
+TEST(LineFraming, TwoLinesInOneSendAreTwoReads) {
+  SocketPair pair;
+  ASSERT_GE(pair.reader, 0);
+  const std::string both = "first\nsecond\n";
+  send_all(pair.writer, both.data(), both.size());
+  std::string line;
+  ASSERT_TRUE(read_line_fd(pair.reader, line));
+  EXPECT_EQ(line, "first");
+  ASSERT_TRUE(read_line_fd(pair.reader, line));
+  EXPECT_EQ(line, "second");
+  pair.close_writer();
+  EXPECT_FALSE(read_line_fd(pair.reader, line)) << "nothing left but EOF";
+}
+
+TEST(LineFraming, LineSplitOverManySmallSendsIsReassembled) {
+  SocketPair pair;
+  ASSERT_GE(pair.reader, 0);
+  const std::string text = "{\"event\": \"cell\", \"job\": 7}\nnext\n";
+  std::thread writer([&] {
+    for (std::size_t i = 0; i < text.size(); i += 3) {
+      send_all(pair.writer, text.data() + i, std::min<std::size_t>(3, text.size() - i));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::string line;
+  EXPECT_TRUE(read_line_fd(pair.reader, line));
+  EXPECT_EQ(line, "{\"event\": \"cell\", \"job\": 7}");
+  EXPECT_TRUE(read_line_fd(pair.reader, line));
+  EXPECT_EQ(line, "next");
+  writer.join();
+}
+
+TEST(LineFraming, EmptyLineIsALine) {
+  SocketPair pair;
+  ASSERT_GE(pair.reader, 0);
+  send_all(pair.writer, "\nafter\n", 7);
+  std::string line = "stale";
+  ASSERT_TRUE(read_line_fd(pair.reader, line));
+  EXPECT_EQ(line, "");
+  ASSERT_TRUE(read_line_fd(pair.reader, line));
+  EXPECT_EQ(line, "after");
+}
+
+TEST(LineFraming, EofMidLineIsFalse) {
+  SocketPair pair;
+  ASSERT_GE(pair.reader, 0);
+  send_all(pair.writer, "no newline", 10);
+  pair.close_writer();
+  std::string line;
+  EXPECT_FALSE(read_line_fd(pair.reader, line));
+}
+
+TEST(LineFraming, LineOfExactlyTheCapIsAcceptedAndOneMoreIsRefused) {
+  constexpr std::size_t kCap = obs::json::kMaxDocumentBytes;
+  // cap + 1 payload bytes and a newline; the exact-cap line is its tail.
+  std::string text(kCap + 2, 'x');
+  text.back() = '\n';
+  {
+    SocketPair pair;
+    ASSERT_GE(pair.reader, 0);
+    std::thread writer([&] { send_all(pair.writer, text.data() + 1, kCap + 1); });
+    std::string line;
+    EXPECT_TRUE(read_line_fd(pair.reader, line));
+    EXPECT_EQ(line.size(), kCap);
+    writer.join();
+  }
+  {
+    SocketPair pair;
+    ASSERT_GE(pair.reader, 0);
+    std::thread writer([&] { send_all(pair.writer, text.data(), text.size()); });
+    std::string line;
+    EXPECT_FALSE(read_line_fd(pair.reader, line)) << "an over-long line must be refused";
+    EXPECT_LE(line.size(), kCap);
+    pair.close_reader();  // drop the peer: frees the blocked writer
+    writer.join();
+  }
+}
+
+TEST(LineFraming, PipeStreamReaderIsBoundedAtTheSameCap) {
+  constexpr std::size_t kCap = obs::json::kMaxDocumentBytes;
+  std::string text(kCap + 2, 'x');
+  text.back() = '\n';
+  const auto read_from_pipe = [](const char* data, std::size_t size, std::string& line) {
+    int fds[2];
+    if (::pipe2(fds, O_CLOEXEC) != 0) return false;
+    std::FILE* stream = ::fdopen(fds[0], "r");
+    std::thread writer([&] {
+      while (size > 0) {
+        const ssize_t n = ::write(fds[1], data, size);
+        if (n <= 0) break;
+        data += n;
+        size -= static_cast<std::size_t>(n);
+      }
+      ::close(fds[1]);
+    });
+    const bool ok = read_line_stream(stream, line);
+    std::fclose(stream);  // frees the writer if the line was refused
+    writer.join();
+    return ok;
+  };
+  std::string line;
+  EXPECT_TRUE(read_from_pipe(text.data() + 1, kCap + 1, line));
+  EXPECT_EQ(line.size(), kCap);
+  EXPECT_FALSE(read_from_pipe(text.data(), text.size(), line));
+  EXPECT_FALSE(read_from_pipe("half a line", 11, line)) << "EOF mid-line";
+  EXPECT_TRUE(read_from_pipe("\n", 1, line));
+  EXPECT_EQ(line, "");
 }
 
 }  // namespace

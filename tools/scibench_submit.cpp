@@ -6,7 +6,7 @@
 //
 // Extras that make the byte-identity contract checkable from a shell:
 //   --emit-demo NAME   print a ready-made envelope line and exit
-//                      (pingpong | pingpong-seq | faulty | crashy)
+//                      (pingpong | pingpong-seq | reduce | faulty | crashy)
 //   --local            skip the daemon: run the envelope in-process
 //                      through CampaignRunner with the same options.
 //                      `cmp` the CSVs of --local against the daemon's
@@ -53,6 +53,14 @@ std::string demo_envelope(const std::string& name) {
     if (name == "pingpong-seq") {
       spec.stopping = exec::StoppingPolicy::sequential_ci(0.05, 3, 10);
     }
+  } else if (name == "reduce") {
+    // A second backend identity: workers that just ran pingpong jobs
+    // must switch their warm context to reduce byte-exactly.
+    spec.name = "demo-reduce";
+    backend.kernel = exec::SimKernel::kReduce;
+    backend.iterations = 20;
+    spec.factors.push_back({"processes", {"4", "8", "16"}});
+    spec.replications = 4;
   } else if (name == "faulty") {
     // One grid column aborts the worker: exercises crash containment.
     spec.name = "demo-faulty";
@@ -67,7 +75,7 @@ std::string demo_envelope(const std::string& name) {
     spec.replications = 5;
   } else {
     throw std::runtime_error("unknown demo \"" + name +
-                             "\" (pingpong | pingpong-seq | faulty | crashy)");
+                             "\" (pingpong | pingpong-seq | reduce | faulty | crashy)");
   }
   return exec::wire::campaign_to_json(spec, backend);
 }

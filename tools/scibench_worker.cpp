@@ -2,9 +2,19 @@
 //
 // Protocol (exec/wire.hpp): read one "scibench.job" line from stdin,
 // run the cell, write one "scibench.cell" line to stdout, repeat until
-// stdin closes. Stateless on purpose -- every job line carries the full
-// backend options, so any worker can run any job and a crashed worker's
-// job re-dispatches elsewhere with the same seed and the same bytes.
+// stdin closes. The protocol is stateless on purpose -- every job line
+// carries the full backend options, so any worker can run any job and a
+// crashed worker's job re-dispatches elsewhere with the same seed and
+// the same bytes.
+//
+// The process keeps one warm (SimBackend, make_context()) pair and runs
+// every job through it while consecutive jobs carry the same backend
+// options, so a campaign's cells reuse their simulation worlds instead
+// of rebuilding one per job (contexts are byte-identical to the
+// stateless run(), pinned by test_exec_reuse). Different options replace
+// the pair, so the worker holds the worlds of one backend at a time. A
+// job that throws drops the pair; the next job starts fresh. Lines on
+// either pipe are bounded (exec::read_line_stream).
 //
 // A backend exception becomes an error reply (the parent re-throws it,
 // so the runner's retry/containment path is identical to an in-process
@@ -27,8 +37,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <memory>
+#include <optional>
 #include <string>
 
+#include "exec/process_pool.hpp"
 #include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
 
@@ -50,24 +63,24 @@ void maybe_inject_fault(const exec::Config& config) {
 }  // namespace
 
 int main() {
+  std::optional<exec::SimBackend> backend;
+  std::unique_ptr<exec::BackendContext> context;  // refers to *backend
   std::string line;
-  for (;;) {
-    line.clear();
-    int c = 0;
-    while ((c = std::fgetc(stdin)) != EOF && c != '\n') {
-      line.push_back(static_cast<char>(c));
-    }
-    if (line.empty() && c == EOF) return 0;  // parent closed the pipe
-
+  while (exec::read_line_stream(stdin, line)) {
     exec::CellResult reply;
     try {
       const exec::wire::JobSpec job = exec::wire::parse_job_json(line);
       maybe_inject_fault(job.config);
-      exec::SimBackend backend(job.backend);
-      reply = backend.run(job.config, job.seed);
+      if (!backend || backend->options() != job.backend) {
+        context.reset();
+        backend.emplace(job.backend);
+        context = backend->make_context();
+      }
+      reply = context->run(job.config, job.seed);
     } catch (const std::exception& e) {
+      context.reset();
+      backend.reset();
       reply = exec::CellResult{};
-      reply.samples.clear();
       reply.error = e.what();
     }
 
@@ -76,4 +89,6 @@ int main() {
     if (std::fputc('\n', stdout) == EOF) return 1;
     if (std::fflush(stdout) != 0) return 1;
   }
+  // The parent closed the pipe; anything else is a broken job stream.
+  return std::feof(stdin) != 0 ? 0 : 1;
 }

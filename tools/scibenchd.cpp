@@ -12,6 +12,10 @@
 //   -> one "scibench.campaign" envelope line (wire::campaign_to_json)
 //   <- event lines ("queued", "started", "cell", "progress", ...)
 //      until a terminal "done" / "rejected" / "error" / "cancelled"
+// A submission line longer than obs::json::kMaxDocumentBytes drops the
+// connection. A client that stops reading its events is muted once a
+// send has blocked for exec::kEventSendTimeoutMs; its job runs on and
+// the queue behind it keeps moving (exec::SocketEventSink).
 //
 // SIGINT/SIGTERM drain the daemon: the in-flight job's remaining cells
 // are marked interrupted (the journal keeps every finished cell), the
@@ -44,20 +48,6 @@ namespace json = sci::obs::json;
 
 namespace {
 
-/// Streams one submission's events to the connected client; a dead peer
-/// mutes the stream (the job keeps running -- results land on disk).
-class ClientSink : public exec::ServiceEventSink {
- public:
-  explicit ClientSink(int fd) : fd_(fd) {}
-  void on_event(const std::string& line) override {
-    if (alive_) alive_ = exec::write_line_fd(fd_, line);
-  }
-
- private:
-  int fd_;
-  bool alive_ = true;
-};
-
 std::string default_worker_path(const char* argv0) {
   if (const char* env = std::getenv("SCIBENCH_WORKER_PATH")) return env;
   // Sibling binary next to the daemon.
@@ -79,7 +69,7 @@ std::string default_worker_path(const char* argv0) {
 void serve_client(exec::CampaignService& service, int fd) {
   std::string header_line;
   std::string campaign_line;
-  ClientSink sink(fd);
+  exec::SocketEventSink sink(fd);  // a client that stops reading is muted
   if (exec::read_line_fd(fd, header_line) && exec::read_line_fd(fd, campaign_line)) {
     try {
       const json::Value header = json::parse(header_line);
@@ -187,7 +177,7 @@ int main(int argc, char** argv) {
     pfd.events = POLLIN;
     const int ready = ::poll(&pfd, 1, 200 /* ms; bounded interrupt latency */);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the flag
-    const int client_fd = ::accept(listen_fd, nullptr, nullptr);
+    const int client_fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (client_fd < 0) continue;
     clients.emplace_back(
         [&service, client_fd] { serve_client(service, client_fd); });
