@@ -4,8 +4,8 @@
 // 8 workers; for each worker count we report wall-clock time, speedup
 // over the single-worker run, and verify the determinism contract by
 // comparing the exported per-sample CSV byte-for-byte against the
-// 1-worker reference. The cache is disabled so every run executes all
-// cells.
+// 1-worker reference. Each row builds a fresh runner, whose cache starts
+// empty, so every run executes all cells.
 //
 // Expected behaviour: near-linear speedup up to the host's core count
 // (cells are independent simulator worlds with no shared state). On a
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   }
   constexpr std::size_t kSamplesPerCell = 4000;
 
-  std::printf("CampaignRunner scaling: 16 cells x %zu samples, cache off\n",
+  std::printf("CampaignRunner scaling: 16 cells x %zu samples, cold cache\n",
               kSamplesPerCell);
   std::printf("hardware_concurrency: %u\n\n", std::thread::hardware_concurrency());
   std::printf("%8s %12s %9s %12s\n", "workers", "wall [ms]", "speedup", "bytes-equal");
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
     exec::SimBackend backend(make_backend_options(kSamplesPerCell));
     exec::CampaignRunnerOptions ropts;
     ropts.workers = workers;
-    ropts.use_cache = false;
     exec::CampaignRunner runner(backend, make_campaign(), ropts);
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -127,8 +127,7 @@ exec::CampaignResult run_campaign(exec::Backend& backend,
                                   std::size_t workers) {
   exec::CampaignRunnerOptions options;
   options.workers = workers;
-  options.use_cache = false;  // every cell must actually execute
-  exec::CampaignRunner runner(backend, campaign, options);
+  exec::CampaignRunner runner(backend, campaign, options);  // fresh cache: every cell runs
   return runner.run();
 }
 

@@ -6,10 +6,11 @@
 // Part 1 times a setup-dominated campaign -- small-message ping-pong
 // with few samples, and a short reduce -- in two configurations,
 // interleaved so drift hits both equally:
-//   baseline   reuse_contexts=false + frame pooling disabled: every
-//              replication builds a fresh World and heap-allocates
-//              every coroutine frame (the pre-PR-4 execution path);
-//   reuse      reuse_contexts=true + frame pooling enabled: per-worker
+//   baseline   a context-less forwarding backend + frame pooling
+//              disabled: every replication builds a fresh World and
+//              heap-allocates every coroutine frame (the execution
+//              path before reusable worlds and frame pooling);
+//   reuse      the SimBackend itself + frame pooling enabled: per-worker
 //              contexts World::reset() a warm world per replication.
 // The reported metric is campaign throughput in replications/second.
 //
@@ -144,14 +145,30 @@ exec::Campaign make_campaign(std::size_t replications) {
   return exec::Campaign(spec);
 }
 
-/// One timed campaign run; returns replications/second.
+/// Forwards to a backend but keeps Backend::make_context()'s nullptr
+/// default, so the runner calls the stateless run() for every cell: the
+/// baseline arm of the duel.
+class ContextlessBackend : public exec::Backend {
+ public:
+  explicit ContextlessBackend(exec::Backend& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  std::string describe() const override { return inner_.describe(); }
+  exec::CellResult run(const exec::Config& config, std::uint64_t seed) override {
+    return inner_.run(config, seed);
+  }
+
+ private:
+  exec::Backend& inner_;
+};
+
+/// One timed campaign run on a fresh runner (cold cache: every cell
+/// executes); returns replications/second.
 double time_campaign(exec::Backend& backend, const exec::Campaign& campaign,
                      std::size_t workers, bool reuse) {
+  ContextlessBackend stateless(backend);
   exec::CampaignRunnerOptions options;
   options.workers = workers;
-  options.use_cache = false;  // every cell must actually execute
-  options.reuse_contexts = reuse;
-  exec::CampaignRunner runner(backend, campaign, options);
+  exec::CampaignRunner runner(reuse ? backend : stateless, campaign, options);
   const double t0 = now_s();
   const exec::CampaignResult result = runner.run();
   const double dt = now_s() - t0;
@@ -203,11 +220,10 @@ std::string samples_csv(const exec::CampaignResult& result) {
 
 std::string run_csv(exec::Backend& backend, const exec::Campaign& campaign,
                     std::size_t workers, bool reuse) {
+  ContextlessBackend stateless(backend);
   exec::CampaignRunnerOptions options;
   options.workers = workers;
-  options.use_cache = false;
-  options.reuse_contexts = reuse;
-  exec::CampaignRunner runner(backend, campaign, options);
+  exec::CampaignRunner runner(reuse ? backend : stateless, campaign, options);
   return samples_csv(runner.run());
 }
 
@@ -241,7 +257,6 @@ void audit_runner_counters(exec::Backend& backend, const char* label) {
   exec::Campaign campaign{std::move(spec)};
   exec::CampaignRunnerOptions options;
   options.workers = 1;  // in-thread: replications execute in rep order
-  options.use_cache = false;
   exec::CampaignRunner runner(backend, campaign, options);
   const exec::CampaignResult result = runner.run();
   std::uint64_t tail_frames = 0, tail_spills = 0;

@@ -211,19 +211,6 @@ std::string PoolBackend::name() const { return inner_.name(); }
 std::string PoolBackend::describe() const { return inner_.describe(); }
 
 CellResult PoolBackend::run(const Config& config, std::uint64_t seed) {
-  if (shared_cache_ != nullptr) {
-    const CellKey key = make_cell_key(name(), config, seed);
-    std::lock_guard<std::mutex> lock(*shared_mutex_);
-    const auto it = shared_cache_->find(key);
-    if (it != shared_cache_->end()) {
-      CellResult result = it->second;
-      result.from_cache = true;
-      deduped_.fetch_add(1, std::memory_order_relaxed);
-      if (observer_) observer_(config, seed, result, /*deduped=*/true);
-      return result;
-    }
-  }
-
   CellResult result = pool_.run(inner_.options(), config, seed);
   if (!result.error.empty()) {
     // Same exception surface as an in-process backend that threw: the
@@ -231,11 +218,6 @@ CellResult PoolBackend::run(const Config& config, std::uint64_t seed) {
     // the difference.
     throw std::runtime_error(result.error);
   }
-  if (shared_cache_ != nullptr) {
-    std::lock_guard<std::mutex> lock(*shared_mutex_);
-    shared_cache_->emplace(make_cell_key(name(), config, seed), result);
-  }
-  if (observer_) observer_(config, seed, result, /*deduped=*/false);
   return result;
 }
 

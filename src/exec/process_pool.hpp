@@ -38,13 +38,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
 
 namespace sci::exec {
@@ -112,9 +110,10 @@ class ProcessPool {
 /// Backend adapter that dispatches every cell to a ProcessPool -- drop
 /// it into an ordinary CampaignRunner and the whole round/journal/cache
 /// machinery runs unchanged, which is how the daemon inherits the
-/// byte-identity contract for free. name()/describe() delegate to the
-/// equivalent in-process SimBackend so cache keys, journal fingerprints,
-/// and Rule 9 headers are indistinguishable from an in-process run.
+/// byte-identity contract for free; dedupe is the runner's cache, not
+/// this adapter's. name()/describe() delegate to the equivalent
+/// in-process SimBackend so cache keys, journal fingerprints, and Rule 9
+/// headers are indistinguishable from an in-process run.
 ///
 /// A worker reply with `error` set re-throws here: the runner must see
 /// the same exception surface as an in-process backend that threw, so
@@ -122,40 +121,15 @@ class ProcessPool {
 /// accounting) behaves identically.
 class PoolBackend : public Backend {
  public:
-  /// Observes every cell this backend resolves (fresh execution or
-  /// shared-cache dedupe) -- the daemon's per-cell event stream. Called
-  /// on runner worker threads; keep it cheap and thread-safe.
-  using CellObserver =
-      std::function<void(const Config&, std::uint64_t seed, const CellResult&, bool deduped)>;
-
   PoolBackend(ProcessPool& pool, SimBackendOptions options);
-
-  /// Attaches the service-wide dedupe cache (full-identity CellKey ->
-  /// CellResult). Cells found there are served without touching the
-  /// pool, so identical submissions from concurrent clients re-run
-  /// nothing. Pointers are borrowed; both must outlive the backend.
-  void set_shared_cache(CellCache* cache, std::mutex* cache_mutex) {
-    shared_cache_ = cache;
-    shared_mutex_ = cache_mutex;
-  }
-  void set_observer(CellObserver observer) { observer_ = std::move(observer); }
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] CellResult run(const Config& config, std::uint64_t seed) override;
 
-  /// Cells served from the shared cache instead of executed.
-  [[nodiscard]] std::size_t deduped() const noexcept {
-    return deduped_.load(std::memory_order_relaxed);
-  }
-
  private:
   ProcessPool& pool_;
   SimBackend inner_;  ///< identity donor: name/describe/fingerprint
-  CellCache* shared_cache_ = nullptr;
-  std::mutex* shared_mutex_ = nullptr;
-  CellObserver observer_;
-  std::atomic<std::size_t> deduped_{0};
 };
 
 }  // namespace sci::exec

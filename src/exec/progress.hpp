@@ -5,7 +5,8 @@
 // boundary: cells completed/failed/retried, samples run, cache and
 // journal-resume hits, per-worker throughput, and obs-counter deltas.
 // The runner feeds it a heartbeat (from a monitor thread, when
-// CampaignRunnerOptions::heartbeat_period_s > 0) and one final snapshot
+// CampaignRunnerOptions::heartbeat_period_s > 0), each executed or
+// cache-served cell (on_cell, from the workers), and one final snapshot
 // on completion -- including budget-interrupted completion. When
 // CampaignRunnerOptions::metrics_path is set, the final snapshot is
 // additionally written to disk as canonical JSON via an atomic
@@ -25,6 +26,8 @@
 #include "obs/counters.hpp"
 
 namespace sci::exec {
+
+struct CampaignCell;
 
 /// One worker's share of the campaign: cells it completed and the time
 /// it spent inside the claim loop (throughput = cells / busy_s).
@@ -95,6 +98,10 @@ class ProgressSink {
   /// thread; implementations may block briefly (I/O) without slowing
   /// the campaign.
   virtual void on_heartbeat(const ProgressSnapshot& snapshot) { (void)snapshot; }
+  /// Once per cell the backend ran successfully or the result cache
+  /// served (from_cache set), on the worker thread that resolved it:
+  /// keep it cheap, thread-safe and non-throwing.
+  virtual void on_cell(const CampaignCell& cell) { (void)cell; }
   /// Exactly once, after the workers joined; snapshot.finished is true.
   virtual void on_complete(const ProgressSnapshot& snapshot) = 0;
 };

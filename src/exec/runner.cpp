@@ -4,7 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -180,501 +180,136 @@ core::Dataset CampaignResult::summary_dataset() const {
 }
 
 CampaignRunner::CampaignRunner(Backend& backend, Campaign campaign,
-                               CampaignRunnerOptions options)
-    : backend_(backend), campaign_(std::move(campaign)), options_(options) {}
+                               CampaignRunnerOptions options, ResultCache* cache)
+    : backend_(backend),
+      campaign_(std::move(campaign)),
+      options_(std::move(options)),
+      cache_(cache != nullptr ? *cache : own_cache_) {}
 
 std::size_t CampaignRunner::cache_size() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_.size();
+  std::lock_guard<std::mutex> lock(cache_.mutex);
+  return cache_.cells.size();
 }
 
 void CampaignRunner::clear_cache() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  cache_.clear();
+  std::lock_guard<std::mutex> lock(cache_.mutex);
+  cache_.cells.clear();
 }
 
-CampaignResult CampaignRunner::run() {
-  const CampaignSpec& spec = campaign_.spec();
-  const StoppingPolicy& policy = spec.stopping;
+namespace {
+
+using Counter = std::atomic<std::size_t>;
+
+std::size_t load(const Counter& counter) { return counter.load(std::memory_order_relaxed); }
+void bump(Counter& counter, std::size_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+bool is_interrupted(const CellResult& result) {
+  return result.error.rfind("interrupted:", 0) == 0;
+}
+
+void set_error(CellResult& result, std::string error) {
+  result = CellResult{};
+  result.error = std::move(error);
+}
+
+/// The run's one tally, read by the CampaignResult and every snapshot.
+struct Tally {
+  Counter executed{0}, cache_hits{0}, failed{0}, journal_hits{0}, interrupted{0};
+  Counter retries{0}, samples_executed{0};
+  Counter scheduled_cells{0}, rounds{0}, configs_converged{0}, configs_capped{0};
+
+  /// Copies the cell counts into a CampaignResult or a ProgressSnapshot.
+  template <class Out>
+  void read_into(Out& out) const {
+    out.executed = load(executed);
+    out.cache_hits = load(cache_hits);
+    out.failed = load(failed);
+    out.journal_hits = load(journal_hits);
+    out.interrupted = load(interrupted);
+    out.retries = load(retries);
+  }
+};
+
+// ------------------------------------------------------------ planner
+
+/// Per-config round state. Completed cells accumulate here in rep order
+/// and are flattened into the result by assemble(); the pooled sample
+/// accumulator drives the sequential stop decisions.
+struct ConfigState {
+  std::vector<CampaignCell> cells;
+  stats::OnlineSeries series;
+  std::size_t scheduled = 0;  ///< reps scheduled so far
+  bool retired = false;
+  double width = std::numeric_limits<double>::infinity();
+  std::uint64_t tie_break = 0;  ///< CellKey hash of rep 0 (rank tie-break)
+  ConfigStopInfo info;
+};
+
+/// The pure round planner: round state in, stop decisions and the next
+/// round's cells out, with no I/O, clock or worker in sight. Fixed mode
+/// is one round holding the whole grid; sequential mode feeds pooled
+/// samples strictly in (config, rep) order, so its decisions are a pure
+/// function of the campaign.
+struct RoundPlanner {
+  const Campaign& campaign;
+  const StoppingPolicy& policy = campaign.spec().stopping;
   const bool sequential = policy.sequential();
-  const std::size_t n_configs = campaign_.config_count();
-  // Fixed mode is "one round containing the whole grid" -- the same
-  // claim order, cache/journal/budget handling, and assembly as the
-  // historical flat runner, byte-for-byte.
-  const std::size_t min_reps = sequential ? policy.min_reps : spec.replications;
-  const std::size_t max_reps = sequential ? policy.max_reps : spec.replications;
+  const std::size_t max_reps = sequential ? policy.max_reps : campaign.spec().replications;
+  const std::vector<Config> grid = campaign.configs();
+  std::vector<ConfigState> state = std::vector<ConfigState>(grid.size());
 
-  CampaignResult result;
-  result.experiment = campaign_.experiment(&backend_);
-  result.replications = sequential ? 0 : spec.replications;
-  result.configs = n_configs;
-  result.sequential = sequential;
-
-  const std::string backend_name = backend_.name();
-  const std::vector<Config> grid = campaign_.configs();
-
-  // Per-config round state. Completed cells accumulate here in rep
-  // order and are flattened into the result at the end; the pooled
-  // sample accumulator drives the sequential stop decisions.
-  struct ConfigState {
+  /// Sets up the per-config state and returns the first round: min_reps
+  /// of every config, in (config.index, rep) order.
+  [[nodiscard]] std::vector<CampaignCell> first_round(const std::string& backend_name) {
     std::vector<CampaignCell> cells;
-    stats::OnlineSeries series;
-    std::size_t scheduled = 0;  ///< reps scheduled so far
-    bool retired = false;
-    double width = std::numeric_limits<double>::infinity();
-    std::uint64_t tie_break = 0;  ///< CellKey hash of rep 0 (rank tie-break)
-    ConfigStopInfo info;
-  };
-  std::vector<ConfigState> state;
-  state.reserve(n_configs);
-  for (std::size_t c = 0; c < n_configs; ++c) {
-    ConfigState st;
-    st.series = stats::OnlineSeries(sequential ? policy.max_lag : 1);
-    if (sequential) {
-      st.tie_break =
-          make_cell_key(backend_name, grid[c], campaign_.seed_for(grid[c], 0)).hash;
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      state[c].series = stats::OnlineSeries(sequential ? policy.max_lag : 1);
+      if (sequential) {
+        state[c].tie_break =
+            make_cell_key(backend_name, grid[c], campaign.seed_for(grid[c], 0)).hash;
+      }
+      schedule(c, sequential ? policy.min_reps : campaign.spec().replications, cells);
     }
-    state.push_back(std::move(st));
+    return cells;
   }
 
-  // The current round's cells, in (config.index, rep) order. Workers
-  // claim slots via the shared atomic and write only their own, so the
-  // round's assembled order never depends on scheduling.
-  std::vector<CampaignCell> work;
-  const auto schedule = [&](std::size_t c, std::size_t count) {
-    ConfigState& st = state[c];
-    for (std::size_t r = st.scheduled; r < st.scheduled + count; ++r) {
-      CampaignCell cell;
-      cell.config = grid[c];
-      cell.rep = r;
-      cell.seed = campaign_.seed_for(grid[c], r);
-      work.push_back(std::move(cell));
-    }
-    st.scheduled += count;
-  };
-  for (std::size_t c = 0; c < n_configs; ++c) schedule(c, min_reps);
-
-  std::size_t workers = options_.workers;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  if (workers > work.size()) workers = work.size();
-  if (workers == 0) workers = 1;
-
-  // Crash-safe checkpoint/resume: completed cells append to the journal
-  // as they finish, and a rerun with the same path replays them instead
-  // of executing. Fingerprint mismatch (different campaign/backend)
-  // throws here, before any cell runs.
-  std::unique_ptr<CampaignJournal> journal;
-  if (!options_.journal_path.empty()) {
-    journal = std::make_unique<CampaignJournal>(
-        options_.journal_path, CampaignJournal::fingerprint(campaign_, backend_name));
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> executed{0};
-  std::atomic<std::size_t> cache_hits{0};
-  std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> journal_hits{0};
-  std::atomic<std::size_t> interrupted{0};
-  std::atomic<std::size_t> retries{0};
-  std::atomic<std::size_t> budget_used{0};
-  // Round bookkeeping, readable by the heartbeat monitor mid-run.
-  std::atomic<std::size_t> scheduled_cells{work.size()};
-  std::atomic<std::size_t> rounds_done{0};
-  std::atomic<std::size_t> configs_converged{0};
-  std::atomic<std::size_t> configs_capped{0};
-  const std::size_t max_attempts = std::max<std::size_t>(1, options_.max_attempts);
-
-  // Telemetry is fully optional: with no sink and no metrics file, the
-  // extra per-cell bookkeeping below is skipped entirely (zero-cost
-  // contract), and none of it can influence results either way.
-  const bool telemetry =
-      options_.progress != nullptr || !options_.metrics_path.empty();
-  std::atomic<std::size_t> samples_executed{0};
-  std::unique_ptr<std::atomic<std::size_t>[]> worker_cells;
-  std::vector<double> worker_busy;
-  obs::CounterSnapshot counters_at_start;
-  if (telemetry) {
-    worker_cells = std::make_unique<std::atomic<std::size_t>[]>(workers);
-    for (std::size_t w = 0; w < workers; ++w) worker_cells[w].store(0);
-    worker_busy.assign(workers, 0.0);
-    counters_at_start = obs::CounterRegistry::instance().snapshot();
-  }
-  const double run_t0 = obs::host_now_s();
-
-  // Heartbeat snapshots read only the atomics above (never the cells
-  // vector, which workers are still writing); samples_total and
-  // per-worker busy time are final-snapshot facts.
-  const auto make_snapshot = [&](bool finished) {
-    ProgressSnapshot snap;
-    snap.campaign = campaign_.spec().name;
-    snap.backend = backend_name;
-    snap.total_cells = scheduled_cells.load(std::memory_order_relaxed);
-    snap.executed = executed.load(std::memory_order_relaxed);
-    snap.failed = failed.load(std::memory_order_relaxed);
-    snap.retries = retries.load(std::memory_order_relaxed);
-    snap.cache_hits = cache_hits.load(std::memory_order_relaxed);
-    snap.journal_hits = journal_hits.load(std::memory_order_relaxed);
-    snap.interrupted = interrupted.load(std::memory_order_relaxed);
-    snap.completed = snap.executed + snap.failed + snap.cache_hits +
-                     snap.journal_hits + snap.interrupted;
-    snap.samples_executed = samples_executed.load(std::memory_order_relaxed);
-    snap.elapsed_s = obs::host_now_s() - run_t0;
-    snap.finished = finished;
-    snap.workers.resize(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      snap.workers[w].cells = worker_cells[w].load(std::memory_order_relaxed);
-      snap.workers[w].busy_s = finished ? worker_busy[w] : snap.elapsed_s;
-    }
-    snap.counter_delta = obs::snapshot_delta(counters_at_start,
-                                             obs::CounterRegistry::instance().snapshot());
-    // Live convergence stats (sequential mode; zeros under fixed).
-    snap.sequential = sequential;
-    snap.configs_total = sequential ? n_configs : 0;
-    snap.configs_converged = configs_converged.load(std::memory_order_relaxed);
-    snap.configs_capped = configs_capped.load(std::memory_order_relaxed);
-    snap.rounds = rounds_done.load(std::memory_order_relaxed);
-    if (finished) {
-      for (const auto& cell : result.cells) {
-        if (cell.result.error.empty()) snap.samples_total += cell.result.samples.size();
-      }
-      // Final-snapshot fact, like samples_total: per-config rep counts
-      // (read from the assembled result, after the rounds finish).
-      if (sequential && result.cell_offsets.size() == n_configs + 1) {
-        snap.rep_counts.reserve(n_configs);
-        for (std::size_t c = 0; c < n_configs; ++c) {
-          snap.rep_counts.push_back(result.cell_offsets[c + 1] - result.cell_offsets[c]);
-        }
-      }
-    }
-    return snap;
-  };
-
-  // Per-worker trace sinks, merged into the caller's sink after the
-  // join (TraceSink is deliberately single-threaded). Only pay for
-  // tracing when the caller attached a sink.
-  obs::TraceSink* parent_sink = obs::sink();
-  std::vector<obs::TraceSink> worker_sinks(parent_sink != nullptr ? workers : 0);
-
-  // Worker-slot contexts outlive the per-round threads: slot w is used
-  // by exactly one thread per round, so its warm world carries across
-  // round boundaries without synchronization.
-  std::vector<std::unique_ptr<BackendContext>> contexts(workers);
-  std::vector<std::string> context_errors(workers);
-  std::vector<char> context_tried(workers, 0);
-
-  const auto worker_body = [&](std::size_t worker_id) {
-    std::optional<obs::ScopedAttach> attach;
-    if (parent_sink != nullptr) {
-      attach.emplace(worker_sinks[worker_id]);
-      worker_sinks[worker_id].set_track_name(
-          obs::kHarnessTrack, "campaign worker " + std::to_string(worker_id));
-    }
-
-    // Per-worker reusable backend state: worlds, buffers, and RNG
-    // scratch stay warm across every cell this worker claims. Results
-    // are byte-identical to stateless backend_.run() calls.
-    //
-    // make_context() runs inside the worker thread, so an exception
-    // escaping it would hit std::terminate (no frame above us catches
-    // on this thread). Catch it here and record the error: this
-    // worker's claimed cells are marked failed with the context error
-    // and the campaign keeps going. A deterministically-throwing
-    // make_context throws in every worker, so every cell fails
-    // identically regardless of worker count.
-    std::unique_ptr<BackendContext>& context = contexts[worker_id];
-    std::string& context_error = context_errors[worker_id];
-    if (options_.reuse_contexts && !context_tried[worker_id]) {
-      context_tried[worker_id] = 1;
-      try {
-        context = backend_.make_context();
-      } catch (const std::exception& e) {
-        context_error = std::string("make_context failed: ") + e.what();
-      } catch (...) {
-        context_error = "make_context failed: unknown exception";
-      }
-    }
-
-    const double worker_t0 = obs::host_now_s();
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= work.size()) break;
-      // Every claimed cell is resolved by this worker (run, cached,
-      // replayed, failed, or interrupted), so claiming is completing
-      // for telemetry purposes.
-      if (telemetry) worker_cells[worker_id].fetch_add(1, std::memory_order_relaxed);
-      CampaignCell& cell = work[i];
-      const CellKey key = make_cell_key(backend_name, cell.config, cell.seed);
-
-      if (options_.use_cache) {
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-          cell.result = it->second;
-          cell.result.from_cache = true;
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-      }
-
-      if (journal != nullptr) {
-        if (const CellResult* rec = journal->find(cell.config.index, cell.rep, cell.seed)) {
-          cell.result = *rec;
-          cell.result.from_cache = true;
-          journal_hits.fetch_add(1, std::memory_order_relaxed);
-          if (rec->error.empty()) {
-            if (options_.use_cache) {
-              std::lock_guard<std::mutex> lock(cache_mutex_);
-              cache_.emplace(key, cell.result);
-            }
-          } else {
-            // A journaled failure is final (deterministic backends fail
-            // the same way again); it still counts against the campaign
-            // so the resumed accounting matches an uninterrupted run.
-            failed.fetch_add(1, std::memory_order_relaxed);
-          }
-          continue;
-        }
-      }
-
-      if (!context_error.empty()) {
-        cell.result = CellResult{};
-        cell.result.error = context_error;
-        failed.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-
-      // Cooperative signal drain: once the interrupt flag is set (by a
-      // SIGINT/SIGTERM handler, exec/interrupt.hpp), remaining cells are
-      // marked interrupted -- the same not-failed / not-journaled drain
-      // as budget exhaustion, so a rerun with the journal resumes
-      // byte-identically from the finished cells.
-      if (options_.interrupt != nullptr &&
-          options_.interrupt->load(std::memory_order_relaxed)) {
-        cell.result = CellResult{};
-        cell.result.error = "interrupted: signal";
-        interrupted.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-
-      // Deterministic stand-in for a mid-campaign kill: once the budget
-      // is spent, remaining cells are marked interrupted (not failed,
-      // not journaled) so a resume executes exactly them.
-      if (options_.cell_budget > 0 &&
-          budget_used.fetch_add(1, std::memory_order_relaxed) >= options_.cell_budget) {
-        cell.result = CellResult{};
-        cell.result.error = "interrupted: cell budget exhausted";
-        interrupted.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-
-      // Replication-boundary audit baseline: thread-local tallies make
-      // the deltas exact even with every worker measuring at once.
-      const std::uint64_t frames0 = sim::FramePool::local().heap_allocs();
-      const std::uint64_t spills0 = sim::callback_heap_spills_local();
-      [[maybe_unused]] const double t0 = obs::host_now_s();
-      // Bounded retry. Attempt k > 0 uses the deterministically derived
-      // seed splitmix64(cell.seed ^ k), so the attempt sequence -- and
-      // therefore the final outcome -- is a pure function of the cell,
-      // independent of scheduling and worker count.
-      for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          retries.fetch_add(1, std::memory_order_relaxed);
-          if (options_.retry_backoff_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(options_.retry_backoff_ms * attempt));
-          }
-        }
-        std::uint64_t attempt_state = cell.seed ^ attempt;
-        const std::uint64_t attempt_seed =
-            attempt == 0 ? cell.seed : rng::splitmix64_next(attempt_state);
-        try {
-          cell.result = context != nullptr ? context->run(cell.config, attempt_seed)
-                                           : backend_.run(cell.config, attempt_seed);
-          cell.result.from_cache = false;
-        } catch (const std::exception& e) {
-          cell.result = CellResult{};
-          cell.result.error = e.what();
-        } catch (...) {
-          cell.result = CellResult{};
-          cell.result.error = "unknown backend exception";
-        }
-        cell.result.attempts = attempt + 1;
-        if (cell.result.error.empty()) break;
-      }
-      cell.result.coro_frame_heap_allocs =
-          sim::FramePool::local().heap_allocs() - frames0;
-      cell.result.callback_heap_spills = sim::callback_heap_spills_local() - spills0;
-      SCI_TRACE_COMPLETE(obs::kHarnessTrack, "campaign.cell", "exec", t0,
-                         obs::host_now_s() - t0,
-                         {obs::TraceArg{"config", cell.config.index},
-                          obs::TraceArg{"rep", cell.rep},
-                          obs::TraceArg{"samples", cell.result.samples.size()},
-                          obs::TraceArg{"attempts", cell.result.attempts},
-                          obs::TraceArg{"failed", cell.result.error.empty() ? 0 : 1}});
-
-      if (journal != nullptr) {
-        journal->append(cell.config.index, cell.rep, cell.seed, cell.result);
-      }
-      if (cell.result.error.empty()) {
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry) {
-          samples_executed.fetch_add(cell.result.samples.size(),
-                                     std::memory_order_relaxed);
-        }
-        if (options_.use_cache) {
-          std::lock_guard<std::mutex> lock(cache_mutex_);
-          cache_.emplace(key, cell.result);
-        }
-      } else {
-        failed.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (telemetry) worker_busy[worker_id] += obs::host_now_s() - worker_t0;
-  };
-
-  // Heartbeat monitor: its own thread so sink I/O never blocks a
-  // worker, started only when someone is listening.
-  std::thread monitor;
-  std::mutex monitor_mutex;
-  std::condition_variable monitor_cv;
-  bool monitor_stop = false;
-  if (options_.progress != nullptr && options_.heartbeat_period_s > 0.0) {
-    const auto period = std::chrono::duration<double>(options_.heartbeat_period_s);
-    monitor = std::thread([&] {
-      std::unique_lock<std::mutex> lock(monitor_mutex);
-      while (!monitor_cv.wait_for(lock, period, [&] { return monitor_stop; })) {
-        lock.unlock();
-        options_.progress->on_heartbeat(make_snapshot(/*finished=*/false));
-        lock.lock();
-      }
-    });
-  }
-  const auto stop_monitor = [&] {
-    if (!monitor.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(monitor_mutex);
-      monitor_stop = true;
-    }
-    monitor_cv.notify_all();
-    monitor.join();
-  };
-
-  const auto run_round = [&] {
-    next.store(0, std::memory_order_relaxed);
-    if (workers == 1) {
-      // In-thread execution keeps single-worker runs trivially
-      // debuggable (and lets HostBackend cells inherit the caller's
-      // thread state).
-      worker_body(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_body, w);
-      for (auto& t : pool) t.join();
-    }
-  };
-
-  // -------------------------------------------------------- round loop
-  // Fixed mode: exactly one round holding the whole grid. Sequential
-  // mode: after each round, live configs are tested for convergence on
-  // their pooled samples (fed strictly in (config, rep) order, so the
-  // decision stream is a pure function of the campaign -- worker count
-  // and round timing can't touch it), retirees journal their stop
-  // decision, and the next round's budget is granted widest-CI-first.
-  std::size_t round = 0;
-  while (!work.empty()) {
-    run_round();
-    ++round;
-    rounds_done.store(round, std::memory_order_relaxed);
-
-    bool round_interrupted = false;
-    for (auto& cell : work) {
+  /// Files a finished round's cells; true when it was interrupted.
+  bool absorb(std::vector<CampaignCell>& round) {
+    bool interrupted = false;
+    for (auto& cell : round) {
       ConfigState& st = state[cell.config.index];
       if (cell.result.error.empty()) {
-        if (sequential)
-          st.series.add(std::span<const double>(cell.result.samples));
-      } else if (cell.result.error.rfind("interrupted:", 0) == 0) {
-        round_interrupted = true;
+        if (sequential) st.series.add(std::span<const double>(cell.result.samples));
+      } else if (is_interrupted(cell.result)) {
+        interrupted = true;
       }
       st.cells.push_back(std::move(cell));
     }
-    work.clear();
+    round.clear();
+    return interrupted;
+  }
 
-    if (!sequential) break;
-    if (round_interrupted) {
-      // Budget exhausted mid-round: stop scheduling. No convergence
-      // decisions are taken on the incomplete round; the resume
-      // executes the interrupted cells, reaches this barrier with the
-      // full round's data, and decides identically to an uninterrupted
-      // run. (Configs still live at exit are exactly the budget
-      // casualties; they get stop_reason "interrupted" below.)
-      break;
-    }
-
-    // Convergence evaluation (main thread, between rounds).
-    for (std::size_t c = 0; c < n_configs; ++c) {
-      ConfigState& st = state[c];
-      if (st.retired) continue;
-      double width = std::numeric_limits<double>::infinity();
-      double ess = std::numeric_limits<double>::quiet_NaN();
-      bool converged = false;
-      if (st.series.count() > 5) {
-        width = st.series.relative_ci_half_width(policy.quantile, policy.confidence);
-        ess = st.series.effective_sample_size();
-        converged = width <= policy.target_rel_ci_half_width &&
-                    (policy.ess_floor <= 0.0 || ess >= policy.ess_floor);
-      }
-      st.width = width;
-      if (!converged && st.scheduled < max_reps) continue;
-      st.retired = true;
-      st.info.reps = st.scheduled;
-      st.info.stop_round = round;
-      st.info.converged = converged;
-      st.info.stop_reason = converged ? "converged" : "max_reps";
-      if (st.series.count() > 5) {
-        st.info.median = st.series.quantile(policy.quantile);
-        st.info.rel_ci_half_width = width;
-        st.info.ess = ess;
-      }
-      (converged ? configs_converged : configs_capped)
-          .fetch_add(1, std::memory_order_relaxed);
-      // Journal the stop decision. On resume the decision is recomputed
-      // from the replayed samples; the record is the cross-run
-      // consistency check -- a mismatch means the journal belongs to a
-      // different campaign or policy than the fingerprint suggested.
-      if (journal != nullptr) {
-        if (const CampaignJournal::StopRecord* rec = journal->find_stop(c)) {
-          if (rec->reps != st.info.reps || rec->reason != st.info.stop_reason) {
-            throw std::runtime_error(
-                "campaign journal: stop record mismatch for config " +
-                std::to_string(c) + " (journal: reps=" + std::to_string(rec->reps) +
-                " reason=" + rec->reason + ", recomputed: reps=" +
-                std::to_string(st.info.reps) + " reason=" + st.info.stop_reason + ")");
-          }
-        } else {
-          journal->append_stop(c, st.info.reps, st.info.stop_reason);
-        }
-      }
-    }
-
-    // Schedule the next round: every live config gets its quantum
-    // (capped at max_reps); the budget freed by retired configs is
-    // re-granted one rep at a time in deterministic rank order --
-    // widest relative CI first, CellKey hash then config index as
-    // tie-breaks.
+  /// Retires the live configs that converged or hit max_reps after
+  /// `round` (appending them to `retired`) and returns the next round:
+  /// every live config gets its quantum (capped at max_reps); the
+  /// budget freed by retired configs is re-granted one rep at a time in
+  /// deterministic rank order -- widest relative CI first, CellKey hash
+  /// then config index as tie-breaks.
+  [[nodiscard]] std::vector<CampaignCell> plan(std::size_t round,
+                                               std::vector<std::size_t>& retired) {
     std::vector<std::size_t> live;
-    for (std::size_t c = 0; c < n_configs; ++c) {
+    for (std::size_t c = 0; c < state.size(); ++c) {
+      if (!state[c].retired && retire(state[c], round)) retired.push_back(c);
       if (!state[c].retired) live.push_back(c);
     }
-    if (live.empty()) break;
-    std::vector<std::size_t> alloc(n_configs, 0);
+    std::vector<CampaignCell> cells;  // stays empty once every config retired
+    std::vector<std::size_t> alloc(state.size(), 0);
     for (std::size_t c : live) {
       alloc[c] = std::min(policy.round_quantum, max_reps - state[c].scheduled);
     }
-    std::size_t freed = policy.round_quantum * (n_configs - live.size());
+    std::size_t freed = policy.round_quantum * (state.size() - live.size());
     std::vector<std::size_t> ranked = live;
     std::sort(ranked.begin(), ranked.end(), [&](std::size_t a, std::size_t b) {
       if (state[a].width != state[b].width) return state[a].width > state[b].width;
@@ -695,92 +330,438 @@ CampaignResult CampaignRunner::run() {
       }
     }
     for (std::size_t c : live) {
-      if (alloc[c] > 0) schedule(c, alloc[c]);
+      if (alloc[c] > 0) schedule(c, alloc[c], cells);
     }
-    scheduled_cells.fetch_add(work.size(), std::memory_order_relaxed);
+    return cells;
   }
 
-  if (parent_sink != nullptr) {
-    for (std::size_t w = 0; w < workers; ++w) {
-      parent_sink->merge(worker_sinks[w],
+  /// True when a live config retires (rank-CI criterion or max_reps).
+  bool retire(ConfigState& st, std::size_t round) const {
+    double width = std::numeric_limits<double>::infinity();
+    double ess = std::numeric_limits<double>::quiet_NaN();
+    bool converged = false;
+    if (st.series.count() > 5) {
+      width = st.series.relative_ci_half_width(policy.quantile, policy.confidence);
+      ess = st.series.effective_sample_size();
+      converged = width <= policy.target_rel_ci_half_width &&
+                  (policy.ess_floor <= 0.0 || ess >= policy.ess_floor);
+    }
+    st.width = width;
+    if (!converged && st.scheduled < max_reps) return false;
+    st.retired = true;
+    st.info.reps = st.scheduled;
+    st.info.stop_round = round;
+    st.info.converged = converged;
+    st.info.stop_reason = converged ? "converged" : "max_reps";
+    if (st.series.count() > 5) {
+      st.info.median = st.series.quantile(policy.quantile);
+      st.info.rel_ci_half_width = width;
+      st.info.ess = ess;
+    }
+    return true;
+  }
+
+  void schedule(std::size_t c, std::size_t count, std::vector<CampaignCell>& out) {
+    ConfigState& st = state[c];
+    for (std::size_t r = st.scheduled; r < st.scheduled + count; ++r) {
+      CampaignCell cell;
+      cell.config = grid[c];
+      cell.rep = r;
+      cell.seed = campaign.seed_for(grid[c], r);
+      out.push_back(std::move(cell));
+    }
+    st.scheduled += count;
+  }
+};
+
+/// Journals a stop decision. On resume the decision is recomputed from
+/// the replayed samples; the record is the cross-run consistency check
+/// -- a mismatch means the journal belongs to a different campaign or
+/// policy than the fingerprint suggested.
+void journal_stop(CampaignJournal& journal, std::size_t c, const ConfigStopInfo& info) {
+  const CampaignJournal::StopRecord* rec = journal.find_stop(c);
+  if (rec == nullptr) {
+    journal.append_stop(c, info.reps, info.stop_reason);
+  } else if (rec->reps != info.reps || rec->reason != info.stop_reason) {
+    throw std::runtime_error("campaign journal: stop record mismatch for config " +
+                             std::to_string(c) + " (journal: reps=" +
+                             std::to_string(rec->reps) + " reason=" + rec->reason +
+                             ", recomputed: reps=" + std::to_string(info.reps) +
+                             " reason=" + info.stop_reason + ")");
+  }
+}
+
+// ---------------------------------------------------------- observers
+
+/// What watches a run without steering it: the tally, per-worker
+/// telemetry and trace sinks, and the heartbeat monitor (which holds
+/// `this`; the atomics make the struct non-copyable and non-movable).
+/// With no sink and no metrics file the per-cell bookkeeping beyond the
+/// tally is skipped (zero-cost contract).
+struct RunObservers {
+  const CampaignRunnerOptions& options;
+  const Campaign& campaign;
+  const std::string& backend_name;
+  const std::size_t workers;
+  const bool telemetry = options.progress != nullptr || !options.metrics_path.empty();
+  Tally tally{};
+  obs::TraceSink* const parent_sink = obs::sink();
+  std::vector<obs::TraceSink> trace_sinks =
+      std::vector<obs::TraceSink>(parent_sink != nullptr ? workers : 0);
+  std::vector<Counter> worker_cells = std::vector<Counter>(telemetry ? workers : 0);
+  std::vector<double> worker_busy = std::vector<double>(telemetry ? workers : 0);
+  const obs::CounterSnapshot counters_at_start =
+      telemetry ? obs::CounterRegistry::instance().snapshot() : obs::CounterSnapshot{};
+  const double t0 = obs::host_now_s();
+  std::promise<void> stop_heartbeats{};
+  std::thread monitor = start_monitor();
+
+  ~RunObservers() { stop_monitor(); }
+
+  /// Heartbeats come from their own thread so sink I/O never blocks a
+  /// worker, started only when someone is listening.
+  std::thread start_monitor() {
+    if (options.progress == nullptr || options.heartbeat_period_s <= 0.0) return {};
+    return std::thread([this, stopped = stop_heartbeats.get_future()] {
+      const auto period = std::chrono::duration<double>(options.heartbeat_period_s);
+      while (stopped.wait_for(period) == std::future_status::timeout) {
+        options.progress->on_heartbeat(snapshot(nullptr));
+      }
+    });
+  }
+
+  void stop_monitor() {
+    if (!monitor.joinable()) return;
+    stop_heartbeats.set_value();
+    monitor.join();
+  }
+
+  /// Worker w's own trace sink (TraceSink is single-threaded), if any.
+  [[nodiscard]] obs::TraceSink* trace_sink(std::size_t w) {
+    if (w >= trace_sinks.size()) return nullptr;
+    trace_sinks[w].set_track_name(obs::kHarnessTrack,
+                                  "campaign worker " + std::to_string(w));
+    return &trace_sinks[w];
+  }
+
+  /// Every claimed cell is resolved by its worker (run, cached, replayed,
+  /// failed or interrupted), so claiming is completing for telemetry.
+  void claimed(std::size_t w) {
+    if (telemetry) bump(worker_cells[w]);
+  }
+
+  void busy(std::size_t w, double seconds) {
+    if (telemetry) worker_busy[w] += seconds;
+  }
+
+  /// A cell the backend ran successfully or the result cache served.
+  void on_cell(const CampaignCell& cell) {
+    if (telemetry && !cell.result.from_cache) {
+      bump(tally.samples_executed, cell.result.samples.size());
+    }
+    if (options.progress != nullptr) options.progress->on_cell(cell);
+  }
+
+  /// After the last round: merges worker traces, stops heartbeats.
+  void finish() {
+    for (std::size_t w = 0; w < trace_sinks.size(); ++w) {
+      parent_sink->merge(trace_sinks[w],
                          kWorkerTrackBase + static_cast<int>(w) * kWorkerTrackStride);
     }
+    stop_monitor();
   }
 
-  stop_monitor();
-
-  result.executed = executed.load();
-  result.cache_hits = cache_hits.load();
-  result.failed = failed.load();
-  result.journal_hits = journal_hits.load();
-  result.interrupted = interrupted.load();
-  result.retries = retries.load();
-  result.rounds = round;
-
-  // Flatten per-config state into the canonical (config.index, rep)
-  // cell order with explicit offsets; fill the fixed-mode /
-  // interrupted stop info for configs that never retired.
-  result.cell_offsets.assign(n_configs + 1, 0);
-  std::size_t total_cells = 0;
-  for (std::size_t c = 0; c < n_configs; ++c) {
-    total_cells += state[c].cells.size();
-    result.cell_offsets[c + 1] = total_cells;
+  /// Final telemetry: one complete snapshot (finished is true even when
+  /// the cell budget interrupted the grid -- the watcher learns exactly
+  /// how far the run got), written atomically so no reader sees a torn
+  /// metrics file.
+  void complete(const CampaignResult& result) {
+    if (!telemetry) return;
+    const ProgressSnapshot snap = snapshot(&result);
+    if (!options.metrics_path.empty()) {
+      obs::write_file_atomic(options.metrics_path, snap.to_json());
+    }
+    if (options.progress != nullptr) options.progress->on_complete(snap);
   }
-  result.cells.reserve(total_cells);
-  result.stopping.reserve(n_configs);
-  for (std::size_t c = 0; c < n_configs; ++c) {
-    ConfigState& st = state[c];
+
+  /// Heartbeats (`done` null) read only the counters, never the cells
+  /// workers are still writing; samples_total, rep_counts and per-worker
+  /// busy time are final-snapshot facts.
+  [[nodiscard]] ProgressSnapshot snapshot(const CampaignResult* done) const {
+    ProgressSnapshot snap;
+    snap.campaign = campaign.spec().name;
+    snap.backend = backend_name;
+    snap.total_cells = load(tally.scheduled_cells);
+    tally.read_into(snap);
+    snap.completed = snap.executed + snap.failed + snap.cache_hits + snap.journal_hits +
+                     snap.interrupted;
+    snap.samples_executed = load(tally.samples_executed);
+    snap.elapsed_s = obs::host_now_s() - t0;
+    snap.finished = done != nullptr;
+    snap.workers.resize(worker_busy.size());
+    for (std::size_t w = 0; w < snap.workers.size(); ++w) {
+      snap.workers[w].cells = load(worker_cells[w]);
+      snap.workers[w].busy_s = done != nullptr ? worker_busy[w] : snap.elapsed_s;
+    }
+    snap.counter_delta = obs::snapshot_delta(counters_at_start,
+                                             obs::CounterRegistry::instance().snapshot());
+    snap.sequential = campaign.spec().stopping.sequential();
+    snap.configs_total = snap.sequential ? campaign.config_count() : 0;
+    snap.configs_converged = load(tally.configs_converged);
+    snap.configs_capped = load(tally.configs_capped);
+    snap.rounds = load(tally.rounds);
+    if (done != nullptr) {
+      for (const auto& cell : done->cells) {
+        if (cell.result.error.empty()) snap.samples_total += cell.result.samples.size();
+      }
+      for (std::size_t c = 0; snap.sequential && c < done->configs; ++c) {
+        snap.rep_counts.push_back(done->rep_count(c));
+      }
+    }
+    return snap;
+  }
+};
+
+// ----------------------------------------------------------- executor
+
+/// The cell executor. Each round, workers claim cells through a shared
+/// counter and write only their own, so the round's assembled order
+/// never depends on scheduling. Its threads hold `this`; the atomics
+/// make the struct non-copyable and non-movable.
+struct CellExecutor {
+  /// A worker slot's warm backend state. Slot w is used by exactly one
+  /// thread per round, so it carries across rounds unsynchronized.
+  struct Slot {
+    std::unique_ptr<BackendContext> context;  ///< null: stateless backend.run()
+    std::string error;                        ///< why make_context() failed
+    bool tried = false;
+  };
+
+  Backend& backend;
+  const std::string& backend_name;
+  const CampaignRunnerOptions& options;
+  CampaignJournal* journal;
+  ResultCache& cache;
+  RunObservers& observers;
+  std::vector<CampaignCell>& work;  ///< the current round
+  std::vector<Slot> slots;
+  Counter next{0};
+  Counter budget_used{0};
+
+  void run_round() {
+    next.store(0, std::memory_order_relaxed);
+    if (slots.size() == 1) {
+      // In-thread execution keeps single-worker runs trivially
+      // debuggable (and lets HostBackend cells inherit the caller's
+      // thread state).
+      worker(0);
+      return;
+    }
+    std::vector<std::thread> pool;
+    for (std::size_t w = 0; w < slots.size(); ++w) {
+      pool.emplace_back(&CellExecutor::worker, this, w);
+    }
+    for (auto& t : pool) t.join();
+  }
+
+  void worker(std::size_t w) {
+    std::optional<obs::ScopedAttach> attach;
+    if (obs::TraceSink* sink = observers.trace_sink(w)) attach.emplace(*sink);
+    // make_context() runs inside the worker thread, so an exception
+    // escaping it would hit std::terminate. Record it instead: this
+    // worker's cells fail with the context error and the campaign keeps
+    // going. A deterministically-throwing make_context throws in every
+    // worker, so every cell fails identically regardless of worker count.
+    Slot& slot = slots[w];
+    if (!slot.tried) {
+      slot.tried = true;
+      try {
+        slot.context = backend.make_context();
+      } catch (const std::exception& e) {
+        slot.error = std::string("make_context failed: ") + e.what();
+      } catch (...) {
+        slot.error = "make_context failed: unknown exception";
+      }
+    }
+    const double t0 = obs::host_now_s();
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < work.size();) {
+      observers.claimed(w);
+      resolve(work[i], slot);
+    }
+    observers.busy(w, obs::host_now_s() - t0);
+  }
+
+  void cache_insert(const CellKey& key, const CellResult& result) {
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    cache.cells.emplace(key, result);
+  }
+
+  /// cache -> journal -> context error -> interrupt/budget -> attempts
+  /// -> journal append -> cache insert.
+  void resolve(CampaignCell& cell, const Slot& slot) {
+    Tally& tally = observers.tally;
+    const CellKey key = make_cell_key(backend_name, cell.config, cell.seed);
+    {
+      std::lock_guard<std::mutex> lock(cache.mutex);
+      const auto it = cache.cells.find(key);
+      if (it != cache.cells.end()) {
+        cell.result = it->second;
+        cell.result.from_cache = true;
+      }
+    }
+    if (cell.result.from_cache) {  // a claimed cell's result starts out empty
+      bump(tally.cache_hits);
+      observers.on_cell(cell);
+      return;
+    }
+    if (journal != nullptr) {
+      if (const CellResult* rec = journal->find(cell.config.index, cell.rep, cell.seed)) {
+        cell.result = *rec;
+        cell.result.from_cache = true;
+        bump(tally.journal_hits);
+        // A journaled failure is final (deterministic backends fail the
+        // same way again); it still counts against the campaign so the
+        // resumed accounting matches an uninterrupted run.
+        if (rec->error.empty()) {
+          cache_insert(key, cell.result);
+        } else {
+          bump(tally.failed);
+        }
+        return;
+      }
+    }
+    if (!slot.error.empty()) {
+      set_error(cell.result, slot.error);
+      bump(tally.failed);
+      return;
+    }
+    // Drain: once the interrupt flag is set (by a SIGINT/SIGTERM
+    // handler, exec/interrupt.hpp) or the cell budget -- a deterministic
+    // stand-in for a mid-campaign kill -- is spent, remaining cells are
+    // marked interrupted: not failed, not journaled, so a rerun with the
+    // journal executes exactly them and resumes byte-identically.
+    const bool signalled =
+        options.interrupt != nullptr && options.interrupt->load(std::memory_order_relaxed);
+    if (signalled || (options.cell_budget > 0 && budget_used.fetch_add(
+                                                     1, std::memory_order_relaxed) >=
+                                                     options.cell_budget)) {
+      set_error(cell.result,
+                signalled ? "interrupted: signal" : "interrupted: cell budget exhausted");
+      bump(tally.interrupted);
+      return;
+    }
+    execute(cell, slot.context.get());
+    if (journal != nullptr) {
+      journal->append(cell.config.index, cell.rep, cell.seed, cell.result);
+    }
+    if (!cell.result.error.empty()) {
+      bump(tally.failed);
+      return;
+    }
+    bump(tally.executed);
+    cache_insert(key, cell.result);
+    observers.on_cell(cell);
+  }
+
+  /// Bounded retry. Attempt k > 0 uses the deterministically derived
+  /// seed splitmix64(cell.seed ^ k), so the attempt sequence -- and
+  /// therefore the final outcome -- is a pure function of the cell,
+  /// independent of scheduling and worker count.
+  void execute(CampaignCell& cell, BackendContext* context) {
+    // Replication-boundary audit baseline: thread-local tallies make the
+    // deltas exact even with every worker measuring at once.
+    const std::uint64_t frames0 = sim::FramePool::local().heap_allocs();
+    const std::uint64_t spills0 = sim::callback_heap_spills_local();
+    [[maybe_unused]] const double t0 = obs::host_now_s();
+    const std::size_t max_attempts = std::max<std::size_t>(1, options.max_attempts);
+    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
+      if (attempt > 0) bump(observers.tally.retries);
+      std::uint64_t attempt_state = cell.seed ^ attempt;
+      const std::uint64_t seed =
+          attempt == 0 ? cell.seed : rng::splitmix64_next(attempt_state);
+      try {
+        cell.result = context != nullptr ? context->run(cell.config, seed)
+                                         : backend.run(cell.config, seed);
+        cell.result.from_cache = false;
+      } catch (const std::exception& e) {
+        set_error(cell.result, e.what());
+      } catch (...) {
+        set_error(cell.result, "unknown backend exception");
+      }
+      cell.result.attempts = attempt + 1;
+      if (cell.result.error.empty()) break;
+    }
+    cell.result.coro_frame_heap_allocs = sim::FramePool::local().heap_allocs() - frames0;
+    cell.result.callback_heap_spills = sim::callback_heap_spills_local() - spills0;
+    SCI_TRACE_COMPLETE(obs::kHarnessTrack, "campaign.cell", "exec", t0,
+                       obs::host_now_s() - t0,
+                       {obs::TraceArg{"config", cell.config.index},
+                        obs::TraceArg{"rep", cell.rep},
+                        obs::TraceArg{"samples", cell.result.samples.size()},
+                        obs::TraceArg{"attempts", cell.result.attempts},
+                        obs::TraceArg{"failed", cell.result.error.empty() ? 0 : 1}});
+  }
+};
+
+// ----------------------------------------------------------- assembly
+
+/// Flattens per-config state into the canonical (config.index, rep)
+/// cell order and documents (Rule 9) the design executed and any damage.
+CampaignResult assemble(const Campaign& campaign, const Backend& backend,
+                        std::vector<ConfigState>& state, const Tally& tally,
+                        std::size_t rounds) {
+  const bool sequential = campaign.spec().stopping.sequential();
+  CampaignResult result;
+  result.experiment = campaign.experiment(&backend);
+  result.replications = sequential ? 0 : campaign.spec().replications;
+  result.configs = state.size();
+  result.sequential = sequential;
+  result.rounds = rounds;
+  tally.read_into(result);
+
+  result.cell_offsets.assign(state.size() + 1, 0);
+  for (std::size_t c = 0; c < state.size(); ++c) {
+    result.cell_offsets[c + 1] = result.cell_offsets[c] + state[c].cells.size();
+  }
+  result.cells.reserve(result.cell_offsets.back());
+  result.stopping.reserve(state.size());
+  for (ConfigState& st : state) {
     for (auto& cell : st.cells) result.cells.push_back(std::move(cell));
     if (!st.retired) {
       st.info.reps = st.scheduled;
-      st.info.stop_round = round;
+      st.info.stop_round = rounds;
       st.info.converged = false;
       st.info.stop_reason = sequential ? "interrupted" : "fixed";
     }
     result.stopping.push_back(std::move(st.info));
   }
 
-  // Rule 9 documentation of the adaptive design actually executed:
-  // rounds taken and the per-config rep counts. Both are deterministic,
-  // so exported CSV headers stay byte-identical at any worker count.
+  // The adaptive design actually executed: rounds taken and per-config
+  // rep counts. Both are deterministic, so exported CSV headers stay
+  // byte-identical at any worker count.
   if (sequential) {
-    result.experiment.set("campaign.rounds", std::to_string(round));
+    result.experiment.set("campaign.rounds", std::to_string(rounds));
     std::string counts;
-    for (std::size_t c = 0; c < n_configs; ++c) {
+    for (std::size_t c = 0; c < state.size(); ++c) {
       if (!counts.empty()) counts += ',';
-      counts += std::to_string(result.cell_offsets[c + 1] - result.cell_offsets[c]);
+      counts += std::to_string(result.rep_count(c));
     }
     result.experiment.set("campaign.rep_counts", counts);
   }
 
-  // Final telemetry: one complete snapshot after the rounds finish
-  // (finished is true even when the cell budget interrupted the grid --
-  // the watcher learns exactly how far the run got), written atomically
-  // so no reader sees a torn metrics file.
-  if (telemetry) {
-    const ProgressSnapshot snapshot = make_snapshot(/*finished=*/true);
-    if (!options_.metrics_path.empty()) {
-      obs::write_file_atomic(options_.metrics_path, snapshot.to_json());
-    }
-    if (options_.progress != nullptr) options_.progress->on_complete(snapshot);
-  }
-
-  // Rule 9 damage report: partially-failed campaigns export CSVs whose
-  // headers say exactly which cells are missing and why, instead of a
-  // silently thinner grid. Cells are listed in grid order (bounded at
-  // eight), so the header -- like everything else -- is independent of
-  // scheduling. Interrupted cells are transient (a resume executes
-  // them) and only annotated on the interrupted run itself, keeping the
-  // resumed run's header identical to an uninterrupted one.
+  // Damage report: partially-failed campaigns export CSVs whose headers
+  // say exactly which cells are missing and why, instead of a silently
+  // thinner grid. Cells are listed in grid order (bounded at eight), so
+  // the header -- like everything else -- is independent of scheduling.
+  // Interrupted cells are transient (a resume executes them) and only
+  // annotated on the interrupted run itself, keeping the resumed run's
+  // header identical to an uninterrupted one.
   if (result.failed > 0) {
     result.experiment.set("campaign.failed", std::to_string(result.failed));
     std::string detail;
     std::size_t listed = 0;
     for (const auto& cell : result.cells) {
-      if (cell.result.error.empty() ||
-          cell.result.error.rfind("interrupted:", 0) == 0) {
-        continue;
-      }
+      if (cell.result.error.empty() || is_interrupted(cell.result)) continue;
       if (listed == 8) {
         detail += "; +" + std::to_string(result.failed - listed) + " more";
         break;
@@ -795,6 +776,56 @@ CampaignResult CampaignRunner::run() {
   if (result.interrupted > 0) {
     result.experiment.set("campaign.interrupted", std::to_string(result.interrupted));
   }
+  return result;
+}
+
+}  // namespace
+
+CampaignResult CampaignRunner::run() {
+  const std::string backend_name = backend_.name();
+  RoundPlanner planner{campaign_};
+  std::vector<CampaignCell> work = planner.first_round(backend_name);
+  const std::size_t requested =
+      options_.workers != 0 ? options_.workers : std::thread::hardware_concurrency();
+  const std::size_t workers = std::max<std::size_t>(1, std::min(requested, work.size()));
+
+  // Crash-safe checkpoint/resume: completed cells append to the journal
+  // as they finish, and a rerun with the same path replays them instead
+  // of executing. Fingerprint mismatch (different campaign/backend)
+  // throws here, before any cell runs.
+  std::unique_ptr<CampaignJournal> journal;
+  if (!options_.journal_path.empty()) {
+    journal = std::make_unique<CampaignJournal>(
+        options_.journal_path, CampaignJournal::fingerprint(campaign_, backend_name));
+  }
+
+  RunObservers observers{options_, campaign_, backend_name, workers};
+  CellExecutor executor{backend_, backend_name, options_, journal.get(), cache_, observers,
+                        work,     std::vector<CellExecutor::Slot>(workers)};
+  Tally& tally = observers.tally;
+  bump(tally.scheduled_cells, work.size());
+  std::size_t round = 0;
+  while (!work.empty()) {
+    executor.run_round();
+    tally.rounds.store(++round, std::memory_order_relaxed);
+    // An interrupted round takes no convergence decisions: the resume
+    // executes the interrupted cells, reaches this barrier with the full
+    // round's data, and decides identically to an uninterrupted run.
+    // Configs still live at exit get stop_reason "interrupted".
+    if (planner.absorb(work) || !planner.sequential) break;
+    std::vector<std::size_t> retired;
+    work = planner.plan(round, retired);
+    for (const std::size_t c : retired) {
+      const ConfigStopInfo& info = planner.state[c].info;
+      bump(info.converged ? tally.configs_converged : tally.configs_capped);
+      if (journal != nullptr) journal_stop(*journal, c, info);
+    }
+    bump(tally.scheduled_cells, work.size());
+  }
+  observers.finish();
+
+  CampaignResult result = assemble(campaign_, backend_, planner.state, tally, round);
+  observers.complete(result);
   return result;
 }
 

@@ -22,10 +22,11 @@
 // byte-deterministic as fixed ones -- including across kill/resume
 // (tests/test_exec_sequential.cpp).
 //
-// An in-memory result cache keyed by (backend name, config levels,
-// seed) lets a partially-completed campaign resume without repeating
-// finished cells: re-running the same runner (or a larger campaign that
-// shares cells with an earlier one) only executes what is missing.
+// A result cache keyed by (backend name, config levels, seed) lets a
+// partially-completed campaign resume without repeating finished cells:
+// re-running the same runner (or a larger campaign that shares cells
+// with an earlier one) only executes what is missing. A runner owns its
+// cache unless the caller lends one, as CampaignService does per job.
 // For resume across PROCESSES -- a killed or crashed campaign -- set
 // CampaignRunnerOptions::journal_path: completed cells append to a
 // crash-safe on-disk journal (exec/journal.hpp) and the rerun replays
@@ -107,6 +108,12 @@ struct CellKeyHash {
                                     std::uint64_t seed);
 
 using CellCache = std::unordered_map<CellKey, CellResult, CellKeyHash>;
+
+/// Successful cells of past runs, shared by a run's workers under `mutex`.
+struct ResultCache {
+  mutable std::mutex mutex;
+  CellCache cells;
+};
 
 /// Per-config measurement-control outcome (why this config stopped
 /// getting replications). Fixed campaigns carry it too, with
@@ -192,22 +199,12 @@ struct CampaignRunnerOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency(). Results
   /// do not depend on this value (the determinism contract).
   std::size_t workers = 0;
-  /// Serve repeated cells from the in-memory result cache.
-  bool use_cache = true;
-  /// Give each worker a Backend::make_context() and run its cells
-  /// through it, reusing simulation state across replications. Results
-  /// are byte-identical either way (the BackendContext contract); OFF
-  /// exists for differential testing and allocation triage.
-  bool reuse_contexts = true;
   /// Backend calls allowed per cell before it is declared failed.
   /// Attempt k (k >= 1) re-runs with the deterministically derived seed
   /// splitmix64(cell.seed ^ k), so retry outcomes are a pure function
   /// of the cell -- independent of worker count and scheduling -- and a
   /// deterministic always-throwing backend fails identically every run.
   std::size_t max_attempts = 1;
-  /// Host-time pause before retry k: k * retry_backoff_ms. Affects only
-  /// wall-clock pacing, never results.
-  std::size_t retry_backoff_ms = 0;
   /// When non-empty, completed cells (success or final failure) are
   /// appended to this crash-safe journal and replayed on the next run
   /// with the same path -- see exec/journal.hpp. The resumed campaign
@@ -226,9 +223,10 @@ struct CampaignRunnerOptions {
   const std::atomic<bool>* interrupt = nullptr;
   /// Telemetry observer (not owned; must outlive run()). Receives
   /// heartbeats from a monitor thread every heartbeat_period_s (when
-  /// > 0) and one final snapshot after the workers join. Telemetry is
-  /// observational only: exported CSVs are byte-identical with the sink
-  /// attached or not, and nullptr + empty metrics_path costs nothing.
+  /// > 0), on_cell from the workers, and one final snapshot after the
+  /// workers join. Telemetry is observational only: exported CSVs are
+  /// byte-identical with the sink attached or not, and nullptr + empty
+  /// metrics_path costs nothing.
   ProgressSink* progress = nullptr;
   double heartbeat_period_s = 0.0;
   /// When non-empty, the final ProgressSnapshot is written here as
@@ -240,12 +238,15 @@ struct CampaignRunnerOptions {
 
 class CampaignRunner {
  public:
-  CampaignRunner(Backend& backend, Campaign campaign, CampaignRunnerOptions options = {});
+  /// `cache`, when non-null, is borrowed instead of the runner's own
+  /// and must outlive the runner; lend one only to runners whose
+  /// backends produce equal results for equal CellKeys.
+  CampaignRunner(Backend& backend, Campaign campaign, CampaignRunnerOptions options = {},
+                 ResultCache* cache = nullptr);
 
   /// Executes every cell not already cached; byte-deterministic output.
   [[nodiscard]] CampaignResult run();
 
-  [[nodiscard]] const Campaign& campaign() const noexcept { return campaign_; }
   [[nodiscard]] std::size_t cache_size() const;
   void clear_cache();
 
@@ -253,8 +254,8 @@ class CampaignRunner {
   Backend& backend_;
   Campaign campaign_;
   CampaignRunnerOptions options_;
-  mutable std::mutex cache_mutex_;
-  CellCache cache_;
+  ResultCache own_cache_;
+  ResultCache& cache_;
 };
 
 }  // namespace sci::exec

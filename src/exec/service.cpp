@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -19,7 +20,8 @@ namespace json = obs::json;
 
 namespace {
 
-/// Forwards runner heartbeats as single-line "progress" events.
+/// Forwards runner cells and heartbeats as single-line "cell" and
+/// "progress" events.
 class EventProgressSink : public ProgressSink {
  public:
   EventProgressSink(std::uint64_t job_id, std::function<void(const std::string&)> emit)
@@ -35,6 +37,16 @@ class EventProgressSink : public ProgressSink {
     line += ", \"failed\": " + json::dump_size(s.failed);
     line += ", \"interrupted\": " + json::dump_size(s.interrupted);
     line += ", \"elapsed_s\": " + json::dump_number(s.elapsed_s);
+    line += "}";
+    emit_(line);
+  }
+  void on_cell(const CampaignCell& cell) override {
+    std::string line = "{\"event\": \"cell\", \"job\": " + json::dump_size(job_id_);
+    line += ", \"config\": " + json::dump_size(cell.config.index);
+    line += ", \"seed\": " + json::quoted(wire::hex_u64(cell.seed));
+    line += ", \"n\": " + json::dump_size(cell.result.samples.size());
+    line += ", \"deduped\": ";
+    line += cell.result.from_cache ? "true" : "false";
     line += "}";
     emit_(line);
   }
@@ -193,19 +205,13 @@ void CampaignService::run_job(QueuedJob job) {
               ", \"cells\": " + json::dump_size(campaign.cell_count()) + "}");
 
     PoolBackend backend(pool_, sub.backend);
-    backend.set_shared_cache(&cache_, &cache_mutex_);
-    backend.set_observer([&](const Config& config, std::uint64_t seed,
-                             const CellResult& result, bool deduped) {
-      std::string line = "{\"event\": \"cell\", \"job\": " + json::dump_size(job.id);
-      line += ", \"config\": " + json::dump_size(config.index);
-      line += ", \"seed\": " + json::quoted(wire::hex_u64(seed));
-      line += ", \"n\": " + json::dump_size(result.samples.size());
-      line += ", \"deduped\": ";
-      line += deduped ? "true" : "false";
-      line += "}";
-      emit_line(line);
-    });
-
+    // The runner borrows the cross-job cache of jobs with equal options.
+    auto cache = std::find_if(caches_.begin(), caches_.end(),
+                              [&](const auto& c) { return c.first == sub.backend; });
+    if (cache == caches_.end()) {
+      cache = caches_.emplace(caches_.end(), std::piecewise_construct,
+                              std::forward_as_tuple(sub.backend), std::tuple<>());
+    }
     EventProgressSink progress(job.id, emit_line);
     CampaignRunnerOptions ropts;
     ropts.workers =
@@ -215,12 +221,10 @@ void CampaignService::run_job(QueuedJob job) {
     ropts.cell_budget = sub.cell_budget;
     ropts.metrics_path = sub.metrics_path;
     ropts.interrupt = options_.interrupt;
-    if (sub.heartbeat_s > 0.0) {
-      ropts.progress = &progress;
-      ropts.heartbeat_period_s = sub.heartbeat_s;
-    }
+    ropts.progress = &progress;
+    ropts.heartbeat_period_s = sub.heartbeat_s;
 
-    CampaignRunner runner(backend, std::move(campaign), ropts);
+    CampaignRunner runner(backend, std::move(campaign), ropts, &cache->second);
     const CampaignResult result = runner.run();
 
     if (!sub.samples_csv.empty()) result.samples_dataset().save_csv(sub.samples_csv);
@@ -229,8 +233,7 @@ void CampaignService::run_job(QueuedJob job) {
     outcome.ran = true;
     outcome.cells = result.cells.size();
     outcome.executed = result.executed;
-    outcome.deduped = backend.deduped();
-    outcome.cache_hits = result.cache_hits;
+    outcome.deduped = result.cache_hits;
     outcome.journal_hits = result.journal_hits;
     outcome.failed = result.failed;
     outcome.interrupted = result.interrupted;
@@ -242,7 +245,6 @@ void CampaignService::run_job(QueuedJob job) {
     line += ", \"cells\": " + json::dump_size(outcome.cells);
     line += ", \"executed\": " + json::dump_size(outcome.executed);
     line += ", \"deduped\": " + json::dump_size(outcome.deduped);
-    line += ", \"cache_hits\": " + json::dump_size(outcome.cache_hits);
     line += ", \"journal_hits\": " + json::dump_size(outcome.journal_hits);
     line += ", \"failed\": " + json::dump_size(outcome.failed);
     line += ", \"interrupted\": " + json::dump_size(outcome.interrupted);

@@ -1,7 +1,7 @@
 // CampaignService: the benchmark-as-a-service core behind scibenchd.
 //
-// The service owns a priority submission queue, a cross-job dedupe
-// cache, and one service thread that runs admitted campaigns through an
+// The service owns a priority submission queue, the cross-job result
+// caches, and one service thread that runs admitted campaigns through an
 // ordinary CampaignRunner whose backend is a PoolBackend -- cells
 // execute in scibench_worker processes (exec/process_pool.hpp), so a
 // backend that aborts or is SIGKILLed costs one worker, not the daemon.
@@ -21,19 +21,23 @@
 // overlapping cells of the second submission are served from the cache
 // without touching a worker.
 //
-// Dedupe: the cache is keyed on full-identity CellKey (backend name,
-// factor/level assignment, seed) -- the same key the runner's own
-// in-memory cache uses -- so only a cell that would provably produce
+// Dedupe: the service keeps one ResultCache per distinct
+// SimBackendOptions and lends the matching one to each job's runner, so
+// the runner's cache is the only result cache. Its key is the
+// full-identity CellKey (backend name, factor/level assignment, seed);
+// together with equal options, only a cell that would provably produce
 // identical bytes is ever deduplicated.
 //
 // Events: every state transition is streamed to the submitting client's
 // ServiceEventSink as one line of canonical JSON ("queued", "started",
-// per-cell "cell", periodic "progress" heartbeats, "done"/"rejected"/
-// "error"), the ProgressSnapshot-style live view the tools print.
+// per-cell "cell" from the runner's ProgressSink::on_cell, periodic
+// "progress" heartbeats, "done"/"rejected"/"error"), the
+// ProgressSnapshot-style live view the tools print.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <mutex>
 #include <queue>
@@ -76,7 +80,6 @@ struct JobOutcome {
   std::size_t cells = 0;
   std::size_t executed = 0;
   std::size_t deduped = 0;   ///< served from the cross-job cache
-  std::size_t cache_hits = 0;
   std::size_t journal_hits = 0;
   std::size_t failed = 0;
   std::size_t interrupted = 0;
@@ -160,8 +163,8 @@ class CampaignService {
   bool stopping_ = false;
   obs::DaemonMetrics metrics_;
 
-  std::mutex cache_mutex_;
-  CellCache cache_;  ///< cross-job dedupe, full-identity CellKey
+  /// One cache per distinct backend options; service thread only.
+  std::list<std::pair<SimBackendOptions, ResultCache>> caches_;
 
   std::thread service_thread_;
 };

@@ -175,10 +175,9 @@ SimBackend small_sim_backend() {
   return SimBackend(opts);
 }
 
-CampaignRunnerOptions with_workers(std::size_t workers, bool use_cache = true) {
+CampaignRunnerOptions with_workers(std::size_t workers) {
   CampaignRunnerOptions opts;
   opts.workers = workers;
-  opts.use_cache = use_cache;
   return opts;
 }
 
@@ -270,18 +269,6 @@ TEST(CampaignRunner, SecondRunIsServedEntirelyFromCache) {
   EXPECT_EQ(runner.cache_size(), 0u);
   (void)runner.run();
   EXPECT_EQ(backend.calls.load(), 12u);
-}
-
-TEST(CampaignRunner, CacheCanBeDisabled) {
-  CountingBackend backend;
-  CampaignSpec spec;
-  spec.name = "uncached";
-  spec.factors.push_back({"k", {"a", "b"}});
-  CampaignRunner runner(backend, Campaign(spec), with_workers(1, false));
-  (void)runner.run();
-  (void)runner.run();
-  EXPECT_EQ(backend.calls.load(), 4u);
-  EXPECT_EQ(runner.cache_size(), 0u);
 }
 
 // --------------------------------------------------------------- errors

@@ -1,11 +1,13 @@
 // ProgressSink / metrics-snapshot telemetry: the observational contract
 // (snapshots agree with the exported CSV ground truth) and the
 // determinism contract (attaching a sink changes zero exported bytes).
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,7 +89,6 @@ TEST(Progress, FinalSnapshotMatchesIngestedCsvAtEveryWorkerCount) {
     CollectingSink sink;
     CampaignRunnerOptions options;
     options.workers = workers;
-    options.use_cache = false;
     options.progress = &sink;
     CampaignRunner runner(backend, campaign, options);
     const CampaignResult result = runner.run();
@@ -125,7 +126,6 @@ TEST(Progress, CsvBytesIdenticalWithAndWithoutSink) {
     SimBackend backend = small_sim_backend();
     CampaignRunnerOptions options;
     options.workers = 4;
-    options.use_cache = false;
     CampaignRunner runner(backend, small_campaign(), options);
     return csv_of(runner.run());
   }();
@@ -134,7 +134,6 @@ TEST(Progress, CsvBytesIdenticalWithAndWithoutSink) {
   CollectingSink sink;
   CampaignRunnerOptions options;
   options.workers = 4;
-  options.use_cache = false;
   options.progress = &sink;
   options.heartbeat_period_s = 0.001;  // hammer the monitor thread too
   options.metrics_path = temp_path("progress_det.json");
@@ -149,7 +148,6 @@ TEST(Progress, MetricsFileIsParseableAndFinished) {
   SimBackend backend = small_sim_backend();
   CampaignRunnerOptions options;
   options.workers = 2;
-  options.use_cache = false;
   options.metrics_path = metrics_path;  // no sink: file alone turns telemetry on
   CampaignRunner runner(backend, small_campaign(), options);
   const CampaignResult result = runner.run();
@@ -172,7 +170,6 @@ TEST(Progress, HeartbeatsAreMonotoneAndBounded) {
   CollectingSink sink;
   CampaignRunnerOptions options;
   options.workers = 2;
-  options.use_cache = false;
   options.progress = &sink;
   options.heartbeat_period_s = 0.001;
   CampaignRunner runner(backend, small_campaign(), options);
@@ -192,6 +189,53 @@ TEST(Progress, HeartbeatsAreMonotoneAndBounded) {
   EXPECT_GE(sink.finals()[0].completed, previous);
 }
 
+/// Records every on_cell callback; thread-safe because workers call it.
+class CellSink : public ProgressSink {
+ public:
+  void on_cell(const CampaignCell& cell) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    seen_.push_back({cell.config.index, cell.rep, cell.result.from_cache});
+  }
+  void on_complete(const ProgressSnapshot&) override {}
+  /// The (config, rep, from_cache) triples seen so far, sorted.
+  [[nodiscard]] std::vector<std::tuple<std::size_t, std::size_t, bool>> take() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    auto seen = std::move(seen_);
+    seen_.clear();
+    std::sort(seen.begin(), seen.end());
+    return seen;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::tuple<std::size_t, std::size_t, bool>> seen_;
+};
+
+TEST(Progress, CellHookNeverChangesBytes) {
+  const Campaign campaign = small_campaign();
+  for (const std::size_t workers : {1u, 4u}) {
+    CampaignRunnerOptions options;
+    options.workers = workers;
+    SimBackend plain = small_sim_backend();
+    const std::string baseline = csv_of(CampaignRunner(plain, campaign, options).run());
+
+    SimBackend backend = small_sim_backend();
+    CellSink sink;
+    options.progress = &sink;
+    CampaignRunner runner(backend, campaign, options);
+    // First run executes every cell, the second serves every cell from
+    // the runner's cache; the hook sees each cell once per run.
+    for (const bool from_cache : {false, true}) {
+      EXPECT_EQ(csv_of(runner.run()), baseline) << workers << " workers";
+      std::vector<std::tuple<std::size_t, std::size_t, bool>> want;
+      for (std::size_t c = 0; c < campaign.config_count(); ++c) {
+        for (std::size_t rep = 0; rep < 2; ++rep) want.emplace_back(c, rep, from_cache);
+      }
+      EXPECT_EQ(sink.take(), want) << workers << " workers, from_cache " << from_cache;
+    }
+  }
+}
+
 // ------------------------------------------- interruption and resume
 
 TEST(Progress, InterruptedSnapshotAccountsBudgetAndResumeFinishes) {
@@ -205,7 +249,6 @@ TEST(Progress, InterruptedSnapshotAccountsBudgetAndResumeFinishes) {
     CollectingSink sink;
     CampaignRunnerOptions options;
     options.workers = 1;
-    options.use_cache = false;
     options.journal_path = journal;
     options.cell_budget = 5;
     options.progress = &sink;
@@ -232,7 +275,6 @@ TEST(Progress, InterruptedSnapshotAccountsBudgetAndResumeFinishes) {
   CollectingSink sink;
   CampaignRunnerOptions options;
   options.workers = 1;
-  options.use_cache = false;
   options.journal_path = journal;
   options.progress = &sink;
   options.metrics_path = metrics2;

@@ -206,20 +206,34 @@ Campaign pingpong_campaign() {
   return Campaign(spec);
 }
 
+/// Forwards to a backend but keeps Backend::make_context()'s nullptr
+/// default, so the runner calls the stateless run() for every cell.
+class ContextlessBackend : public Backend {
+ public:
+  explicit ContextlessBackend(Backend& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  std::string describe() const override { return inner_.describe(); }
+  CellResult run(const Config& config, std::uint64_t seed) override {
+    return inner_.run(config, seed);
+  }
+
+ private:
+  Backend& inner_;
+};
+
 TEST(CampaignReuse, CsvBytesEqualAcrossWorkerCountsAndContextModes) {
   SimBackend backend(small_options(SimKernel::kPingPong));
 
+  ContextlessBackend stateless(backend);
   CampaignRunnerOptions baseline_options;
   baseline_options.workers = 1;
-  baseline_options.reuse_contexts = false;
-  CampaignRunner baseline(backend, pingpong_campaign(), baseline_options);
+  CampaignRunner baseline(stateless, pingpong_campaign(), baseline_options);
   const std::string reference = samples_csv(baseline.run());
   ASSERT_FALSE(reference.empty());
 
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     CampaignRunnerOptions options;
     options.workers = workers;
-    options.reuse_contexts = true;
     CampaignRunner runner(backend, pingpong_campaign(), options);
     EXPECT_EQ(samples_csv(runner.run()), reference) << workers << " workers";
   }
@@ -239,7 +253,6 @@ TEST(CampaignReuse, AllocationAuditSettlesToZeroInSteadyState) {
 
   CampaignRunnerOptions options;
   options.workers = 1;  // in-thread: replications run in rep order
-  options.use_cache = false;
   CampaignRunner runner(backend, campaign, options);
   const CampaignResult result = runner.run();
   ASSERT_EQ(result.cells.size(), 5u);

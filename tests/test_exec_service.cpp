@@ -409,6 +409,39 @@ TEST(CampaignService, DedupesIdenticalSubmissionsAcrossClients) {
   EXPECT_GE(metrics.workers_spawned, 2u);
 }
 
+TEST(CampaignService, DifferentBackendOptionsNeverShareCells) {
+  // The pingpong demo grid at 200 samples, then the same grid and seed
+  // at 100: CellKeys match (the backend name is "sim.pingpong" either
+  // way), but the cells differ, so nothing may be deduplicated.
+  CampaignSpec spec;
+  spec.name = "demo-pingpong";
+  spec.factors.push_back({"message_bytes", {"1024", "4096", "16384"}});
+  spec.replications = 5;
+  SimBackendOptions at200;
+  at200.samples = 200;
+  at200.scale = 1e6;
+  at200.unit = "us";
+  SimBackendOptions at100 = at200;
+  at100.samples = 100;
+
+  ProcessPool pool(pool_options(2));
+  CampaignService service(pool);
+  Submission first;
+  first.spec = spec;
+  first.backend = at200;
+  Submission second = first;
+  second.backend = at100;
+  second.samples_csv = temp_path("svc_options_100.csv");
+
+  const JobOutcome out_a = service.wait(service.submit(first));
+  const JobOutcome out_b = service.wait(service.submit(second));
+  ASSERT_TRUE(out_a.ran) << out_a.error;
+  ASSERT_TRUE(out_b.ran) << out_b.error;
+  EXPECT_EQ(out_b.deduped, 0u);
+  EXPECT_EQ(out_b.executed, out_b.cells);
+  EXPECT_EQ(slurp(second.samples_csv), run_in_process(spec, at100, 2).samples);
+}
+
 TEST(CampaignService, RejectsInvalidSpecWithoutDying) {
   ProcessPool pool(pool_options(1));
   CampaignService service(pool);
