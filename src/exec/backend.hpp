@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,11 +65,11 @@ struct CellResult {
   std::size_t warmup_discarded = 0;
   /// Filled by the runner: true when served from the result cache.
   bool from_cache = false;
-  /// Hot-path allocation audit, filled by the runner per replication
-  /// (thread-local deltas around the backend call, so concurrent
-  /// workers never pollute each other's numbers). In steady state both
-  /// are zero from the second replication of a shape onward; excluded
-  /// from CSV exports, so they never affect byte-determinism.
+  /// Hot-path allocation audit, filled by SimBackend per call
+  /// (thread-local deltas around the simulation, so concurrent workers
+  /// never pollute each other's numbers). In steady state both are zero
+  /// from the second replication of a shape onward; excluded from CSV
+  /// exports and from the wire, so they never affect byte-determinism.
   std::uint64_t coro_frame_heap_allocs = 0;  ///< sim::FramePool misses
   std::uint64_t callback_heap_spills = 0;    ///< InlineCallback SBO spills
   /// Non-empty when the backend threw; `samples` is then empty.
@@ -77,6 +79,14 @@ struct CellResult {
   /// for cells never executed (cache/journal hits keep the recorded
   /// value; interrupted cells report 0).
   std::size_t attempts = 0;
+};
+
+/// One cell of a BackendContext::run_batch call: the backend fills
+/// `result` for (config, seed).
+struct BatchCell {
+  const Config* config = nullptr;
+  std::uint64_t seed = 0;
+  CellResult result;
 };
 
 /// Per-worker reusable state for a Backend: the runner creates one
@@ -92,6 +102,25 @@ class BackendContext {
 
   /// Produces the samples of one (config, seed) cell replication.
   [[nodiscard]] virtual CellResult run(const Config& config, std::uint64_t seed) = 0;
+
+  /// Runs a chunk of cells, filling each one's result as run() would. A
+  /// cell whose run throws gets the exception text in result.error and
+  /// the batch goes on. The default loops run(); a backend that can
+  /// overlap the cells of a chunk (the process pool pipelines their job
+  /// lines to one worker process) overrides it.
+  virtual void run_batch(std::span<BatchCell> cells) {
+    for (BatchCell& cell : cells) {
+      try {
+        cell.result = run(*cell.config, cell.seed);
+      } catch (const std::exception& e) {
+        cell.result = CellResult{};
+        cell.result.error = e.what();
+      } catch (...) {
+        cell.result = CellResult{};
+        cell.result.error = "unknown backend exception";
+      }
+    }
+  }
 };
 
 /// A measurement substrate. One call = one replication of one grid
@@ -109,7 +138,8 @@ class Backend {
 
   /// Creates per-worker reusable state (see BackendContext). Returning
   /// nullptr (the default) tells the runner to call run() directly;
-  /// backends with expensive per-call setup override this.
+  /// backends with expensive per-call setup, or that run a chunk of
+  /// cells faster than one by one, override this.
   [[nodiscard]] virtual std::unique_ptr<BackendContext> make_context() { return nullptr; }
 
   /// One-line description for Rule 9 documentation (defaults to name()).

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "exec/wire.hpp"
@@ -114,6 +115,10 @@ std::unique_ptr<ProcessPool::Worker> ProcessPool::spawn() {
   auto worker = std::make_unique<Worker>();
   worker->pid = pid;
   worker->to_child = to_child[1];
+#ifdef F_GETPIPE_SZ
+  const int capacity = ::fcntl(to_child[1], F_GETPIPE_SZ);
+  if (capacity > 0) worker->pipe_capacity = static_cast<std::size_t>(capacity);
+#endif
   worker->from_child = ::fdopen(from_child[0], "r");
   if (worker->from_child == nullptr) {
     destroy(*worker, /*wait_for_exit=*/false);
@@ -138,67 +143,106 @@ void ProcessPool::destroy(Worker& worker, bool wait_for_exit) {
   worker.pid = -1;
 }
 
+std::unique_ptr<ProcessPool::Worker> ProcessPool::acquire() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  available_.wait(lock, [&] { return !free_.empty(); });
+  std::unique_ptr<Worker> worker = std::move(free_.back());
+  free_.pop_back();
+  return worker;
+}
+
+void ProcessPool::release(std::unique_ptr<Worker> worker) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(worker));
+  }
+  available_.notify_one();
+}
+
+void ProcessPool::replace(std::unique_ptr<Worker> worker, bool wait_for_exit) {
+  workers_crashed_.fetch_add(1, std::memory_order_relaxed);
+  destroy(*worker, wait_for_exit);
+  release(spawn());
+}
+
 CellResult ProcessPool::run(const SimBackendOptions& backend, const Config& config,
                             std::uint64_t seed) {
-  std::string job = wire::job_to_json(backend, config, seed);
-  job += '\n';
+  BatchCell cell{&config, seed, {}};
+  run_batch(backend, std::span<BatchCell>(&cell, 1));
+  return std::move(cell.result);
+}
 
-  for (std::size_t attempt = 0;; ++attempt) {
-    std::unique_ptr<Worker> worker;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      available_.wait(lock, [&] { return !free_.empty(); });
-      worker = std::move(free_.back());
-      free_.pop_back();
+void ProcessPool::run_batch(const SimBackendOptions& backend, std::span<BatchCell> cells) {
+  // Every job line is encoded once, back to back: cells[k]'s line is
+  // jobs[at[k], at[k + 1]), so any run of cells is one contiguous write
+  // and a re-dispatch resends the same bytes.
+  std::string jobs;
+  std::vector<std::size_t> at{0};
+  for (const BatchCell& cell : cells) {
+    jobs += wire::job_to_json(backend, *cell.config, cell.seed);
+    jobs += '\n';
+    at.push_back(jobs.size());
+  }
+
+  std::string reply;
+  std::size_t pos = 0;      // first cell without a result
+  std::size_t crashes = 0;  // worker deaths on cells[pos] so far
+  while (pos < cells.size()) {
+    std::unique_ptr<Worker> worker = acquire();
+    // The sub-batch fits the empty job pipe, so the write returns even
+    // while the worker blocks on a reply we have not read yet. A cell
+    // that killed a worker goes alone.
+    std::size_t end = pos + 1;
+    while (crashes == 0 && end < cells.size() &&
+           at[end + 1] - at[pos] <= worker->pipe_capacity) {
+      ++end;
     }
 
-    std::string reply;
-    const bool ok = write_all(worker->to_child, job.data(), job.size()) &&
-                    read_line_stream(worker->from_child, reply);
-    if (ok) {
-      CellResult result;
-      bool parsed = true;
-      std::string parse_error;
+    // Replies come back in job order. A worker that died mid-batch
+    // flushed every reply before the cell it died on, so those are kept
+    // even when the write itself failed.
+    (void)write_all(worker->to_child, jobs.data() + at[pos], at[end] - at[pos]);
+    std::size_t k = pos;
+    std::optional<std::string> parse_error;
+    for (; k < end && read_line_stream(worker->from_child, reply); ++k) {
       try {
-        result = wire::parse_cell_result_json(reply);
+        cells[k].result = wire::parse_cell_result_json(reply);
       } catch (const std::exception& e) {
-        // A worker that prints garbage is as broken as one that died.
-        parsed = false;
         parse_error = e.what();
+        break;
       }
-      if (parsed) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          free_.push_back(std::move(worker));
-        }
-        available_.notify_one();
-        return result;
-      }
-      workers_crashed_.fetch_add(1, std::memory_order_relaxed);
-      destroy(*worker, /*wait_for_exit=*/false);
-      std::unique_ptr<Worker> replacement = spawn();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        free_.push_back(std::move(replacement));
-      }
-      available_.notify_one();
-      throw std::runtime_error("ProcessPool: unparseable worker reply: " + parse_error);
+    }
+    if (k == end) {
+      release(std::move(worker));
+      pos = end;
+      crashes = 0;
+      continue;
     }
 
-    // Dead worker: reap it, restore pool capacity, and re-dispatch the
-    // SAME (config, seed) -- byte-identity for transient kills.
-    workers_crashed_.fetch_add(1, std::memory_order_relaxed);
-    destroy(*worker, /*wait_for_exit=*/true);
-    std::unique_ptr<Worker> replacement = spawn();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      free_.push_back(std::move(replacement));
+    if (parse_error) {
+      // A worker that prints garbage is as broken as one that died, but
+      // its cell is not retried.
+      replace(std::move(worker), /*wait_for_exit=*/false);
+      cells[k].result = CellResult{};
+      cells[k].result.error = "ProcessPool: unparseable worker reply: " + *parse_error;
+      pos = k + 1;
+      crashes = 0;
+      continue;
     }
-    available_.notify_one();
-    if (attempt >= options_.crash_retries) {
-      throw std::runtime_error("ProcessPool: cell " + config.to_string() +
-                               " crashed its worker " + std::to_string(attempt + 1) +
-                               " time(s); giving up on this seed");
+
+    // The worker died on cells[k]: reap it, restore pool capacity, and
+    // re-dispatch the SAME (config, seed) -- byte-identity for transient
+    // kills. The cells after it are re-sent without counting as crashes.
+    replace(std::move(worker), /*wait_for_exit=*/true);
+    crashes = k == pos ? crashes + 1 : 1;
+    pos = k;
+    if (crashes > options_.crash_retries) {
+      cells[k].result = CellResult{};
+      cells[k].result.error = "ProcessPool: cell " + cells[k].config->to_string() +
+                              " crashed its worker " + std::to_string(crashes) +
+                              " time(s); giving up on this seed";
+      pos = k + 1;
+      crashes = 0;
     }
   }
 }
@@ -209,6 +253,25 @@ PoolBackend::PoolBackend(ProcessPool& pool, SimBackendOptions options)
 std::string PoolBackend::name() const { return inner_.name(); }
 
 std::string PoolBackend::describe() const { return inner_.describe(); }
+
+/// Runs a chunk of cells as one pipelined ProcessPool::run_batch.
+class PoolBackend::Context final : public BackendContext {
+ public:
+  explicit Context(PoolBackend& owner) : owner_(owner) {}
+  [[nodiscard]] CellResult run(const Config& config, std::uint64_t seed) override {
+    return owner_.run(config, seed);
+  }
+  void run_batch(std::span<BatchCell> cells) override {
+    owner_.pool_.run_batch(owner_.inner_.options(), cells);
+  }
+
+ private:
+  PoolBackend& owner_;
+};
+
+std::unique_ptr<BackendContext> PoolBackend::make_context() {
+  return std::make_unique<Context>(*this);
+}
 
 CellResult PoolBackend::run(const Config& config, std::uint64_t seed) {
   CellResult result = pool_.run(inner_.options(), config, seed);

@@ -5,9 +5,10 @@
 // boundary: cells completed/failed/retried, samples run, cache and
 // journal-resume hits, per-worker throughput, and obs-counter deltas.
 // The runner feeds it a heartbeat (from a monitor thread, when
-// CampaignRunnerOptions::heartbeat_period_s > 0), each executed or
-// cache-served cell (on_cell, from the workers), and one final snapshot
-// on completion -- including budget-interrupted completion. When
+// CampaignRunnerOptions::heartbeat_period_s > 0), the executed or
+// cache-served cells of each claimed chunk (on_cells, from the
+// workers), and one final snapshot on completion -- including
+// budget-interrupted completion. When
 // CampaignRunnerOptions::metrics_path is set, the final snapshot is
 // additionally written to disk as canonical JSON via an atomic
 // temp-file + rename, so a watcher never reads a torn file.
@@ -20,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,10 +100,14 @@ class ProgressSink {
   /// thread; implementations may block briefly (I/O) without slowing
   /// the campaign.
   virtual void on_heartbeat(const ProgressSnapshot& snapshot) { (void)snapshot; }
-  /// Once per cell the backend ran successfully or the result cache
-  /// served (from_cache set), on the worker thread that resolved it:
-  /// keep it cheap, thread-safe and non-throwing.
-  virtual void on_cell(const CampaignCell& cell) { (void)cell; }
+  /// The cells of one claimed chunk that the backend ran successfully
+  /// or the result cache served (from_cache set), in grid order, on the
+  /// worker thread that resolved them. Every such cell is passed exactly
+  /// once. A chunk's failed, journal-replayed or interrupted cells split
+  /// it: each maximal run of reported cells between them is one call, so
+  /// a chunk without such cells is one call. Keep it cheap, thread-safe
+  /// and non-throwing.
+  virtual void on_cells(std::span<const CampaignCell> cells) { (void)cells; }
   /// Exactly once, after the workers joined; snapshot.finished is true.
   virtual void on_complete(const ProgressSnapshot& snapshot) = 0;
 };

@@ -15,8 +15,6 @@
 #include "exec/journal.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/trace.hpp"
-#include "sim/callback.hpp"
-#include "sim/frame_pool.hpp"
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/online.hpp"
@@ -446,20 +444,24 @@ struct RunObservers {
 
   /// Every claimed cell is resolved by its worker (run, cached, replayed,
   /// failed or interrupted), so claiming is completing for telemetry.
-  void claimed(std::size_t w) {
-    if (telemetry) bump(worker_cells[w]);
+  void claimed(std::size_t w, std::size_t cells) {
+    if (telemetry) bump(worker_cells[w], cells);
   }
 
   void busy(std::size_t w, double seconds) {
     if (telemetry) worker_busy[w] += seconds;
   }
 
-  /// A cell the backend ran successfully or the result cache served.
-  void on_cell(const CampaignCell& cell) {
-    if (telemetry && !cell.result.from_cache) {
-      bump(tally.samples_executed, cell.result.samples.size());
+  /// A run of a chunk's cells that the backend ran successfully or the
+  /// result cache served.
+  void on_cells(std::span<const CampaignCell> cells) {
+    if (cells.empty()) return;
+    if (telemetry) {
+      for (const CampaignCell& cell : cells) {
+        if (!cell.result.from_cache) bump(tally.samples_executed, cell.result.samples.size());
+      }
     }
-    if (options.progress != nullptr) options.progress->on_cell(cell);
+    if (options.progress != nullptr) options.progress->on_cells(cells);
   }
 
   /// After the last round: merges worker traces, stops heartbeats.
@@ -524,17 +526,49 @@ struct RunObservers {
 
 // ----------------------------------------------------------- executor
 
-/// The cell executor. Each round, workers claim cells through a shared
-/// counter and write only their own, so the round's assembled order
-/// never depends on scheduling. Its threads hold `this`; the atomics
-/// make the struct non-copyable and non-movable.
+/// Gives a backend without a context of its own the BackendContext
+/// interface, so every cell takes one dispatch path.
+class StatelessContext final : public BackendContext {
+ public:
+  explicit StatelessContext(Backend& backend) : backend_(backend) {}
+  [[nodiscard]] CellResult run(const Config& config, std::uint64_t seed) override {
+    return backend_.run(config, seed);
+  }
+
+ private:
+  Backend& backend_;
+};
+
+/// The cell executor. Each round, workers claim contiguous chunks of
+/// cells through a shared counter and write only their own, so the
+/// round's assembled order never depends on scheduling. Chunk sizes
+/// follow guided self-scheduling: ceil(remaining / (4 * workers)) cells,
+/// at least one, so early chunks are long (one BackendContext::run_batch
+/// call each) and the tail is single cells that keep workers finishing
+/// together. Its threads hold `this`; the atomics make the struct
+/// non-copyable and non-movable.
 struct CellExecutor {
   /// A worker slot's warm backend state. Slot w is used by exactly one
   /// thread per round, so it carries across rounds unsynchronized.
   struct Slot {
-    std::unique_ptr<BackendContext> context;  ///< null: stateless backend.run()
+    std::unique_ptr<BackendContext> context;  ///< set once tried, unless `error`
     std::string error;                        ///< why make_context() failed
     bool tried = false;
+  };
+
+  /// One worker's per-chunk buffers, reused from chunk to chunk.
+  struct Scratch {
+    std::vector<BatchCell> batch;   ///< the chunk's cells that still need running
+    std::vector<std::size_t> at;    ///< chunk offset of batch[j]
+    std::vector<CellKey> keys;      ///< cache key of batch[j]
+    std::vector<char> reported;     ///< chunk cell goes to ProgressSink::on_cells
+  };
+
+  /// What the steps before dispatch left of a cell.
+  enum class Admit {
+    kRun,      ///< still needs the backend
+    kCached,   ///< served by the result cache
+    kSettled,  ///< replayed from the journal, failed by the context, or interrupted
   };
 
   Backend& backend;
@@ -577,6 +611,7 @@ struct CellExecutor {
       slot.tried = true;
       try {
         slot.context = backend.make_context();
+        if (!slot.context) slot.context = std::make_unique<StatelessContext>(backend);
       } catch (const std::exception& e) {
         slot.error = std::string("make_context failed: ") + e.what();
       } catch (...) {
@@ -584,9 +619,20 @@ struct CellExecutor {
       }
     }
     const double t0 = obs::host_now_s();
-    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < work.size();) {
-      observers.claimed(w);
-      resolve(work[i], slot);
+    const std::size_t total = work.size();
+    const std::size_t spread = 4 * slots.size();
+    Scratch scratch;
+    for (;;) {
+      // The size comes from a possibly stale count; fetch_add still hands
+      // every cell to exactly one worker.
+      const std::size_t seen = next.load(std::memory_order_relaxed);
+      if (seen >= total) break;
+      const std::size_t size = std::max<std::size_t>(1, (total - seen + spread - 1) / spread);
+      const std::size_t begin = next.fetch_add(size, std::memory_order_relaxed);
+      if (begin >= total) break;
+      const std::size_t end = std::min(total, begin + size);
+      observers.claimed(w, end - begin);
+      run_chunk(std::span<CampaignCell>(work).subspan(begin, end - begin), slot, scratch);
     }
     observers.busy(w, obs::host_now_s() - t0);
   }
@@ -596,11 +642,42 @@ struct CellExecutor {
     cache.cells.emplace(key, result);
   }
 
-  /// cache -> journal -> context error -> interrupt/budget -> attempts
-  /// -> journal append -> cache insert.
-  void resolve(CampaignCell& cell, const Slot& slot) {
+  /// Resolves one claimed chunk: the per-cell steps before dispatch,
+  /// one run_batch for the cells left to run, the per-cell steps after
+  /// it, then the chunk's reported cells to the progress hook.
+  void run_chunk(std::span<CampaignCell> chunk, const Slot& slot, Scratch& s) {
+    s.batch.clear();
+    s.at.clear();
+    s.keys.clear();
+    s.reported.assign(chunk.size(), 0);
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      CampaignCell& cell = chunk[i];
+      CellKey key = make_cell_key(backend_name, cell.config, cell.seed);
+      switch (admit(cell, slot, key)) {
+        case Admit::kRun:
+          s.batch.push_back(BatchCell{&cell.config, cell.seed, {}});
+          s.at.push_back(i);
+          s.keys.push_back(std::move(key));
+          break;
+        case Admit::kCached:
+          s.reported[i] = 1;
+          break;
+        case Admit::kSettled:
+          break;
+      }
+    }
+    if (!s.batch.empty()) dispatch(chunk, *slot.context, s);
+    std::size_t first = 0;
+    for (std::size_t i = 0; i <= chunk.size(); ++i) {
+      if (i < chunk.size() && s.reported[i] != 0) continue;
+      observers.on_cells(chunk.subspan(first, i - first));
+      first = i + 1;
+    }
+  }
+
+  /// cache -> journal -> context error -> interrupt/budget.
+  Admit admit(CampaignCell& cell, const Slot& slot, const CellKey& key) {
     Tally& tally = observers.tally;
-    const CellKey key = make_cell_key(backend_name, cell.config, cell.seed);
     {
       std::lock_guard<std::mutex> lock(cache.mutex);
       const auto it = cache.cells.find(key);
@@ -611,8 +688,7 @@ struct CellExecutor {
     }
     if (cell.result.from_cache) {  // a claimed cell's result starts out empty
       bump(tally.cache_hits);
-      observers.on_cell(cell);
-      return;
+      return Admit::kCached;
     }
     if (journal != nullptr) {
       if (const CellResult* rec = journal->find(cell.config.index, cell.rep, cell.seed)) {
@@ -627,19 +703,20 @@ struct CellExecutor {
         } else {
           bump(tally.failed);
         }
-        return;
+        return Admit::kSettled;
       }
     }
     if (!slot.error.empty()) {
       set_error(cell.result, slot.error);
       bump(tally.failed);
-      return;
+      return Admit::kSettled;
     }
     // Drain: once the interrupt flag is set (by a SIGINT/SIGTERM
     // handler, exec/interrupt.hpp) or the cell budget -- a deterministic
     // stand-in for a mid-campaign kill -- is spent, remaining cells are
     // marked interrupted: not failed, not journaled, so a rerun with the
-    // journal executes exactly them and resumes byte-identically.
+    // journal executes exactly them and resumes byte-identically. Cells
+    // already admitted to a chunk's batch run to completion.
     const bool signalled =
         options.interrupt != nullptr && options.interrupt->load(std::memory_order_relaxed);
     if (signalled || (options.cell_budget > 0 && budget_used.fetch_add(
@@ -648,40 +725,65 @@ struct CellExecutor {
       set_error(cell.result,
                 signalled ? "interrupted: signal" : "interrupted: cell budget exhausted");
       bump(tally.interrupted);
-      return;
+      return Admit::kSettled;
     }
-    execute(cell, slot.context.get());
-    if (journal != nullptr) {
-      journal->append(cell.config.index, cell.rep, cell.seed, cell.result);
-    }
-    if (!cell.result.error.empty()) {
-      bump(tally.failed);
-      return;
-    }
-    bump(tally.executed);
-    cache_insert(key, cell.result);
-    observers.on_cell(cell);
+    return Admit::kRun;
   }
 
-  /// Bounded retry. Attempt k > 0 uses the deterministically derived
-  /// seed splitmix64(cell.seed ^ k), so the attempt sequence -- and
-  /// therefore the final outcome -- is a pure function of the cell,
-  /// independent of scheduling and worker count.
-  void execute(CampaignCell& cell, BackendContext* context) {
-    // Replication-boundary audit baseline: thread-local tallies make the
-    // deltas exact even with every worker measuring at once.
-    const std::uint64_t frames0 = sim::FramePool::local().heap_allocs();
-    const std::uint64_t spills0 = sim::callback_heap_spills_local();
+  /// Attempt 0 of the batch in one run_batch call, then per cell: the
+  /// retries, journal append and cache insert.
+  void dispatch(std::span<CampaignCell> chunk, BackendContext& context, Scratch& s) {
     [[maybe_unused]] const double t0 = obs::host_now_s();
+    try {
+      context.run_batch(s.batch);
+    } catch (const std::exception& e) {
+      // A cell's own throw is its error already; this is a failure of
+      // the whole batch, such as a pool that cannot spawn a worker.
+      for (BatchCell& b : s.batch) set_error(b.result, e.what());
+    } catch (...) {
+      for (BatchCell& b : s.batch) set_error(b.result, "unknown backend exception");
+    }
+    Tally& tally = observers.tally;
+    std::size_t failed = 0;
+    for (std::size_t j = 0; j < s.batch.size(); ++j) {
+      CampaignCell& cell = chunk[s.at[j]];
+      cell.result = std::move(s.batch[j].result);
+      cell.result.from_cache = false;
+      cell.result.attempts = 1;
+      retry(cell, context);
+      if (journal != nullptr) {
+        journal->append(cell.config.index, cell.rep, cell.seed, cell.result);
+      }
+      if (!cell.result.error.empty()) {
+        bump(tally.failed);
+        ++failed;
+        continue;
+      }
+      bump(tally.executed);
+      cache_insert(s.keys[j], cell.result);
+      s.reported[s.at[j]] = 1;
+    }
+    SCI_TRACE_COMPLETE(obs::kHarnessTrack, "campaign.chunk", "exec", t0,
+                       obs::host_now_s() - t0,
+                       {obs::TraceArg{"config", chunk[s.at.front()].config.index},
+                        obs::TraceArg{"rep", chunk[s.at.front()].rep},
+                        obs::TraceArg{"cells", s.batch.size()},
+                        obs::TraceArg{"failed", failed}});
+  }
+
+  /// Bounded retry of a failed cell. Attempt k > 0 uses the
+  /// deterministically derived seed splitmix64(cell.seed ^ k), so the
+  /// attempt sequence -- and therefore the final outcome -- is a pure
+  /// function of the cell, independent of scheduling and worker count.
+  void retry(CampaignCell& cell, BackendContext& context) {
     const std::size_t max_attempts = std::max<std::size_t>(1, options.max_attempts);
-    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) bump(observers.tally.retries);
+    for (std::size_t attempt = 1; attempt < max_attempts && !cell.result.error.empty();
+         ++attempt) {
+      bump(observers.tally.retries);
       std::uint64_t attempt_state = cell.seed ^ attempt;
-      const std::uint64_t seed =
-          attempt == 0 ? cell.seed : rng::splitmix64_next(attempt_state);
+      const std::uint64_t seed = rng::splitmix64_next(attempt_state);
       try {
-        cell.result = context != nullptr ? context->run(cell.config, seed)
-                                         : backend.run(cell.config, seed);
+        cell.result = context.run(cell.config, seed);
         cell.result.from_cache = false;
       } catch (const std::exception& e) {
         set_error(cell.result, e.what());
@@ -689,17 +791,7 @@ struct CellExecutor {
         set_error(cell.result, "unknown backend exception");
       }
       cell.result.attempts = attempt + 1;
-      if (cell.result.error.empty()) break;
     }
-    cell.result.coro_frame_heap_allocs = sim::FramePool::local().heap_allocs() - frames0;
-    cell.result.callback_heap_spills = sim::callback_heap_spills_local() - spills0;
-    SCI_TRACE_COMPLETE(obs::kHarnessTrack, "campaign.cell", "exec", t0,
-                       obs::host_now_s() - t0,
-                       {obs::TraceArg{"config", cell.config.index},
-                        obs::TraceArg{"rep", cell.rep},
-                        obs::TraceArg{"samples", cell.result.samples.size()},
-                        obs::TraceArg{"attempts", cell.result.attempts},
-                        obs::TraceArg{"failed", cell.result.error.empty() ? 0 : 1}});
   }
 };
 

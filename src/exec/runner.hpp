@@ -1,7 +1,8 @@
 // CampaignRunner: deterministic parallel execution of a Campaign.
 //
 // The runner schedules cells (config x replication) in rounds, shards
-// each round across a std::thread worker pool, and reassembles the
+// each round across a std::thread worker pool in guided chunks (each
+// chunk one BackendContext::run_batch call), and reassembles the
 // results in grid order. Because every cell is a pure function of its
 // (config, seed) pair -- seeds derive from (campaign_seed, config_index,
 // rep), never from execution order -- the assembled CampaignResult and
@@ -41,7 +42,7 @@
 // explicit holes.
 //
 // Observability: when a trace sink is attached on the calling thread,
-// each worker records its cells on its own track
+// each worker records its dispatched chunks on its own track
 // (kWorkerTrackBase + worker * kWorkerTrackStride, in host seconds) and
 // any simulator spans emitted inside the cell land on that worker's
 // track block; all worker sinks are merged back into the caller's sink
@@ -223,8 +224,8 @@ struct CampaignRunnerOptions {
   const std::atomic<bool>* interrupt = nullptr;
   /// Telemetry observer (not owned; must outlive run()). Receives
   /// heartbeats from a monitor thread every heartbeat_period_s (when
-  /// > 0), on_cell from the workers, and one final snapshot after the
-  /// workers join. Telemetry is observational only: exported CSVs are
+  /// > 0), on_cells once per claimed chunk from the workers, and one
+  /// final snapshot after the workers join. Telemetry is observational only: exported CSVs are
   /// byte-identical with the sink attached or not, and nullptr + empty
   /// metrics_path costs nothing.
   ProgressSink* progress = nullptr;

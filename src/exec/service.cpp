@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -20,8 +22,8 @@ namespace json = obs::json;
 
 namespace {
 
-/// Forwards runner cells and heartbeats as single-line "cell" and
-/// "progress" events.
+/// Forwards runner cells and heartbeats as "cell" and "progress" event
+/// lines.
 class EventProgressSink : public ProgressSink {
  public:
   EventProgressSink(std::uint64_t job_id, std::function<void(const std::string&)> emit)
@@ -40,15 +42,25 @@ class EventProgressSink : public ProgressSink {
     line += "}";
     emit_(line);
   }
-  void on_cell(const CampaignCell& cell) override {
-    std::string line = "{\"event\": \"cell\", \"job\": " + json::dump_size(job_id_);
-    line += ", \"config\": " + json::dump_size(cell.config.index);
-    line += ", \"seed\": " + json::quoted(wire::hex_u64(cell.seed));
-    line += ", \"n\": " + json::dump_size(cell.result.samples.size());
-    line += ", \"deduped\": ";
-    line += cell.result.from_cache ? "true" : "false";
-    line += "}";
-    emit_(line);
+  /// One "cell" line per cell, '\n'-separated in one event, so a chunk
+  /// costs the client one send.
+  void on_cells(std::span<const CampaignCell> cells) override {
+    std::string lines;
+    lines.reserve(cells.size() * 96);
+    for (const CampaignCell& cell : cells) {
+      if (!lines.empty()) lines += '\n';
+      lines += "{\"event\": \"cell\", \"job\": ";
+      lines += json::dump_size(job_id_);
+      lines += ", \"config\": ";
+      lines += json::dump_size(cell.config.index);
+      lines += ", \"seed\": ";
+      json::append_quoted(lines, wire::hex_u64(cell.seed));
+      lines += ", \"n\": ";
+      lines += json::dump_size(cell.result.samples.size());
+      lines += ", \"deduped\": ";
+      lines += cell.result.from_cache ? "true}" : "false}";
+    }
+    emit_(lines);
   }
   void on_complete(const ProgressSnapshot&) override {}  // "done" covers it
 
@@ -275,6 +287,74 @@ void CampaignService::run_job(QueuedJob job) {
   finish(job.id, std::move(outcome));
 }
 
+// ------------------------------------------------------------- clients
+
+namespace {
+
+/// The submit header's "priority": an integer in int's range. The
+/// range check comes before the cast, which is undefined for NaN (a
+/// JSON null) and for values outside the range.
+int header_priority(const json::Value& value) {
+  const double p = value.as_number();
+  if (!(p >= INT_MIN && p <= INT_MAX) || p != std::trunc(p)) {
+    throw std::invalid_argument("submit header: \"priority\" must be an integer in [" +
+                                std::to_string(INT_MIN) + ", " + std::to_string(INT_MAX) +
+                                "]");
+  }
+  return static_cast<int>(p);
+}
+
+/// The submit header's "heartbeat_s": finite seconds in [0, kMaxHeartbeatS].
+double header_heartbeat(const json::Value& value) {
+  const double seconds = value.as_number();
+  if (!(seconds >= 0.0 && seconds <= kMaxHeartbeatS)) {
+    throw std::invalid_argument("submit header: \"heartbeat_s\" must be in [0, " +
+                                json::dump_number(kMaxHeartbeatS) + "] seconds");
+  }
+  return seconds;
+}
+
+}  // namespace
+
+void serve_client(CampaignService& service, int fd) {
+  std::string header_line;
+  std::string campaign_line;
+  SocketEventSink sink(fd);  // a client that stops reading is muted
+  if (read_line_fd(fd, header_line) && read_line_fd(fd, campaign_line)) {
+    try {
+      const json::Value header = json::parse(header_line);
+      if (header.at("op").as_string() != "submit") {
+        throw std::runtime_error("unknown op \"" + header.at("op").as_string() + "\"");
+      }
+      const wire::CampaignEnvelope envelope = wire::parse_campaign_json(campaign_line);
+
+      Submission sub;
+      sub.spec = envelope.spec;
+      sub.backend = envelope.backend;
+      const auto str = [&](const char* key) {
+        const json::Value* v = header.find(key);
+        return v == nullptr ? std::string() : v->as_string();
+      };
+      if (const json::Value* v = header.find("priority")) sub.priority = header_priority(*v);
+      sub.journal_path = str("journal");
+      sub.samples_csv = str("samples_csv");
+      sub.summary_csv = str("summary_csv");
+      sub.metrics_path = str("metrics");
+      if (const json::Value* v = header.find("max_attempts")) sub.max_attempts = v->as_size();
+      if (const json::Value* v = header.find("heartbeat_s")) {
+        sub.heartbeat_s = header_heartbeat(*v);
+      }
+
+      const std::uint64_t id = service.submit(std::move(sub), &sink);
+      (void)service.wait(id);  // terminal event already streamed
+    } catch (const std::exception& e) {
+      write_line_fd(fd, "{\"event\": \"rejected\", \"job\": 0, \"error\": " +
+                            json::quoted(e.what()) + "}");
+    }
+  }
+  ::close(fd);
+}
+
 // ---------------------------------------------------------------- sockets
 
 int listen_unix(const std::string& path, int backlog) {
@@ -378,8 +458,8 @@ SocketEventSink::SocketEventSink(int fd) : fd_(fd) {
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
 }
 
-void SocketEventSink::on_event(const std::string& json_line) {
-  if (alive_) alive_ = write_line_fd(fd_, json_line);
+void SocketEventSink::on_event(const std::string& json_lines) {
+  if (alive_) alive_ = write_line_fd(fd_, json_lines);
 }
 
 }  // namespace sci::exec

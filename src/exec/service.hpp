@@ -29,10 +29,12 @@
 // identical bytes is ever deduplicated.
 //
 // Events: every state transition is streamed to the submitting client's
-// ServiceEventSink as one line of canonical JSON ("queued", "started",
-// per-cell "cell" from the runner's ProgressSink::on_cell, periodic
+// ServiceEventSink as lines of canonical JSON ("queued", "started",
+// per-cell "cell" from the runner's ProgressSink::on_cells, periodic
 // "progress" heartbeats, "done"/"rejected"/"error"), the
-// ProgressSnapshot-style live view the tools print.
+// ProgressSnapshot-style live view the tools print. The "cell" lines of
+// one runner chunk go out as one on_event call -- one send to a socket
+// client -- so events cost a send per chunk, not per cell.
 #pragma once
 
 #include <condition_variable>
@@ -68,9 +70,15 @@ struct Submission {
   std::size_t max_attempts = 1;
   /// Deterministic kill drill (CampaignRunnerOptions::cell_budget).
   std::size_t cell_budget = 0;
-  /// Emit "progress" events every this many seconds (0 = off).
+  /// Emit "progress" events every this many seconds (0 = off); at most
+  /// kMaxHeartbeatS.
   double heartbeat_s = 0.0;
 };
+
+/// Largest Submission::heartbeat_s (one day). The runner's monitor waits
+/// on a std::chrono duration, whose conversion to clock ticks is
+/// undefined for values far beyond it.
+inline constexpr double kMaxHeartbeatS = 86400.0;
 
 /// Terminal state of one job.
 struct JobOutcome {
@@ -91,13 +99,15 @@ struct JobOutcome {
 /// Receives the event stream of one submission, never concurrently for
 /// one sink: "queued" from the submitting thread under the service's
 /// lock (so on_event must not call back into the service), the rest
-/// from the service thread. Implementations that write to sockets
-/// should tolerate slow/dead peers without throwing, as SocketEventSink
-/// does.
+/// from the service thread or the job's runner threads, serialized.
+/// Implementations that write to sockets should tolerate slow/dead peers
+/// without throwing, as SocketEventSink does.
 class ServiceEventSink {
  public:
   virtual ~ServiceEventSink() = default;
-  virtual void on_event(const std::string& json_line) = 0;
+  /// One or more '\n'-separated event lines, without a trailing
+  /// newline: the "cell" lines of one runner chunk arrive as one call.
+  virtual void on_event(const std::string& json_lines) = 0;
 };
 
 struct ServiceOptions {
@@ -173,8 +183,9 @@ class CampaignService {
 // Unix-domain line transport shared by scibenchd and scibench_submit.
 // One JSON document per '\n'-terminated line in both directions: the
 // client's two submission lines, then the daemon's event stream (one
-// short line per cell). A line is at most obs::json::kMaxDocumentBytes
-// long, the largest document the parser accepts anyway. Every socket is
+// short line per cell, a chunk's lines per send). A line is at most
+// obs::json::kMaxDocumentBytes long, the largest document the parser
+// accepts anyway. Every socket is
 // close-on-exec, so a worker process the pool respawns never inherits
 // (and holds open) a client's connection.
 
@@ -196,12 +207,21 @@ bool write_line_fd(int fd, const std::string& line);
 /// the rest of that line stays unread, so the caller drops the peer.
 bool read_line_fd(int fd, std::string& line);
 
+/// Serves one client connection of scibenchd: reads the two-line
+/// submission (a {"op": "submit", ...} header, then a
+/// "scibench.campaign" envelope), runs it, streams its events to the
+/// client until the terminal one, and closes `fd`. A malformed header
+/// or envelope -- hostile numbers included: a null or out-of-range
+/// "priority", a "max_attempts" beyond size_t, a NaN or out-of-range
+/// "heartbeat_s" -- is answered with one "rejected" event (job 0).
+void serve_client(CampaignService& service, int fd);
+
 /// How long one event send may block before SocketEventSink gives up
 /// on its client.
 inline constexpr int kEventSendTimeoutMs = 2000;
 
-/// Streams one submission's events to a connected client socket, one
-/// line each. A client that stops reading fills its socket buffer, and
+/// Streams one submission's events to a connected client socket, each
+/// on_event in one send. A client that stops reading fills its socket buffer, and
 /// an unbounded blocking send would then stall the job and every job
 /// queued behind it. The constructor therefore arms a send timeout
 /// (SO_SNDTIMEO, kEventSendTimeoutMs) on `fd`; after one failed or
@@ -210,7 +230,7 @@ inline constexpr int kEventSendTimeoutMs = 2000;
 class SocketEventSink : public ServiceEventSink {
  public:
   explicit SocketEventSink(int fd);
-  void on_event(const std::string& json_line) override;
+  void on_event(const std::string& json_lines) override;
 
  private:
   int fd_;

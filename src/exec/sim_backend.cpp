@@ -4,6 +4,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "sim/callback.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/machine.hpp"
 #include "simmpi/benchmarks.hpp"
 
@@ -53,6 +55,19 @@ void append_number(std::string& out, std::uint64_t value) {
   while (n != 0) out.push_back(digits[--n]);
 }
 
+/// The per-call allocation audit (CellResult::coro_frame_heap_allocs,
+/// callback_heap_spills): thread-local tallies read at construction and
+/// again in fill(), so concurrent workers never see each other's.
+struct AllocationAudit {
+  const std::uint64_t frames0 = sim::FramePool::local().heap_allocs();
+  const std::uint64_t spills0 = sim::callback_heap_spills_local();
+
+  void fill(CellResult& result) const {
+    result.coro_frame_heap_allocs = sim::FramePool::local().heap_allocs() - frames0;
+    result.callback_heap_spills = sim::callback_heap_spills_local() - spills0;
+  }
+};
+
 }  // namespace
 
 const char* to_string(SimKernel kernel) noexcept {
@@ -79,6 +94,7 @@ std::string SimBackend::describe() const {
 }
 
 CellResult SimBackend::run(const Config& config, std::uint64_t seed) {
+  const AllocationAudit audit;
   const std::shared_ptr<const sim::Machine> machine =
       sim::machine_preset(machine_name_for(config, options_));
 
@@ -114,6 +130,7 @@ CellResult SimBackend::run(const Config& config, std::uint64_t seed) {
     }
   }
   apply_scale(result, options_.scale);
+  audit.fill(result);
   return result;
 }
 
@@ -146,6 +163,7 @@ class SimBackend::Context final : public BackendContext {
 
  public:
   [[nodiscard]] CellResult run(const Config& config, std::uint64_t seed) override {
+    const AllocationAudit audit;
     CellResult result;
     result.unit = options_.unit;
     result.stop_reason = "fixed";
@@ -187,6 +205,7 @@ class SimBackend::Context final : public BackendContext {
       }
     }
     apply_scale(result, options_.scale);
+    audit.fill(result);
     return result;
   }
 

@@ -16,7 +16,10 @@
 //   Job spec            One cell dispatch to a worker process: backend
 //       options + Config + seed. Stateless by design -- any worker can
 //       run any job, so a crashed worker's job re-dispatches to a fresh
-//       process with the SAME seed and produces the same bytes.
+//       process with the SAME seed and produces the same bytes. The pool
+//       batches cells by pipelining these unchanged lines -- several
+//       written back-to-back, replies read in order -- so there is no
+//       batch message: the saving is in round trips, not in bytes.
 //
 //   Cell result         The worker's reply: CellResult with every
 //       sample carried as the 16-hex-digit IEEE-754 bit pattern (the

@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -238,9 +239,13 @@ const std::string& Value::as_string() const {
 }
 
 std::size_t Value::as_size() const {
+  // 2^64 for a 64-bit size_t: every double below it converts exactly or
+  // truncates, so the range check must come before the cast.
+  static const double kLimit = std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
   const double v = as_number();
-  if (!(v >= 0.0) || v != static_cast<double>(static_cast<std::size_t>(v))) {
-    throw std::runtime_error("json: expected a non-negative integer");
+  if (!(v >= 0.0 && v < kLimit) || v != std::trunc(v)) {
+    throw std::runtime_error("json: expected a non-negative integer below 2^" +
+                             std::to_string(std::numeric_limits<std::size_t>::digits));
   }
   return static_cast<std::size_t>(v);
 }

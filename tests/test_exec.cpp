@@ -415,7 +415,8 @@ TEST(CampaignRunner, WorkersEmitOnTheirOwnTraceTracks) {
   (void)runner.run();
 
   // Every worker that ran cells labeled its own harness track inside
-  // its block; cell spans appear in the merged trace.
+  // its block; the spans of its dispatched chunks appear in the merged
+  // trace.
   const auto& names = sink.track_names();
   bool worker_track = false;
   for (const auto& [tid, name] : names) {
@@ -425,7 +426,7 @@ TEST(CampaignRunner, WorkersEmitOnTheirOwnTraceTracks) {
   }
   EXPECT_TRUE(worker_track);
   const std::string json = sink.to_json(obs::TraceSink::WriteOptions{false});
-  EXPECT_NE(json.find("campaign.cell"), std::string::npos);
+  EXPECT_NE(json.find("\"campaign.chunk\""), std::string::npos);
 }
 #endif  // SCIBENCH_TRACING
 

@@ -189,12 +189,15 @@ TEST(Progress, HeartbeatsAreMonotoneAndBounded) {
   EXPECT_GE(sink.finals()[0].completed, previous);
 }
 
-/// Records every on_cell callback; thread-safe because workers call it.
+/// Records every cell of every on_cells callback; thread-safe because
+/// workers call it.
 class CellSink : public ProgressSink {
  public:
-  void on_cell(const CampaignCell& cell) override {
+  void on_cells(std::span<const CampaignCell> cells) override {
     const std::lock_guard<std::mutex> lock(mu_);
-    seen_.push_back({cell.config.index, cell.rep, cell.result.from_cache});
+    for (const CampaignCell& cell : cells) {
+      seen_.push_back({cell.config.index, cell.rep, cell.result.from_cache});
+    }
   }
   void on_complete(const ProgressSnapshot&) override {}
   /// The (config, rep, from_cache) triples seen so far, sorted.

@@ -338,6 +338,190 @@ TEST(ProcessPoolBackend, WarmWorkerContextMatchesFreshBackendAcrossOptionSwitche
   EXPECT_EQ(pool.workers_crashed(), 0u);
 }
 
+// ----------------------------------------------- pipelined dispatch
+
+/// A PoolBackend without a context: the runner's stateless path loops
+/// run(), so every cell is its own job round trip -- the one-job
+/// dispatch that pipelining must reproduce.
+class OneJobBackend : public Backend {
+ public:
+  OneJobBackend(ProcessPool& pool, SimBackendOptions options) : inner_(pool, std::move(options)) {}
+  std::string name() const override { return inner_.name(); }
+  std::string describe() const override { return inner_.describe(); }
+  CellResult run(const Config& config, std::uint64_t seed) override {
+    return inner_.run(config, seed);
+  }
+
+ private:
+  PoolBackend inner_;
+};
+
+/// Four message sizes x {none, `fault`}, four replications: 32 cells.
+/// At one runner thread the first chunk is ceil(32 / 4) = 8 cells --
+/// configs 0 and 1 -- so config 1's first replication (cell 4) is in
+/// the middle of a pipelined chunk.
+CampaignSpec mid_chunk_fault_spec(const std::string& name, const std::string& fault) {
+  CampaignSpec spec;
+  spec.name = name;
+  spec.factors.push_back({"message_bytes", {"8", "64", "512", "4096"}});
+  spec.factors.push_back({"worker_fault", {"none", fault}});
+  spec.replications = 4;
+  spec.seed = 2718;
+  return spec;
+}
+
+struct PoolRun {
+  CampaignResult result;
+  RunBytes bytes;
+  std::size_t crashed = 0;
+};
+
+/// Runs `spec` at one runner thread and counts the worker deaths.
+PoolRun run_on_pool(Backend& backend, ProcessPool& pool, const CampaignSpec& spec) {
+  const std::size_t crashed0 = pool.workers_crashed();
+  CampaignRunnerOptions ropts;
+  ropts.workers = 1;
+  CampaignRunner runner(backend, Campaign(spec), ropts);
+  PoolRun run{runner.run(), {}, 0};
+  run.bytes = {csv_of(run.result.samples_dataset()), csv_of(run.result.summary_dataset())};
+  run.crashed = pool.workers_crashed() - crashed0;
+  return run;
+}
+
+/// Every cell of the grid of `campaign`, in (config, rep) order.
+std::vector<BatchCell> batch_of(const std::vector<Config>& grid, const Campaign& campaign,
+                                std::size_t replications) {
+  std::vector<BatchCell> cells;
+  for (const Config& config : grid) {
+    for (std::size_t rep = 0; rep < replications; ++rep) {
+      cells.push_back(BatchCell{&config, campaign.seed_for(config, rep), {}});
+    }
+  }
+  return cells;
+}
+
+TEST(PipelinedDispatch, WorkerKilledMidChunkCostsOneCrashAndNoCell) {
+  // Config 1 (kill_once) runs each of its four replications inside the
+  // first chunk; the first one kills its worker after cells 0-3 were
+  // answered. Those replies are kept, the dead cell re-runs alone with
+  // its seed, the rest of the chunk is re-sent, and the sentinel is gone
+  // so nothing else dies.
+  const CampaignSpec spec = mid_chunk_fault_spec("pipe_kill", "kill_once");
+  const SimBackendOptions opts = small_sim_options();
+  const RunBytes want = run_in_process(spec, opts, 2);
+
+  const std::string sentinel = temp_path("pipe_kill.sentinel");
+  { std::ofstream touch(sentinel); }
+  ASSERT_EQ(::setenv("SCIBENCH_WORKER_KILL_FILE", sentinel.c_str(), 1), 0);
+  ProcessPool pool(pool_options(2));
+  PoolBackend backend(pool, opts);
+  const PoolRun got = run_on_pool(backend, pool, spec);
+  ::unsetenv("SCIBENCH_WORKER_KILL_FILE");
+
+  EXPECT_EQ(got.crashed, 1u);
+  EXPECT_EQ(got.result.failed, 0u);
+  EXPECT_EQ(got.bytes.samples, want.samples);
+  EXPECT_EQ(got.bytes.summary, want.summary);
+}
+
+TEST(PipelinedDispatch, AbortMidChunkMatchesOneJobDispatch) {
+  // Every abort cell kills 1 + crash_retries workers and fails; its
+  // neighbours in the chunk must come back intact (the third chunk,
+  // cells 14-18, is two abort cells followed by three good ones).
+  // Counts and bytes -- the damage header with its error texts
+  // included -- equal one-job dispatch through the same pool.
+  const CampaignSpec spec = mid_chunk_fault_spec("pipe_abort", "abort");
+  const SimBackendOptions opts = small_sim_options();
+  ProcessPool pool(pool_options(2, /*crash_retries=*/1));
+  OneJobBackend one_job(pool, opts);
+  const PoolRun want = run_on_pool(one_job, pool, spec);
+  PoolBackend pipelined(pool, opts);
+  const PoolRun got = run_on_pool(pipelined, pool, spec);
+
+  EXPECT_EQ(want.result.failed, 16u);  // four abort configs x four replications
+  EXPECT_EQ(want.crashed, 32u);
+  EXPECT_EQ(got.result.failed, want.result.failed);
+  EXPECT_EQ(got.crashed, want.crashed);
+  EXPECT_EQ(got.bytes.samples, want.bytes.samples);
+  EXPECT_EQ(got.bytes.summary, want.bytes.summary);
+
+  SimBackend sim(opts);
+  for (const CampaignCell& cell : got.result.cells) {
+    if (cell.config.level("worker_fault") == "abort") {
+      EXPECT_FALSE(cell.result.error.empty());
+    } else {
+      EXPECT_EQ(cell.result.samples, sim.run(cell.config, cell.seed).samples)
+          << cell.config.to_string() << " rep " << cell.rep;
+    }
+  }
+}
+
+TEST(PipelinedDispatch, ChunkLargerThanThePipeDoesNotDeadlock) {
+  // 400 job lines of ~480 B are ~190 kB, nearly three 64 KiB job pipes:
+  // the pool must split the chunk into sub-batches that fit one.
+  CampaignSpec spec;
+  spec.name = "pipe_wide";
+  spec.factors.push_back({"system", {"dora", "pilatus"}});
+  spec.factors.push_back({"message_bytes", {"8", "64", "512", "4096"}});
+  spec.replications = 50;
+  spec.seed = 31;
+  SimBackendOptions opts = small_sim_options();
+  opts.samples = 2;
+  const Campaign campaign(spec);
+  const std::vector<Config> grid = campaign.configs();
+  std::vector<BatchCell> cells = batch_of(grid, campaign, spec.replications);
+  std::size_t job_bytes = 0;
+  for (const BatchCell& cell : cells) {
+    job_bytes += wire::job_to_json(opts, *cell.config, cell.seed).size() + 1;
+  }
+  EXPECT_GT(job_bytes, std::size_t{2} << 16);
+
+  ProcessPool pool(pool_options(1));
+  pool.run_batch(opts, cells);
+  SimBackend sim(opts);
+  for (const BatchCell& cell : cells) {
+    ASSERT_EQ(wire::cell_result_to_json(cell.result),
+              wire::cell_result_to_json(sim.run(*cell.config, cell.seed)));
+  }
+  EXPECT_EQ(pool.workers_crashed(), 0u);
+
+  // The same campaign through the runner at one thread: a 100-cell
+  // first chunk, bytes as in-process.
+  PoolBackend backend(pool, opts);
+  const PoolRun got = run_on_pool(backend, pool, spec);
+  EXPECT_EQ(got.bytes.samples, run_in_process(spec, opts, 2).samples);
+}
+
+TEST(PipelinedDispatch, ReplyLargerThanThePipeDoesNotDeadlock) {
+  // 4000 samples are a ~75 kB reply per cell, more than a 64 KiB reply
+  // pipe, so the worker blocks on its first reply until the pool reads
+  // it; the chunk's 160 job lines (~77 kB) are more than the job pipe
+  // holds. A pool that wrote the whole chunk before reading would block
+  // on the full job pipe while the worker blocks on the full reply pipe.
+  CampaignSpec spec = grid_spec("pipe_tall");  // four configs
+  spec.replications = 40;
+  SimBackendOptions opts = small_sim_options();
+  opts.samples = 4000;
+  const Campaign campaign(spec);
+  const std::vector<Config> grid = campaign.configs();
+  std::vector<BatchCell> cells = batch_of(grid, campaign, spec.replications);
+  std::size_t job_bytes = 0;
+  for (const BatchCell& cell : cells) {
+    job_bytes += wire::job_to_json(opts, *cell.config, cell.seed).size() + 1;
+  }
+  EXPECT_GT(job_bytes, std::size_t{1} << 16);
+
+  ProcessPool pool(pool_options(1));
+  pool.run_batch(opts, cells);
+  SimBackend sim(opts);
+  for (const BatchCell& cell : cells) {
+    const std::string want = wire::cell_result_to_json(sim.run(*cell.config, cell.seed));
+    EXPECT_GT(want.size(), std::size_t{1} << 16);
+    ASSERT_EQ(wire::cell_result_to_json(cell.result), want);
+  }
+  EXPECT_EQ(pool.workers_crashed(), 0u);
+}
+
 // ------------------------------------------------------ the service
 
 /// Collects the event stream of one submission.
@@ -507,6 +691,56 @@ TEST(CampaignService, ClientThatNeverReadsDoesNotStallTheQueue) {
   EXPECT_TRUE(out_b.ran) << out_b.error;
   EXPECT_TRUE(sink_b.saw("\"event\": \"done\""));
   ::close(fds[0]);
+}
+
+TEST(CampaignService, CellEventsOfAChunkShareOneEvent) {
+  // The "cell" lines are unchanged, one per cell, but a runner chunk's
+  // lines arrive as one '\n'-separated event -- one send to a socket.
+  ProcessPool pool(pool_options(2));
+  CampaignService service(pool);
+  Submission sub;
+  sub.spec = grid_spec("svc_chunked_events");
+  sub.spec.replications = 50;  // 200 cells
+  sub.backend = small_sim_options();
+  sub.backend.samples = 4;
+  CollectSink sink;
+  const JobOutcome out = service.wait(service.submit(sub, &sink));
+  ASSERT_TRUE(out.ran) << out.error;
+
+  std::size_t cell_lines = 0;
+  std::size_t cell_events = 0;
+  for (const std::string& event : sink.lines()) {
+    std::istringstream is(event);
+    std::size_t in_event = 0;
+    for (std::string line; std::getline(is, line);) {
+      const obs::json::Value v = obs::json::parse(line);
+      if (v.at("event").as_string() == "cell") ++in_event;
+    }
+    cell_lines += in_event;
+    cell_events += in_event > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(cell_lines, 200u);
+  EXPECT_LT(cell_events, cell_lines / 4) << "cell lines were not coalesced per chunk";
+}
+
+TEST(SocketEventSink, MutesAPeerThatStopsReading) {
+  // Coalesced events are few large sends; a peer that never reads still
+  // fills its buffer, and the send timeout must then mute it.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  SocketEventSink sink(fds[0]);
+  const std::string lines(64 << 10, 'x');
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 64; ++i) sink.on_event(lines);  // 4 MiB, far over the buffer
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(waited, std::chrono::milliseconds(3 * kEventSendTimeoutMs))
+      << "one timed-out send must mute the sink";
+  const auto t1 = std::chrono::steady_clock::now();
+  sink.on_event(lines);
+  EXPECT_LT(std::chrono::steady_clock::now() - t1, std::chrono::milliseconds(100))
+      << "a muted sink must not block again";
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // -------------------------------------------------------- interrupt
@@ -749,6 +983,58 @@ TEST(LineFraming, PipeStreamReaderIsBoundedAtTheSameCap) {
   EXPECT_FALSE(read_from_pipe("half a line", 11, line)) << "EOF mid-line";
   EXPECT_TRUE(read_from_pipe("\n", 1, line));
   EXPECT_EQ(line, "");
+}
+
+// ------------------------------------------------ submit header numbers
+
+/// Sends `header` and a valid envelope to serve_client over a socket
+/// pair; returns every event line until the daemon side hangs up.
+std::vector<std::string> serve_one(CampaignService& service, const std::string& header) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) return {};
+  std::thread server([&service, fd = fds[0]] { serve_client(service, fd); });
+  const std::string envelope =
+      wire::campaign_to_json(grid_spec("svc_header"), small_sim_options());
+  std::vector<std::string> events;
+  if (write_line_fd(fds[1], header) && write_line_fd(fds[1], envelope)) {
+    for (std::string line; read_line_fd(fds[1], line);) events.push_back(line);
+  }
+  server.join();
+  ::close(fds[1]);
+  return events;
+}
+
+TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
+  // Each of these reached a cast (to int, to size_t) or a std::chrono
+  // duration whose result is undefined; each must be refused first.
+  ProcessPool pool(pool_options(1));
+  CampaignService service(pool);
+  for (const std::string header : {
+           R"({"op": "submit", "priority": null})",
+           R"({"op": "submit", "priority": 1e300})",
+           R"({"op": "submit", "priority": -2147483649})",
+           R"({"op": "submit", "priority": 0.5})",
+           R"({"op": "submit", "max_attempts": 1e300})",
+           R"({"op": "submit", "max_attempts": 18446744073709551616})",
+           R"({"op": "submit", "max_attempts": -1})",
+           R"({"op": "submit", "heartbeat_s": null})",
+           R"({"op": "submit", "heartbeat_s": 1e300})",
+           R"({"op": "submit", "heartbeat_s": -1})",
+       }) {
+    const std::vector<std::string> events = serve_one(service, header);
+    ASSERT_EQ(events.size(), 1u) << header;
+    const obs::json::Value event = obs::json::parse(events[0]);
+    EXPECT_EQ(event.at("event").as_string(), "rejected") << header;
+    EXPECT_FALSE(event.at("error").as_string().empty()) << header;
+  }
+  EXPECT_EQ(service.metrics().jobs_submitted, 0u);
+
+  // In-range values still run.
+  const std::vector<std::string> events = serve_one(
+      service,
+      R"({"op": "submit", "priority": -2147483648, "max_attempts": 2, "heartbeat_s": 86400})");
+  ASSERT_FALSE(events.empty());
+  EXPECT_NE(events.back().find("\"event\": \"done\""), std::string::npos) << events.back();
 }
 
 }  // namespace

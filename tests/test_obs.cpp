@@ -10,6 +10,7 @@
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "obs/counters.hpp"
+#include "obs/json.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
@@ -83,6 +84,22 @@ TEST(TraceSink, ParserRejectsDeepNestingWithoutCrashing) {
   EXPECT_THROW((void)parse_trace(R"({"traceEvents":)" + std::string(200, '[') +
                                  std::string(200, ']') + "}"),
                std::runtime_error);
+}
+
+// ----------------------------------------------------------------- json
+
+TEST(Json, AsSizeRangeChecksBeforeItCasts) {
+  // Converting a double at or past 2^64 to size_t is undefined, so
+  // as_size must refuse it before the cast, not detect it after.
+  EXPECT_THROW((void)json::parse("1e300").as_size(), std::runtime_error);
+  EXPECT_THROW((void)json::parse("18446744073709551616").as_size(), std::runtime_error);
+  EXPECT_THROW((void)json::parse("null").as_size(), std::runtime_error);
+  EXPECT_THROW((void)json::parse("-1").as_size(), std::runtime_error);
+  EXPECT_THROW((void)json::parse("2.5").as_size(), std::runtime_error);
+  // The largest double below 2^64 still fits.
+  EXPECT_EQ(json::parse("18446744073709549568").as_size(), 18446744073709549568ULL);
+  EXPECT_EQ(json::parse("0").as_size(), 0u);
+  EXPECT_EQ(json::parse("4096").as_size(), 4096u);
 }
 
 // ------------------------------------------------------------- counters

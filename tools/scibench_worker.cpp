@@ -1,11 +1,15 @@
 // scibench_worker: one sandboxed cell executor behind the process pool.
 //
 // Protocol (exec/wire.hpp): read one "scibench.job" line from stdin,
-// run the cell, write one "scibench.cell" line to stdout, repeat until
-// stdin closes. The protocol is stateless on purpose -- every job line
-// carries the full backend options, so any worker can run any job and a
-// crashed worker's job re-dispatches elsewhere with the same seed and
-// the same bytes.
+// run the cell, write and flush one "scibench.cell" line to stdout,
+// repeat until stdin closes. The pool pipelines: it may write a whole
+// chunk of job lines before it reads the first reply, so replies go out
+// strictly in job order, each flushed before the next job is read --
+// when this process dies, every reply before the cell it died on has
+// reached the parent. The protocol is stateless on purpose -- every job
+// line carries the full backend options, so any worker can run any job
+// and a crashed worker's job re-dispatches elsewhere with the same seed
+// and the same bytes.
 //
 // The process keeps one warm (SimBackend, make_context()) pair and runs
 // every job through it while consecutive jobs carry the same backend

@@ -13,7 +13,9 @@
 //   <- event lines ("queued", "started", "cell", "progress", ...)
 //      until a terminal "done" / "rejected" / "error" / "cancelled"
 // A submission line longer than obs::json::kMaxDocumentBytes drops the
-// connection. A client that stops reading its events is muted once a
+// connection; a malformed header or envelope is answered with a
+// "rejected" event (exec::serve_client). Each connection is served on
+// its own thread, joined by the accept loop once it is done. A client that stops reading its events is muted once a
 // send has blocked for exec::kEventSendTimeoutMs; its job runs on and
 // the queue behind it keeps moving (exec::SocketEventSink).
 //
@@ -30,21 +32,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "exec/interrupt.hpp"
 #include "exec/service.hpp"
-#include "exec/wire.hpp"
-#include "obs/json.hpp"
 
 namespace exec = sci::exec;
-namespace json = sci::obs::json;
 
 namespace {
 
@@ -65,49 +65,21 @@ std::string default_worker_path(const char* argv0) {
   return dir + "/scibench_worker";
 }
 
-/// Reads the two-line submission, runs it to a terminal event, closes.
-void serve_client(exec::CampaignService& service, int fd) {
-  std::string header_line;
-  std::string campaign_line;
-  exec::SocketEventSink sink(fd);  // a client that stops reading is muted
-  if (exec::read_line_fd(fd, header_line) && exec::read_line_fd(fd, campaign_line)) {
-    try {
-      const json::Value header = json::parse(header_line);
-      if (header.at("op").as_string() != "submit") {
-        throw std::runtime_error("unknown op \"" + header.at("op").as_string() + "\"");
-      }
-      const exec::wire::CampaignEnvelope envelope =
-          exec::wire::parse_campaign_json(campaign_line);
+/// One accepted connection's thread; `finished` is set as its last act.
+struct Client {
+  std::atomic<bool> finished{false};
+  std::thread thread;
+};
 
-      exec::Submission sub;
-      sub.spec = envelope.spec;
-      sub.backend = envelope.backend;
-      const auto str = [&](const char* key) {
-        const json::Value* v = header.find(key);
-        return v == nullptr ? std::string() : v->as_string();
-      };
-      if (const json::Value* v = header.find("priority")) {
-        sub.priority = static_cast<int>(v->as_number());
-      }
-      sub.journal_path = str("journal");
-      sub.samples_csv = str("samples_csv");
-      sub.summary_csv = str("summary_csv");
-      sub.metrics_path = str("metrics");
-      if (const json::Value* v = header.find("max_attempts")) {
-        sub.max_attempts = v->as_size();
-      }
-      if (const json::Value* v = header.find("heartbeat_s")) {
-        sub.heartbeat_s = v->as_number();
-      }
-
-      const std::uint64_t id = service.submit(std::move(sub), &sink);
-      (void)service.wait(id);  // terminal event already streamed
-    } catch (const std::exception& e) {
-      exec::write_line_fd(fd, "{\"event\": \"rejected\", \"job\": 0, \"error\": " +
-                                  json::quoted(e.what()) + "}");
-    }
-  }
-  ::close(fd);
+/// Joins the client threads that are done, so a long-lived daemon holds
+/// one thread (and its stack) per connection still being served, not
+/// one per connection ever accepted.
+void reap_finished(std::list<Client>& clients) {
+  clients.remove_if([](Client& client) {
+    if (!client.finished.load(std::memory_order_acquire)) return false;
+    client.thread.join();
+    return true;
+  });
 }
 
 }  // namespace
@@ -170,8 +142,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "scibenchd: listening on %s (%zu worker processes)\n",
                socket_path.c_str(), pool.worker_count());
 
-  std::vector<std::thread> clients;
+  std::list<Client> clients;  // stable addresses: each thread holds its own
   while (!exec::interrupt_requested()) {
+    reap_finished(clients);
     pollfd pfd{};
     pfd.fd = listen_fd;
     pfd.events = POLLIN;
@@ -179,14 +152,17 @@ int main(int argc, char** argv) {
     if (ready <= 0) continue;  // timeout or EINTR: re-check the flag
     const int client_fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (client_fd < 0) continue;
-    clients.emplace_back(
-        [&service, client_fd] { serve_client(service, client_fd); });
+    Client& client = clients.emplace_back();
+    client.thread = std::thread([&service, &client, client_fd] {
+      exec::serve_client(service, client_fd);
+      client.finished.store(true, std::memory_order_release);
+    });
   }
 
   ::close(listen_fd);
   ::unlink(socket_path.c_str());
   service.stop();  // cancels the queue; the active job drains via the flag
-  for (std::thread& t : clients) t.join();
+  for (Client& client : clients) client.thread.join();  // in-flight clients finish
 
   if (!metrics_path.empty()) {
     std::ofstream os(metrics_path, std::ios::binary | std::ios::trunc);
