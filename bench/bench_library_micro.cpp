@@ -119,12 +119,21 @@ void BM_Xoshiro(benchmark::State& state) {
 }
 BENCHMARK(BM_Xoshiro);
 
+void BM_EmptyLoop(benchmark::State& state) {
+  // Same-binary baseline for BM_TraceUnattachedBranch: the loop with
+  // only the memory clobber, i.e. an instrumentation site that costs
+  // nothing at all.
+  for (auto _ : state) {
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EmptyLoop);
+
 void BM_TraceUnattachedBranch(benchmark::State& state) {
-  // The enabled-but-unattached cost of an instrumentation site: one
-  // thread-local load and a not-taken branch (the disabled-path overhead
-  // the tracing layer promises stays below timer resolution). Under
-  // SCIBENCH_TRACING=OFF the macro vanishes and this measures an empty
-  // loop.
+  // The unattached cost of an instrumentation site: one thread-local
+  // load and a not-taken branch. Its difference to BM_EmptyLoop is the
+  // whole cost a site adds when no sink is attached.
   sci::obs::detach();
   for (auto _ : state) {
     SCI_TRACE_COMPLETE(0, "site", "bench", 0.0, 1.0, {{"k", 1}});

@@ -110,7 +110,6 @@ class LegacyEngine {
       hwm.set_max(queue_hwm_);
       SCI_TRACE_COMPLETE(obs::kEngineTrack, "run", "engine", run_start, now_ - run_start,
                          {{"events", static_cast<double>(processed)}});
-      SCI_TRACE_UNUSED(run_start);
     }
     return processed;
   }

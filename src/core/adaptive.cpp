@@ -51,16 +51,18 @@ AdaptiveResult measure_adaptive(const std::function<double()>& measure,
   // decision (and therefore every published number) is unchanged.
   stats::OnlineSeries acc;
   while (result.samples.size() < options.max_samples) {
-#if SCIBENCH_TRACING
-    const double sample_t0 = obs::host_now_s();
-#endif
+    // The clock is read only for a sample span someone will record.
+    const bool traced = SCI_TRACE_ATTACHED();
+    const double sample_t0 = traced ? obs::host_now_s() : 0.0;
     const double value = measure();
     result.samples.push_back(value);
     if (!options.use_mean) acc.add(value);
     samples_ctr.add(1);
     const std::size_t n = result.samples.size();
-    SCI_TRACE_COMPLETE(obs::kHarnessTrack, "sample", "harness", sample_t0,
-                       obs::host_now_s() - sample_t0, {{"n", n}});
+    if (traced) {
+      SCI_TRACE_COMPLETE(obs::kHarnessTrack, "sample", "harness", sample_t0,
+                         obs::host_now_s() - sample_t0, {{"n", n}});
+    }
     if (n < options.min_samples || n % cadence != 0) continue;
 
     // Everything from here to loop bottom is harness time the

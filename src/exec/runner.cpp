@@ -733,7 +733,8 @@ struct CellExecutor {
   /// Attempt 0 of the batch in one run_batch call, then per cell: the
   /// retries, journal append and cache insert.
   void dispatch(std::span<CampaignCell> chunk, BackendContext& context, Scratch& s) {
-    [[maybe_unused]] const double t0 = obs::host_now_s();
+    const bool traced = SCI_TRACE_ATTACHED();  // no sink: no clock reads
+    const double t0 = traced ? obs::host_now_s() : 0.0;
     try {
       context.run_batch(s.batch);
     } catch (const std::exception& e) {
@@ -763,12 +764,14 @@ struct CellExecutor {
       cache_insert(s.keys[j], cell.result);
       s.reported[s.at[j]] = 1;
     }
-    SCI_TRACE_COMPLETE(obs::kHarnessTrack, "campaign.chunk", "exec", t0,
-                       obs::host_now_s() - t0,
-                       {obs::TraceArg{"config", chunk[s.at.front()].config.index},
-                        obs::TraceArg{"rep", chunk[s.at.front()].rep},
-                        obs::TraceArg{"cells", s.batch.size()},
-                        obs::TraceArg{"failed", failed}});
+    if (traced) {
+      SCI_TRACE_COMPLETE(obs::kHarnessTrack, "campaign.chunk", "exec", t0,
+                         obs::host_now_s() - t0,
+                         {obs::TraceArg{"config", chunk[s.at.front()].config.index},
+                          obs::TraceArg{"rep", chunk[s.at.front()].rep},
+                          obs::TraceArg{"cells", s.batch.size()},
+                          obs::TraceArg{"failed", failed}});
+    }
   }
 
   /// Bounded retry of a failed cell. Attempt k > 0 uses the

@@ -314,6 +314,17 @@ double header_heartbeat(const json::Value& value) {
   return seconds;
 }
 
+/// The submit header's "max_attempts": an integer in [0, kMaxAttempts]
+/// (0 runs once, like 1).
+std::size_t header_max_attempts(const json::Value& value) {
+  const std::size_t attempts = value.as_size();
+  if (attempts > kMaxAttempts) {
+    throw std::invalid_argument("submit header: \"max_attempts\" must be at most " +
+                                std::to_string(kMaxAttempts));
+  }
+  return attempts;
+}
+
 }  // namespace
 
 void serve_client(CampaignService& service, int fd) {
@@ -340,7 +351,9 @@ void serve_client(CampaignService& service, int fd) {
       sub.samples_csv = str("samples_csv");
       sub.summary_csv = str("summary_csv");
       sub.metrics_path = str("metrics");
-      if (const json::Value* v = header.find("max_attempts")) sub.max_attempts = v->as_size();
+      if (const json::Value* v = header.find("max_attempts")) {
+        sub.max_attempts = header_max_attempts(*v);
+      }
       if (const json::Value* v = header.find("heartbeat_s")) {
         sub.heartbeat_s = header_heartbeat(*v);
       }

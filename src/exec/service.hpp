@@ -67,6 +67,7 @@ struct Submission {
   std::string samples_csv;   ///< written when non-empty
   std::string summary_csv;   ///< written when non-empty
   std::string metrics_path;  ///< final ProgressSnapshot (optional)
+  /// At most kMaxAttempts.
   std::size_t max_attempts = 1;
   /// Deterministic kill drill (CampaignRunnerOptions::cell_budget).
   std::size_t cell_budget = 0;
@@ -79,6 +80,12 @@ struct Submission {
 /// on a std::chrono duration, whose conversion to clock ticks is
 /// undefined for values far beyond it.
 inline constexpr double kMaxHeartbeatS = 86400.0;
+
+/// Largest Submission::max_attempts. A cell that always fails runs
+/// every attempt, and each attempt of a crashing cell costs a worker
+/// respawn, so an unbounded value would hold the queue practically
+/// forever.
+inline constexpr std::size_t kMaxAttempts = 64;
 
 /// Terminal state of one job.
 struct JobOutcome {
@@ -212,8 +219,9 @@ bool read_line_fd(int fd, std::string& line);
 /// "scibench.campaign" envelope), runs it, streams its events to the
 /// client until the terminal one, and closes `fd`. A malformed header
 /// or envelope -- hostile numbers included: a null or out-of-range
-/// "priority", a "max_attempts" beyond size_t, a NaN or out-of-range
-/// "heartbeat_s" -- is answered with one "rejected" event (job 0).
+/// "priority", a "max_attempts" above kMaxAttempts, a NaN or
+/// out-of-range "heartbeat_s" -- is answered with one "rejected" event
+/// (job 0).
 void serve_client(CampaignService& service, int fd);
 
 /// How long one event send may block before SocketEventSink gives up

@@ -13,8 +13,8 @@ namespace sci::exec {
 
 namespace {
 
-/// Factor lookup shared by run() and the reusable context: "system"
-/// wins, "machine" is the alias, the backend option is the fall-back.
+/// Factor lookup: "system" wins, "machine" is the alias, the backend
+/// option is the fall-back.
 const std::string& machine_name_for(const Config& config,
                                     const SimBackendOptions& options) {
   const std::string* name = config.find_level("system");
@@ -93,47 +93,6 @@ std::string SimBackend::describe() const {
          std::string(to_string(options_.kernel));
 }
 
-CellResult SimBackend::run(const Config& config, std::uint64_t seed) {
-  const AllocationAudit audit;
-  const std::shared_ptr<const sim::Machine> machine =
-      sim::machine_preset(machine_name_for(config, options_));
-
-  CellResult result;
-  result.unit = options_.unit;
-  result.stop_reason = "fixed";
-  switch (options_.kernel) {
-    case SimKernel::kPingPong: {
-      result.samples =
-          simmpi::pingpong_latency(*machine, options_.samples,
-                                   message_bytes_for(config, options_), seed,
-                                   options_.warmup);
-      result.warmup_discarded = options_.warmup;
-      break;
-    }
-    case SimKernel::kReduce: {
-      result.samples = simmpi::reduce_bench(*machine, ranks_for(config, options_),
-                                            options_.iterations, seed,
-                                            options_.sync_window_s)
-                           .max_across_ranks();
-      // The reduce protocol times every iteration (window sync first),
-      // so nothing is discarded -- record that explicitly rather than
-      // leaving the field to chance.
-      result.warmup_discarded = 0;
-      break;
-    }
-    case SimKernel::kPiScaling: {
-      result.samples = simmpi::pi_scaling_run(
-          *machine, ranks_for(config, options_), options_.base_seconds,
-          options_.serial_fraction, options_.repetitions, seed);
-      result.warmup_discarded = 0;  // every repetition is reported
-      break;
-    }
-  }
-  apply_scale(result, options_.scale);
-  audit.fill(result);
-  return result;
-}
-
 /// Per-worker reusable state: one warm benchmark driver per distinct
 /// cell shape. Campaign cells are claimed in (config, rep) order, so a
 /// worker typically replays one shape many times before moving on; the
@@ -187,6 +146,9 @@ class SimBackend::Context final : public BackendContext {
                                                            options_.sync_window_s);
             });
         bench.run(options_.iterations, seed).max_across_ranks_into(result.samples);
+        // The reduce protocol times every iteration (window sync first),
+        // so nothing is discarded -- record that explicitly rather than
+        // leaving the field to chance.
         result.warmup_discarded = 0;
         break;
       }
@@ -200,7 +162,7 @@ class SimBackend::Context final : public BackendContext {
             });
         const std::vector<double>& completion = bench.run(options_.repetitions, seed);
         result.samples.assign(completion.begin(), completion.end());
-        result.warmup_discarded = 0;
+        result.warmup_discarded = 0;  // every repetition is reported
         break;
       }
     }
@@ -216,6 +178,12 @@ class SimBackend::Context final : public BackendContext {
   std::map<std::string, std::unique_ptr<simmpi::ReduceBench>, std::less<>> reduce_;
   std::map<std::string, std::unique_ptr<simmpi::PiScalingBench>, std::less<>> pi_;
 };
+
+CellResult SimBackend::run(const Config& config, std::uint64_t seed) {
+  // One-shot: a fresh context runs the cell cold. Context::run is the
+  // only kernel; test_exec_reuse pins that a warm context's bytes match.
+  return Context(options_).run(config, seed);
+}
 
 std::unique_ptr<BackendContext> SimBackend::make_context() {
   return std::make_unique<Context>(options_);

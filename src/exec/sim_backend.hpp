@@ -2,9 +2,9 @@
 // interface. Each run() executes one simmpi benchmark with the cell
 // seed on a machine chosen by the cell's configuration, so a cell is a
 // pure function of (config, seed) -- the property the CampaignRunner
-// byte-determinism contract rests on. run() builds a fresh world per
-// call; make_context() returns a per-worker context that reuses worlds
-// across replications (same results, no per-call setup).
+// byte-determinism contract rests on. make_context() returns a
+// per-worker context that reuses worlds across replications; run() is
+// a one-shot fresh context, so both share one kernel.
 //
 // Factor conventions (all optional; options provide the fall-backs):
 //   "system" or "machine"  -> sim::make_machine name
@@ -20,9 +20,9 @@
 namespace sci::exec {
 
 enum class SimKernel {
-  kPingPong,   ///< simmpi::pingpong_latency, one sample per iteration
-  kReduce,     ///< simmpi::reduce_bench, max-across-ranks per iteration
-  kPiScaling,  ///< simmpi::pi_scaling_run, one completion time per rep
+  kPingPong,   ///< simmpi::PingPongBench, one sample per iteration
+  kReduce,     ///< simmpi::ReduceBench, max-across-ranks per iteration
+  kPiScaling,  ///< simmpi::PiScalingBench, one completion time per rep
 };
 
 [[nodiscard]] const char* to_string(SimKernel kernel) noexcept;

@@ -172,11 +172,6 @@ BenchReporter::BenchReporter(std::string bench_name) {
 #else
   report_.context["pooling"] = "1";
 #endif
-#if defined(SCIBENCH_TRACING) && !SCIBENCH_TRACING
-  report_.context["tracing"] = "0";
-#else
-  report_.context["tracing"] = "1";
-#endif
   report_.context["hardware_concurrency"] =
       std::to_string(std::thread::hardware_concurrency());
 }

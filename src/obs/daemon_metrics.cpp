@@ -1,7 +1,5 @@
 #include "obs/daemon_metrics.hpp"
 
-#include <stdexcept>
-
 #include "obs/json.hpp"
 
 namespace sci::obs {
@@ -30,31 +28,6 @@ std::string DaemonMetrics::to_json() const {
   field("workers_crashed", workers_crashed);
   out += "\n}\n";
   return out;
-}
-
-DaemonMetrics parse_daemon_metrics(std::string_view json_text) {
-  const json::Value root = json::parse(json_text);
-  if (root.at("schema").as_string() != "scibench.daemon_metrics") {
-    throw std::runtime_error("daemon metrics: unknown schema \"" +
-                             root.at("schema").as_string() + "\"");
-  }
-  if (root.at("version").as_size() != static_cast<std::size_t>(DaemonMetrics::kVersion)) {
-    throw std::runtime_error("daemon metrics: unsupported version");
-  }
-  DaemonMetrics m;
-  m.jobs_submitted = root.at("jobs_submitted").as_size();
-  m.jobs_completed = root.at("jobs_completed").as_size();
-  m.jobs_with_failures = root.at("jobs_with_failures").as_size();
-  m.jobs_rejected = root.at("jobs_rejected").as_size();
-  m.queue_peak = root.at("queue_peak").as_size();
-  m.cells_executed = root.at("cells_executed").as_size();
-  m.cells_deduped = root.at("cells_deduped").as_size();
-  m.cells_journal_replayed = root.at("cells_journal_replayed").as_size();
-  m.cells_failed = root.at("cells_failed").as_size();
-  m.cells_interrupted = root.at("cells_interrupted").as_size();
-  m.workers_spawned = root.at("workers_spawned").as_size();
-  m.workers_crashed = root.at("workers_crashed").as_size();
-  return m;
 }
 
 }  // namespace sci::obs

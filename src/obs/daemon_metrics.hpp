@@ -2,16 +2,15 @@
 // done since it started, one canonical-JSON snapshot.
 //
 // Same contract as the campaign metrics (exec/progress.hpp): purely
-// observational, byte-deterministic emit via obs/json.hpp, and
-// emit -> parse -> re-emit identical. The service updates the counters
-// as jobs flow; the daemon writes the snapshot on shutdown (and on
-// request) so an operator can see queue pressure, dedupe efficiency,
-// and worker churn without scraping logs.
+// observational, with a byte-deterministic emit via obs/json.hpp. The
+// service updates the counters as jobs flow; the daemon writes the
+// snapshot on shutdown (no request op exists yet) so an operator can
+// see queue pressure, dedupe efficiency, and worker churn without
+// scraping logs.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 
 namespace sci::obs {
 
@@ -39,8 +38,5 @@ struct DaemonMetrics {
   /// Canonical JSON (schema "scibench.daemon_metrics").
   [[nodiscard]] std::string to_json() const;
 };
-
-/// Inverse of DaemonMetrics::to_json (throws on schema mismatch).
-[[nodiscard]] DaemonMetrics parse_daemon_metrics(std::string_view json_text);
 
 }  // namespace sci::obs

@@ -10,13 +10,11 @@
 // harness emits spans in host seconds on the harness track.
 //
 // Cost contract (Section 4.1: the harness must not perturb what it
-// measures):
-//   - compiled out entirely with -DSCIBENCH_TRACING=0 (CMake option
-//     SCIBENCH_TRACING=OFF): the SCI_TRACE_* macros expand to nothing
-//     and no argument expression is evaluated;
-//   - compiled in but no sink attached: one thread-local load and one
-//     branch per instrumentation site (bench_library_micro's
-//     BM_TraceUnattachedBranch pins this below timer resolution);
+// measures). Tracing is a runtime property only:
+//   - no sink attached: one thread-local load and one branch per
+//     instrumentation site, and no argument expression is evaluated
+//     (bench_library_micro's BM_TraceUnattachedBranch sits next to the
+//     same binary's BM_EmptyLoop);
 //   - attached: events append to an in-memory vector, no I/O until
 //     write_json()/save().
 #pragma once
@@ -27,10 +25,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#ifndef SCIBENCH_TRACING
-#define SCIBENCH_TRACING 1
-#endif
 
 namespace sci::obs {
 
@@ -144,24 +138,15 @@ class ScopedAttach {
 /// the time base for harness-side (non-simulated) spans.
 [[nodiscard]] double host_now_s() noexcept;
 
-/// Marks values as used regardless of SCIBENCH_TRACING, for locals whose
-/// only consumer is a trace macro. One shared spelling instead of ad hoc
-/// `(void)x;` casts scattered next to each instrumentation site. Note
-/// the arguments ARE evaluated (unlike disabled SCI_TRACE_* macros), so
-/// only pass plain locals.
-template <typename... Ts>
-constexpr void unused(const Ts&... /*values*/) noexcept {}
-#define SCI_TRACE_UNUSED(...) ::sci::obs::unused(__VA_ARGS__)
-
-#if SCIBENCH_TRACING
-
-/// Host-time RAII span on kHarnessTrack; emits on destruction if a sink
-/// is attached then.
+/// Host-time RAII span on kHarnessTrack. Arms at construction: with no
+/// sink attached then, it never reads the clock and emits nothing; an
+/// armed span emits on destruction if a sink is still attached.
 class HostSpan {
  public:
   HostSpan(const char* name, const char* cat) noexcept
-      : name_(name), cat_(cat), t0_(host_now_s()) {}
+      : name_(name), cat_(cat), armed_(sink() != nullptr), t0_(armed_ ? host_now_s() : 0.0) {}
   ~HostSpan() {
+    if (!armed_) return;
     if (TraceSink* s = sink()) s->complete(kHarnessTrack, name_, cat_, t0_, host_now_s() - t0_);
   }
   HostSpan(const HostSpan&) = delete;
@@ -170,6 +155,7 @@ class HostSpan {
  private:
   const char* name_;
   const char* cat_;
+  bool armed_;
   double t0_;
 };
 
@@ -200,29 +186,5 @@ class HostSpan {
   do {                                                          \
     if ((var) != nullptr) (var)->counter((tid), (name), (t_s), (value)); \
   } while (0)
-
-#else  // !SCIBENCH_TRACING
-
-#define SCI_TRACE_ATTACHED() false
-#define SCI_TRACE_COMPLETE(tid, name, cat, start_s, dur_s, ...) \
-  do {                                                          \
-  } while (0)
-#define SCI_TRACE_INSTANT(tid, name, cat, t_s, ...) \
-  do {                                              \
-  } while (0)
-#define SCI_TRACE_COUNTER(tid, name, t_s, value) \
-  do {                                           \
-  } while (0)
-#define SCI_TRACE_HOST_SPAN(var, name, cat) \
-  do {                                      \
-  } while (0)
-#define SCI_TRACE_SINK_HOIST(var) \
-  do {                            \
-  } while (0)
-#define SCI_TRACE_SINK_COUNTER(var, tid, name, t_s, value) \
-  do {                                                     \
-  } while (0)
-
-#endif  // SCIBENCH_TRACING
 
 }  // namespace sci::obs

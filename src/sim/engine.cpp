@@ -44,7 +44,6 @@ void Engine::flush_observability(std::size_t processed, double run_start) {
   arena.set_max(queue_.arena_slots());
   SCI_TRACE_COMPLETE(obs::kEngineTrack, "run", "engine", run_start, now_ - run_start,
                      {{"events", static_cast<double>(processed)}});
-  SCI_TRACE_UNUSED(run_start);
 }
 
 std::size_t Engine::run() {

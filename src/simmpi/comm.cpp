@@ -68,7 +68,6 @@ Request Comm::isend(int dst, int tag, std::size_t bytes, std::vector<double> pay
       w.fifo_clock_[static_cast<std::size_t>(rank_)][static_cast<std::size_t>(dst)];
   arrival = std::max(arrival, last);
   last = arrival;
-#if SCIBENCH_TRACING
   if (obs::TraceSink* s = obs::sink()) {
     const double t0 = w.engine_.now();
     const double wire_start = t0 + o + handshake;
@@ -83,7 +82,6 @@ Request Comm::isend(int dst, int tag, std::size_t bytes, std::vector<double> pay
                  {"mseq", msg.seq},
                  {"noise_s", wire - ideal}});
   }
-#endif
   w.engine_.schedule_at(arrival,
                         [&w, m = std::move(msg)]() mutable { w.deliver(std::move(m)); });
 
@@ -221,7 +219,6 @@ void Comm::SendAwaitable::await_suspend(std::coroutine_handle<> h) {
   arrival = std::max(arrival, last);
   last = arrival;
 
-#if SCIBENCH_TRACING
   if (obs::TraceSink* s = obs::sink()) {
     const double t0 = w.engine_.now();
     const double wire_start = t0 + o + handshake;
@@ -236,7 +233,6 @@ void Comm::SendAwaitable::await_suspend(std::coroutine_handle<> h) {
                  {"mseq", msg.seq},
                  {"noise_s", wire - ideal}});
   }
-#endif
   w.engine_.schedule_at(arrival, [&w, m = std::move(msg)]() mutable { w.deliver(std::move(m)); });
 
   // The sender is blocked for its CPU overhead plus the inter-message

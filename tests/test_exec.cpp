@@ -403,7 +403,6 @@ TEST(Ingest, PlainCsvIsNotACampaign) {
 
 // ---------------------------------------------------------------- traces
 
-#if SCIBENCH_TRACING
 TEST(CampaignRunner, WorkersEmitOnTheirOwnTraceTracks) {
   obs::TraceSink sink;
   obs::ScopedAttach attach(sink);
@@ -428,7 +427,6 @@ TEST(CampaignRunner, WorkersEmitOnTheirOwnTraceTracks) {
   const std::string json = sink.to_json(obs::TraceSink::WriteOptions{false});
   EXPECT_NE(json.find("\"campaign.chunk\""), std::string::npos);
 }
-#endif  // SCIBENCH_TRACING
 
 }  // namespace
 }  // namespace sci::exec

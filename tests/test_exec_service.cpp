@@ -1009,7 +1009,9 @@ TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
   // duration whose result is undefined; each must be refused first.
   ProcessPool pool(pool_options(1));
   CampaignService service(pool);
-  for (const std::string header : {
+  // The last two max_attempts rows fit a size_t but would retry an
+  // always-failing cell (and respawn its worker) practically forever.
+  for (const std::string& header : std::vector<std::string>{
            R"({"op": "submit", "priority": null})",
            R"({"op": "submit", "priority": 1e300})",
            R"({"op": "submit", "priority": -2147483649})",
@@ -1017,6 +1019,8 @@ TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
            R"({"op": "submit", "max_attempts": 1e300})",
            R"({"op": "submit", "max_attempts": 18446744073709551616})",
            R"({"op": "submit", "max_attempts": -1})",
+           R"({"op": "submit", "max_attempts": )" + std::to_string(kMaxAttempts + 1) + "}",
+           R"({"op": "submit", "max_attempts": 1e15})",
            R"({"op": "submit", "heartbeat_s": null})",
            R"({"op": "submit", "heartbeat_s": 1e300})",
            R"({"op": "submit", "heartbeat_s": -1})",
@@ -1030,9 +1034,9 @@ TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
   EXPECT_EQ(service.metrics().jobs_submitted, 0u);
 
   // In-range values still run.
-  const std::vector<std::string> events = serve_one(
-      service,
-      R"({"op": "submit", "priority": -2147483648, "max_attempts": 2, "heartbeat_s": 86400})");
+  const std::vector<std::string> events =
+      serve_one(service, R"({"op": "submit", "priority": -2147483648, "max_attempts": )" +
+                             std::to_string(kMaxAttempts) + R"(, "heartbeat_s": 86400})");
   ASSERT_FALSE(events.empty());
   EXPECT_NE(events.back().find("\"event\": \"done\""), std::string::npos) << events.back();
 }

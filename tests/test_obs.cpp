@@ -50,9 +50,28 @@ TEST(TraceSink, UnattachedMacrosEmitNothing) {
   SCI_TRACE_COMPLETE(0, "x", "c", 0.0, 1.0);
   SCI_TRACE_INSTANT(0, "x", "c", 0.0);
   SCI_TRACE_COUNTER(0, "x", 0.0, 1.0);
+
+  // The runtime branch alone keeps an unattached site free: no argument
+  // expression -- times, durations, args, counter values -- is evaluated.
+  int evaluated = 0;
+  const auto eval = [&evaluated](int v) { ++evaluated; return v; };
+  SCI_TRACE_COMPLETE(eval(0), "x", "c", eval(0), eval(1), {{"a", eval(2)}});
+  SCI_TRACE_INSTANT(eval(0), "x", "c", eval(0), {{"a", eval(2)}});
+  SCI_TRACE_COUNTER(eval(0), "x", eval(0), eval(1));
+  EXPECT_EQ(evaluated, 0);
+
+  // The same sites with a sink attached evaluate every argument.
+  TraceSink sink;
+  {
+    ScopedAttach attach(sink);
+    SCI_TRACE_COMPLETE(eval(0), "x", "c", eval(0), eval(1), {{"a", eval(2)}});
+    SCI_TRACE_INSTANT(eval(0), "x", "c", eval(0), {{"a", eval(2)}});
+    SCI_TRACE_COUNTER(eval(0), "x", eval(0), eval(1));
+  }
+  EXPECT_EQ(evaluated, 10);
+  EXPECT_EQ(sink.size(), 3u);
 }
 
-#if SCIBENCH_TRACING
 TEST(TraceSink, ScopedAttachRestoresPrevious) {
   TraceSink outer_sink;
   ScopedAttach outer(outer_sink);
@@ -65,7 +84,6 @@ TEST(TraceSink, ScopedAttachRestoresPrevious) {
   SCI_TRACE_INSTANT(0, "outer", "t", 0.0);
   EXPECT_EQ(outer_sink.size(), 1u);
 }
-#endif  // SCIBENCH_TRACING
 
 TEST(TraceSink, ParserRejectsMalformedJson) {
   EXPECT_THROW((void)parse_trace(std::string("{")), std::runtime_error);
@@ -147,9 +165,6 @@ std::string traced_reduce_json(int ranks, std::uint64_t seed) {
   return sink.to_json(options);
 }
 
-// The remaining SimTrace/HarnessTrace cases assert on *emitted* spans,
-// which only exist when the instrumentation is compiled in.
-#if SCIBENCH_TRACING
 TEST(SimTrace, SixteenRankReduceEmitsSchemaValidTrace) {
   const int p = 16;
   const ParsedTrace trace = parse_trace(traced_reduce_json(p, 42));
@@ -259,10 +274,7 @@ TEST(SimTrace, LateSendersAttributeReceiverBlockTime) {
   }
 }
 
-#endif  // SCIBENCH_TRACING
-
-// Counters are compiled unconditionally -- they must tally even in a
-// tracing-off build.
+// Counters tally whether or not a trace sink is attached.
 TEST(SimTrace, CountersTallyTrafficAndNoise) {
   CounterRegistry::instance().reset_all();
   const auto before = CounterRegistry::instance().snapshot();
@@ -278,7 +290,6 @@ TEST(SimTrace, CountersTallyTrafficAndNoise) {
 
 // ------------------------------------------------- harness integration
 
-#if SCIBENCH_TRACING
 TEST(HarnessTrace, MeasureAdaptiveEmitsSampleSpansAndCiChecks) {
   TraceSink sink;
   ScopedAttach attach(sink);
@@ -304,7 +315,6 @@ TEST(HarnessTrace, MeasureAdaptiveEmitsSampleSpansAndCiChecks) {
   EXPECT_EQ(adaptive_spans, 1);
   EXPECT_GE(ci_checks, 1);
 }
-#endif  // SCIBENCH_TRACING
 
 TEST(HarnessTrace, AdaptiveBumpsHarnessCounters) {
   CounterRegistry::instance().reset_all();

@@ -17,6 +17,8 @@
 // error, 2 rejected/usage, 3 interrupted (journal resumable).
 #include <unistd.h>
 
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,6 +102,32 @@ int run_local(const exec::wire::CampaignEnvelope& envelope,
   return result.failed > 0 ? 1 : 0;
 }
 
+void print_usage() {
+  std::fprintf(stderr,
+               "usage: scibench_submit (--socket PATH | --local) "
+               "[--campaign FILE|-] [--priority N] [--journal PATH]\n"
+               "         [--samples-csv PATH] [--summary-csv PATH] "
+               "[--metrics PATH] [--max-attempts N] [--heartbeat S]\n"
+               "         [--quiet] | --emit-demo NAME\n");
+}
+
+/// Parses the whole of `text` as a T in [lo, hi] -- the daemon's limits
+/// for the matching header field -- or exits 2 with the usage line: a
+/// partial token ("3x"), junk, a sign on an unsigned value and a value
+/// out of range are all refused before anything runs.
+template <typename T>
+T parse_option(const std::string& option, const char* text, T lo, T hi) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "scibench_submit: %s: invalid value \"%s\"\n", option.c_str(), text);
+    print_usage();
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,9 +170,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--priority") {
-      const int p = std::atoi(next());
-      header += ", \"priority\": " + std::to_string(p);
-      sub.priority = p;
+      sub.priority = parse_option(arg, next(), INT_MIN, INT_MAX);
+      header += ", \"priority\": " + std::to_string(sub.priority);
     } else if (arg == "--journal") {
       sub.journal_path = next();
       add_str("journal", sub.journal_path);
@@ -158,18 +185,13 @@ int main(int argc, char** argv) {
       sub.metrics_path = next();
       add_str("metrics", sub.metrics_path);
     } else if (arg == "--max-attempts") {
-      sub.max_attempts = static_cast<std::size_t>(std::atoi(next()));
+      sub.max_attempts = parse_option<std::size_t>(arg, next(), 0, exec::kMaxAttempts);
       header += ", \"max_attempts\": " + json::dump_size(sub.max_attempts);
     } else if (arg == "--heartbeat") {
-      sub.heartbeat_s = std::atof(next());
+      sub.heartbeat_s = parse_option(arg, next(), 0.0, exec::kMaxHeartbeatS);
       header += ", \"heartbeat_s\": " + json::dump_number(sub.heartbeat_s);
     } else {
-      std::fprintf(stderr,
-                   "usage: scibench_submit (--socket PATH | --local) "
-                   "[--campaign FILE|-] [--priority N] [--journal PATH]\n"
-                   "         [--samples-csv PATH] [--summary-csv PATH] "
-                   "[--metrics PATH] [--max-attempts N] [--heartbeat S]\n"
-                   "         [--quiet] | --emit-demo NAME\n");
+      print_usage();
       return arg == "--help" ? 0 : 2;
     }
   }
