@@ -5,8 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -205,6 +205,19 @@ namespace {
 /// doubles, inf, nan). Positions are 1-based for error messages.
 double parse_cell(std::string_view cell, const std::string& path, std::size_t lineno,
                   std::size_t column) {
+  // 1-15 decimal digits and nothing else (indices, counts): an integer
+  // below 2^53, so the double is exact and equals what from_chars gives.
+  // Signs, spaces and longer cells take the general path.
+  if (!cell.empty() && cell.size() <= 15) {
+    std::uint64_t digits = 0;
+    std::size_t i = 0;
+    for (; i < cell.size(); ++i) {
+      const auto d = static_cast<unsigned>(cell[i] - '0');
+      if (d > 9) break;
+      digits = digits * 10 + d;
+    }
+    if (i == cell.size()) return static_cast<double>(digits);
+  }
   double value = 0.0;
   const char* begin = cell.data();
   const char* end = begin + cell.size();
@@ -237,13 +250,24 @@ void for_each_cell(std::string_view line, F&& f) {
   }
 }
 
-/// The whole file in one buffer.
+/// The whole file in one buffer, in one read when its size is known
+/// (a pipe has none and reads until end of file).
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("Dataset::load_csv: cannot open " + path);
-  std::ostringstream text;
-  text << is.rdbuf();
-  return std::move(text).str();
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  // One byte past the size, so a complete read comes back short.
+  std::string text(ec ? 65536 : static_cast<std::size_t>(size) + 1, '\0');
+  std::size_t used = 0;
+  for (;;) {
+    is.read(text.data() + used, static_cast<std::streamsize>(text.size() - used));
+    used += static_cast<std::size_t>(is.gcount());
+    if (used < text.size()) break;
+    text.resize(text.size() * 2);
+  }
+  text.resize(used);
+  return text;
 }
 
 }  // namespace
@@ -300,6 +324,17 @@ Dataset Dataset::load_csv(const std::string& path) {
     }
   }();
   const std::size_t width = ds.columns_.size();
+  // At most one row per remaining line, and a row takes at least two
+  // bytes per cell (digit plus separator), which bounds the reservation
+  // by the file size even for a file of blank lines.
+  std::size_t lines = 1;
+  for (const char* at = p; (at = static_cast<const char*>(std::memchr(
+                                at, '\n', static_cast<std::size_t>(end - at)))) != nullptr;
+       ++at) {
+    ++lines;
+  }
+  const auto remaining = static_cast<std::size_t>(end - p);
+  ds.cells_.reserve(std::min(lines, remaining / (2 * width) + 1) * width);
   while (next_line(line)) {
     if (line.empty() || line.front() == '#') continue;
     std::size_t cells = 0;

@@ -42,19 +42,21 @@ MeasurementSummary summarize_series(std::span<const double> xs,
   // capped at n = 5000; thin evenly beyond that (the paper notes the
   // test itself misleads at large n).
   if (s.n >= 3) {
-    std::vector<double> test_data;
+    std::vector<double> thinned;
+    std::span<const double> test_data = xs;
     if (s.n > 5000) {
-      test_data.reserve(5000);
+      thinned.reserve(5000);
       const std::size_t stride = s.n / 5000 + 1;
-      for (std::size_t i = 0; i < s.n; i += stride) test_data.push_back(xs[i]);
-    } else {
-      test_data.assign(xs.begin(), xs.end());
+      for (std::size_t i = 0; i < s.n; i += stride) thinned.push_back(xs[i]);
+      test_data = thinned;
     }
     // A constant subsample can slip through the deterministic check.
     if (test_data.front() != test_data.back() ||
         *std::max_element(test_data.begin(), test_data.end()) !=
             *std::min_element(test_data.begin(), test_data.end())) {
-      s.normality = stats::shapiro_wilk(test_data);
+      // The full series is already sorted for the quantiles above.
+      s.normality = thinned.empty() ? stats::shapiro_wilk_sorted(sorted)
+                                    : stats::shapiro_wilk(thinned);
       s.normal_plausible = !s.normality->reject(options.normality_alpha);
     }
   }

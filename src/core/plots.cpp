@@ -2,21 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/format.hpp"
 #include "stats/histogram.hpp"
 #include "stats/normality.hpp"
 
 namespace sci::core {
 namespace {
 
-std::string format_number(double v) {
-  std::ostringstream os;
-  os << std::setprecision(4) << std::defaultfloat << v;
-  return os.str();
-}
+std::string format_number(double v) { return format_general(v, 4); }
 
 struct Canvas {
   std::size_t width;
@@ -65,7 +61,13 @@ std::string title_line(const std::string& title, std::size_t width) {
 
 std::string render_density(std::span<const double> xs, const PlotOptions& options) {
   if (xs.empty()) throw std::invalid_argument("render_density: empty series");
-  const auto curve = stats::kernel_density(xs, options.width);
+  // Checked before the sort: NaN has no place in a strict order.
+  if (!std::all_of(xs.begin(), xs.end(), [](double x) { return std::isfinite(x); })) {
+    throw std::domain_error("render_density: non-finite sample in input");
+  }
+  // One sort serves the bandwidth's IQR and the median marker.
+  const auto sorted = stats::sorted_copy(xs);
+  const auto curve = stats::kernel_density_sorted(xs, sorted, options.width);
   const double peak = *std::max_element(curve.density.begin(), curve.density.end());
   Canvas canvas(options.width, options.height);
   for (std::size_t c = 0; c < options.width && c < curve.density.size(); ++c) {
@@ -78,7 +80,7 @@ std::string render_density(std::span<const double> xs, const PlotOptions& option
   // Median / mean markers on a separate annotation row.
   const double lo = curve.x.front();
   const double hi = curve.x.back();
-  const double med = stats::median(xs);
+  const double med = stats::quantile_sorted(sorted, 0.5);
   const double mean = stats::arithmetic_mean(xs);
   auto col_of = [&](double v) {
     return static_cast<std::size_t>(std::clamp(
@@ -187,7 +189,9 @@ std::string render_violin(std::span<const NamedSeries> series, const PlotOptions
 }
 
 std::string render_qq(std::span<const double> xs, const PlotOptions& options) {
-  const auto points = stats::qq_normal(xs, options.width * 2);
+  // One sort serves the plotted points and r(QQ).
+  const auto sorted = stats::sorted_copy(xs);
+  const auto points = stats::qq_normal_sorted(sorted, options.width * 2);
   double x_lo = points.front().theoretical, x_hi = points.back().theoretical;
   double y_lo = points.front().sample, y_hi = points.back().sample;
   if (x_hi == x_lo) x_hi = x_lo + 1.0;
@@ -207,7 +211,7 @@ std::string render_qq(std::span<const double> xs, const PlotOptions& options) {
   os << canvas.str();
   os << axis_line(x_lo, x_hi, options.width, "theoretical quantiles (std normal)");
   os << "  straight diagonal of o's => plausibly normal; r(QQ)="
-     << format_number(stats::qq_correlation(xs)) << '\n';
+     << format_number(stats::qq_correlation_sorted(sorted)) << '\n';
   return os.str();
 }
 

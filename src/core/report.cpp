@@ -4,14 +4,12 @@
 #include <iomanip>
 #include <sstream>
 
+#include "core/format.hpp"
+
 namespace sci::core {
 namespace {
 
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << std::setprecision(5) << std::defaultfloat << v;
-  return os.str();
-}
+std::string fmt(double v) { return format_general(v, 5); }
 
 }  // namespace
 
@@ -61,7 +59,7 @@ ReportBuilder& ReportBuilder::set_counter_summary(obs::CounterSnapshot counters)
 }
 
 std::string ReportBuilder::render() const {
-  std::ostringstream os;
+  TextBuilder os;
   os << "==== " << experiment_.name << " ====\n";
   os << experiment_.to_header() << '\n';
   if (units_declared_) {
@@ -126,11 +124,11 @@ std::string ReportBuilder::render() const {
       os << "  " << name << " = " << value << '\n';
     }
   }
-  return os.str();
+  return std::move(os).str();
 }
 
 std::string ReportBuilder::render_markdown() const {
-  std::ostringstream os;
+  TextBuilder os;
   os << "## " << experiment_.name << "\n\n";
   if (!experiment_.description.empty()) os << experiment_.description << "\n\n";
 
@@ -214,7 +212,7 @@ std::string ReportBuilder::render_markdown() const {
       os << "| `" << name << "` | " << value << " |\n";
     }
   }
-  return os.str();
+  return std::move(os).str();
 }
 
 std::vector<RuleCheck> ReportBuilder::audit() const {

@@ -101,13 +101,21 @@ Ingested load_measurements(const std::string& path) {
     if (cols[i].rfind("f_", 0) == 0) factor_cols.push_back(i);
   }
 
-  // Regroup long-form rows per (config, rep). Rows are in export order,
-  // but a map keeps ingestion robust to externally sorted files.
+  // Regroup long-form rows per (config, rep). In export order a cell's
+  // rows are adjacent, so a row whose key repeats the previous row's
+  // reuses its slot; the map keeps externally sorted files working.
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> index;
+  std::pair<std::size_t, std::size_t> last_key;
+  std::size_t slot = 0;
   for (std::size_t r = 0; r < out.dataset.rows(); ++r) {
     const auto row = out.dataset.row(r);
     const auto key = std::make_pair(index_cell(row[config_col], path, r, "config"),
                                     index_cell(row[rep_col], path, r, "rep"));
+    if (r > 0 && key == last_key) {
+      out.cells[slot].values.push_back(row[value_col]);
+      continue;
+    }
+    last_key = key;
     auto it = index.find(key);
     if (it == index.end()) {
       IngestedSeries series;
@@ -129,7 +137,8 @@ Ingested load_measurements(const std::string& path) {
       it = index.emplace(key, out.cells.size()).first;
       out.cells.push_back(std::move(series));
     }
-    out.cells[it->second].values.push_back(row[value_col]);
+    slot = it->second;
+    out.cells[slot].values.push_back(row[value_col]);
   }
   // Cells were appended in first-appearance order; normalize to
   // (config, rep) order to match CampaignResult::cells.

@@ -16,6 +16,9 @@
 
 namespace sci::stats {
 
+/// Largest ExecPolicy::threads the command-line tools accept.
+inline constexpr std::size_t kMaxThreads = 256;
+
 struct ExecPolicy {
   /// Worker threads sharding lanes; 0 and 1 both mean "run inline on the
   /// calling thread". Never affects results.

@@ -21,11 +21,13 @@ double poly(std::span<const double> coeffs, double x) {
 }  // namespace
 
 TestResult shapiro_wilk(std::span<const double> xs) {
-  const std::size_t n = xs.size();
+  return shapiro_wilk_sorted(sorted_copy(xs));
+}
+
+TestResult shapiro_wilk_sorted(std::span<const double> x) {
+  const std::size_t n = x.size();
   if (n < 3) throw std::invalid_argument("shapiro_wilk: need n >= 3");
   if (n > 5000) throw std::invalid_argument("shapiro_wilk: n <= 5000 (subsample larger series)");
-
-  const auto x = sorted_copy(xs);
   if (x.front() == x.back()) throw std::invalid_argument("shapiro_wilk: zero range");
 
   // Expected normal order statistics m_i (Blom approximation), then the
@@ -153,8 +155,11 @@ TestResult jarque_bera(std::span<const double> xs) {
 }
 
 std::vector<QQPoint> qq_normal(std::span<const double> xs, std::size_t max_points) {
-  if (xs.empty()) throw std::invalid_argument("qq_normal: empty input");
-  const auto sorted = sorted_copy(xs);
+  return qq_normal_sorted(sorted_copy(xs), max_points);
+}
+
+std::vector<QQPoint> qq_normal_sorted(std::span<const double> sorted, std::size_t max_points) {
+  if (sorted.empty()) throw std::invalid_argument("qq_normal: empty input");
   const std::size_t n = sorted.size();
   const auto nd = static_cast<double>(n);
   const std::size_t points = std::min(n, max_points);
@@ -171,7 +176,10 @@ std::vector<QQPoint> qq_normal(std::span<const double> xs, std::size_t max_point
 }
 
 double qq_correlation(std::span<const double> xs) {
-  const auto sorted = sorted_copy(xs);
+  return qq_correlation_sorted(sorted_copy(xs));
+}
+
+double qq_correlation_sorted(std::span<const double> sorted) {
   const std::size_t n = sorted.size();
   if (n < 3) throw std::invalid_argument("qq_correlation: need n >= 3");
   const auto nd = static_cast<double>(n);

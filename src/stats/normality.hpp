@@ -26,6 +26,8 @@ struct TestResult {
 /// (the paper warns the test "may be misleading for large sample sizes";
 /// subsample or use block means instead).
 [[nodiscard]] TestResult shapiro_wilk(std::span<const double> xs);
+/// As shapiro_wilk, for data already sorted ascending (no copy).
+[[nodiscard]] TestResult shapiro_wilk_sorted(std::span<const double> sorted);
 
 /// Anderson-Darling A^2* test for normality with estimated mean/stddev
 /// (Stephens' case 3), p-value per D'Agostino & Stephens (1986).
@@ -46,9 +48,14 @@ struct QQPoint {
 /// 1M points; statistics elsewhere always use the full series).
 [[nodiscard]] std::vector<QQPoint> qq_normal(std::span<const double> xs,
                                              std::size_t max_points = 512);
+/// As qq_normal, for data already sorted ascending (no copy).
+[[nodiscard]] std::vector<QQPoint> qq_normal_sorted(std::span<const double> sorted,
+                                                    std::size_t max_points = 512);
 
 /// Pearson correlation of the Q-Q relation; ~1 for normal data. This is
 /// the probability-plot correlation coefficient (PPCC) diagnostic.
 [[nodiscard]] double qq_correlation(std::span<const double> xs);
+/// As qq_correlation, for data already sorted ascending (no copy).
+[[nodiscard]] double qq_correlation_sorted(std::span<const double> sorted);
 
 }  // namespace sci::stats

@@ -81,8 +81,8 @@ inline std::vector<double> csv_random_values(std::size_t n, std::uint64_t seed) 
 }
 
 /// Hand-written documents covering the loader's grammar: comments,
-/// CRLF, trailing commas, blank lines, padding, no final newline, and
-/// the malformed shapes whose error texts are pinned.
+/// CRLF, trailing commas, blank lines, padding, no final newline,
+/// integer edges, and the malformed shapes whose error texts are pinned.
 inline std::vector<std::string> csv_grammar_corpus() {
   return {
       "# experiment: x\n# env.k: v\na,b\n1,2\n3,4\n",
@@ -100,6 +100,10 @@ inline std::vector<std::string> csv_grammar_corpus() {
       "a,a\n1,2\n",
       "a\rb,c\n1,2\n",
       "config,rep,f_system,sample,value\n0,0,0,0,1.5\n0,0,0,1,2.5\n1,0,1,0,3\n",
+      // Integer edges of the digits-only cell path: leading zeros, 15
+      // digits (taken) against 16 (general path), signs and padding.
+      "v\n007\n999999999999999\n9999999999999999\n9007199254740993\n-0\n 12\n12\r\n",
+      "v\n+5\n",
   };
 }
 

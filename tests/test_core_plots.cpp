@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -84,6 +85,9 @@ TEST(Plots, EmptyInputsThrow) {
   EXPECT_THROW(render_density({}, {}), std::invalid_argument);
   EXPECT_THROW(render_box({}, {}), std::invalid_argument);
   EXPECT_THROW(render_xy({}, {}), std::invalid_argument);
+  // Non-finite samples are refused before anything sorts them.
+  const std::vector<double> with_nan = {1.0, std::nan(""), 3.0, 2.0};
+  EXPECT_THROW(render_density(with_nan, {}), std::domain_error);
 }
 
 TEST(Plots, WidthRespected) {

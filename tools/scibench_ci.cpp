@@ -21,12 +21,14 @@
 // treat as "fail the PR".
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "ci/dashboard.hpp"
 #include "ci/detect.hpp"
 #include "ci/history.hpp"
@@ -80,6 +82,24 @@ struct Args {
   std::vector<std::string> inputs;
 };
 
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+constexpr std::size_t kMaxCount = std::numeric_limits<std::size_t>::max();
+
+/// Stores the whole of `text` as a T in [lo, hi] in `out`; false (a
+/// usage error) for a missing value, a partial token or junk.
+template <typename T>
+bool parse_value(const char* text, std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+                 T& out) {
+  if (text == nullptr) return false;
+  const auto value = sci::tools::parse_number(text, lo, hi);
+  if (!value) {
+    std::fprintf(stderr, "invalid value: %s\n", text);
+    return false;
+  }
+  out = *value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.command = argv[1];
@@ -99,27 +119,19 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (v == nullptr) return false;
       args.html_out = v;
     } else if (a == "--alpha") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.detect.alpha = std::strtod(v, nullptr);
+      if (!parse_value(next(), 0.0, 1.0, args.detect.alpha)) return false;
     } else if (a == "--min-effect") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.detect.min_effect = std::strtod(v, nullptr);
+      if (!parse_value(next(), 0.0, kMaxDouble, args.detect.min_effect)) return false;
     } else if (a == "--baseline-window") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.detect.baseline_window = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
+      if (!parse_value(next(), 0, kMaxCount, args.detect.baseline_window)) return false;
     } else if (a == "--min-points") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.detect.min_points = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
+      if (!parse_value(next(), 0, kMaxCount, args.detect.min_points)) return false;
     } else if (a == "--threads") {
       // Shards per-metric analysis across workers; findings (and every
       // output byte) are identical at any thread count.
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.detect.policy.threads = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
+      if (!parse_value(next(), 0, sci::stats::kMaxThreads, args.detect.policy.threads)) {
+        return false;
+      }
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return false;

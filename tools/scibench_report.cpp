@@ -22,6 +22,7 @@
 #include <map>
 #include <string>
 
+#include "cli_number.hpp"
 #include "core/dataset.hpp"
 #include "core/measurement.hpp"
 #include "core/plots.hpp"
@@ -90,9 +91,9 @@ int usage(const char* argv0) {
                "  --markdown: emit a paste-ready GitHub-flavored report\n"
                "  --strict:   exit 2 if the campaign export has failed or\n"
                "              unexecuted (interrupted) cells\n"
-               "  --threads:  worker threads for per-config summarization\n"
-               "              (output is byte-identical at any count)\n",
-               argv0);
+               "  --threads:  worker threads for per-config summarization, at\n"
+               "              most %zu (output is byte-identical at any count)\n",
+               argv0, sci::stats::kMaxThreads);
   return 1;
 }
 
@@ -110,7 +111,13 @@ int main(int argc, char** argv) {
     } else if (flag == "--strict") {
       strict = true;
     } else if (flag == "--threads" && arg + 1 < argc) {
-      policy.threads = static_cast<std::size_t>(std::strtoul(argv[++arg], nullptr, 10));
+      const auto threads =
+          sci::tools::parse_number<std::size_t>(argv[++arg], 0, sci::stats::kMaxThreads);
+      if (!threads) {
+        std::fprintf(stderr, "invalid value: %s\n", argv[arg]);
+        return usage(argv[0]);
+      }
+      policy.threads = *threads;
     } else {
       return usage(argv[0]);
     }

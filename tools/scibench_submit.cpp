@@ -17,15 +17,14 @@
 // error, 2 rejected/usage, 3 interrupted (journal resumable).
 #include <unistd.h>
 
-#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "cli_number.hpp"
 #include "exec/interrupt.hpp"
 #include "exec/runner.hpp"
 #include "exec/service.hpp"
@@ -35,6 +34,7 @@
 
 namespace exec = sci::exec;
 namespace json = sci::obs::json;
+namespace tools = sci::tools;
 
 namespace {
 
@@ -117,15 +117,10 @@ void print_usage() {
 /// out of range are all refused before anything runs.
 template <typename T>
 T parse_option(const std::string& option, const char* text, T lo, T hi) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
-    std::fprintf(stderr, "scibench_submit: %s: invalid value \"%s\"\n", option.c_str(), text);
-    print_usage();
-    std::exit(2);
-  }
-  return value;
+  if (const auto value = tools::parse_number(text, lo, hi)) return *value;
+  std::fprintf(stderr, "scibench_submit: %s: invalid value \"%s\"\n", option.c_str(), text);
+  print_usage();
+  std::exit(2);
 }
 
 }  // namespace
