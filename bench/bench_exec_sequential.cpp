@@ -93,14 +93,12 @@ constexpr double kTarget = 0.02;  ///< relative CI half-width target
 std::size_t samples_per_rep() { return 60; }
 
 exec::SimBackend make_backend() {
-  exec::SimBackendOptions options;
-  options.kernel = exec::SimKernel::kPingPong;
-  options.samples = samples_per_rep();
-  options.warmup = 4;
-  options.message_bytes = 64;
-  options.scale = 1e6;
-  options.unit = "us";
-  return exec::SimBackend(options);
+  return exec::SimBackend(exec::SimBackendOptions{.kernel = exec::SimKernel::kPingPong,
+                                                  .samples = samples_per_rep(),
+                                                  .warmup = 4,
+                                                  .message_bytes = 64,
+                                                  .scale = 1e6,
+                                                  .unit = "us"});
 }
 
 /// Grid: two quiet interconnects plus the fault-injected straggler

@@ -247,7 +247,8 @@ std::vector<Finding> analyze_all(const std::vector<MetricSeries>& series,
   //
   // Nested fan-out guard: once series are sharded, each per-series
   // change-point scan must run serially -- re-entering the pooled team
-  // from inside one of its own workers would deadlock. With a single
+  // from inside one of its own workers throws std::logic_error (waiting
+  // for the region it is part of would never end). With a single
   // series (or one thread) the outer partition runs inline, and the
   // scan keeps the split-level parallelism instead.
   std::vector<Finding> findings(series.size());

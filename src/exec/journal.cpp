@@ -1,134 +1,43 @@
 #include "exec/journal.hpp"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
-#include <vector>
 
+#include "exec/wire.hpp"
+#include "obs/json.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace sci::exec {
 
 namespace {
 
-// v2 adds "stop" records; v1 journals (no stop lines) still replay.
-constexpr const char* kHeaderPrefix = "# scibench campaign journal v2 fp=";
-constexpr const char* kHeaderPrefixV1 = "# scibench campaign journal v1 fp=";
+namespace json = obs::json;
 
-/// Doubles travel as IEEE-754 bit patterns so the journal round-trip is
-/// byte-exact (decimal formatting would quantize and break the resumed
-/// CSV differential).
-std::uint64_t double_bits(double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
+constexpr std::size_t kVersion = 3;
 
-double bits_double(std::uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-/// Strings (unit, stop_reason, error) are hex-encoded into a single
-/// space-free token; "-" marks the empty string.
-std::string encode_text(const std::string& text) {
-  if (text.empty()) return "-";
-  static const char* hex = "0123456789abcdef";
-  std::string out;
-  out.reserve(text.size() * 2);
-  for (unsigned char c : text) {
-    out.push_back(hex[c >> 4]);
-    out.push_back(hex[c & 0xf]);
-  }
-  return out;
-}
-
-bool decode_text(const std::string& token, std::string& out) {
-  out.clear();
-  if (token == "-") return true;
-  if (token.size() % 2 != 0) return false;
-  out.reserve(token.size() / 2);
-  for (std::size_t i = 0; i < token.size(); i += 2) {
-    int hi = -1, lo = -1;
-    for (int half = 0; half < 2; ++half) {
-      const char c = token[i + static_cast<std::size_t>(half)];
-      int v = -1;
-      if (c >= '0' && c <= '9') v = c - '0';
-      else if (c >= 'a' && c <= 'f') v = c - 'a' + 10;
-      (half == 0 ? hi : lo) = v;
+/// The fingerprint a version-3 header line carries, or nullopt when the
+/// line is not one (v1/v2 token headers and foreign files included).
+std::optional<std::uint64_t> header_fingerprint(const std::string& line) {
+  try {
+    const json::Value root = json::parse(line);
+    if (root.at("schema").as_string() == "scibench.journal" &&
+        root.at("version").as_size() == kVersion) {
+      return wire::parse_hex_u64(root.at("fingerprint").as_string());
     }
-    if (hi < 0 || lo < 0) return false;
-    out.push_back(static_cast<char>((hi << 4) | lo));
+  } catch (const std::runtime_error&) {
+    // Not JSON, or a field is missing or mistyped: not a v3 header.
   }
-  return true;
+  return std::nullopt;
 }
 
-bool parse_u64(const std::string& token, int base, std::uint64_t& out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, base);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-/// Parses one "cell ..." line into its key and result. Returns false on
-/// any malformation (short line, bad token, missing trailing "ok") --
-/// the caller treats that as the torn tail and stops replaying.
-bool parse_record(const std::string& line, std::size_t& config_index, std::size_t& rep,
-                  std::uint64_t& seed, CellResult& result) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  for (std::string t; in >> t;) tokens.push_back(std::move(t));
-  // cell <config> <rep> <seed> <attempts> <warmup> <stop_reason> <unit>
-  //   <error> <n> <n sample bit patterns> ok
-  constexpr std::size_t kFixed = 10;
-  if (tokens.size() < kFixed + 1 || tokens[0] != "cell") return false;
-  if (tokens.back() != "ok") return false;
-  std::uint64_t cfg = 0, r = 0, attempts = 0, warmup = 0, n = 0;
-  if (!parse_u64(tokens[1], 10, cfg) || !parse_u64(tokens[2], 10, r) ||
-      !parse_u64(tokens[3], 16, seed) || !parse_u64(tokens[4], 10, attempts) ||
-      !parse_u64(tokens[5], 10, warmup)) {
-    return false;
-  }
-  result = CellResult{};
-  if (!decode_text(tokens[6], result.stop_reason) ||
-      !decode_text(tokens[7], result.unit) || !decode_text(tokens[8], result.error)) {
-    return false;
-  }
-  if (!parse_u64(tokens[9], 10, n)) return false;
-  if (tokens.size() != kFixed + n + 1) return false;
-  result.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t bits = 0;
-    if (!parse_u64(tokens[kFixed + i], 16, bits)) return false;
-    result.samples.push_back(bits_double(bits));
-  }
-  config_index = static_cast<std::size_t>(cfg);
-  rep = static_cast<std::size_t>(r);
-  result.attempts = static_cast<std::size_t>(attempts);
-  result.warmup_discarded = static_cast<std::size_t>(warmup);
-  return true;
-}
-
-/// Parses one "stop <config> <reps> <reason> ok" line.
-bool parse_stop(const std::string& line, std::size_t& config_index,
-                CampaignJournal::StopRecord& record) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  for (std::string t; in >> t;) tokens.push_back(std::move(t));
-  if (tokens.size() != 5 || tokens[0] != "stop" || tokens.back() != "ok") return false;
-  std::uint64_t cfg = 0, reps = 0;
-  if (!parse_u64(tokens[1], 10, cfg) || !parse_u64(tokens[2], 10, reps)) return false;
-  if (!decode_text(tokens[3], record.reason)) return false;
-  config_index = static_cast<std::size_t>(cfg);
-  record.reps = static_cast<std::size_t>(reps);
-  return true;
+/// Writes one whole line and flushes it: after a crash the file holds
+/// every line whose flush returned plus at most one torn tail.
+void write_line(std::FILE* file, const std::string& line) {
+  std::fwrite(line.data(), 1, line.size(), file);
+  std::fflush(file);
 }
 
 std::uint64_t mix_bytes(std::uint64_t state, const std::string& text) {
@@ -151,7 +60,7 @@ std::uint64_t CampaignJournal::fingerprint(const Campaign& campaign,
   // Sequential campaigns mix the full policy: a journal written under a
   // different CI target / rep bounds would replay into different stop
   // decisions, so it must refuse to resume. Fixed-mode fingerprints
-  // stay bit-identical to v1 (old journals keep resuming).
+  // do not depend on the policy at all.
   if (spec.stopping.sequential()) state = mix_bytes(state, spec.stopping.describe());
   return rng::splitmix64_next(state);
 }
@@ -159,52 +68,50 @@ std::uint64_t CampaignJournal::fingerprint(const Campaign& campaign,
 CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint)
     : path_(std::move(path)) {
   // Replay pass: read whatever a previous (possibly killed) run left
-  // behind. A line that fails to parse (no trailing "ok", truncated
-  // token) is the torn tail of an interrupted append; it is skipped --
-  // not treated as end-of-records, because a healed journal keeps
-  // appending valid records AFTER the scar -- and the resumed run
-  // simply re-executes that cell.
+  // behind. A line that fails to parse or lacks a field is the torn
+  // tail of an interrupted append; it is skipped -- not treated as
+  // end-of-records, because a healed journal keeps appending valid
+  // records AFTER the scar -- and the resumed run simply re-executes
+  // that cell.
   bool has_header = false;
   bool ends_with_newline = true;
   {
     std::ifstream in(path_);
     std::string line;
-    bool first = true;
     while (in && std::getline(in, line)) {
       ends_with_newline = !in.eof();
-      if (first) {
-        first = false;
-        const bool v2 = line.rfind(kHeaderPrefix, 0) == 0;
-        const bool v1 = !v2 && line.rfind(kHeaderPrefixV1, 0) == 0;
-        if (v2 || v1) {
-          const char* prefix = v2 ? kHeaderPrefix : kHeaderPrefixV1;
-          std::uint64_t fp = 0;
-          if (!parse_u64(line.substr(std::strlen(prefix)), 16, fp) ||
-              fp != fingerprint) {
-            throw std::runtime_error(
-                "CampaignJournal: '" + path_ +
-                "' was written by a different campaign/backend (fingerprint mismatch); "
-                "refusing to resume from it");
-          }
-          has_header = true;
-          continue;
+      if (!has_header) {
+        const std::optional<std::uint64_t> fp = header_fingerprint(line);
+        if (!fp) {
+          throw std::runtime_error("CampaignJournal: '" + path_ +
+                                   "' exists but is not a version-3 campaign journal");
         }
-        throw std::runtime_error("CampaignJournal: '" + path_ +
-                                 "' exists but is not a campaign journal");
-      }
-      if (line.rfind("stop ", 0) == 0) {
-        std::size_t config_index = 0;
-        StopRecord record;
-        if (parse_stop(line, config_index, record)) {
-          stops_[config_index] = std::move(record);
+        if (*fp != fingerprint) {
+          throw std::runtime_error(
+              "CampaignJournal: '" + path_ +
+              "' was written by a different campaign/backend (fingerprint mismatch); "
+              "refusing to resume from it");
         }
+        has_header = true;
         continue;
       }
-      std::size_t config_index = 0, rep = 0;
-      std::uint64_t seed = 0;
-      CellResult result;
-      if (!parse_record(line, config_index, rep, seed, result)) continue;
-      records_[{config_index, rep}] = {seed, std::move(result)};
+      try {
+        const json::Value root = json::parse(line);
+        if (const json::Value* stop = root.find("stop")) {
+          const std::size_t config_index = stop->as_size();
+          StopRecord record{root.at("reps").as_size(), root.at("reason").as_string()};
+          stops_[config_index] = std::move(record);
+        } else {
+          const std::size_t config_index = root.at("cell").as_size();
+          const std::size_t rep = root.at("rep").as_size();
+          const std::uint64_t seed = wire::parse_hex_u64(root.at("seed").as_string());
+          CellResult result = wire::cell_result_from_json(root.at("result"));
+          result.attempts = root.at("attempts").as_size();
+          records_[{config_index, rep}] = {seed, std::move(result)};
+        }
+      } catch (const std::runtime_error&) {
+        // The torn tail (or a scar left by an earlier crash): skipped.
+      }
     }
   }
 
@@ -214,13 +121,16 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint)
                              "' for appending: " + std::strerror(errno));
   }
   if (!has_header) {
-    std::fprintf(file_, "%s%016" PRIx64 "\n", kHeaderPrefix, fingerprint);
-    std::fflush(file_);
+    std::string header = "{\"schema\": \"scibench.journal\", \"version\": ";
+    header += json::dump_size(kVersion);
+    header += ", \"fingerprint\": ";
+    json::append_quoted(header, wire::hex_u64(fingerprint));
+    header += "}\n";
+    write_line(file_, header);
   } else if (!ends_with_newline) {
     // Heal a torn tail so the next record starts on its own line
     // instead of gluing onto the scar.
-    std::fputc('\n', file_);
-    std::fflush(file_);
+    write_line(file_, "\n");
   }
 }
 
@@ -238,18 +148,18 @@ const CellResult* CampaignJournal::find(std::size_t config_index, std::size_t re
 
 void CampaignJournal::append(std::size_t config_index, std::size_t rep,
                              std::uint64_t seed, const CellResult& result) {
+  std::string line;
+  line.reserve(160 + result.samples.size() * 20);
+  line += "{\"cell\": " + json::dump_size(config_index);
+  line += ", \"rep\": " + json::dump_size(rep);
+  line += ", \"seed\": ";
+  json::append_quoted(line, wire::hex_u64(seed));
+  line += ", \"attempts\": " + json::dump_size(result.attempts);
+  line += ", \"result\": ";
+  wire::append_cell_result(line, result);
+  line += "}\n";
   std::lock_guard<std::mutex> lock(mutex_);
-  std::fprintf(file_, "cell %zu %zu %016" PRIx64 " %zu %zu %s %s %s %zu", config_index,
-               rep, seed, result.attempts, result.warmup_discarded,
-               encode_text(result.stop_reason).c_str(), encode_text(result.unit).c_str(),
-               encode_text(result.error).c_str(), result.samples.size());
-  for (double s : result.samples) {
-    std::fprintf(file_, " %016" PRIx64, double_bits(s));
-  }
-  // Trailing token marks the record complete; a line missing it is the
-  // torn tail of a crash and is dropped on replay.
-  std::fprintf(file_, " ok\n");
-  std::fflush(file_);
+  write_line(file_, line);
   records_[{config_index, rep}] = {seed, result};
 }
 
@@ -262,10 +172,13 @@ const CampaignJournal::StopRecord* CampaignJournal::find_stop(
 
 void CampaignJournal::append_stop(std::size_t config_index, std::size_t reps,
                                   const std::string& reason) {
+  std::string line = "{\"stop\": " + json::dump_size(config_index);
+  line += ", \"reps\": " + json::dump_size(reps);
+  line += ", \"reason\": ";
+  json::append_quoted(line, reason);
+  line += "}\n";
   std::lock_guard<std::mutex> lock(mutex_);
-  std::fprintf(file_, "stop %zu %zu %s ok\n", config_index, reps,
-               encode_text(reason).c_str());
-  std::fflush(file_);
+  write_line(file_, line);
   stops_[config_index] = StopRecord{reps, reason};
 }
 

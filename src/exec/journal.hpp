@@ -1,15 +1,25 @@
 // CampaignJournal: append-only on-disk record of completed campaign
 // cells, giving CampaignRunner crash-safe checkpoint/resume.
 //
-// The journal is a text file with one header line and one line per
-// finished cell (successful OR failed -- both outcomes are final; only
-// interrupted cells are withheld so a resume retries them). Every
+// The journal is a file of canonical JSON lines (obs/json.hpp): one
+// header line, then one line per finished cell (successful OR failed --
+// both outcomes are final; only interrupted cells are withheld so a
+// resume retries them) and one per retired config:
+//
+//   {"schema": "scibench.journal", "version": 3, "fingerprint": "<16 hex>"}
+//   {"cell": c, "rep": r, "seed": "<16 hex>", "attempts": a, "result": <scibench.cell>}
+//   {"stop": c, "reps": n, "reason": "..."}
+//
+// "result" is the object wire::append_cell_result emits for a worker
+// reply, so a CellResult has one codec on the pipe and on disk. Every
 // append is fflush()ed before the runner moves on, so after a crash or
 // kill the file holds every cell whose record write completed plus at
-// most one torn line at the tail; the reader drops the torn tail and
-// the resumed run simply re-executes that cell.
+// most one torn line at the tail. On replay a line that does not parse
+// or lacks a field is skipped; later records still replay, and a
+// missing final newline is healed before the next append, so the
+// resumed run simply re-executes the torn cell.
 //
-// Byte-exactness: sample values are stored as 16-hex-digit IEEE-754 bit
+// Byte-exactness: samples are stored as 16-hex-digit IEEE-754 bit
 // patterns, not decimal, so a journal round-trip reproduces the exact
 // doubles the backend emitted and resumed campaigns export CSVs that
 // are byte-identical to an uninterrupted run (pinned by
@@ -25,12 +35,16 @@
 // whose seed disagrees with the requested cell (e.g. the campaign
 // gained a seed_override) is ignored rather than trusted.
 //
-// Format v2 (current; v1 journals still replay) adds per-config stop
-// records: "stop <config> <reps> <reason> ok", appended when a
-// sequential campaign retires a config. On resume the runner recomputes
-// each stop decision from the replayed samples -- the decisions are
-// deterministic, so the journaled record acts as a cross-run
-// consistency check (mismatch throws) rather than a directive.
+// Stop records are appended when a sequential campaign retires a
+// config. On resume the runner recomputes each stop decision from the
+// replayed samples -- the decisions are deterministic, so the journaled
+// record acts as a cross-run consistency check (mismatch throws) rather
+// than a directive.
+//
+// Versions: v1 and v2 journals (the earlier space-separated token
+// format) are refused like any foreign file -- std::runtime_error at
+// open. Delete them, or finish the campaign with the release that
+// wrote them.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +61,9 @@ namespace sci::exec {
 class CampaignJournal {
  public:
   /// Opens (or creates) the journal at `path`, replaying any existing
-  /// records. Throws std::runtime_error when the file exists but its
-  /// fingerprint does not match, or when it cannot be opened/created.
+  /// records. Throws std::runtime_error when the file exists but is not
+  /// a version-3 journal or its fingerprint does not match, or when it
+  /// cannot be opened/created.
   CampaignJournal(std::string path, std::uint64_t fingerprint);
   ~CampaignJournal();
 
@@ -85,8 +100,8 @@ class CampaignJournal {
   /// Campaign/backend identity hash written into the journal header:
   /// splitmix64 chained over the campaign name, seed, replications,
   /// config count, and backend name -- plus the stopping-policy
-  /// description for sequential campaigns (fixed-mode fingerprints are
-  /// unchanged from v1).
+  /// description for sequential campaigns (fixed-mode fingerprints do
+  /// not depend on the policy).
   [[nodiscard]] static std::uint64_t fingerprint(const Campaign& campaign,
                                                  const std::string& backend_name);
 

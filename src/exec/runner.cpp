@@ -30,23 +30,16 @@ CellKey make_cell_key(const std::string& backend_name, const Config& config,
 }
 
 std::size_t CampaignResult::rep_count(std::size_t config_index) const {
-  if (cell_offsets.size() == configs + 1) {
-    if (config_index >= configs)
-      throw std::out_of_range("CampaignResult::rep_count: config out of range");
-    return cell_offsets[config_index + 1] - cell_offsets[config_index];
-  }
-  // Hand-assembled fixed-arity results (tests, ad hoc tooling) that
-  // never filled the offsets keep the legacy uniform grouping.
-  return replications;
+  if (config_index >= configs || cell_offsets.size() != configs + 1)
+    throw std::out_of_range(
+        "CampaignResult::rep_count: config out of range or cell_offsets not filled");
+  return cell_offsets[config_index + 1] - cell_offsets[config_index];
 }
 
 const CampaignCell& CampaignResult::cell(std::size_t config_index, std::size_t rep) const {
   if (rep >= rep_count(config_index))
     throw std::out_of_range("CampaignResult::cell: rep out of range");
-  const std::size_t base = cell_offsets.size() == configs + 1
-                               ? cell_offsets[config_index]
-                               : config_index * replications;
-  return cells.at(base + rep);
+  return cells.at(cell_offsets[config_index] + rep);
 }
 
 const std::vector<double>& CampaignResult::series(std::size_t config_index,

@@ -173,7 +173,8 @@ struct CampaignResult {
 
   [[nodiscard]] std::size_t config_count() const { return configs; }
   /// Replications present for one config (varies under sequential
-  /// stopping; == replications in fixed mode).
+  /// stopping; == replications in fixed mode). rep_count and cell read
+  /// cell_offsets and throw std::out_of_range when it was never filled.
   [[nodiscard]] std::size_t rep_count(std::size_t config_index) const;
   [[nodiscard]] const CampaignCell& cell(std::size_t config_index,
                                          std::size_t rep = 0) const;

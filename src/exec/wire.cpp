@@ -306,9 +306,7 @@ JobSpec parse_job_json(std::string_view text) {
   return job;
 }
 
-std::string cell_result_to_json(const CellResult& result) {
-  std::string out;
-  out.reserve(64 + result.samples.size() * 20);
+void append_cell_result(std::string& out, const CellResult& result) {
   out += "{\"schema\": \"scibench.cell\", \"version\": ";
   out += json::dump_size(static_cast<std::size_t>(kVersion));
   out += ", \"unit\": ";
@@ -324,11 +322,9 @@ std::string cell_result_to_json(const CellResult& result) {
     json::append_quoted(out, hex_double(result.samples[i]));
   }
   out += "]}";
-  return out;
 }
 
-CellResult parse_cell_result_json(std::string_view text) {
-  const json::Value root = json::parse(text);
+CellResult cell_result_from_json(const json::Value& root) {
   check_schema(root, "scibench.cell");
   CellResult result;
   result.unit = root.at("unit").as_string();
@@ -336,11 +332,25 @@ CellResult parse_cell_result_json(std::string_view text) {
   result.warmup_discarded = root.at("warmup_discarded").as_size();
   result.error = root.at("error").as_string();
   const json::Value& samples = root.at("samples");
+  if (samples.type != json::Value::Type::kArray) {
+    throw std::runtime_error("wire: \"samples\" must be an array");
+  }
   result.samples.reserve(samples.array.size());
   for (const auto& s : samples.array) {
     result.samples.push_back(parse_hex_double(s.as_string()));
   }
   return result;
+}
+
+std::string cell_result_to_json(const CellResult& result) {
+  std::string out;
+  out.reserve(64 + result.samples.size() * 20);
+  append_cell_result(out, result);
+  return out;
+}
+
+CellResult parse_cell_result_json(std::string_view text) {
+  return cell_result_from_json(json::parse(text));
 }
 
 }  // namespace sci::exec::wire

@@ -22,11 +22,13 @@
 //       batch message: the saving is in round trips, not in bytes.
 //
 //   Cell result         The worker's reply: CellResult with every
-//       sample carried as the 16-hex-digit IEEE-754 bit pattern (the
-//       journal's convention) -- doubles cross the process boundary
-//       bit-exactly, which the byte-identity invariant requires. JSON
-//       numbers would round-trip via shortest-form decimal too, but hex
-//       also survives NaN payloads and is grep-able against journals.
+//       sample carried as the 16-hex-digit IEEE-754 bit pattern --
+//       doubles cross the process boundary bit-exactly, which the
+//       byte-identity invariant requires. JSON numbers would round-trip
+//       via shortest-form decimal too, but hex also survives NaN
+//       payloads. The campaign journal (exec/journal.hpp) embeds this
+//       same object in its cell records, so a CellResult has one codec
+//       whether it crosses a pipe or goes to disk.
 //
 // u64 seeds travel as 16-digit hex strings: a JSON number is a double
 // and cannot represent every 64-bit seed.
@@ -43,6 +45,10 @@
 #include "exec/backend.hpp"
 #include "exec/campaign.hpp"
 #include "exec/sim_backend.hpp"
+
+namespace sci::obs::json {
+struct Value;
+}
 
 namespace sci::exec::wire {
 
@@ -81,8 +87,17 @@ struct JobSpec {
 [[nodiscard]] JobSpec parse_job_json(std::string_view text);
 
 /// One worker reply (schema "scibench.cell", version 1). Samples are
-/// hex bit patterns; error text passes through quoted.
+/// hex bit patterns; error text passes through quoted. `attempts` and
+/// the runner-filled fields are not carried.
 [[nodiscard]] std::string cell_result_to_json(const CellResult& result);
 [[nodiscard]] CellResult parse_cell_result_json(std::string_view text);
+
+/// The same codec one level down, for documents that embed the cell
+/// object: append_cell_result writes it at the end of `out`, and
+/// cell_result_from_json reads it from an already parsed value
+/// (std::runtime_error on a wrong schema, a missing field or a bad
+/// hex sample).
+void append_cell_result(std::string& out, const CellResult& result);
+[[nodiscard]] CellResult cell_result_from_json(const obs::json::Value& root);
 
 }  // namespace sci::exec::wire

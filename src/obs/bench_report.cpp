@@ -163,17 +163,21 @@ BenchReporter::BenchReporter(std::string bench_name) {
     report_.git_sha = sha;
   }
 #ifdef NDEBUG
-  report_.context["build_type"] = "release";
+  constexpr const char* build_type = "release";
 #else
-  report_.context["build_type"] = "debug";
+  constexpr const char* build_type = "debug";
 #endif
 #if defined(SCIBENCH_POOLING) && !SCIBENCH_POOLING
-  report_.context["pooling"] = "0";
+  constexpr const char* pooling = "0";
 #else
-  report_.context["pooling"] = "1";
+  constexpr const char* pooling = "1";
 #endif
-  report_.context["hardware_concurrency"] =
-      std::to_string(std::thread::hardware_concurrency());
+  // Constructed in place, not assigned: gcc 12 in Release reports a
+  // false -Wrestrict overlap for string assignment from a literal here.
+  report_.context.emplace("build_type", build_type);
+  report_.context.emplace("pooling", pooling);
+  report_.context.emplace("hardware_concurrency",
+                          std::to_string(std::thread::hardware_concurrency()));
 }
 
 BenchReporter& BenchReporter::set_context(std::string key, std::string value) {

@@ -79,7 +79,7 @@ bool write_file_atomic(const std::string& path, std::string_view text);
 class BenchReporter {
  public:
   /// Fills git sha (SCIBENCH_GIT_SHA env var, else "unknown") and the
-  /// standard build context: build_type, pooling, tracing,
+  /// standard build context: build_type, pooling,
   /// hardware_concurrency.
   explicit BenchReporter(std::string bench_name);
 

@@ -7,51 +7,27 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace sci::obs {
 namespace {
 
-/// Deterministic number rendering: fixed microsecond timestamps with
-/// picosecond resolution, shortest-roundtrip args. printf-family output
-/// for a given double is stable within one libc, which is what the
-/// byte-identical-trace guarantee needs.
+/// Timestamps print as fixed microseconds with picosecond resolution.
+/// printf-family output for a given double is stable within one libc,
+/// which is what the byte-identical-trace guarantee needs.
 std::string fmt_us(double seconds) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6f", seconds * 1e6);
   return buf;
 }
 
-std::string fmt_value(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
+/// Arg values print through obs::json, so a non-finite value becomes
+/// null and the file stays JSON that parse_trace can load.
 void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
   os << "\"args\":{";
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i) os << ',';
-    os << '"';
-    write_escaped(os, args[i].key);
-    os << "\":" << fmt_value(args[i].value);
+    os << json::quoted(args[i].key) << ':' << json::dump_number(args[i].value);
   }
   os << '}';
 }
@@ -115,24 +91,18 @@ void TraceSink::write_json(std::ostream& os, const WriteOptions& options) const 
   };
 
   sep();
-  os << R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":")";
-  write_escaped(os, process_name_);
-  os << "\"}}";
+  os << R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":)"
+     << json::quoted(process_name_) << "}}";
   for (const auto& [tid, name] : track_names_) {
     sep();
     os << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << tid
-       << R"(,"args":{"name":")";
-    write_escaped(os, name);
-    os << "\"}}";
+       << R"(,"args":{"name":)" << json::quoted(name) << "}}";
   }
 
   for (const Event& e : events_) {
     sep();
-    os << "{\"name\":\"";
-    write_escaped(os, e.name);
-    os << "\",\"cat\":\"";
-    write_escaped(os, e.cat);
-    os << "\",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.tid
+    os << "{\"name\":" << json::quoted(e.name) << ",\"cat\":" << json::quoted(e.cat)
+       << ",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.tid
        << ",\"ts\":" << fmt_us(e.ts_s);
     if (e.phase == 'X') os << ",\"dur\":" << fmt_us(e.dur_s);
     if (e.phase == 'i') os << ",\"s\":\"t\"";

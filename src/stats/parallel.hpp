@@ -20,7 +20,8 @@ class ThreadTeam;
 namespace sci::stats {
 
 /// The pooled team of `size` workers (size >= 2). Creates it on first
-/// use; concurrent callers of the same size share one team.
+/// use; concurrent callers of the same size share one team and take
+/// turns on it (ThreadTeam::run waits for the active region).
 [[nodiscard]] std::shared_ptr<threads::ThreadTeam> shared_team(std::size_t size);
 
 /// Runs body(worker, lo, hi) over a static contiguous partition of

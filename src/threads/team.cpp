@@ -1,8 +1,14 @@
 #include "threads/team.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace sci::threads {
+
+namespace {
+/// The team whose worker the calling thread is, if any.
+thread_local const ThreadTeam* t_member = nullptr;
+}  // namespace
 
 ThreadTeam::ThreadTeam(std::size_t size) {
   if (size == 0) throw std::invalid_argument("ThreadTeam: size >= 1");
@@ -22,16 +28,23 @@ ThreadTeam::~ThreadTeam() {
 }
 
 void ThreadTeam::run(const std::function<void(std::size_t)>& region) {
+  // Waiting for the active region from inside it would never end.
+  if (t_member == this) {
+    throw std::logic_error("ThreadTeam::run: nested call from one of the team's workers");
+  }
   std::unique_lock lock(mutex_);
-  if (running_ != 0) throw std::logic_error("ThreadTeam::run: region already active");
-  first_error_ = nullptr;
+  cv_.wait(lock, [this] { return !active_; });
+  active_ = true;
   region_ = &region;
   running_ = workers_.size();
   ++generation_;
   cv_.notify_all();
   cv_.wait(lock, [this] { return running_ == 0; });
   region_ = nullptr;
-  if (first_error_) std::rethrow_exception(first_error_);
+  active_ = false;
+  const std::exception_ptr error = std::exchange(first_error_, nullptr);
+  cv_.notify_all();  // the next waiting caller may start its region
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadTeam::parallel_for(std::size_t begin, std::size_t end,
@@ -49,6 +62,7 @@ void ThreadTeam::parallel_for(std::size_t begin, std::size_t end,
 }
 
 void ThreadTeam::worker_loop(std::size_t id) {
+  t_member = this;
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(std::size_t)>* region = nullptr;

@@ -13,7 +13,10 @@ namespace sci::threads {
 
 /// Spawns `size` long-lived workers; run() executes a region on all of
 /// them (worker 0..size-1) and joins. Exceptions from workers propagate
-/// out of run() (first one wins).
+/// out of run() (first one wins). Concurrent callers take turns: a
+/// second thread's run() waits until the active region has joined. A
+/// run() from one of the team's own workers throws std::logic_error,
+/// since it would wait on the region it is part of.
 class ThreadTeam {
  public:
   explicit ThreadTeam(std::size_t size);
@@ -40,6 +43,7 @@ class ThreadTeam {
   const std::function<void(std::size_t)>* region_ = nullptr;
   std::uint64_t generation_ = 0;
   std::size_t running_ = 0;
+  bool active_ = false;  ///< a caller's region is running or joining
   bool shutdown_ = false;
   std::exception_ptr first_error_;
 };

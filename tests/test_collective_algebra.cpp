@@ -114,7 +114,8 @@ TEST_P(CollectiveAlgebra, ReduceMatchesSerialFold) {
 INSTANTIATE_TEST_SUITE_P(ProcessCounts, CollectiveAlgebra,
                          ::testing::Values(2, 3, 5, 8, 13, 16, 32),
                          [](const auto& tpi) {
-                           return "p" + std::to_string(tpi.param);
+                           std::string name = "p";
+                           return name += std::to_string(tpi.param);
                          });
 
 }  // namespace

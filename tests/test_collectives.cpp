@@ -122,7 +122,8 @@ TEST_P(CollectiveRanks, BarrierSeparatesPhases) {
 INSTANTIATE_TEST_SUITE_P(ProcessCounts, CollectiveRanks,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16, 27, 32, 33, 64),
                          [](const auto& tpi) {
-                           return "p" + std::to_string(tpi.param);
+                           std::string name = "p";
+                           return name += std::to_string(tpi.param);
                          });
 
 TEST(WindowSync, RanksLeaveNearlySimultaneously) {

@@ -155,7 +155,8 @@ TEST_P(ExtCollectives, CorrectUnderNoise) {
 INSTANTIATE_TEST_SUITE_P(ProcessCounts, ExtCollectives,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16, 31, 32),
                          [](const auto& tpi) {
-                           return "p" + std::to_string(tpi.param);
+                           std::string name = "p";
+                           return name += std::to_string(tpi.param);
                          });
 
 TEST(ExtCollectives, ScatterValidation) {

@@ -20,9 +20,7 @@ std::vector<double> lognormal_sample(std::size_t n, std::uint64_t seed) {
 
 TEST(Plots, DensityContainsMarkersAndAxis) {
   const auto v = lognormal_sample(2000, 1);
-  PlotOptions opts;
-  opts.title = "latency density";
-  opts.x_label = "us";
+  const PlotOptions opts{.title = "latency density", .x_label = "us"};
   const auto text = render_density(v, opts);
   EXPECT_NE(text.find("latency density"), std::string::npos);
   EXPECT_NE(text.find("M=median"), std::string::npos);

@@ -289,7 +289,8 @@ TEST(Journal, ToleratesTornTail) {
     journal.append(0, 0, 10, r);
     journal.append(1, 0, 11, r);
   }
-  // Simulate a crash mid-append: a record missing its trailing "ok".
+  // Simulate a crash mid-append: a cut-short line (here in the old
+  // token format, which does not parse as JSON either).
   {
     std::ofstream out(path, std::ios::app);
     out << "cell 2 0 000000000000000c 1 0 - - - 2 3ff8000000";
@@ -303,6 +304,31 @@ TEST(Journal, ToleratesTornTail) {
   reopened.append(2, 0, 12, r);
   CampaignJournal again(path, 77);
   EXPECT_EQ(again.find(2, 0, 12)->samples, r.samples);
+
+  // A real record cut mid-line: the first half of the line another
+  // journal wrote for cell (3, 0).
+  const std::string donor = temp_path("journal_torn_donor.log");
+  { CampaignJournal(donor, 77).append(3, 0, 13, r); }
+  std::string record;
+  {
+    std::ifstream in(donor);
+    std::getline(in, record);  // header
+    std::getline(in, record);
+  }
+  std::remove(donor.c_str());
+  ASSERT_GT(record.size(), 20u);
+  {
+    std::ofstream out(path, std::ios::app);
+    out << record.substr(0, record.size() / 2);
+  }
+  CampaignJournal cut(path, 77);
+  EXPECT_EQ(cut.size(), 3u);
+  EXPECT_EQ(cut.find(3, 0, 13), nullptr);
+  cut.append(3, 0, 13, r);
+  CampaignJournal healed(path, 77);
+  EXPECT_EQ(healed.size(), 4u);
+  ASSERT_NE(healed.find(3, 0, 13), nullptr);
+  EXPECT_EQ(healed.find(3, 0, 13)->samples, r.samples);
 }
 
 TEST(Journal, RefusesForeignFiles) {
@@ -320,6 +346,18 @@ TEST(Journal, RefusesForeignFiles) {
     out << "config,rep,value\n0,0,1.5\n";
   }
   EXPECT_THROW(CampaignJournal(junk, 1), std::runtime_error);
+
+  // v1 and v2 journals (space-separated tokens) count as foreign, even
+  // when their fingerprint matches.
+  for (const char* header : {"# scibench campaign journal v1 fp=0000000000000001\n",
+                             "# scibench campaign journal v2 fp=0000000000000001\n"}) {
+    const std::string token = temp_path("journal_token.log");
+    {
+      std::ofstream out(token);
+      out << header << "cell 0 0 0000000000000000 1 0 - - - 1 3ff8000000000000 ok\n";
+    }
+    EXPECT_THROW(CampaignJournal(token, 1), std::runtime_error) << header;
+  }
 }
 
 TEST(Journal, FingerprintSeparatesCampaignsAndBackends) {
@@ -624,6 +662,23 @@ TEST(CampaignCsv, SummaryRowsMatchSummarizeSeries) {
           << want[c];
     }
   }
+}
+
+TEST(CampaignCsv, UnfilledOffsetsRefuseGrouping) {
+  // Only CampaignRunner::run fills cell_offsets; a hand-built result
+  // still exports, but grouping by (config, rep) throws.
+  CampaignResult result;
+  result.configs = 2;
+  result.replications = 1;
+  for (std::size_t i = 0; i < 2; ++i) {
+    CampaignCell cell;
+    cell.config.index = i;
+    cell.result.samples = {1.0, 2.0};
+    result.cells.push_back(std::move(cell));
+  }
+  EXPECT_EQ(result.summary_dataset().rows(), 2u);
+  EXPECT_THROW((void)result.rep_count(0), std::out_of_range);
+  EXPECT_THROW((void)result.cell(1), std::out_of_range);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // indistinguishable from the legacy fixed-replication path), byte
 // determinism of sequential campaigns across worker counts, early
 // retirement + deterministic budget reallocation, kill/resume mid-round
-// through the v2 journal, and the per-config stop accounting end to end
+// through the journal, and the per-config stop accounting end to end
 // (CampaignResult -> CSV header -> ingest).
 #include <gtest/gtest.h>
 
@@ -384,10 +384,11 @@ TEST(SequentialStopping, TamperedStopRecordIsRejectedOnResume) {
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   in.close();
-  const std::size_t pos = text.find("\nstop ");
+  const std::size_t pos = text.find("\n{\"stop\": ");
   ASSERT_NE(pos, std::string::npos);
-  const std::size_t reps_start = text.find(' ', pos + 6) + 1;
-  const std::size_t reps_end = text.find(' ', reps_start);
+  const std::string reps_key = "\"reps\": ";
+  const std::size_t reps_start = text.find(reps_key, pos) + reps_key.size();
+  const std::size_t reps_end = text.find(',', reps_start);
   const std::size_t reps =
       static_cast<std::size_t>(std::stoul(text.substr(reps_start, reps_end - reps_start)));
   text.replace(reps_start, reps_end - reps_start, std::to_string(reps + 1));

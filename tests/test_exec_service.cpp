@@ -189,6 +189,19 @@ TEST(Wire, JobAndCellResultRoundTrip) {
   EXPECT_EQ(wire::cell_result_to_json(parsed), cell_line);
 }
 
+TEST(Wire, CellResultSamplesMustBeAnArray) {
+  // Anything else would decode as a cell with no samples; a journal
+  // replays such a damaged record as a torn line instead.
+  const std::string good = wire::cell_result_to_json(CellResult{});
+  const std::size_t at = good.find("\"samples\": []");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"7", "null", "\"\"", "{}"}) {
+    std::string line = good;
+    line.replace(at + 11, 2, bad);
+    EXPECT_THROW((void)wire::parse_cell_result_json(line), std::runtime_error) << line;
+  }
+}
+
 // ----------------------------------------------- pool byte-identity
 
 TEST(ProcessPoolBackend, FixedCampaignMatchesInProcessByteForByte) {

@@ -82,7 +82,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LuCase{128, 64}, LuCase{150, 150} /* unblocked */,
                       LuCase{150, 1} /* fully unblocked columns */),
     [](const auto& tpi) {
-      return "n" + std::to_string(tpi.param.n) + "_b" + std::to_string(tpi.param.block);
+      std::string name = "n";
+      name += std::to_string(tpi.param.n);
+      name += "_b";
+      return name += std::to_string(tpi.param.block);
     });
 
 TEST(Lu, BlockSizeDoesNotChangeResult) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +42,21 @@ TEST(TraceSink, CollectsAndSerializesEvents) {
   EXPECT_EQ(trace.events[1].phase, 'i');
   EXPECT_EQ(trace.events[2].phase, 'C');
   EXPECT_EQ(trace.track_names.at(0), "rank 0");
+}
+
+TEST(TraceSink, NonFiniteValuesStillWriteJson) {
+  // JSON has no NaN or inf: such values are written as null, and the
+  // file stays loadable with its finite args intact.
+  TraceSink sink;
+  sink.complete(0, "send", "p2p", 1e-6, 2e-6,
+                {{"ratio", std::numeric_limits<double>::infinity()}, {"bytes", 0.1}});
+  sink.counter(990, "queue_depth", 0.0, std::numeric_limits<double>::quiet_NaN());
+  const ParsedTrace trace = parse_trace(sink.to_json());
+  ASSERT_EQ(trace.events.size(), 2u);
+  EXPECT_EQ(trace.events[0].arg("bytes"), 0.1);
+  EXPECT_FALSE(trace.events[0].has_arg("ratio"));
+  EXPECT_EQ(trace.events[1].phase, 'C');
+  EXPECT_FALSE(trace.events[1].has_arg("value"));
 }
 
 TEST(TraceSink, UnattachedMacrosEmitNothing) {

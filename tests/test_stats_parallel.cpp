@@ -9,19 +9,19 @@
 // engine -- waves, rank selection, Kahan rows, thread sharding -- must
 // reproduce it bit for bit at every thread count.
 //
-// Own test binary: overrides global operator new/delete to count
-// allocator entries, proving the engine's warmed steady state performs
+// Own test binary: links counting_new.cpp, which overrides global
+// operator new/delete to count allocator entries, proving the engine's warmed steady state performs
 // zero allocations per distribution() call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <new>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "bootstrap_reference.hpp"
+#include "counting_new.hpp"
 #include "rng/distributions.hpp"
 #include "rng/lanes.hpp"
 #include "rng/xoshiro.hpp"
@@ -30,25 +30,9 @@
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/histogram_select.hpp"
+#include "stats/parallel.hpp"
 #include "stats/quantile_regression.hpp"
 #include "stats/simd_dispatch.hpp"
-
-namespace {
-std::atomic<std::size_t> g_alloc_calls{0};
-}
-
-void* operator new(std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sci::stats {
 namespace {
@@ -485,6 +469,35 @@ TEST(GroupedStats, QuantileRegressionCiDefaultPolicyMatchesLegacyAndIsThreadInva
 
 // --------------------------------------------------- alloc audit
 
+TEST(GroupedStats, ConcurrentCallersOfOneSizeShareTheTeam) {
+  // Both threads fan out at the same thread count, so both get the one
+  // pooled team of that size and must take turns on it.
+  constexpr std::size_t kCount = 1000;
+  std::atomic<int> failures{0};
+  const auto caller = [&failures] {
+    for (int round = 0; round < 200; ++round) {
+      std::vector<int> hits(kCount, 0);
+      try {
+        policy_partition(ExecPolicy{2, 1}, kCount,
+                         [&hits](std::size_t, std::size_t lo, std::size_t hi) {
+                           for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                         });
+      } catch (const std::exception&) {
+        failures.fetch_add(1);
+        continue;
+      }
+      if (std::count(hits.begin(), hits.end(), 1) != static_cast<long>(kCount)) {
+        failures.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(caller);
+  std::thread b(caller);
+  a.join();
+  b.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(BootstrapEngine, WarmedDistributionIsAllocFree) {
   const auto xs = lognormal_sample(64, 9);
   for (const std::size_t lanes : {1u, 8u}) {
@@ -493,9 +506,9 @@ TEST(BootstrapEngine, WarmedDistributionIsAllocFree) {
     const ResampleStat stats[] = {ResampleStat::mean(), ResampleStat::median()};
     for (const ResampleStat& stat : stats) {
       engine.distribution(xs, stat, 500, 3, out);  // warm-up: sizes scratch
-      const std::size_t before = g_alloc_calls.load(std::memory_order_relaxed);
+      const std::size_t before = sci::testing::allocation_count();
       engine.distribution(xs, stat, 500, 3, out);
-      const std::size_t after = g_alloc_calls.load(std::memory_order_relaxed);
+      const std::size_t after = sci::testing::allocation_count();
       EXPECT_EQ(after - before, 0u) << "lanes " << lanes;
     }
   }
@@ -510,9 +523,9 @@ TEST(BootstrapEngine, WarmedThreadedDistributionIsAllocFree) {
   std::vector<double> out;
   const ResampleStat stat = ResampleStat::median();
   engine.distribution(xs, stat, 500, 3, out);
-  const std::size_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::size_t before = sci::testing::allocation_count();
   engine.distribution(xs, stat, 500, 3, out);
-  const std::size_t after = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::size_t after = sci::testing::allocation_count();
   EXPECT_EQ(after - before, 0u);
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "stats/descriptive.hpp"
@@ -81,6 +86,58 @@ TEST(ThreadTeam, PropagatesExceptions) {
       }),
       std::runtime_error);
   // The team survives and runs the next region.
+  std::atomic<int> ok{0};
+  team.run([&](std::size_t) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), 2);
+}
+
+TEST(ThreadTeam, ConcurrentCallerWaitsForActiveRegion) {
+  // Region A is held open by a latch while thread B calls run() on the
+  // same team. B must wait for A to join and then run its own region,
+  // not fail because a region is active.
+  ThreadTeam team(2);
+  std::latch a_entered(3);  // both workers of A, plus thread B
+  std::promise<void> b_returned;
+  const std::shared_future<void> b_done = b_returned.get_future().share();
+  std::atomic<int> a_exits{0};
+  std::atomic<int> b_hits{0};
+  std::atomic<bool> b_overlapped{false};
+  std::string b_error;
+
+  std::thread a([&] {
+    team.run([&](std::size_t) {
+      a_entered.arrive_and_wait();
+      // Held until B's run() returns -- which it must not do while A is
+      // active -- or long enough for B to be waiting on A.
+      const std::shared_future<void> done = b_done;  // one copy per thread
+      (void)done.wait_for(std::chrono::milliseconds(100));
+      a_exits.fetch_add(1);
+    });
+  });
+  std::thread b([&] {
+    a_entered.arrive_and_wait();
+    try {
+      team.run([&](std::size_t) {
+        if (a_exits.load() != 2) b_overlapped = true;
+        b_hits.fetch_add(1);
+      });
+    } catch (const std::exception& e) {
+      b_error = e.what();
+    }
+    b_returned.set_value();
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(b_error, "");
+  EXPECT_EQ(b_hits.load(), 2);
+  EXPECT_FALSE(b_overlapped.load());
+}
+
+TEST(ThreadTeam, NestedCallFromOwnWorkerThrows) {
+  // Waiting there would deadlock: the caller is part of the region.
+  ThreadTeam team(2);
+  EXPECT_THROW(team.run([&](std::size_t) { team.run([](std::size_t) {}); }),
+               std::logic_error);
   std::atomic<int> ok{0};
   team.run([&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 2);
