@@ -16,7 +16,6 @@
 //
 // `--smoke` runs few passes for CI; `--json DIR` writes
 // DIR/BENCH_csv_io.json for scibench_ci.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -29,11 +28,9 @@
 #include <unistd.h>
 
 #include "core/dataset.hpp"
-#include "obs/bench_report.hpp"
+#include "harness.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
-#include "stats/confidence.hpp"
-#include "stats/descriptive.hpp"
 
 using namespace sci;
 
@@ -41,20 +38,6 @@ namespace {
 
 constexpr std::size_t kCells = 200;    ///< 2 systems x 4 sizes x 25 reps
 constexpr std::size_t kSamples = 256;  ///< per cell
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    std::printf("FAILED: %s\n", what.c_str());
-    ++g_failures;
-  }
-}
-
-double now_s() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// The long-form campaign layout with pingpong-like latencies in us.
 core::Dataset campaign_shaped() {
@@ -102,35 +85,18 @@ void check_bytes(const core::Dataset& ds, const std::string& text) {
       want += c + 1 < row.size() ? ',' : '\n';
     }
   }
-  check(text == want, "exported bytes equal printf(\"%.17g\") cell by cell");
+  bench::check(text == want, "exported bytes equal printf(\"%.17g\") cell by cell");
 }
 
 void check_loaded(const core::Dataset& want, const core::Dataset& got) {
-  check(got.columns() == want.columns(), "loaded columns equal the written ones");
+  bench::check(got.columns() == want.columns(), "loaded columns equal the written ones");
   bool same = got.rows() == want.rows();
   for (std::size_t r = 0; same && r < want.rows(); ++r) {
     const auto a = want.row(r);
     const auto b = got.row(r);
     same = std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
   }
-  check(same, "loaded rows are bit-identical to the written ones");
-}
-
-struct Summary {
-  double median = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-Summary summarize(const std::vector<double>& samples) {
-  const auto sorted = stats::sorted_copy(samples);
-  Summary s{stats::quantile_sorted(sorted, 0.5), sorted.front(), sorted.back()};
-  if (sorted.size() > 5) {
-    const auto ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-    s.lo = ci.lower;
-    s.hi = ci.upper;
-  }
-  return s;
+  bench::check(same, "loaded rows are bit-identical to the written ones");
 }
 
 /// Per-pass throughputs from per-pass seconds.
@@ -141,24 +107,18 @@ std::vector<double> rates(const std::vector<double>& seconds, double amount) {
   return out;
 }
 
-void report(obs::BenchReporter& reporter, const std::string& name, const std::string& unit,
+void report(const std::string& name, const std::string& unit,
             const std::vector<double>& samples) {
-  const Summary s = summarize(samples);
-  std::printf("  %-16s %12.1f [%12.1f, %12.1f] %s\n", name.c_str(), s.median, s.lo, s.hi,
-              unit.c_str());
-  reporter.add_metric(name, unit, samples, obs::Improve::kHigher);
+  const auto m = bench::summarize(name, unit, samples, obs::Improve::kHigher);
+  std::printf("  %-16s %12.1f [%12.1f, %12.1f] %s\n", name.c_str(), m.median, m.ci_lo,
+              m.ci_hi, unit.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  const std::size_t passes = smoke ? 9 : 31;  // > 5: a rank CI, not min/max
+  bench::init("csv_io", argc, argv);
+  const std::size_t passes = bench::smoke() ? 9 : 31;  // > 5: a rank CI, not min/max
 
   const core::Dataset ds = campaign_shaped();
   std::error_code ec;
@@ -174,40 +134,28 @@ int main(int argc, char** argv) {
   const double mb = static_cast<double>(text.size()) / 1e6;
   const double rows = static_cast<double>(ds.rows());
   std::printf("bench_csv_io (%s): %zu rows x %zu columns, %.2f MB, %zu passes each\n",
-              smoke ? "smoke" : "full", ds.rows(), ds.columns().size(), mb, passes);
+              bench::mode(), ds.rows(), ds.columns().size(), mb, passes);
 
   std::vector<double> export_s;
   std::vector<double> load_s;
   for (std::size_t pass = 0; pass < passes; ++pass) {
     std::filesystem::remove(path, ec);
-    double t0 = now_s();
+    double t0 = bench::now_s();
     ds.save_csv(path);
-    export_s.push_back(now_s() - t0);
-    t0 = now_s();
+    export_s.push_back(bench::now_s() - t0);
+    t0 = bench::now_s();
     const core::Dataset loaded = core::Dataset::load_csv(path);
-    load_s.push_back(now_s() - t0);
-    check(loaded.rows() == ds.rows(), "every pass loads every row");
+    load_s.push_back(bench::now_s() - t0);
+    bench::check(loaded.rows() == ds.rows(), "every pass loads every row");
   }
   std::filesystem::remove_all(dir, ec);
 
-  obs::BenchReporter reporter("csv_io");
-  reporter.set_context("mode", smoke ? "smoke" : "full");
-  reporter.set_context("rows", std::to_string(ds.rows()));
-  reporter.set_context("csv_bytes", std::to_string(text.size()));
-  report(reporter, "export.mb_per_s", "MB/s", rates(export_s, mb));
-  report(reporter, "export.rows_per_s", "rows/s", rates(export_s, rows));
-  report(reporter, "load.mb_per_s", "MB/s", rates(load_s, mb));
-  report(reporter, "load.rows_per_s", "rows/s", rates(load_s, rows));
-
-  if (!json_dir.empty()) {
-    const std::string out = reporter.write_json(json_dir);
-    check(!out.empty(), "write BENCH json into " + json_dir);
-    if (!out.empty()) std::printf("\nwrote %s\n", out.c_str());
-  }
-  if (g_failures == 0) {
-    std::printf("\nall checks passed\n");
-    return 0;
-  }
-  std::printf("\n%d check(s) FAILED\n", g_failures);
-  return 1;
+  bench::reporter().set_context("mode", bench::mode());
+  bench::reporter().set_context("rows", std::to_string(ds.rows()));
+  bench::reporter().set_context("csv_bytes", std::to_string(text.size()));
+  report("export.mb_per_s", "MB/s", rates(export_s, mb));
+  report("export.rows_per_s", "rows/s", rates(export_s, rows));
+  report("load.mb_per_s", "MB/s", rates(load_s, mb));
+  report("load.rows_per_s", "rows/s", rates(load_s, rows));
+  return bench::finish();
 }

@@ -13,9 +13,7 @@
 // still holds (identical bytes), there is just no parallel hardware to
 // exploit. Results for this repo's reference container are recorded in
 // bench/RESULTS_exec_campaign.md.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,7 +21,7 @@
 
 #include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
-#include "obs/bench_report.hpp"
+#include "harness.hpp"
 
 using namespace sci;
 
@@ -57,10 +55,7 @@ exec::SimBackendOptions make_backend_options(std::size_t samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
+  bench::init("exec_campaign", argc, argv);
   constexpr std::size_t kSamplesPerCell = 4000;
 
   std::printf("CampaignRunner scaling: 16 cells x %zu samples, cold cache\n",
@@ -68,7 +63,6 @@ int main(int argc, char** argv) {
   std::printf("hardware_concurrency: %u\n\n", std::thread::hardware_concurrency());
   std::printf("%8s %12s %9s %12s\n", "workers", "wall [ms]", "speedup", "bytes-equal");
 
-  obs::BenchReporter reporter("exec_campaign");
   std::string reference_csv;
   double reference_ms = 0.0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
@@ -77,10 +71,9 @@ int main(int argc, char** argv) {
     ropts.workers = workers;
     exec::CampaignRunner runner(backend, make_campaign(), ropts);
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = bench::now_s();
     const exec::CampaignResult result = runner.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    const double ms = (bench::now_s() - t0) * 1e3;
 
     const std::string csv = samples_csv(result);
     bool equal = true;
@@ -92,17 +85,9 @@ int main(int argc, char** argv) {
     }
     std::printf("%8zu %12.1f %8.2fx %12s\n", workers, ms, reference_ms / ms,
                 equal ? "yes" : "NO -- CONTRACT VIOLATED");
-    if (!equal) return 1;
+    bench::check(equal, "sample CSV bytes equal the 1-worker reference");
     const double sample[] = {ms};
-    reporter.add_metric("wall_ms." + std::to_string(workers) + "w", "ms", sample);
+    bench::summarize("wall_ms." + std::to_string(workers) + "w", "ms", sample);
   }
-  if (!json_dir.empty()) {
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::fprintf(stderr, "could not write BENCH json into %s\n", json_dir.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-  return 0;
+  return bench::finish();
 }

@@ -27,9 +27,8 @@
 // parts 1 and 2 are deterministic and identical across modes).
 // `--json DIR` writes BENCH_exec_sequential.json via obs::BenchReporter
 // for the performance-history pipeline.
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,52 +36,13 @@
 
 #include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
-#include "obs/bench_report.hpp"
+#include "harness.hpp"
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace sci;
 
 namespace {
-
-bool g_smoke = false;
-int g_failures = 0;
-obs::BenchReporter* g_reporter = nullptr;  ///< set when --json DIR is given
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("FAILED: %s\n", what);
-    ++g_failures;
-  }
-}
-
-struct Summary {
-  double median = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Median + 95% nonparametric CI (order-statistic ranks) when n permits.
-Summary summarize(const std::vector<double>& samples) {
-  Summary s;
-  const auto sorted = stats::sorted_copy(samples);
-  s.median = stats::quantile_sorted(sorted, 0.5);
-  if (sorted.size() > 5) {
-    const auto ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-    s.lo = ci.lower;
-    s.hi = ci.upper;
-  } else {
-    s.lo = sorted.front();
-    s.hi = sorted.back();
-  }
-  return s;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // ------------------------------------------------------- the campaign
 
@@ -146,16 +106,11 @@ std::string samples_csv(const exec::CampaignResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  obs::BenchReporter reporter("exec_sequential");
-  reporter.set_context("mode", g_smoke ? "smoke" : "full");
-  if (!json_dir.empty()) g_reporter = &reporter;
-  std::printf("bench_exec_sequential (%s, %u hardware thread(s))\n",
-              g_smoke ? "smoke" : "full", std::thread::hardware_concurrency());
+  bench::init("exec_sequential", argc, argv);
+  bench::reporter().set_context("mode", bench::mode());
+  const bool smoke = bench::smoke();
+  std::printf("bench_exec_sequential (%s, %u hardware thread(s))\n", bench::mode(),
+              std::thread::hardware_concurrency());
 
   exec::SimBackend backend = make_backend();
 
@@ -164,13 +119,13 @@ int main(int argc, char** argv) {
               kTarget * 100.0);
   const exec::Campaign seq_campaign = make_campaign(sequential_policy());
   const exec::CampaignResult seq = run_campaign(backend, seq_campaign, 2);
-  check(seq.failed == 0, "sequential: no cell failed");
+  bench::check(seq.failed == 0, "sequential: no cell failed");
 
   std::size_t seq_total = 0;
   std::size_t worst_reps = 0;
   for (std::size_t c = 0; c < seq.config_count(); ++c) {
     const auto& info = seq.stopping[c];
-    check(info.converged, "sequential: every config converged below the rep cap");
+    bench::check(info.converged, "sequential: every config converged below the rep cap");
     seq_total += info.reps;
     worst_reps = std::max(worst_reps, info.reps);
     const std::string label = seq_campaign.config(c).level("system") + "/" +
@@ -185,13 +140,13 @@ int main(int argc, char** argv) {
   const exec::Campaign fixed_campaign =
       make_campaign(exec::StoppingPolicy::fixed(worst_reps));
   const exec::CampaignResult fixed = run_campaign(backend, fixed_campaign, 2);
-  check(fixed.failed == 0, "fixed: no cell failed");
+  bench::check(fixed.failed == 0, "fixed: no cell failed");
   const std::size_t fixed_total = fixed.cells.size();
   for (std::size_t c = 0; c < fixed.config_count(); ++c) {
-    check(achieved_width(fixed, c) <= kTarget,
-          "fixed comparator reaches the target width on every config");
-    check(achieved_width(seq, c) <= kTarget,
-          "sequential reaches the target width on every config");
+    bench::check(achieved_width(fixed, c) <= kTarget,
+                 "fixed comparator reaches the target width on every config");
+    bench::check(achieved_width(seq, c) <= kTarget,
+                 "sequential reaches the target width on every config");
   }
 
   const double savings =
@@ -199,12 +154,10 @@ int main(int argc, char** argv) {
   std::printf("  fixed-at-%zu total %zu reps vs sequential total %zu reps: "
               "%.2fx fewer replications\n",
               worst_reps, fixed_total, seq_total, savings);
-  check(savings >= 2.0, ">= 2x fewer total replications at matched CI width");
-  if (g_reporter != nullptr) {
-    g_reporter->add_counter("sequential_total_reps", seq_total);
-    g_reporter->add_counter("fixed_total_reps", fixed_total);
-    g_reporter->add_counter("rounds", seq.rounds);
-  }
+  bench::check(savings >= 2.0, ">= 2x fewer total replications at matched CI width");
+  bench::reporter().add_counter("sequential_total_reps", seq_total);
+  bench::reporter().add_counter("fixed_total_reps", fixed_total);
+  bench::reporter().add_counter("rounds", seq.rounds);
 
   // ---- [2] determinism ----------------------------------------------
   std::printf("\n[2] determinism\n");
@@ -216,59 +169,40 @@ int main(int argc, char** argv) {
     char what[96];
     std::snprintf(what, sizeof what,
                   "sequential CSV bytes equal @%zu workers", workers);
-    check(samples_csv(again) == reference, what);
+    bench::check(samples_csv(again) == reference, what);
   }
   std::printf("  sequential CSVs byte-equal across {1,2,4,8} workers\n");
 
   // ---- [3] wall-clock duel ------------------------------------------
   std::printf("\n[3] wall-clock duel (interleaved, %s)\n",
-              g_smoke ? "3 timed runs" : "15 timed runs");
-  const std::size_t reps = g_smoke ? 3 : 15;
+              smoke ? "3 timed runs" : "15 timed runs");
+  const std::size_t reps = smoke ? 3 : 15;
   std::vector<double> fixed_s, seq_s;
   fixed_s.reserve(reps);
   seq_s.reserve(reps);
   for (std::size_t rep = 0; rep < reps; ++rep) {
     {
       exec::SimBackend b = make_backend();
-      const double t0 = now_s();
+      const double t0 = bench::now_s();
       (void)run_campaign(b, fixed_campaign, 2);
-      fixed_s.push_back(now_s() - t0);
+      fixed_s.push_back(bench::now_s() - t0);
     }
     {
       exec::SimBackend b = make_backend();
-      const double t0 = now_s();
+      const double t0 = bench::now_s();
       (void)run_campaign(b, make_campaign(sequential_policy()), 2);
-      seq_s.push_back(now_s() - t0);
+      seq_s.push_back(bench::now_s() - t0);
     }
   }
-  const Summary fs = summarize(fixed_s);
-  const Summary ss = summarize(seq_s);
-  std::printf("  fixed      %7.3f s [%7.3f, %7.3f]\n", fs.median, fs.lo, fs.hi);
+  const auto fs = bench::summarize("fixed.wall", "s", fixed_s);
+  const auto ss = bench::summarize("sequential.wall", "s", seq_s);
+  std::printf("  fixed      %7.3f s [%7.3f, %7.3f]\n", fs.median, fs.ci_lo, fs.ci_hi);
   std::printf("  sequential %7.3f s [%7.3f, %7.3f]   speedup %.2fx\n", ss.median,
-              ss.lo, ss.hi, fs.median / ss.median);
-  if (!g_smoke) {
+              ss.ci_lo, ss.ci_hi, fs.median / ss.median);
+  if (!smoke) {
     // The duel's floor is deliberately below the replication savings:
     // sequential pays round barriers and per-round thread spawns.
-    check(ss.median < fs.median, "sequential campaign is faster wall-clock");
+    bench::check(ss.median < fs.median, "sequential campaign is faster wall-clock");
   }
-  if (g_reporter != nullptr) {
-    g_reporter->add_metric("fixed.wall", "s", fixed_s, obs::Improve::kLower);
-    g_reporter->add_metric("sequential.wall", "s", seq_s, obs::Improve::kLower);
-  }
-
-  if (g_reporter != nullptr) {
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::printf("FAILED: could not write BENCH json into %s\n", json_dir.c_str());
-      ++g_failures;
-    } else {
-      std::printf("\nwrote %s\n", path.c_str());
-    }
-  }
-  if (g_failures == 0) {
-    std::printf("\nall checks passed\n");
-    return 0;
-  }
-  std::printf("\n%d check(s) FAILED\n", g_failures);
-  return 1;
+  return bench::finish();
 }

@@ -27,88 +27,27 @@
 // allocations) are still asserted; the >= 2x throughput target is only
 // evaluated in the full run and recorded in
 // bench/RESULTS_exec_throughput.md.
-#include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
-#include "obs/bench_report.hpp"
+#include "harness.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/machine.hpp"
 #include "simmpi/benchmarks.hpp"
-#include "stats/confidence.hpp"
-#include "stats/descriptive.hpp"
 
-// ---------------------------------------------------------------------------
-// Allocation counting: every allocator call in the process goes through
-// here, so "zero allocations" is an observed fact, not a claim.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Every allocator call in the process is counted (counting_new.hpp),
+// so "zero allocations" is an observed fact, not a claim.
 
 using namespace sci;
 
 namespace {
-
-bool g_smoke = false;
-int g_failures = 0;
-obs::BenchReporter* g_reporter = nullptr;  ///< set when --json DIR is given
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("FAILED: %s\n", what);
-    ++g_failures;
-  }
-}
-
-struct Summary {
-  double median = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Median + 95% nonparametric CI (order-statistic ranks) when n permits.
-Summary summarize(const std::vector<double>& samples) {
-  Summary s;
-  const auto sorted = stats::sorted_copy(samples);
-  s.median = stats::quantile_sorted(sorted, 0.5);
-  if (sorted.size() > 5) {
-    const auto ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-    s.lo = ci.lower;
-    s.hi = ci.upper;
-  } else {
-    s.lo = sorted.front();
-    s.hi = sorted.back();
-  }
-  return s;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Pooling toggle for the calling thread AND threads created later
 /// (campaign workers inherit the default).
@@ -169,17 +108,17 @@ double time_campaign(exec::Backend& backend, const exec::Campaign& campaign,
   exec::CampaignRunnerOptions options;
   options.workers = workers;
   exec::CampaignRunner runner(reuse ? backend : stateless, campaign, options);
-  const double t0 = now_s();
+  const double t0 = bench::now_s();
   const exec::CampaignResult result = runner.run();
-  const double dt = now_s() - t0;
-  check(result.failed == 0, "no campaign cell failed");
-  check(result.executed == campaign.cell_count(), "every cell executed");
+  const double dt = bench::now_s() - t0;
+  bench::check(result.failed == 0, "no campaign cell failed");
+  bench::check(result.executed == campaign.cell_count(), "every cell executed");
   return static_cast<double>(campaign.cell_count()) / dt;
 }
 
 struct DuelOutcome {
-  Summary baseline;
-  Summary reuse;
+  obs::BenchMetric baseline;
+  obs::BenchMetric reuse;
 };
 
 DuelOutcome duel(const char* name, const char* slug, exec::Backend& backend,
@@ -194,19 +133,17 @@ DuelOutcome duel(const char* name, const char* slug, exec::Backend& backend,
     set_pooling(true);
     reuse_s.push_back(time_campaign(backend, campaign, workers, /*reuse=*/true));
   }
-  if (g_reporter != nullptr) {
-    const std::string base = std::string(slug) + "." + std::to_string(workers) + "w";
-    g_reporter->add_metric(base + ".baseline", "rep/s", baseline_s,
-                           obs::Improve::kHigher);
-    g_reporter->add_metric(base + ".reuse", "rep/s", reuse_s, obs::Improve::kHigher);
-  }
-  const DuelOutcome outcome{summarize(baseline_s), summarize(reuse_s)};
+  const std::string base = std::string(slug) + "." + std::to_string(workers) + "w";
+  const DuelOutcome outcome{
+      bench::summarize(base + ".baseline", "rep/s", baseline_s, obs::Improve::kHigher),
+      bench::summarize(base + ".reuse", "rep/s", reuse_s, obs::Improve::kHigher)};
   const double speedup = outcome.reuse.median / outcome.baseline.median;
   std::printf(
       "  %-28s %4zu w  baseline %9.0f [%9.0f, %9.0f] rep/s   reuse %9.0f "
       "[%9.0f, %9.0f] rep/s   speedup %.2fx\n",
-      name, workers, outcome.baseline.median, outcome.baseline.lo, outcome.baseline.hi,
-      outcome.reuse.median, outcome.reuse.lo, outcome.reuse.hi, speedup);
+      name, workers, outcome.baseline.median, outcome.baseline.ci_lo,
+      outcome.baseline.ci_hi, outcome.reuse.median, outcome.reuse.ci_lo, outcome.reuse.ci_hi,
+      speedup);
   return outcome;
 }
 
@@ -228,12 +165,12 @@ std::string run_csv(exec::Backend& backend, const exec::Campaign& campaign,
 }
 
 void determinism_checks(exec::Backend& backend, const char* label) {
-  const exec::Campaign campaign = make_campaign(g_smoke ? 2 : 4);
+  const exec::Campaign campaign = make_campaign(bench::smoke() ? 2 : 4);
 
   set_pooling(false);
   const std::string unpooled = run_csv(backend, campaign, 1, /*reuse=*/false);
   set_pooling(true);
-  check(!unpooled.empty(), "baseline CSV is non-empty");
+  bench::check(!unpooled.empty(), "baseline CSV is non-empty");
 
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     const std::string pooled = run_csv(backend, campaign, workers, /*reuse=*/true);
@@ -241,7 +178,7 @@ void determinism_checks(exec::Backend& backend, const char* label) {
     std::snprintf(what, sizeof what,
                   "%s CSV bytes equal: pooled+reuse @%zu workers vs unpooled baseline",
                   label, workers);
-    check(pooled == unpooled, what);
+    bench::check(pooled == unpooled, what);
   }
   std::printf("  %-12s CSVs byte-equal across {1,2,4,8} workers and vs unpooled\n",
               label);
@@ -267,16 +204,14 @@ void audit_runner_counters(exec::Backend& backend, const char* label) {
   char what[128];
   std::snprintf(what, sizeof what,
                 "%s: zero coro-frame heap allocs after replication 1", label);
-  check(tail_frames == 0, what);
+  bench::check(tail_frames == 0, what);
   std::snprintf(what, sizeof what, "%s: zero callback heap spills after replication 1",
                 label);
-  check(tail_spills == 0, what);
-  if (g_reporter != nullptr) {
-    g_reporter->add_counter(std::string(label) + ".tail_coro_frame_heap_allocs",
-                            tail_frames);
-    g_reporter->add_counter(std::string(label) + ".tail_callback_heap_spills",
-                            tail_spills);
-  }
+  bench::check(tail_spills == 0, what);
+  bench::reporter().add_counter(std::string(label) + ".tail_coro_frame_heap_allocs",
+                                tail_frames);
+  bench::reporter().add_counter(std::string(label) + ".tail_callback_heap_spills",
+                                tail_spills);
   std::printf("  %-12s audit: frames=%llu spills=%llu after rep 1 (rep 0: %llu frames)\n",
               label, static_cast<unsigned long long>(tail_frames),
               static_cast<unsigned long long>(tail_spills),
@@ -291,36 +226,29 @@ void audit_global_allocator() {
   // (Reduce-family kernels still allocate one small payload per wire
   // message -- inherent to the data-carrying protocol, reported in the
   // audit fields, and out of scope for the strict zero here.)
-  simmpi::PingPongBench bench(sim::make_dora(), 8, 4);
-  for (std::uint64_t rep = 0; rep < 3; ++rep) (void)bench.run(24, rep);  // warm
+  simmpi::PingPongBench pingpong(sim::make_dora(), 8, 4);
+  for (std::uint64_t rep = 0; rep < 3; ++rep) (void)pingpong.run(24, rep);  // warm
 
   std::uint64_t allocs = 0;
   for (std::uint64_t rep = 3; rep < 8; ++rep) {
-    const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
-    (void)bench.run(24, rep);
-    allocs += g_alloc_calls.load(std::memory_order_relaxed) - before;
+    const std::uint64_t before = testing::allocation_count();
+    (void)pingpong.run(24, rep);
+    allocs += testing::allocation_count() - before;
   }
-  check(allocs == 0, "zero allocator calls across 5 warmed ping-pong replications");
+  bench::check(allocs == 0, "zero allocator calls across 5 warmed ping-pong replications");
   std::printf("  global allocator calls across 5 warmed replications: %llu\n",
               static_cast<unsigned long long>(allocs));
-  if (g_reporter != nullptr) {
-    g_reporter->add_counter("global_alloc_calls_warmed_pingpong", allocs);
-  }
+  bench::reporter().add_counter("global_alloc_calls_warmed_pingpong", allocs);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  obs::BenchReporter reporter("exec_throughput");
-  reporter.set_context("mode", g_smoke ? "smoke" : "full");
-  if (!json_dir.empty()) g_reporter = &reporter;
-  std::printf("bench_exec_throughput (%s, %u hardware thread(s))\n",
-              g_smoke ? "smoke" : "full", std::thread::hardware_concurrency());
+  bench::init("exec_throughput", argc, argv);
+  bench::reporter().set_context("mode", bench::mode());
+  const bool smoke = bench::smoke();
+  std::printf("bench_exec_throughput (%s, %u hardware thread(s))\n", bench::mode(),
+              std::thread::hardware_concurrency());
 #if !SCIBENCH_POOLING
   std::printf("  note: built with SCIBENCH_POOLING=OFF; pooling stays off in every "
               "configuration\n");
@@ -336,9 +264,9 @@ int main(int argc, char** argv) {
   // duelled (fresh worlds allocated into a churned heap measurably lose
   // locality -- an argument for the allocation-free path, but one that
   // belongs in RESULTS prose, not silently inside the timing).
-  const std::size_t pp_replications = g_smoke ? 8 : 64;
-  const std::size_t rd_replications = g_smoke ? 8 : 64;
-  const std::size_t reps = g_smoke ? 3 : 25;
+  const std::size_t pp_replications = smoke ? 8 : 64;
+  const std::size_t rd_replications = smoke ? 8 : 64;
+  const std::size_t reps = smoke ? 3 : 25;
   const DuelOutcome pp1 =
       duel("pingpong 8B x8", "pingpong_8B", pingpong, 1, pp_replications, reps);
   const DuelOutcome pp4 =
@@ -360,26 +288,26 @@ int main(int argc, char** argv) {
   std::printf("  skipped (SCIBENCH_POOLING=OFF build)\n");
 #endif
 
-  if (!g_smoke) {
+  if (!smoke) {
     // Acceptance: >= 2x median throughput with non-overlapping 95% CIs
     // on the setup-dominated campaign (ping-pong: its cells are mostly
     // world setup, the workload the reuse layers exist for).
-    check(pp1.reuse.median >= 2.0 * pp1.baseline.median,
-          "pingpong @1 worker: >= 2x median throughput");
-    check(pp1.reuse.lo > pp1.baseline.hi,
-          "pingpong @1 worker: 95% CIs do not overlap");
+    bench::check(pp1.reuse.median >= 2.0 * pp1.baseline.median,
+                 "pingpong @1 worker: >= 2x median throughput");
+    bench::check(pp1.reuse.ci_lo > pp1.baseline.ci_hi,
+                 "pingpong @1 worker: 95% CIs do not overlap");
     // Reduce cells are simulation-dominated (the collective itself is
     // the bulk of a cell, identical in both configurations), so the
     // honest expectation is a faster median, not 2x.
-    check(rd1.reuse.median > rd1.baseline.median, "reduce @1 worker: reuse faster");
+    bench::check(rd1.reuse.median > rd1.baseline.median, "reduce @1 worker: reuse faster");
     // The 4-worker duels time-slice on small hosts (Rule 4: report the
     // environment, don't gate on what it can't show); only hold them to
     // "not slower" when real parallelism exists.
     if (std::thread::hardware_concurrency() >= 4) {
-      check(pp4.reuse.median > pp4.baseline.median,
-            "pingpong @4 workers: reuse not slower");
-      check(rd4.reuse.median > rd4.baseline.median,
-            "reduce @4 workers: reuse not slower");
+      bench::check(pp4.reuse.median > pp4.baseline.median,
+                   "pingpong @4 workers: reuse not slower");
+      bench::check(rd4.reuse.median > rd4.baseline.median,
+                   "reduce @4 workers: reuse not slower");
     } else {
       std::printf("  (4-worker gates skipped: %u hardware thread(s))\n",
                   std::thread::hardware_concurrency());
@@ -387,19 +315,5 @@ int main(int argc, char** argv) {
   }
 
   set_pooling(SCIBENCH_POOLING != 0);
-  if (g_reporter != nullptr) {
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::printf("FAILED: could not write BENCH json into %s\n", json_dir.c_str());
-      ++g_failures;
-    } else {
-      std::printf("\nwrote %s\n", path.c_str());
-    }
-  }
-  if (g_failures == 0) {
-    std::printf("\nall checks passed\n");
-    return 0;
-  }
-  std::printf("\n%d check(s) FAILED\n", g_failures);
-  return 1;
+  return bench::finish();
 }

@@ -4,12 +4,11 @@
 // 95% quantile, and the 99% CI of the median -- each also expressed as
 // the Tflop/s rate the paper prints on the labels.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/plots.hpp"
+#include "harness.hpp"
 #include "hpl/sim_hpl.hpp"
-#include "obs/bench_report.hpp"
 #include "sim/machine.hpp"
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
@@ -17,10 +16,7 @@
 using namespace sci;
 
 int main(int argc, char** argv) {
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
+  bench::init("fig1_hpl", argc, argv);
   const auto machine = sim::make_daint();
   hpl::SimHplConfig config;  // N = 314k, 64 nodes, fresh allocation per run
   const auto runs = hpl::simulate_hpl_series(machine, config, 50, 2015);
@@ -79,15 +75,6 @@ int main(int argc, char** argv) {
               total_j / static_cast<double>(runs.size()) / 1e6,
               flops * static_cast<double>(runs.size()) / total_j / 1e9);
 
-  if (!json_dir.empty()) {
-    obs::BenchReporter reporter("fig1_hpl");
-    reporter.add_metric("hpl_completion_s", "s", t);
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::fprintf(stderr, "could not write BENCH json into %s\n", json_dir.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-  return 0;
+  bench::summarize("hpl_completion_s", "s", t);
+  return bench::finish();
 }

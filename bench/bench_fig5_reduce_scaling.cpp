@@ -3,12 +3,11 @@
 // (worst-case completion, Rule 10), split into the powers-of-two series
 // and the others -- the powers of two are visibly faster.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/plots.hpp"
-#include "obs/bench_report.hpp"
+#include "harness.hpp"
 #include "sim/machine.hpp"
 #include "simmpi/benchmarks.hpp"
 #include "stats/confidence.hpp"
@@ -17,11 +16,7 @@
 using namespace sci;
 
 int main(int argc, char** argv) {
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  obs::BenchReporter reporter("fig5_reduce_scaling");
+  bench::init("fig5_reduce_scaling", argc, argv);
   std::printf("=== Figure 5: MPI_Reduce completion time vs process count ===\n");
   std::printf("1,000 runs per count on daint-sim; summary: median of "
               "max-across-ranks, window-synchronized starts (Rule 10)\n\n");
@@ -51,9 +46,7 @@ int main(int argc, char** argv) {
     (is_pow2 ? pow2 : others).y.push_back(med);
     // Only the powers of two feed the history: the "others" exist to
     // show the penalty, not to gate on.
-    if (!json_dir.empty() && is_pow2) {
-      reporter.add_metric("reduce_p" + std::to_string(p) + "_us", "us", us);
-    }
+    if (is_pow2) bench::summarize("reduce_p" + std::to_string(p) + "_us", "us", us);
   }
 
   std::printf("\npaper's observation: implementations perform better with 2^k\n");
@@ -65,13 +58,5 @@ int main(int argc, char** argv) {
   opts.height = 12;
   std::fputs(core::render_xy(std::vector<core::XYSeries>{pow2, others}, opts).c_str(),
              stdout);
-  if (!json_dir.empty()) {
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::fprintf(stderr, "could not write BENCH json into %s\n", json_dir.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-  return 0;
+  return bench::finish();
 }

@@ -18,18 +18,15 @@
 //
 // `--smoke` runs the small histories with few repetitions for CI;
 // `--json DIR` writes DIR/BENCH_qr_trend.json for scibench_ci.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "lp/simplex.hpp"
-#include "obs/bench_report.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
-#include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/quantile_regression.hpp"
 
@@ -40,42 +37,6 @@ namespace {
 constexpr std::size_t kRefits = 200;         ///< ci::analyze_series' replicate count
 constexpr std::uint64_t kSeed = 0x5c1b3;     ///< ... and its seed
 constexpr double kTau = 0.5;
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    std::printf("FAILED: %s\n", what.c_str());
-    ++g_failures;
-  }
-}
-
-struct Summary {
-  double median = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Median + 95% nonparametric CI (order-statistic ranks) when n permits.
-Summary summarize(const std::vector<double>& samples) {
-  const auto sorted = stats::sorted_copy(samples);
-  Summary s;
-  s.median = stats::quantile_sorted(sorted, 0.5);
-  if (sorted.size() > 5) {
-    const auto ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-    s.lo = ci.lower;
-    s.hi = ci.upper;
-  } else {
-    s.lo = sorted.front();
-    s.hi = sorted.back();
-  }
-  return s;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// A recorded metric history: medians quantised to 1e-3 like real ones
 /// (ties and collinear triples included), mild drift plus noise.
@@ -169,11 +130,11 @@ bool library_pass(const std::vector<double>& medians,
 
 struct Row {
   std::size_t n = 0;
-  Summary simplex;
-  Summary descent;
+  obs::BenchMetric simplex;
+  obs::BenchMetric descent;
 };
 
-Row duel(std::size_t n, std::size_t reps, obs::BenchReporter* reporter) {
+Row duel(std::size_t n, std::size_t reps) {
   const std::vector<double> medians = history(n);
   std::vector<std::vector<double>> design;
   for (std::size_t i = 0; i < n; ++i) design.push_back({static_cast<double>(i)});
@@ -197,10 +158,10 @@ Row duel(std::size_t n, std::size_t reps, obs::BenchReporter* reporter) {
       ++mismatches;
     }
   }
-  check(mismatches == 0, "n=" + std::to_string(n) + ": " + std::to_string(mismatches) +
-                             " refit(s) miss the simplex's optimal loss");
-  check(library_pass(medians, design) == oracle_flag,
-        "n=" + std::to_string(n) + ": slope-significance differs from the simplex");
+  bench::check(mismatches == 0, "n=" + std::to_string(n) + ": " + std::to_string(mismatches) +
+                                    " refit(s) miss the simplex's optimal loss");
+  bench::check(library_pass(medians, design) == oracle_flag,
+               "n=" + std::to_string(n) + ": slope-significance differs from the simplex");
 
   std::vector<double> simplex_ms;
   std::vector<double> descent_ms;
@@ -208,45 +169,40 @@ Row duel(std::size_t n, std::size_t reps, obs::BenchReporter* reporter) {
     // Alternate which side goes first so neither always runs warm.
     for (int side = 0; side < 2; ++side) {
       const bool simplex_turn = (side == 0) == (rep % 2 == 0);
-      const double t0 = now_s();
+      const double t0 = bench::now_s();
       if (simplex_turn) {
         (void)simplex_pass(medians, idx, nullptr);
       } else {
         (void)library_pass(medians, design);
       }
-      (simplex_turn ? simplex_ms : descent_ms).push_back((now_s() - t0) * 1e3);
+      (simplex_turn ? simplex_ms : descent_ms).push_back((bench::now_s() - t0) * 1e3);
     }
   }
-  if (reporter != nullptr) {
-    const std::string base = "n" + std::to_string(n);
-    reporter->add_metric(base + ".simplex", "ms", simplex_ms, obs::Improve::kLower);
-    reporter->add_metric(base + ".barrodale_roberts", "ms", descent_ms, obs::Improve::kLower);
-  }
+  // Appended, not "n" + ...: gcc 12 at -O3 reports a false -Wrestrict
+  // on that concatenation here.
+  std::string base = "n";
+  base += std::to_string(n);
   Row row;
   row.n = n;
-  row.simplex = summarize(simplex_ms);
-  row.descent = summarize(descent_ms);
+  row.simplex = bench::summarize(base + ".simplex", "ms", simplex_ms);
+  row.descent = bench::summarize(base + ".barrodale_roberts", "ms", descent_ms);
   std::printf("  n=%-4zu  simplex %10.3f [%10.3f, %10.3f] ms   descent %8.3f [%8.3f, %8.3f] ms"
               "   %6.1fx  (%zu reps)\n",
-              n, row.simplex.median, row.simplex.lo, row.simplex.hi, row.descent.median,
-              row.descent.lo, row.descent.hi, row.simplex.median / row.descent.median, reps);
+              n, row.simplex.median, row.simplex.ci_lo, row.simplex.ci_hi, row.descent.median,
+              row.descent.ci_lo, row.descent.ci_hi, row.simplex.median / row.descent.median,
+              reps);
   return row;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  obs::BenchReporter reporter("qr_trend");
-  reporter.set_context("mode", smoke ? "smoke" : "full");
+  bench::init("qr_trend", argc, argv);
+  bench::reporter().set_context("mode", bench::mode());
+  const bool smoke = bench::smoke();
   std::printf("bench_qr_trend (%s): %zu-refit tau=0.5 bootstrap per pass, "
               "dense simplex vs Barrodale-Roberts\n",
-              smoke ? "smoke" : "full", kRefits);
+              bench::mode(), kRefits);
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{16, 33, 41}
@@ -256,25 +212,15 @@ int main(int argc, char** argv) {
     // The simplex pass costs ~5 s at n = 200 on a 4-core Xeon; seven
     // pairs still give a rank CI.
     const std::size_t reps = smoke ? 3 : (n >= 128 ? 7 : 15);
-    rows.push_back(duel(n, reps, json_dir.empty() ? nullptr : &reporter));
+    rows.push_back(duel(n, reps));
   }
 
   if (!smoke) {
     for (const Row& row : rows) {
-      check(row.descent.hi < row.simplex.lo,
-            "n=" + std::to_string(row.n) + ": descent faster, 95% CIs disjoint");
+      bench::check(row.descent.ci_hi < row.simplex.ci_lo,
+                   "n=" + std::to_string(row.n) + ": descent faster, 95% CIs disjoint");
     }
   }
 
-  if (!json_dir.empty()) {
-    const std::string path = reporter.write_json(json_dir);
-    check(!path.empty(), "write BENCH json into " + json_dir);
-    if (!path.empty()) std::printf("\nwrote %s\n", path.c_str());
-  }
-  if (g_failures == 0) {
-    std::printf("\nall checks passed\n");
-    return 0;
-  }
-  std::printf("\n%d check(s) FAILED\n", g_failures);
-  return 1;
+  return bench::finish();
 }

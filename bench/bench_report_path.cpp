@@ -1,7 +1,7 @@
 // Where scibench_report's time goes: the tool's text-mode path on one
 // CSV, split into the calls it makes, in process.
 //
-//   bench_report_path <file.csv> [--passes N] [--tool PATH]
+//   bench_report_path <file.csv> [--passes N (1..1000)] [--tool PATH]
 //
 // Phases, in the tool's order:
 //   load       exec::load_measurements (file read, cell parse, regroup)
@@ -24,17 +24,17 @@
 #include <sys/wait.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "core/plots.hpp"
 #include "core/report.hpp"
 #include "exec/ingest.hpp"
+#include "harness.hpp"
 
 extern char** environ;
 
@@ -42,9 +42,12 @@ using namespace sci;
 
 namespace {
 
-double now_s() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+constexpr std::size_t kMaxPasses = 1000;
+
+int usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s <file.csv> [--passes N (1..%zu)] [--tool PATH]\n", argv0,
+               kMaxPasses);
+  return 1;
 }
 
 /// Runs `argv` with stdout and stderr on /dev/null; returns wall seconds.
@@ -56,7 +59,7 @@ double run_tool_s(const std::vector<std::string>& args) {
   posix_spawn_file_actions_init(&actions);
   posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
   posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
-  const double t0 = now_s();
+  const double t0 = bench::now_s();
   pid_t pid = 0;
   if (posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ) != 0) {
     posix_spawn_file_actions_destroy(&actions);
@@ -64,7 +67,7 @@ double run_tool_s(const std::vector<std::string>& args) {
   }
   int status = 0;
   waitpid(pid, &status, 0);
-  const double dt = now_s() - t0;
+  const double dt = bench::now_s() - t0;
   posix_spawn_file_actions_destroy(&actions);
   return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? dt : -1.0;
 }
@@ -101,20 +104,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--passes" && i + 1 < argc) {
-      passes = std::max<std::size_t>(1, std::strtoul(argv[++i], nullptr, 10));
+      const auto value = tools::parse_number<std::size_t>(argv[++i], 1, kMaxPasses);
+      if (!value) return usage(argv[0]);
+      passes = *value;
     } else if (a == "--tool" && i + 1 < argc) {
       tool = argv[++i];
     } else if (csv.empty() && a[0] != '-') {
       csv = a;
     } else {
-      std::fprintf(stderr, "usage: %s <file.csv> [--passes N] [--tool PATH]\n", argv[0]);
-      return 1;
+      return usage(argv[0]);
     }
   }
-  if (csv.empty()) {
-    std::fprintf(stderr, "usage: %s <file.csv> [--passes N] [--tool PATH]\n", argv[0]);
-    return 1;
-  }
+  if (csv.empty()) return usage(argv[0]);
 
   std::vector<Phase> phases = {
       {"load", {}}, {"summarize", {}}, {"render", {}}, {"density", {}}, {"qq", {}}};
@@ -124,9 +125,9 @@ int main(int argc, char** argv) {
   for (std::size_t pass = 0; pass <= passes; ++pass) {
     std::vector<double> dt;
     const auto time = [&](const std::function<void()>& f) {
-      const double t0 = now_s();
+      const double t0 = bench::now_s();
       f();
-      dt.push_back(now_s() - t0);
+      dt.push_back(bench::now_s() - t0);
     };
     std::optional<exec::Ingested> ingested;
     time([&] { ingested = exec::load_measurements(csv); });

@@ -14,8 +14,8 @@
 // two engines are interleaved so drift hits both equally. Part 2 does
 // the same for bootstrap_bca_ci of the median at n=1000 / B=10000,
 // asserting the fast interval equals the callback-path interval bit
-// for bit. Part 3 counts actual allocator calls (global operator new
-// override) across a warmed steady-state dispatch loop and requires
+// for bit. Part 3 counts actual allocator calls (the counting global
+// operator new) across a warmed steady-state dispatch loop and requires
 // exactly zero, along with a zero delta on the
 // engine.callback_heap_allocs obs counter.
 //
@@ -23,49 +23,28 @@
 // allocations, identical event counts) are still asserted; the speedup
 // targets are only evaluated in the full run and recorded in
 // bench/RESULTS_sim_hotpath.md.
-#include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <new>
 #include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/bench_report.hpp"
+#include "counting_new.hpp"
+#include "harness.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "sim/engine.hpp"
 #include "stats/bootstrap.hpp"
-#include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 
-// ---------------------------------------------------------------------------
-// Allocation counting: every allocator call in the process goes through
-// here, so "zero allocations" is an observed fact, not a claim. The
-// override costs one relaxed atomic increment per call and applies to
-// both engines equally; only the legacy engine allocates per event.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Every allocator call in the process is counted (counting_new.hpp),
+// so "zero allocations" is an observed fact, not a claim. The count
+// costs one relaxed atomic increment per call and applies to both
+// engines equally; only the legacy engine allocates per event.
 
 using namespace sci;
 
@@ -227,44 +206,6 @@ class Churn {
   std::size_t hops_;
 };
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Summary {
-  double median = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Median + 95% nonparametric CI (order-statistic ranks) when n permits.
-Summary summarize(const std::vector<double>& samples) {
-  Summary s;
-  const auto sorted = stats::sorted_copy(samples);
-  s.median = stats::quantile_sorted(sorted, 0.5);
-  if (sorted.size() > 5) {
-    const auto ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-    s.lo = ci.lower;
-    s.hi = ci.upper;
-  } else {
-    s.lo = sorted.front();
-    s.hi = sorted.back();
-  }
-  return s;
-}
-
-int g_failures = 0;
-obs::BenchReporter* g_reporter = nullptr;  ///< set when --json DIR is given
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("FAILED: %s\n", what);
-    ++g_failures;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Part 1: events/sec, legacy vs arena engine, three regimes.
 // ---------------------------------------------------------------------------
@@ -272,18 +213,14 @@ void check(bool ok, const char* what) {
 void report_pair(const char* workload, const char* slug,
                  const std::vector<double>& legacy_eps,
                  const std::vector<double>& arena_eps) {
-  if (g_reporter != nullptr) {
-    g_reporter->add_metric(std::string(slug) + ".legacy", "ev/s", legacy_eps,
-                           obs::Improve::kHigher);
-    g_reporter->add_metric(std::string(slug) + ".arena", "ev/s", arena_eps,
-                           obs::Improve::kHigher);
-  }
-  const Summary legacy = summarize(legacy_eps);
-  const Summary arena = summarize(arena_eps);
+  const auto legacy = bench::summarize(std::string(slug) + ".legacy", "ev/s", legacy_eps,
+                                       obs::Improve::kHigher);
+  const auto arena = bench::summarize(std::string(slug) + ".arena", "ev/s", arena_eps,
+                                      obs::Improve::kHigher);
   std::printf("  %-28s legacy %6.2f Mev/s [%6.2f, %6.2f]   arena %6.2f Mev/s [%6.2f, %6.2f]"
               "   speedup %.2fx\n",
-              workload, legacy.median / 1e6, legacy.lo / 1e6, legacy.hi / 1e6,
-              arena.median / 1e6, arena.lo / 1e6, arena.hi / 1e6,
+              workload, legacy.median / 1e6, legacy.ci_lo / 1e6, legacy.ci_hi / 1e6,
+              arena.median / 1e6, arena.ci_lo / 1e6, arena.ci_hi / 1e6,
               arena.median / legacy.median);
 }
 
@@ -294,17 +231,17 @@ void duel(const char* name, const char* slug, std::size_t reps,
   std::vector<double> legacy_eps, arena_eps;
   for (std::size_t r = 0; r < reps; ++r) {
     {
-      const double t0 = now_seconds();
+      const double t0 = bench::now_s();
       const std::size_t processed = run_legacy();
-      const double dt = now_seconds() - t0;
-      check(processed == expected_events, "legacy engine processed every event");
+      const double dt = bench::now_s() - t0;
+      bench::check(processed == expected_events, "legacy engine processed every event");
       legacy_eps.push_back(static_cast<double>(processed) / dt);
     }
     {
-      const double t0 = now_seconds();
+      const double t0 = bench::now_s();
       const std::size_t processed = run_arena();
-      const double dt = now_seconds() - t0;
-      check(processed == expected_events, "arena engine processed every event");
+      const double dt = bench::now_s() - t0;
+      bench::check(processed == expected_events, "arena engine processed every event");
       arena_eps.push_back(static_cast<double>(processed) / dt);
     }
   }
@@ -353,7 +290,7 @@ void bench_engine(bool smoke) {
          checksum_arena = c.checksum();
          return n;
        });
-  check(checksum_legacy == checksum_arena, "identical churn results across engines");
+  bench::check(checksum_legacy == checksum_arena, "identical churn results across engines");
   std::printf("  (speedup target >= 3x on pure dispatch%s)\n",
               smoke ? "; smoke: not enforced" : "");
 }
@@ -383,16 +320,16 @@ void bench_bootstrap(bool smoke) {
   std::vector<double> generic_s, fast_s;
   for (std::size_t r = 0; r < reps; ++r) {
     const std::uint64_t seed = 100 + r;
-    double t0 = now_seconds();
+    double t0 = bench::now_s();
     const auto slow_ci = stats::bootstrap_bca_ci(xs, generic_median, replicates, 0.95, seed);
-    generic_s.push_back(now_seconds() - t0);
+    generic_s.push_back(bench::now_s() - t0);
 
-    t0 = now_seconds();
+    t0 = bench::now_s();
     const auto fast_ci = stats::bootstrap_bca_ci(xs, fast_median, replicates, 0.95, seed);
-    fast_s.push_back(now_seconds() - t0);
+    fast_s.push_back(bench::now_s() - t0);
 
-    check(slow_ci.lower == fast_ci.lower && slow_ci.upper == fast_ci.upper,
-          "fast BCa interval bit-identical to callback path");
+    bench::check(slow_ci.lower == fast_ci.lower && slow_ci.upper == fast_ci.upper,
+                 "fast BCa interval bit-identical to callback path");
   }
 
   auto to_ms = [](std::vector<double>& v) {
@@ -400,16 +337,12 @@ void bench_bootstrap(bool smoke) {
   };
   to_ms(generic_s);
   to_ms(fast_s);
-  if (g_reporter != nullptr) {
-    g_reporter->add_metric("bca_median.generic", "ms", generic_s);
-    g_reporter->add_metric("bca_median.fast", "ms", fast_s);
-  }
-  const Summary generic = summarize(generic_s);
-  const Summary fast = summarize(fast_s);
+  const auto generic = bench::summarize("bca_median.generic", "ms", generic_s);
+  const auto fast = bench::summarize("bca_median.fast", "ms", fast_s);
   std::printf("  generic (Statistic)    median %8.1f ms   95%% CI [%8.1f, %8.1f]\n",
-              generic.median, generic.lo, generic.hi);
+              generic.median, generic.ci_lo, generic.ci_hi);
   std::printf("  fast (ResampleStat)    median %8.1f ms   95%% CI [%8.1f, %8.1f]\n",
-              fast.median, fast.lo, fast.hi);
+              fast.median, fast.ci_lo, fast.ci_hi);
   std::printf("  speedup (median/median): %.2fx  (target >= 2x)%s\n",
               generic.median / fast.median, smoke ? "  [smoke: not enforced]" : "");
 }
@@ -438,9 +371,9 @@ void bench_allocations(bool smoke) {
   // freed arena slot; every callback fits InlineCallback's buffer.
   Churn<sim::Engine> churn(chains, hops);
   const std::uint64_t spills_before = spills.value();
-  const std::uint64_t allocs_before = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = testing::allocation_count();
   const std::size_t processed = churn.run(eng);
-  const std::uint64_t allocs = g_alloc_calls.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
   const std::uint64_t spilled = spills.value() - spills_before;
 
   std::printf("  events dispatched: %zu\n", processed);
@@ -448,46 +381,23 @@ void bench_allocations(bool smoke) {
               static_cast<unsigned long long>(allocs));
   std::printf("  engine.callback_heap_allocs delta: %llu (target 0)\n",
               static_cast<unsigned long long>(spilled));
-  check(processed == chains * (hops + 1), "steady-state batch processed every event");
-  check(allocs == 0, "zero allocator calls in steady-state dispatch");
-  check(spilled == 0, "zero InlineCallback heap spills in steady state");
-  if (g_reporter != nullptr) {
-    g_reporter->add_counter("steady_state_alloc_calls", allocs);
-    g_reporter->add_counter("steady_state_callback_heap_spills", spilled);
-  }
+  bench::check(processed == chains * (hops + 1), "steady-state batch processed every event");
+  bench::check(allocs == 0, "zero allocator calls in steady-state dispatch");
+  bench::check(spilled == 0, "zero InlineCallback heap spills in steady state");
+  bench::reporter().add_counter("steady_state_alloc_calls", allocs);
+  bench::reporter().add_counter("steady_state_callback_heap_spills", spilled);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  obs::BenchReporter reporter("sim_hotpath");
-  reporter.set_context("mode", smoke ? "smoke" : "full");
-  if (!json_dir.empty()) g_reporter = &reporter;
+  bench::init("sim_hotpath", argc, argv);
+  bench::reporter().set_context("mode", bench::mode());
+  const bool smoke = bench::smoke();
 
-  std::printf("sim hot-path benchmark (%s mode)\n", smoke ? "smoke" : "full");
+  std::printf("sim hot-path benchmark (%s mode)\n", bench::mode());
   bench_engine(smoke);
   bench_bootstrap(smoke);
   bench_allocations(smoke);
-
-  if (g_reporter != nullptr) {
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::printf("FAILED: could not write BENCH json into %s\n", json_dir.c_str());
-      ++g_failures;
-    } else {
-      std::printf("\nwrote %s\n", path.c_str());
-    }
-  }
-  if (g_failures != 0) {
-    std::printf("\n%d invariant check(s) FAILED\n", g_failures);
-    return 1;
-  }
-  std::printf("\nall invariants held (bit-equality, event counts, zero-allocation)\n");
-  return 0;
+  return bench::finish("all invariants held (bit-equality, event counts, zero-allocation)");
 }

@@ -32,88 +32,26 @@
 // multi-core gate only arms when the host actually has >= 4 hardware
 // threads -- Rule 4: report the environment, don't gate on what it
 // cannot show).
-#include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <new>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/bench_report.hpp"
+#include "counting_new.hpp"
+#include "harness.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/bootstrap_engine.hpp"
-#include "stats/confidence.hpp"
-#include "stats/descriptive.hpp"
 #include "stats/simd_dispatch.hpp"
 
-// ---------------------------------------------------------------------------
-// Allocation counting: every allocator call in the process goes through
-// here, so "zero allocations" is an observed fact, not a claim.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Every allocator call in the process is counted (counting_new.hpp),
+// so "zero allocations" is an observed fact, not a claim.
 
 using namespace sci;
 
 namespace {
-
-bool g_smoke = false;
-int g_failures = 0;
-obs::BenchReporter* g_reporter = nullptr;  ///< set when --json DIR is given
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("FAILED: %s\n", what);
-    ++g_failures;
-  }
-}
-
-struct Summary {
-  double median = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Median + 95% nonparametric CI (order-statistic ranks) when n permits.
-Summary summarize(const std::vector<double>& samples) {
-  Summary s;
-  const auto sorted = stats::sorted_copy(samples);
-  s.median = stats::quantile_sorted(sorted, 0.5);
-  if (sorted.size() > 5) {
-    const auto ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-    s.lo = ci.lower;
-    s.hi = ci.upper;
-  } else {
-    s.lo = sorted.front();
-    s.hi = sorted.back();
-  }
-  return s;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// The workload: right-skewed latency-like series, as in the fig7ab
 /// bound studies.
@@ -138,22 +76,22 @@ struct Workload {
 /// engine; returns CIs per second.
 double time_pass(stats::BootstrapEngine& engine, const Workload& w,
                  const stats::ResampleStat& stat) {
-  const double t0 = now_s();
+  const double t0 = bench::now_s();
   double sink = 0.0;
   for (std::size_t i = 0; i < w.series.size(); ++i) {
     const auto ci =
         engine.percentile_ci(w.series[i], stat, w.replicates, 0.95, 0xb00f + i);
     sink += ci.lower + ci.upper;
   }
-  const double dt = now_s() - t0;
-  check(sink != 0.0, "CI pass produced nonzero bounds");
+  const double dt = bench::now_s() - t0;
+  bench::check(sink != 0.0, "CI pass produced nonzero bounds");
   return static_cast<double>(w.series.size()) / dt;
 }
 
 struct DuelOutcome {
-  Summary baseline;
-  Summary vectorized;
-  Summary parallel;
+  obs::BenchMetric baseline;
+  obs::BenchMetric vectorized;
+  obs::BenchMetric parallel;
   std::size_t parallel_threads = 1;
 };
 
@@ -177,27 +115,22 @@ DuelOutcome duel(const char* name, const char* slug, const stats::ResampleStat& 
     vectorized_s.push_back(time_pass(vectorized, w, stat));
     parallel_s.push_back(time_pass(parallel, w, stat));
   }
-  if (g_reporter != nullptr) {
-    const std::string base = slug;
-    g_reporter->add_metric(base + ".baseline", "ci/s", baseline_s,
-                           obs::Improve::kHigher);
-    g_reporter->add_metric(base + ".vectorized", "ci/s", vectorized_s,
-                           obs::Improve::kHigher);
-    g_reporter->add_metric(base + ".parallel", "ci/s", parallel_s,
-                           obs::Improve::kHigher);
-  }
-  outcome.baseline = summarize(baseline_s);
-  outcome.vectorized = summarize(vectorized_s);
-  outcome.parallel = summarize(parallel_s);
+  const std::string base = slug;
+  outcome.baseline =
+      bench::summarize(base + ".baseline", "ci/s", baseline_s, obs::Improve::kHigher);
+  outcome.vectorized =
+      bench::summarize(base + ".vectorized", "ci/s", vectorized_s, obs::Improve::kHigher);
+  outcome.parallel =
+      bench::summarize(base + ".parallel", "ci/s", parallel_s, obs::Improve::kHigher);
   std::printf("  %s\n", name);
   std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s\n", "baseline {1t, 1 lane}",
-              outcome.baseline.median, outcome.baseline.lo, outcome.baseline.hi);
+              outcome.baseline.median, outcome.baseline.ci_lo, outcome.baseline.ci_hi);
   std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s   %.2fx\n", "vectorized {1t, 8 lanes}",
-              outcome.vectorized.median, outcome.vectorized.lo, outcome.vectorized.hi,
+              outcome.vectorized.median, outcome.vectorized.ci_lo, outcome.vectorized.ci_hi,
               outcome.vectorized.median / outcome.baseline.median);
   std::printf("    %-18s %2zut  %8.1f [%8.1f, %8.1f] ci/s   %.2fx\n",
               "parallel {8 lanes}", outcome.parallel_threads, outcome.parallel.median,
-              outcome.parallel.lo, outcome.parallel.hi,
+              outcome.parallel.ci_lo, outcome.parallel.ci_hi,
               outcome.parallel.median / outcome.baseline.median);
   return outcome;
 }
@@ -214,35 +147,32 @@ void smalln_median(const Workload& w, std::size_t reps) {
   for (std::size_t rep = 0; rep < reps; ++rep) {
     histogram_s.push_back(time_pass(engine, w, stat));
   }
-  if (g_reporter != nullptr) {
-    g_reporter->add_metric("median_ci_smalln.histogram", "ci/s", histogram_s,
-                           obs::Improve::kHigher);
-  }
-  const Summary histogram = summarize(histogram_s);
+  const auto histogram = bench::summarize("median_ci_smalln.histogram", "ci/s", histogram_s,
+                                          obs::Improve::kHigher);
   std::printf("  median CI, n=%zu, {1t, 8 lanes}, isa=%s\n", w.series.front().size(),
               to_string(stats::simd::active_isa()));
   std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s\n", "histogram select",
-              histogram.median, histogram.lo, histogram.hi);
+              histogram.median, histogram.ci_lo, histogram.ci_hi);
 }
 
 // --------------------------------------------- BCa jackknife scaling
 
 double time_bca_pass(stats::BootstrapEngine& engine, const Workload& w,
                      const stats::ResampleStat& stat) {
-  const double t0 = now_s();
+  const double t0 = bench::now_s();
   double sink = 0.0;
   for (std::size_t i = 0; i < w.series.size(); ++i) {
     const auto ci = engine.bca_ci(w.series[i], stat, w.replicates, 0.95, 0xb00f + i);
     sink += ci.lower + ci.upper;
   }
-  const double dt = now_s() - t0;
-  check(sink != 0.0, "BCa pass produced nonzero bounds");
+  const double dt = bench::now_s() - t0;
+  bench::check(sink != 0.0, "BCa pass produced nonzero bounds");
   return static_cast<double>(w.series.size()) / dt;
 }
 
 struct BcaOutcome {
-  Summary serial;
-  Summary parallel;
+  obs::BenchMetric serial;
+  obs::BenchMetric parallel;
   std::size_t parallel_threads = 1;
 };
 
@@ -264,19 +194,16 @@ BcaOutcome bca_duel(const Workload& w, std::size_t reps) {
     serial_s.push_back(time_bca_pass(serial, w, stat));
     parallel_s.push_back(time_bca_pass(parallel, w, stat));
   }
-  if (g_reporter != nullptr) {
-    g_reporter->add_metric("bca_mean_ci.serial", "ci/s", serial_s, obs::Improve::kHigher);
-    g_reporter->add_metric("bca_mean_ci.parallel", "ci/s", parallel_s,
-                           obs::Improve::kHigher);
-  }
-  outcome.serial = summarize(serial_s);
-  outcome.parallel = summarize(parallel_s);
+  outcome.serial =
+      bench::summarize("bca_mean_ci.serial", "ci/s", serial_s, obs::Improve::kHigher);
+  outcome.parallel =
+      bench::summarize("bca_mean_ci.parallel", "ci/s", parallel_s, obs::Improve::kHigher);
   std::printf("  BCa mean CI (jackknife n=%zu per series)\n", w.series.front().size());
   std::printf("    %-24s %8.1f [%8.1f, %8.1f] ci/s\n", "serial {1t, 8 lanes}",
-              outcome.serial.median, outcome.serial.lo, outcome.serial.hi);
+              outcome.serial.median, outcome.serial.ci_lo, outcome.serial.ci_hi);
   std::printf("    %-18s %2zut  %8.1f [%8.1f, %8.1f] ci/s   %.2fx\n",
               "parallel {8 lanes}", outcome.parallel_threads, outcome.parallel.median,
-              outcome.parallel.lo, outcome.parallel.hi,
+              outcome.parallel.ci_lo, outcome.parallel.ci_hi,
               outcome.parallel.median / outcome.serial.median);
   return outcome;
 }
@@ -298,7 +225,7 @@ void determinism_checks(const Workload& w) {
     char what[96];
     std::snprintf(what, sizeof what,
                   "distribution byte-equal: %zu threads vs 1 thread (8 lanes)", threads);
-    check(got == want, what);
+    bench::check(got == want, what);
   }
 
   // lanes = 1 reproduces the legacy single-stream path exactly.
@@ -306,7 +233,7 @@ void determinism_checks(const Workload& w) {
   stats::BootstrapEngine single(stats::ExecPolicy{4, 1});
   std::vector<double> got;
   single.distribution(xs, stat, w.replicates, 0xb00f, got);
-  check(got == legacy, "distribution byte-equal: engine {4t, 1 lane} vs legacy path");
+  bench::check(got == legacy, "distribution byte-equal: engine {4t, 1 lane} vs legacy path");
 
   // ISA never changes bytes: {scalar, SIMD} x {1,4,8} threads must all
   // produce one distribution and one BCa interval. On hosts without
@@ -337,10 +264,10 @@ void determinism_checks(const Workload& w) {
       char what[96];
       std::snprintf(what, sizeof what, "distribution byte-equal: isa=%s, %zu threads",
                     to_string(stats::simd::active_isa()), threads);
-      check(dist == isa_want, what);
+      bench::check(dist == isa_want, what);
       std::snprintf(what, sizeof what, "BCa interval byte-equal: isa=%s, %zu threads",
                     to_string(stats::simd::active_isa()), threads);
-      check(bca.lower == bca_want.lower && bca.upper == bca_want.upper, what);
+      bench::check(bca.lower == bca_want.lower && bca.upper == bca_want.upper, what);
     }
   }
   stats::simd::reset_isa();
@@ -362,37 +289,29 @@ void audit_global_allocator(const Workload& w) {
 
   std::uint64_t allocs = 0;
   for (std::uint64_t rep = 0; rep < 5; ++rep) {
-    const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+    const std::uint64_t before = testing::allocation_count();
     engine.distribution(xs, stat, w.replicates, 1 + rep, out);
-    allocs += g_alloc_calls.load(std::memory_order_relaxed) - before;
+    allocs += testing::allocation_count() - before;
   }
-  check(allocs == 0, "zero allocator calls across 5 warmed distribution() invocations");
+  bench::check(allocs == 0, "zero allocator calls across 5 warmed distribution() invocations");
   std::printf("  global allocator calls across 5 warmed invocations: %llu\n",
               static_cast<unsigned long long>(allocs));
-  if (g_reporter != nullptr) {
-    g_reporter->add_counter("global_alloc_calls_warmed_distribution", allocs);
-  }
+  bench::reporter().add_counter("global_alloc_calls_warmed_distribution", allocs);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  obs::BenchReporter reporter("stats_parallel");
-  reporter.set_context("mode", g_smoke ? "smoke" : "full");
-  if (!json_dir.empty()) g_reporter = &reporter;
+  bench::init("stats_parallel", argc, argv);
+  bench::reporter().set_context("mode", bench::mode());
+  const bool smoke = bench::smoke();
   const unsigned hc = std::thread::hardware_concurrency();
-  std::printf("bench_stats_parallel (%s, %u hardware thread(s))\n",
-              g_smoke ? "smoke" : "full", hc);
+  std::printf("bench_stats_parallel (%s, %u hardware thread(s))\n", bench::mode(), hc);
 
   Workload w;
-  w.series = make_series(g_smoke ? 4 : 16, g_smoke ? 80 : 1000);
-  w.replicates = g_smoke ? 200 : 1000;
-  const std::size_t reps = g_smoke ? 3 : 25;
+  w.series = make_series(smoke ? 4 : 16, smoke ? 80 : 1000);
+  w.replicates = smoke ? 200 : 1000;
+  const std::size_t reps = smoke ? 3 : 25;
   std::printf("  workload: %zu series x n=%zu, %zu bootstrap replicates each\n",
               w.series.size(), w.series.front().size(), w.replicates);
 
@@ -406,7 +325,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n[2] small-n median CI\n");
   Workload smalln;
-  smalln.series = make_series(g_smoke ? 8 : 32, 64);
+  smalln.series = make_series(smoke ? 8 : 32, 64);
   smalln.replicates = w.replicates;
   std::printf("  workload: %zu series x n=%zu, %zu bootstrap replicates each\n",
               smalln.series.size(), smalln.series.front().size(), smalln.replicates);
@@ -421,16 +340,16 @@ int main(int argc, char** argv) {
   std::printf("\n[5] allocation audit\n");
   audit_global_allocator(w);
 
-  if (!g_smoke) {
+  if (!smoke) {
     // Single-thread acceptance, on the statistic whose kernels the
     // in-core waves actually accelerate: the mean path's 4-wide fills
     // and Kahan rows must pay for themselves with disjoint CIs. (The
     // median path is selection-bound; its single-thread delta is
     // reported above but only gated as "no regression".)
-    check(mean_ci.vectorized.lo > mean_ci.baseline.hi,
-          "mean CI, vectorized {1t, 8 lanes}: faster than baseline, 95% CIs disjoint");
-    check(median_ci.vectorized.median >= 0.9 * median_ci.baseline.median,
-          "median CI, vectorized {1t, 8 lanes}: no single-thread regression");
+    bench::check(mean_ci.vectorized.ci_lo > mean_ci.baseline.ci_hi,
+                 "mean CI, vectorized {1t, 8 lanes}: faster than baseline, 95% CIs disjoint");
+    bench::check(median_ci.vectorized.median >= 0.9 * median_ci.baseline.median,
+                 "median CI, vectorized {1t, 8 lanes}: no single-thread regression");
     // Multi-core acceptance: the end-to-end >= 4x target needs enough
     // cores to show it (threads shard 8 lanes, so >= 8 hardware threads
     // leaves headroom; at 4-7 the honest bar is hc/2). A 1-CPU runner
@@ -442,9 +361,9 @@ int main(int argc, char** argv) {
       std::snprintf(what, sizeof what,
                     "median CI, parallel {%ut, 8 lanes}: >= %.1fx baseline median", hc,
                     required);
-      check(median_ci.parallel.median >= required * median_ci.baseline.median, what);
-      check(median_ci.parallel.lo > median_ci.baseline.hi,
-            "median CI, parallel: 95% CIs disjoint from baseline");
+      bench::check(median_ci.parallel.median >= required * median_ci.baseline.median, what);
+      bench::check(median_ci.parallel.ci_lo > median_ci.baseline.ci_hi,
+                   "median CI, parallel: 95% CIs disjoint from baseline");
     } else {
       std::printf("  (multi-core gates skipped: %u hardware thread(s))\n", hc);
     }
@@ -452,28 +371,14 @@ int main(int argc, char** argv) {
     // (Serial-vs-serial there is a wash by construction: the jackknife
     // kernels are byte-for-byte the PR 8 loops, just range-sharded.)
     if (hc >= 4) {
-      check(bca.parallel.median >= 2.0 * bca.serial.median,
-            "BCa mean CI, parallel: >= 2x serial median");
-      check(bca.parallel.lo > bca.serial.hi,
-            "BCa mean CI, parallel: 95% CIs disjoint from serial");
+      bench::check(bca.parallel.median >= 2.0 * bca.serial.median,
+                   "BCa mean CI, parallel: >= 2x serial median");
+      bench::check(bca.parallel.ci_lo > bca.serial.ci_hi,
+                   "BCa mean CI, parallel: 95% CIs disjoint from serial");
     } else {
       std::printf("  (BCa multi-core gates skipped: %u hardware thread(s))\n", hc);
     }
   }
 
-  if (g_reporter != nullptr) {
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::printf("FAILED: could not write BENCH json into %s\n", json_dir.c_str());
-      ++g_failures;
-    } else {
-      std::printf("\nwrote %s\n", path.c_str());
-    }
-  }
-  if (g_failures == 0) {
-    std::printf("\nall checks passed\n");
-    return 0;
-  }
-  std::printf("\n%d check(s) FAILED\n", g_failures);
-  return 1;
+  return bench::finish();
 }

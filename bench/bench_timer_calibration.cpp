@@ -3,10 +3,9 @@
 // the interval admission checks of Section 4.2.1 (timer overhead < 5%
 // of the interval; precision 10x finer than the interval).
 #include <cstdio>
-#include <cstring>
 #include <string>
 
-#include "obs/bench_report.hpp"
+#include "harness.hpp"
 #include "timer/calibration.hpp"
 #include "timer/timer.hpp"
 
@@ -14,16 +13,12 @@ using namespace sci;
 
 namespace {
 
-obs::BenchReporter* g_reporter = nullptr;  ///< set when --json DIR is given
-
 void report(const timer::Clock& clock) {
   const auto cal = timer::calibrate(clock, 20000);
-  if (g_reporter != nullptr) {
-    const double resolution[] = {cal.resolution_ns};
-    const double overhead[] = {cal.overhead_ns};
-    g_reporter->add_metric(cal.clock_name + ".resolution_ns", "ns", resolution);
-    g_reporter->add_metric(cal.clock_name + ".overhead_ns", "ns", overhead);
-  }
+  const double resolution[] = {cal.resolution_ns};
+  const double overhead[] = {cal.overhead_ns};
+  bench::summarize(cal.clock_name + ".resolution_ns", "ns", resolution);
+  bench::summarize(cal.clock_name + ".overhead_ns", "ns", overhead);
   std::printf("timer '%s': resolution %.1f ns, per-call overhead %.1f ns "
               "(%zu samples)\n",
               cal.clock_name.c_str(), cal.resolution_ns, cal.overhead_ns, cal.samples);
@@ -39,12 +34,7 @@ void report(const timer::Clock& clock) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_dir = argv[++i];
-  }
-  obs::BenchReporter reporter("timer_calibration");
-  if (!json_dir.empty()) g_reporter = &reporter;
+  bench::init("timer_calibration", argc, argv);
   std::printf("=== Timer self-characterisation (LibSciBench Section 6) ===\n");
   const timer::SteadyClock steady;
   report(steady);
@@ -58,13 +48,5 @@ int main(int argc, char** argv) {
   std::printf("\nguideline (Section 4.2.1): ensure timer overhead is <5%% of the\n");
   std::printf("measured interval and resolution is 10x finer; measure multiple\n");
   std::printf("events per interval otherwise (at the cost of per-event CIs).\n");
-  if (g_reporter != nullptr) {
-    const std::string path = reporter.write_json(json_dir);
-    if (path.empty()) {
-      std::fprintf(stderr, "could not write BENCH json into %s\n", json_dir.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-  return 0;
+  return bench::finish();
 }

@@ -16,16 +16,6 @@ namespace sci::ci {
 
 namespace {
 
-/// Rank CI over a *sorted* window of medians: the nonparametric interval
-/// when n permits, the observed range otherwise (same fallback the bench
-/// harnesses use for tiny n).
-stats::Interval interval_over_sorted(std::span<const double> sorted) {
-  if (sorted.size() > 5) {
-    return stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-  }
-  return stats::Interval{sorted.front(), sorted.back(), 0.95};
-}
-
 /// Is `change` (signed relative) in the bad direction for this metric?
 bool is_worse(double change, obs::Improve improve) noexcept {
   return improve == obs::Improve::kLower ? change > 0.0 : change < 0.0;
@@ -75,7 +65,7 @@ Finding analyze_series(const MetricSeries& series, const DetectionOptions& optio
   finding.baseline_median = stats::quantile_sorted(sorted_baseline, 0.5);
   finding.change_fraction = relative_change(finding.latest_median, finding.baseline_median);
 
-  const stats::Interval baseline_ci = interval_over_sorted(sorted_baseline);
+  const stats::Interval baseline_ci = stats::median_interval_sorted(sorted_baseline);
   // Detect the blind spot, not just its tiny-n cause: rank CIs over few
   // points clamp to the extremes even when n > 5 lets the formula run.
   // A constant window (min == max) is a zero-width interval, not a wide

@@ -109,22 +109,22 @@ ProgressSnapshot parse_progress_snapshot(std::string_view json_text) {
   snap.samples_executed = root.at("samples_executed").as_size();
   snap.samples_total = root.at("samples_total").as_size();
   snap.elapsed_s = root.at("elapsed_s").as_number();
-  snap.finished = root.at("finished").boolean;
-  snap.sequential = root.at("sequential").boolean;
+  snap.finished = root.at("finished").as_bool();
+  snap.sequential = root.at("sequential").as_bool();
   snap.configs_total = root.at("configs_total").as_size();
   snap.configs_converged = root.at("configs_converged").as_size();
   snap.configs_capped = root.at("configs_capped").as_size();
   snap.rounds = root.at("rounds").as_size();
-  for (const auto& r : root.at("rep_counts").array) {
+  for (const auto& r : root.at("rep_counts").as_array()) {
     snap.rep_counts.push_back(r.as_size());
   }
-  for (const auto& w : root.at("workers").array) {
+  for (const auto& w : root.at("workers").as_array()) {
     WorkerProgress wp;
     wp.cells = w.at("cells").as_size();
     wp.busy_s = w.at("busy_s").as_number();
     snap.workers.push_back(wp);
   }
-  for (const auto& c : root.at("counter_delta").array) {
+  for (const auto& c : root.at("counter_delta").as_array()) {
     snap.counter_delta.emplace_back(c.at("name").as_string(),
                                     static_cast<std::uint64_t>(c.at("value").as_size()));
   }

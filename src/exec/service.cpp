@@ -226,8 +226,7 @@ void CampaignService::run_job(QueuedJob job) {
     }
     EventProgressSink progress(job.id, emit_line);
     CampaignRunnerOptions ropts;
-    ropts.workers =
-        options_.runner_threads != 0 ? options_.runner_threads : pool_.worker_count();
+    ropts.workers = pool_.worker_count();  // one runner thread per worker: saturate the fleet
     ropts.journal_path = sub.journal_path;
     ropts.max_attempts = sub.max_attempts;
     ropts.cell_budget = sub.cell_budget;

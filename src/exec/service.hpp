@@ -118,9 +118,6 @@ class ServiceEventSink {
 };
 
 struct ServiceOptions {
-  /// Runner threads driving the pool per job; 0 = pool worker count
-  /// (saturate the fleet). Never affects result bytes.
-  std::size_t runner_threads = 0;
   /// Cooperative interrupt forwarded to every runner (see
   /// exec/interrupt.hpp); a signalled daemon drains the active job as
   /// interrupted cells and journals nothing partial.

@@ -87,7 +87,7 @@ void append_config(std::string& out, const Config& config) {
 Config parse_config(const json::Value& v) {
   Config config;
   config.index = v.at("index").as_size();
-  for (const auto& entry : v.at("levels").array) {
+  for (const auto& entry : v.at("levels").as_array()) {
     config.levels.emplace_back(entry.at("factor").as_string(),
                                entry.at("level").as_string());
     config.level_indices.push_back(entry.at("level_index").as_size());
@@ -233,7 +233,7 @@ CampaignEnvelope parse_campaign_json(std::string_view text) {
   const json::Value& base = root.at("base");
   spec.base.name = base.at("name").as_string();
   spec.base.description = base.at("description").as_string();
-  for (const auto& entry : base.at("environment").array) {
+  for (const auto& entry : base.at("environment").as_array()) {
     spec.base.environment[entry.at("key").as_string()] = entry.at("value").as_string();
   }
   const std::size_t scaling = base.at("scaling").as_size();
@@ -243,15 +243,15 @@ CampaignEnvelope parse_campaign_json(std::string_view text) {
   spec.base.scaling = static_cast<core::ScalingMode>(scaling);
   spec.base.weak_scaling_function = base.at("weak_scaling_function").as_string();
   spec.base.subset_reason = base.at("subset_reason").as_string();
-  spec.base.uses_subset = base.at("uses_subset").boolean;
-  spec.base.parallel_measurement = base.at("parallel_measurement").boolean;
+  spec.base.uses_subset = base.at("uses_subset").as_bool();
+  spec.base.parallel_measurement = base.at("parallel_measurement").as_bool();
   spec.base.synchronization_method = base.at("synchronization_method").as_string();
   spec.base.summary_across_processes = base.at("summary_across_processes").as_string();
 
-  for (const auto& factor : root.at("factors").array) {
+  for (const auto& factor : root.at("factors").as_array()) {
     core::Factor f;
     f.name = factor.at("name").as_string();
-    for (const auto& level : factor.at("levels").array) f.levels.push_back(level.as_string());
+    for (const auto& level : factor.at("levels").as_array()) f.levels.push_back(level.as_string());
     spec.factors.push_back(std::move(f));
   }
 
@@ -331,12 +331,9 @@ CellResult cell_result_from_json(const json::Value& root) {
   result.stop_reason = root.at("stop_reason").as_string();
   result.warmup_discarded = root.at("warmup_discarded").as_size();
   result.error = root.at("error").as_string();
-  const json::Value& samples = root.at("samples");
-  if (samples.type != json::Value::Type::kArray) {
-    throw std::runtime_error("wire: \"samples\" must be an array");
-  }
-  result.samples.reserve(samples.array.size());
-  for (const auto& s : samples.array) {
+  const auto& samples = root.at("samples").as_array();
+  result.samples.reserve(samples.size());
+  for (const auto& s : samples) {
     result.samples.push_back(parse_hex_double(s.as_string()));
   }
   return result;

@@ -105,10 +105,10 @@ BenchReport parse_bench_report(std::string_view json_text) {
   BenchReport report;
   report.bench = root.at("bench").as_string();
   report.git_sha = root.at("git_sha").as_string();
-  for (const auto& [key, value] : root.at("context").object) {
+  for (const auto& [key, value] : root.at("context").as_object()) {
     report.context[key] = value.as_string();
   }
-  for (const auto& m : root.at("metrics").array) {
+  for (const auto& m : root.at("metrics").as_array()) {
     BenchMetric metric;
     metric.name = m.at("name").as_string();
     metric.unit = m.at("unit").as_string();
@@ -119,7 +119,7 @@ BenchReport parse_bench_report(std::string_view json_text) {
     metric.ci_hi = m.at("ci_hi").as_number();
     report.metrics.push_back(std::move(metric));
   }
-  for (const auto& c : root.at("counters").array) {
+  for (const auto& c : root.at("counters").as_array()) {
     report.counters.emplace_back(c.at("name").as_string(),
                                  static_cast<std::uint64_t>(c.at("value").as_size()));
   }
@@ -197,14 +197,9 @@ BenchMetric& BenchReporter::add_metric(std::string name, std::string unit,
   metric.n = samples.size();
   const auto sorted = stats::sorted_copy(samples);
   metric.median = stats::quantile_sorted(sorted, 0.5);
-  if (sorted.size() > 5) {
-    const auto ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, 0.95);
-    metric.ci_lo = ci.lower;
-    metric.ci_hi = ci.upper;
-  } else {
-    metric.ci_lo = sorted.front();
-    metric.ci_hi = sorted.back();
-  }
+  const stats::Interval ci = stats::median_interval_sorted(sorted);
+  metric.ci_lo = ci.lower;
+  metric.ci_hi = ci.upper;
   return add_summary(std::move(metric));
 }
 

@@ -48,7 +48,7 @@ struct BenchMetric {
   Improve improve = Improve::kLower;
   std::size_t n = 0;        ///< samples behind the median
   double median = 0.0;
-  double ci_lo = 0.0;       ///< 95% nonparametric CI (min/max when n <= 5)
+  double ci_lo = 0.0;       ///< 95% CI (stats::median_interval_sorted)
   double ci_hi = 0.0;
 };
 
@@ -85,9 +85,9 @@ class BenchReporter {
 
   BenchReporter& set_context(std::string key, std::string value);
 
-  /// Summarizes `samples` the same way the bench prose does -- median +
-  /// 95% nonparametric rank CI, min/max fallback for n <= 5 -- and
-  /// records the metric. Throws std::invalid_argument on empty samples.
+  /// Summarizes `samples` as a median and its 95% interval from
+  /// stats::median_interval_sorted, and records the metric. Throws
+  /// std::invalid_argument on empty samples.
   BenchMetric& add_metric(std::string name, std::string unit,
                           std::span<const double> samples,
                           Improve improve = Improve::kLower);

@@ -238,6 +238,21 @@ const std::string& Value::as_string() const {
   return string;
 }
 
+bool Value::as_bool() const {
+  if (type != Type::kBool) throw std::runtime_error("json: expected a boolean");
+  return boolean;
+}
+
+const std::vector<Value>& Value::as_array() const {
+  if (type != Type::kArray) throw std::runtime_error("json: expected an array");
+  return array;
+}
+
+const std::vector<Member>& Value::as_object() const {
+  if (type != Type::kObject) throw std::runtime_error("json: expected an object");
+  return object;
+}
+
 std::size_t Value::as_size() const {
   // 2^64 for a 64-bit size_t: every double below it converts exactly or
   // truncates, so the range check must come before the cast.

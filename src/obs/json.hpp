@@ -52,6 +52,9 @@ struct Value {
   /// Typed accessors; throw std::runtime_error on type mismatch.
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
+  [[nodiscard]] bool as_bool() const;
+  [[nodiscard]] const std::vector<Value>& as_array() const;
+  [[nodiscard]] const std::vector<Member>& as_object() const;
   /// A non-negative integer that size_t holds; anything else -- NaN
   /// (null), 1e300, 2^64 -- throws before any cast.
   [[nodiscard]] std::size_t as_size() const;

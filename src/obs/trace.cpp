@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -14,10 +15,14 @@ namespace {
 
 /// Timestamps print as fixed microseconds with picosecond resolution.
 /// printf-family output for a given double is stable within one libc,
-/// which is what the byte-identical-trace guarantee needs.
+/// which is what the byte-identical-trace guarantee needs. A non-finite
+/// value prints as null: the file stays JSON, and parse_trace refuses
+/// the event as missing its number.
 std::string fmt_us(double seconds) {
+  const double us = seconds * 1e6;
+  if (!std::isfinite(us)) return "null";
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", seconds * 1e6);
+  std::snprintf(buf, sizeof buf, "%.6f", us);
   return buf;
 }
 

@@ -51,6 +51,12 @@ Interval median_confidence_interval(std::span<const double> xs, double confidenc
   return quantile_confidence_interval(xs, 0.5, confidence);
 }
 
+Interval median_interval_sorted(std::span<const double> sorted, double confidence) {
+  if (sorted.empty()) throw std::invalid_argument("median_interval_sorted: empty sample");
+  if (sorted.size() > 5) return quantile_confidence_interval_sorted(sorted, 0.5, confidence);
+  return {sorted.front(), sorted.back(), confidence};
+}
+
 std::vector<QuantileSummary> grouped_quantile_summary(
     std::span<const std::span<const double>> groups, double p, double confidence,
     const ExecPolicy& policy) {

@@ -53,6 +53,13 @@ struct Interval {
 [[nodiscard]] Interval median_confidence_interval(std::span<const double> xs,
                                                   double confidence = 0.95);
 
+/// The interval reported next to a median everywhere this repo
+/// summarizes its own runs (bench metrics, the regression detector's
+/// baseline): the rank CI when n > 5, else the observed [min, max].
+/// `sorted` ascending; throws std::invalid_argument when empty.
+[[nodiscard]] Interval median_interval_sorted(std::span<const double> sorted,
+                                              double confidence = 0.95);
+
 /// Number of measurements needed so that the 1-alpha CI of the mean is
 /// within +-e*mean, estimated from a pilot sample (Section 4.2.2,
 /// normally distributed data): n = (s * t(n-1, a/2) / (e*mean))^2.

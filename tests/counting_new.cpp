@@ -12,7 +12,7 @@ std::atomic<std::size_t> g_alloc_calls{0};
 
 void* counted_malloc(std::size_t size) {
   g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 }  // namespace

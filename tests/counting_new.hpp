@@ -1,6 +1,6 @@
-// Global operator new/delete replaced by counting versions, for tests
-// that prove a steady state performs no heap allocation. Link
-// counting_new.cpp into the test binary to enable them.
+// Global operator new/delete replaced by counting versions, for the
+// tests and benches that prove a steady state performs no heap
+// allocation. Link the sci_counting_new object library to enable them.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -76,6 +77,27 @@ TEST(MedianCI, BoundsAreObservedValues) {
   EXPECT_TRUE(is_observed(ci.upper));
   EXPECT_LE(ci.lower, median(v));
   EXPECT_GE(ci.upper, median(v));
+}
+
+TEST(MedianCI, IntervalSortedIsTheRankCiOrTheObservedRange) {
+  // n <= 5: the observed [min, max], at the requested confidence.
+  const std::vector<double> five = {1.0, 2.0, 3.0, 4.0, 5.5};
+  const Interval small = median_interval_sorted(five);
+  EXPECT_EQ(small.lower, 1.0);
+  EXPECT_EQ(small.upper, 5.5);
+  EXPECT_EQ(small.confidence, 0.95);
+  EXPECT_EQ(median_interval_sorted(std::vector<double>{2.0}).upper, 2.0);
+  // n > 5: exactly the rank CI.
+  std::vector<double> many;
+  for (int i = 0; i < 40; ++i) many.push_back(0.25 * i * i);
+  for (const double confidence : {0.9, 0.95, 0.99}) {
+    const Interval want = quantile_confidence_interval_sorted(many, 0.5, confidence);
+    const Interval got = median_interval_sorted(many, confidence);
+    EXPECT_EQ(got.lower, want.lower);
+    EXPECT_EQ(got.upper, want.upper);
+    EXPECT_EQ(got.confidence, want.confidence);
+  }
+  EXPECT_THROW((void)median_interval_sorted(std::vector<double>{}), std::invalid_argument);
 }
 
 TEST(QuantileCI, RequiresEnoughSamples) {

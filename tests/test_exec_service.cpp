@@ -202,6 +202,44 @@ TEST(Wire, CellResultSamplesMustBeAnArray) {
   }
 }
 
+/// `line` with the value of its first `"key": ` member replaced by
+/// `value` (the old value ends at its matching bracket, or at the next
+/// ',' or '}' for a scalar).
+std::string with_member(std::string line, const std::string& key, const std::string& value) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t begin = line.find(needle);
+  if (begin == std::string::npos) return {};
+  const std::size_t from = begin + needle.size();
+  std::size_t end = from;
+  int depth = 0;
+  for (; end < line.size(); ++end) {
+    const char c = line[end];
+    if (c == '[' || c == '{') ++depth;
+    if (c == ']' || c == '}') {
+      if (depth == 0) break;
+      if (--depth == 0) {
+        ++end;
+        break;
+      }
+    }
+    if (c == ',' && depth == 0) break;
+  }
+  return line.replace(from, end - from, value);
+}
+
+TEST(Wire, EnvelopeContainersAndFlagsAreTyped) {
+  // A number where the grid or a flag belongs used to decode as a
+  // campaign with 0 factors, or as false.
+  const std::string good = wire::campaign_to_json(grid_spec(), small_sim_options());
+  ASSERT_EQ(wire::parse_campaign_json(good).spec.factors.size(), grid_spec().factors.size());
+  for (const char* key : {"factors", "uses_subset"}) {
+    const std::string bad = with_member(good, key, "7");
+    ASSERT_FALSE(bad.empty()) << key;
+    ASSERT_NE(bad, good) << key;
+    EXPECT_THROW((void)wire::parse_campaign_json(bad), std::runtime_error) << bad;
+  }
+}
+
 // ----------------------------------------------- pool byte-identity
 
 TEST(ProcessPoolBackend, FixedCampaignMatchesInProcessByteForByte) {
@@ -1000,14 +1038,17 @@ TEST(LineFraming, PipeStreamReaderIsBoundedAtTheSameCap) {
 
 // ------------------------------------------------ submit header numbers
 
-/// Sends `header` and a valid envelope to serve_client over a socket
-/// pair; returns every event line until the daemon side hangs up.
-std::vector<std::string> serve_one(CampaignService& service, const std::string& header) {
+std::string header_test_envelope() {
+  return wire::campaign_to_json(grid_spec("svc_header"), small_sim_options());
+}
+
+/// Sends `header` and `envelope` to serve_client over a socket pair;
+/// returns every event line until the daemon side hangs up.
+std::vector<std::string> serve_one(CampaignService& service, const std::string& header,
+                                   const std::string& envelope = header_test_envelope()) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) return {};
   std::thread server([&service, fd = fds[0]] { serve_client(service, fd); });
-  const std::string envelope =
-      wire::campaign_to_json(grid_spec("svc_header"), small_sim_options());
   std::vector<std::string> events;
   if (write_line_fd(fds[1], header) && write_line_fd(fds[1], envelope)) {
     for (std::string line; read_line_fd(fds[1], line);) events.push_back(line);
@@ -1043,6 +1084,17 @@ TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
     const obs::json::Value event = obs::json::parse(events[0]);
     EXPECT_EQ(event.at("event").as_string(), "rejected") << header;
     EXPECT_FALSE(event.at("error").as_string().empty()) << header;
+  }
+  // A wrong-typed envelope member is refused the same way, not run as a
+  // campaign with no factors.
+  {
+    const std::string envelope = with_member(header_test_envelope(), "factors", "7");
+    const std::vector<std::string> events =
+        serve_one(service, R"({"op": "submit"})", envelope);
+    ASSERT_EQ(events.size(), 1u) << envelope;
+    const obs::json::Value event = obs::json::parse(events[0]);
+    EXPECT_EQ(event.at("event").as_string(), "rejected") << envelope;
+    EXPECT_FALSE(event.at("error").as_string().empty()) << envelope;
   }
   EXPECT_EQ(service.metrics().jobs_submitted, 0u);
 

@@ -2,50 +2,22 @@
 // that a warmed-up replication loop never enters the memory allocator,
 // and these tests make that a failing assertion instead of a hope.
 //
-// This file gets its own test binary: it overrides global operator new
-// to count allocator entries, which must not leak into other suites.
+// This file gets its own test binary: it links the counting global
+// operator new (counting_new.hpp), which must not leak into other
+// suites. gtest itself allocates freely, so tests only compare deltas
+// taken immediately around the code under audit.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/machine.hpp"
 #include "sim/task.hpp"
 #include "simmpi/benchmarks.hpp"
 #include "simmpi/collectives.hpp"
 #include "simmpi/comm.hpp"
-
-namespace {
-
-// -- global allocation counter ----------------------------------------
-// Counts every entry into the real allocator, FramePool refills
-// included. gtest itself allocates freely, so tests only compare deltas
-// taken immediately around the code under audit.
-
-std::atomic<std::uint64_t> g_new_calls{0};
-
-std::uint64_t new_calls() { return g_new_calls.load(std::memory_order_relaxed); }
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -185,11 +157,11 @@ sci::sim::Task<void> barrier_program(sci::simmpi::Comm& comm) {
 }
 
 std::uint64_t replication_allocs(sci::simmpi::World& world, std::uint64_t seed) {
-  const std::uint64_t before = new_calls();
+  const std::uint64_t before = sci::testing::allocation_count();
   world.reset(seed);
   world.launch(barrier_program);
   world.run();
-  return new_calls() - before;
+  return sci::testing::allocation_count() - before;
 }
 
 TEST(FramePoolStress, AlternatingWorldShapesRunAllocationFreeAfterWarmup) {
@@ -225,9 +197,9 @@ TEST(FramePoolStress, PingPongBenchIsAllocationFreeAfterWarmup) {
   for (std::uint64_t rep = 0; rep < 2; ++rep) (void)bench.run(64, rep);  // warmup
 
   for (std::uint64_t rep = 2; rep < 6; ++rep) {
-    const std::uint64_t before = new_calls();
+    const std::uint64_t before = sci::testing::allocation_count();
     const std::vector<double>& samples = bench.run(64, rep);
-    const std::uint64_t allocs = new_calls() - before;
+    const std::uint64_t allocs = sci::testing::allocation_count() - before;
     EXPECT_EQ(allocs, 0u) << "rep " << rep;
     EXPECT_EQ(samples.size(), 64u);
   }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -57,6 +58,32 @@ TEST(TraceSink, NonFiniteValuesStillWriteJson) {
   EXPECT_FALSE(trace.events[0].has_arg("ratio"));
   EXPECT_EQ(trace.events[1].phase, 'C');
   EXPECT_FALSE(trace.events[1].has_arg("value"));
+}
+
+TEST(TraceSink, NonFiniteTimesWriteNullAndAreTypedRejections) {
+  // A non-finite ts or dur is written as null: the file is still JSON,
+  // and parse_trace refuses the event for its missing number.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [ts, dur, key] : {std::tuple{nan, 1.0, "'ts'"},
+                                     std::tuple{0.0, inf, "'dur'"}}) {
+    TraceSink sink;
+    sink.complete(0, "x", "c", ts, dur);
+    const std::string text = sink.to_json();
+    EXPECT_NO_THROW((void)json::parse(text)) << text;
+    try {
+      (void)parse_trace(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("missing numeric ") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Finite values keep their fixed-point bytes.
+  TraceSink sink;
+  sink.complete(0, "x", "c", 1.5e-6, 0.25e-6);
+  EXPECT_NE(sink.to_json().find("\"ts\":1.500000,\"dur\":0.250000"), std::string::npos);
 }
 
 TEST(TraceSink, UnattachedMacrosEmitNothing) {
@@ -134,6 +161,16 @@ TEST(Json, AsSizeRangeChecksBeforeItCasts) {
   EXPECT_EQ(json::parse("18446744073709549568").as_size(), 18446744073709549568ULL);
   EXPECT_EQ(json::parse("0").as_size(), 0u);
   EXPECT_EQ(json::parse("4096").as_size(), 4096u);
+}
+
+TEST(Json, ContainerAndBoolReadsAreTyped) {
+  const json::Value v = json::parse(R"({"a": [1], "o": {"k": true}, "n": 7})");
+  EXPECT_EQ(v.at("a").as_array().size(), 1u);
+  EXPECT_TRUE(v.at("o").as_object().front().second.as_bool());
+  EXPECT_THROW((void)v.at("n").as_array(), std::runtime_error);
+  EXPECT_THROW((void)v.at("n").as_object(), std::runtime_error);
+  EXPECT_THROW((void)v.at("n").as_bool(), std::runtime_error);
+  EXPECT_THROW((void)v.at("a").as_object(), std::runtime_error);
 }
 
 // ------------------------------------------------------------- counters

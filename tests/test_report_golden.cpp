@@ -9,8 +9,8 @@
 //
 // The tool runs with the CSV's bare file name from inside a temporary
 // directory, so the file name it prints is the same on every host.
-// The same binary also checks that malformed numeric flags are refused
-// with the usage exit code before any work starts.
+// The same binary also checks that the tools refuse malformed numeric
+// flags with their usage exit code before any work starts.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -215,6 +215,42 @@ TEST(ToolFlags, CiRefusesMalformedNumbersBeforeWork) {
     const ToolRun run = run_tool(dir.path(), SCIBENCH_CI_PATH, check + arg);
     EXPECT_EQ(run.exit_code, 1) << arg;
     EXPECT_EQ(run.out, "") << arg << " started the check";
+  }
+}
+
+TEST(ToolFlags, TraceRefusesMalformedNumbersBeforeWork) {
+  ScratchDir dir;
+  std::vector<std::string> args;
+  for (const std::string flag : {"--ranks", "--seed"}) {
+    for (const auto* values : {&kMalformed, &kNotACount}) {
+      for (const std::string& value : *values) args.push_back(flag + " '" + value + "'");
+    }
+  }
+  args.push_back("--ranks 0");
+  args.push_back("--ranks 4097");
+  for (const std::string& arg : args) {
+    const ToolRun run =
+        run_tool(dir.path(), SCIBENCH_TRACE_PATH, "--emit-demo demo.trace.json " + arg);
+    EXPECT_EQ(run.exit_code, 2) << arg;
+    EXPECT_EQ(run.out, "") << arg;
+    EXPECT_FALSE(fs::exists(dir.path() / "demo.trace.json")) << arg << " ran the demo";
+  }
+}
+
+TEST(ToolFlags, DaemonRefusesMalformedWorkersBeforeListening) {
+  // An accepted value would start a daemon that runs until killed: the
+  // timeout turns that into a failure here instead of a hang.
+  ScratchDir dir;
+  std::vector<std::string> values = kMalformed;
+  values.insert(values.end(), kNotACount.begin(), kNotACount.end());
+  values.push_back("0");
+  values.push_back("257");
+  for (const std::string& value : values) {
+    const ToolRun run = run_tool(dir.path(), "timeout",
+                                 std::string("10 '") + SCIBENCHD_PATH +
+                                     "' --socket d.sock --workers '" + value + "'");
+    EXPECT_EQ(run.exit_code, 2) << "--workers '" << value << "'";
+    EXPECT_FALSE(fs::exists(dir.path() / "d.sock")) << "--workers '" << value << "' listened";
   }
 }
 

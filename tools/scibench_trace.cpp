@@ -22,14 +22,17 @@
 // 64 MiB or nested deeper than 128 levels is rejected as a parse error
 // (a 1024-rank --emit-demo trace is about 1.4 MB).
 //
-// Exit code 0 on success, 1 on usage/parse errors (a malformed or
-// schema-violating trace is reported with a position message).
+// Exit code 0 on success, 1 on a trace that cannot be read (a malformed
+// or schema-violating trace is reported with a position message), 2 on
+// usage errors. --ranks takes a whole number in 1..4096 and --seed one
+// in 0..2^64-1; anything else is a usage error before any work.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
 #include "sim/machine.hpp"
@@ -38,18 +41,23 @@
 
 namespace {
 
+/// Upper bound on --ranks: every rank is a simulated process and a
+/// trace track.
+constexpr int kMaxRanks = 4096;
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--breakdown] [--critical-path] [--late-senders] "
                "<trace.json>\n"
-               "       %s --emit-demo <trace.json> [--ranks N] [--seed S]\n"
+               "       %s --emit-demo <trace.json> [--ranks N (1..%d)] "
+               "[--seed S (0..2^64-1)]\n"
                "  no section flag: print every section\n"
                "  --emit-demo: run a seeded reduce over N simulated ranks\n"
                "               (default 16, seed 42) and write its trace\n"
                "  traces over 64 MiB or nested deeper than 128 levels are\n"
                "  rejected (a 1024-rank --emit-demo trace is about 1.4 MB)\n",
-               argv0, argv0);
-  return 1;
+               argv0, argv0, kMaxRanks);
+  return 2;
 }
 
 int emit_demo(const std::string& path, int ranks, std::uint64_t seed) {
@@ -137,10 +145,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--emit-demo") == 0) {
       demo = true;
     } else if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
-      ranks = std::atoi(argv[++i]);
-      if (ranks < 1) return usage(argv[0]);
+      const auto value = sci::tools::parse_number(argv[++i], 1, kMaxRanks);
+      if (!value) return usage(argv[0]);
+      ranks = *value;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto value = sci::tools::parse_number(argv[++i], std::uint64_t{0},
+                                                  std::numeric_limits<std::uint64_t>::max());
+      if (!value) return usage(argv[0]);
+      seed = *value;
     } else if (std::strcmp(argv[i], "--breakdown") == 0) {
       breakdown = true;
     } else if (std::strcmp(argv[i], "--critical-path") == 0) {

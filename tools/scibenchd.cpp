@@ -28,6 +28,8 @@
 // Usage:
 //   scibenchd --socket /tmp/scibench.sock [--workers N]
 //             [--worker-bin PATH] [--metrics daemon_metrics.json]
+// --workers takes a whole number in 1..256; anything else is a
+// usage error (exit 2) before the socket is bound.
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -41,12 +43,16 @@
 #include <string>
 #include <thread>
 
+#include "cli_number.hpp"
 #include "exec/interrupt.hpp"
 #include "exec/service.hpp"
 
 namespace exec = sci::exec;
 
 namespace {
+
+/// Upper bound on --workers: each worker is a forked process.
+constexpr std::size_t kMaxWorkers = 256;
 
 std::string default_worker_path(const char* argv0) {
   if (const char* env = std::getenv("SCIBENCH_WORKER_PATH")) return env;
@@ -102,15 +108,23 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       socket_path = next();
     } else if (arg == "--workers") {
-      workers = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      const char* text = next();
+      const auto value = sci::tools::parse_number<std::size_t>(text, 1, kMaxWorkers);
+      if (!value) {
+        std::fprintf(stderr, "scibenchd: invalid --workers value: %s (1..%zu)\n", text,
+                     kMaxWorkers);
+        return 2;
+      }
+      workers = *value;
     } else if (arg == "--worker-bin") {
       worker_bin = next();
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else {
       std::fprintf(stderr,
-                   "usage: scibenchd --socket PATH [--workers N] "
-                   "[--worker-bin PATH] [--metrics PATH]\n");
+                   "usage: scibenchd --socket PATH [--workers N (1..%zu)] "
+                   "[--worker-bin PATH] [--metrics PATH]\n",
+                   kMaxWorkers);
       return arg == "--help" ? 0 : 2;
     }
   }
@@ -118,7 +132,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "scibenchd: --socket is required\n");
     return 2;
   }
-  if (workers == 0) workers = 1;
 
   exec::install_interrupt_handlers();
 
