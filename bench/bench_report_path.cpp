@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "cli_number.hpp"
+#include "core/format.hpp"
 #include "core/plots.hpp"
 #include "core/report.hpp"
 #include "exec/ingest.hpp"
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--passes" && i + 1 < argc) {
-      const auto value = tools::parse_number<std::size_t>(argv[++i], 1, kMaxPasses);
+      const auto value = core::parse_number<std::size_t>(argv[++i], 1, kMaxPasses);
       if (!value) return usage(argv[0]);
       passes = *value;
     } else if (a == "--tool" && i + 1 < argc) {

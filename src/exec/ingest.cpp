@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <utility>
+
+#include "core/format.hpp"
 
 namespace sci::exec {
 
@@ -40,12 +42,8 @@ std::string header_env(const std::string& header_text, const std::string& key) {
 }
 
 std::size_t header_env_count(const std::string& header_text, const std::string& key) {
-  const std::string value = header_env(header_text, key);
-  if (value.empty()) return 0;
-  // Hand-edited junk degrades to 0 rather than aborting the report.
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' ? static_cast<std::size_t>(n) : 0;
+  // Hand-edited junk, a sign or overflow degrades to 0, not an abort.
+  return core::parse_number<std::size_t>(header_env(header_text, key)).value_or(0);
 }
 
 /// A config or rep cell as an index. Anything but a non-negative
@@ -78,14 +76,13 @@ Ingested load_measurements(const std::string& path) {
   while (pos < counts.size()) {
     std::size_t comma = counts.find(',', pos);
     if (comma == std::string::npos) comma = counts.size();
-    char* end = nullptr;
-    const std::string token = counts.substr(pos, comma - pos);
-    const unsigned long long n = std::strtoull(token.c_str(), &end, 10);
-    if (token.empty() || end == nullptr || *end != '\0') {
+    const auto n =
+        core::parse_number<std::size_t>(std::string_view(counts).substr(pos, comma - pos));
+    if (!n) {
       out.rep_counts.clear();
       break;
     }
-    out.rep_counts.push_back(static_cast<std::size_t>(n));
+    out.rep_counts.push_back(*n);
     pos = comma + 1;
   }
   const auto& cols = out.dataset.columns();

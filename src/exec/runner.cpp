@@ -571,24 +571,16 @@ struct CellExecutor {
   ResultCache& cache;
   RunObservers& observers;
   std::vector<CampaignCell>& work;  ///< the current round
+  threads::ThreadTeam& team;
   std::vector<Slot> slots;
   Counter next{0};
   Counter budget_used{0};
 
+  /// The caller is worker 0: a one-worker run stays on the calling
+  /// thread, debuggable, and HostBackend cells inherit its thread state.
   void run_round() {
     next.store(0, std::memory_order_relaxed);
-    if (slots.size() == 1) {
-      // In-thread execution keeps single-worker runs trivially
-      // debuggable (and lets HostBackend cells inherit the caller's
-      // thread state).
-      worker(0);
-      return;
-    }
-    std::vector<std::thread> pool;
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-      pool.emplace_back(&CellExecutor::worker, this, w);
-    }
-    for (auto& t : pool) t.join();
+    team.run([this](std::size_t w) { worker(w); });
   }
 
   void worker(std::size_t w) {
@@ -873,9 +865,13 @@ CampaignResult CampaignRunner::run() {
   const std::string backend_name = backend_.name();
   RoundPlanner planner{campaign_};
   std::vector<CampaignCell> work = planner.first_round(backend_name);
-  const std::size_t requested =
-      options_.workers != 0 ? options_.workers : std::thread::hardware_concurrency();
-  const std::size_t workers = std::max<std::size_t>(1, std::min(requested, work.size()));
+  if (!team_) {
+    const std::size_t requested =
+        options_.workers != 0 ? options_.workers : std::thread::hardware_concurrency();
+    team_ = std::make_unique<threads::ThreadTeam>(
+        std::max<std::size_t>(1, std::min(requested, work.size())));
+  }
+  const std::size_t workers = team_->size();
 
   // Crash-safe checkpoint/resume: completed cells append to the journal
   // as they finish, and a rerun with the same path replays them instead
@@ -888,8 +884,9 @@ CampaignResult CampaignRunner::run() {
   }
 
   RunObservers observers{options_, campaign_, backend_name, workers};
-  CellExecutor executor{backend_, backend_name, options_, journal.get(), cache_, observers,
-                        work,     std::vector<CellExecutor::Slot>(workers)};
+  CellExecutor executor{backend_, backend_name, options_, journal.get(),
+                        cache_,   observers,    work,     *team_,
+                        std::vector<CellExecutor::Slot>(workers)};
   Tally& tally = observers.tally;
   bump(tally.scheduled_cells, work.size());
   std::size_t round = 0;

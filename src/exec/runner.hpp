@@ -1,12 +1,14 @@
 // CampaignRunner: deterministic parallel execution of a Campaign.
 //
 // The runner schedules cells (config x replication) in rounds, shards
-// each round across a std::thread worker pool in guided chunks (each
-// chunk one BackendContext::run_batch call), and reassembles the
-// results in grid order. Because every cell is a pure function of its
-// (config, seed) pair -- seeds derive from (campaign_seed, config_index,
-// rep), never from execution order -- the assembled CampaignResult and
-// every CSV exported from it are byte-identical for ANY worker count.
+// each round across a threads::ThreadTeam in guided chunks (each chunk
+// one BackendContext::run_batch call), and reassembles the results in
+// grid order. The first run() creates the team, and every round and
+// later run() reuses it; the thread calling run() is its worker 0.
+// Because every cell is a pure function of its (config, seed) pair --
+// seeds derive from (campaign_seed, config_index, rep), never from
+// execution order -- the assembled CampaignResult and every CSV
+// exported from it are byte-identical for ANY worker count.
 // That contract is enforced by tests/test_exec.cpp.
 //
 // Measurement control (StoppingPolicy): with the default fixed policy
@@ -53,6 +55,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -63,6 +66,7 @@
 #include "exec/backend.hpp"
 #include "exec/campaign.hpp"
 #include "exec/progress.hpp"
+#include "threads/team.hpp"
 
 namespace sci::exec {
 
@@ -198,8 +202,9 @@ struct CampaignResult {
 };
 
 struct CampaignRunnerOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). Results
-  /// do not depend on this value (the determinism contract).
+  /// Worker threads, the caller's included, at most the first round's
+  /// cells; 0 = std::thread::hardware_concurrency(). Results do not
+  /// depend on this value (the determinism contract).
   std::size_t workers = 0;
   /// Backend calls allowed per cell before it is declared failed.
   /// Attempt k (k >= 1) re-runs with the deterministically derived seed
@@ -258,6 +263,7 @@ class CampaignRunner {
   CampaignRunnerOptions options_;
   ResultCache own_cache_;
   ResultCache& cache_;
+  std::unique_ptr<threads::ThreadTeam> team_;  ///< created by the first run()
 };
 
 }  // namespace sci::exec

@@ -226,7 +226,7 @@ void CampaignService::run_job(QueuedJob job) {
     }
     EventProgressSink progress(job.id, emit_line);
     CampaignRunnerOptions ropts;
-    ropts.workers = pool_.worker_count();  // one runner thread per worker: saturate the fleet
+    ropts.workers = pool_.worker_count();  // saturates the fleet; this thread is worker 0
     ropts.journal_path = sub.journal_path;
     ropts.max_attempts = sub.max_attempts;
     ropts.cell_budget = sub.cell_budget;

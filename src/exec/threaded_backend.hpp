@@ -5,9 +5,10 @@
 //
 // The campaign factor "threads" (optional) overrides the team size, so
 // a thread-scalability study is a one-factor campaign. Like HostBackend
-// this measures real time: seeds are ignored, and because every cell
-// spawns its own team, run campaigns with workers = 1 unless the host
-// has cores to spare for parallel teams.
+// this measures real time: seeds are ignored. Every cell builds its own
+// team, whose caller -- the runner worker that took the cell -- is
+// thread 0, so a cell spawns threads - 1 threads; run campaigns with
+// workers = 1 unless the host has cores to spare for parallel teams.
 #pragma once
 
 #include <functional>

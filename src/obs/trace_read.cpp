@@ -1,14 +1,16 @@
 #include "obs/trace_read.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <climits>
 #include <istream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "core/format.hpp"
 #include "obs/json.hpp"
 
 namespace sci::obs {
@@ -93,9 +95,10 @@ ParsedTrace load_trace(const std::string& path) {
 std::vector<int> ParsedTrace::rank_tracks() const {
   std::vector<std::pair<int, int>> ranked;  // (rank, tid)
   for (const auto& [tid, name] : track_names) {
-    if (name.rfind("rank ", 0) == 0) {
-      ranked.emplace_back(std::atoi(name.c_str() + 5), tid);
-    }
+    if (name.rfind("rank ", 0) != 0) continue;
+    // A track named "rank x" is not a rank's track.
+    const auto rank = core::parse_number(std::string_view(name).substr(5), 0, INT_MAX);
+    if (rank) ranked.emplace_back(*rank, tid);
   }
   std::sort(ranked.begin(), ranked.end());
   std::vector<int> tids;

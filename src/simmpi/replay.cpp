@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/format.hpp"
 #include "simmpi/collectives.hpp"
 #include "simmpi/comm.hpp"
 
@@ -76,9 +77,13 @@ Schedule parse_schedule(const std::string& text, int ranks) {
     } else if (word == "send") {
       Op op;
       op.kind = OpKind::kSend;
-      if (!(ls >> op.peer >> op.bytes >> op.tag)) {
+      std::string bytes;
+      if (!(ls >> op.peer >> bytes >> op.tag)) {
         parse_error(line_no, "send needs <dst> <bytes> <tag>");
       }
+      const auto size = core::parse_number<std::size_t>(bytes);
+      if (!size) parse_error(line_no, "send bytes must be a whole count");
+      op.bytes = *size;
       require_rank(op.peer, "send destination");
       emit(op);
     } else if (word == "recv") {
@@ -89,11 +94,9 @@ Schedule parse_schedule(const std::string& text, int ranks) {
       if (src == "any") {
         op.peer = kAnySource;
       } else {
-        try {
-          op.peer = std::stoi(src);
-        } catch (const std::exception&) {
-          parse_error(line_no, "recv source must be a rank or 'any'");
-        }
+        const auto peer = core::parse_number<int>(src);
+        if (!peer) parse_error(line_no, "recv source must be a rank or 'any'");
+        op.peer = *peer;
         require_rank(op.peer, "recv source");
       }
       emit(op);

@@ -45,22 +45,20 @@ BootstrapEngine::BootstrapEngine(ExecPolicy policy) {
   // lanes); lane fan-out uses the first lane_workers_ workers and keeps
   // the exact lane partition of a min(threads, lanes)-sized team, so
   // thread counts beyond lanes still never change bytes.
-  team_size_ = policy_.threads;
-  if (team_size_ > 1) {
-    team_ = shared_team(team_size_);
-    // Each captures a single pointer (fits the std::function SBO) and is
-    // built once here, so team fan-out never allocates in steady state.
-    region_ = [this](std::size_t worker) {
-      if (worker >= lane_workers_) return;
-      const std::size_t lanes = policy_.lanes;
-      process_lanes(worker, worker * lanes / lane_workers_,
-                    (worker + 1) * lanes / lane_workers_);
-    };
-    jack_region_ = [this](std::size_t worker) {
-      const std::size_t n = xs_.size();
-      jackknife_range(worker, worker * n / team_size_, (worker + 1) * n / team_size_);
-    };
-  }
+  team_ = shared_team(policy_.threads);
+  // Each captures a single pointer (fits the std::function SBO) and is
+  // built once here, so team fan-out never allocates in steady state.
+  region_ = [this](std::size_t worker) {
+    if (worker >= lane_workers_) return;
+    const std::size_t lanes = policy_.lanes;
+    process_lanes(worker, worker * lanes / lane_workers_,
+                  (worker + 1) * lanes / lane_workers_);
+  };
+  jack_region_ = [this](std::size_t worker) {
+    const std::size_t n = xs_.size();
+    const std::size_t threads = policy_.threads;
+    jackknife_range(worker, worker * n / threads, (worker + 1) * n / threads);
+  };
 }
 
 BootstrapEngine::~BootstrapEngine() = default;
@@ -94,6 +92,7 @@ void BootstrapEngine::distribution(std::span<const double> xs, const ResampleSta
   idx_.resize(lanes * n);
 
   if (lane_workers_ <= 1) {
+    // One lane worker: do not wake a larger team (threads > 1, lanes = 1).
     process_lanes(0, 0, lanes);
   } else {
     team_->run(region_);
@@ -185,13 +184,9 @@ Interval BootstrapEngine::bca_ci(std::span<const double> xs, const ResampleStat&
     // distribution() just ranked this exact sample; sorted_/rank_ are
     // still current, so the O(n log n) prep is not repeated.
   } else if (stat.kind() == ResampleStat::Kind::kCustom) {
-    jack_loo_.resize(team_size_ * (n - 1));
+    jack_loo_.resize(policy_.threads * (n - 1));
   }
-  if (team_size_ <= 1) {
-    jackknife_range(0, 0, n);
-  } else {
-    team_->run(jack_region_);
-  }
+  team_->run(jack_region_);
   stat_ = nullptr;
   return detail::bca_interval(dist_, theta_hat, jack_, confidence);
 }

@@ -83,9 +83,8 @@ class BootstrapEngine {
   }
 
   ExecPolicy policy_;                            // normalized (no zeros)
-  std::size_t team_size_ = 1;                    // threads (jackknife fan-out)
   std::size_t lane_workers_ = 1;                 // min(threads, lanes)
-  std::shared_ptr<threads::ThreadTeam> team_;    // null when team_size_ == 1
+  std::shared_ptr<threads::ThreadTeam> team_;
   std::function<void(std::size_t)> region_;      // preconstructed: captures only `this`
   std::function<void(std::size_t)> jack_region_; // ditto, for the jackknife
   rng::LaneRng rng_;
@@ -108,7 +107,7 @@ class BootstrapEngine {
   std::vector<std::uint32_t> counts_;   // lane_workers x n histograms (kQuantile)
   std::vector<double> dist_;            // CI entry points
   std::vector<double> jack_;            // bca_ci
-  std::vector<double> jack_loo_;        // bca_ci, kCustom: team_size x (n-1)
+  std::vector<double> jack_loo_;        // bca_ci, kCustom: threads x (n-1)
 };
 
 /// Per-group percentile CIs with group-level thread fan-out (each group

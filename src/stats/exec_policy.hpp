@@ -20,8 +20,9 @@ namespace sci::stats {
 inline constexpr std::size_t kMaxThreads = 256;
 
 struct ExecPolicy {
-  /// Worker threads sharding lanes; 0 and 1 both mean "run inline on the
-  /// calling thread". Never affects results.
+  /// Worker threads sharding lanes, the calling thread included; 0 and
+  /// 1 both mean "run inline on the calling thread". Never affects
+  /// results.
   std::size_t threads = 1;
   /// Independent RNG lanes; 0 and 1 both mean the legacy single stream.
   /// Part of the deterministic result identity (see header comment).
@@ -33,8 +34,6 @@ struct ExecPolicy {
   [[nodiscard]] constexpr std::size_t effective_lanes() const noexcept {
     return lanes == 0 ? 1 : lanes;
   }
-  /// True when this policy may fan work out to a thread team.
-  [[nodiscard]] constexpr bool parallel() const noexcept { return effective_threads() > 1; }
 };
 
 }  // namespace sci::stats

@@ -22,15 +22,10 @@ void policy_partition(const ExecPolicy& policy, std::size_t count,
                       const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
   if (count == 0) return;
   const std::size_t workers = std::min(policy.effective_threads(), count);
-  if (workers <= 1) {
-    body(0, 0, count);
-    return;
-  }
   const auto team = shared_team(workers);
+  // workers <= count, so every worker's range is non-empty.
   team->run([&](std::size_t worker) {
-    const std::size_t lo = worker * count / workers;
-    const std::size_t hi = (worker + 1) * count / workers;
-    if (lo < hi) body(worker, lo, hi);
+    body(worker, worker * count / workers, (worker + 1) * count / workers);
   });
 }
 

@@ -33,9 +33,9 @@ struct ThreadedMeasurement {
   [[nodiscard]] std::vector<double> max_across_threads() const;
 };
 
-/// Measures `kernel(thread_id)` on a fresh team. The kernel runs
-/// `iterations + warmup` times per thread; warmup iterations are
-/// discarded.
+/// Measures `kernel(thread_id)` on a fresh team whose thread 0 is the
+/// caller. The kernel runs `iterations + warmup` times per thread;
+/// warmup iterations are discarded.
 [[nodiscard]] ThreadedMeasurement measure_threaded(
     const std::function<void(std::size_t)>& kernel,
     const ThreadedMeasurementOptions& options = {});

@@ -6,14 +6,14 @@
 namespace sci::threads {
 
 namespace {
-/// The team whose worker the calling thread is, if any.
+/// The team whose spawned worker the calling thread is, if any.
 thread_local const ThreadTeam* t_member = nullptr;
 }  // namespace
 
 ThreadTeam::ThreadTeam(std::size_t size) {
   if (size == 0) throw std::invalid_argument("ThreadTeam: size >= 1");
-  workers_.reserve(size);
-  for (std::size_t id = 0; id < size; ++id) {
+  workers_.reserve(size - 1);
+  for (std::size_t id = 1; id < size; ++id) {
     workers_.emplace_back([this, id] { worker_loop(id); });
   }
 }
@@ -28,37 +28,39 @@ ThreadTeam::~ThreadTeam() {
 }
 
 void ThreadTeam::run(const std::function<void(std::size_t)>& region) {
-  // Waiting for the active region from inside it would never end.
-  if (t_member == this) {
-    throw std::logic_error("ThreadTeam::run: nested call from one of the team's workers");
+  if (workers_.empty()) {
+    region(0);
+    return;
   }
   std::unique_lock lock(mutex_);
+  // Waiting for the active region from inside it would never end.
+  if (t_member == this || (active_ && caller_ == std::this_thread::get_id())) {
+    throw std::logic_error("ThreadTeam::run: nested call from inside the team's region");
+  }
   cv_.wait(lock, [this] { return !active_; });
   active_ = true;
+  caller_ = std::this_thread::get_id();
   region_ = &region;
   running_ = workers_.size();
   ++generation_;
   cv_.notify_all();
+  lock.unlock();
+
+  std::exception_ptr error;
+  try {
+    region(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+
+  lock.lock();
+  if (!first_error_) first_error_ = error;
   cv_.wait(lock, [this] { return running_ == 0; });
   region_ = nullptr;
   active_ = false;
-  const std::exception_ptr error = std::exchange(first_error_, nullptr);
+  error = std::exchange(first_error_, nullptr);
   cv_.notify_all();  // the next waiting caller may start its region
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadTeam::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  if (end <= begin) return;
-  const std::size_t total = end - begin;
-  const std::size_t parties = workers_.size();
-  run([&](std::size_t id) {
-    // Static chunking, contiguous ranges.
-    const std::size_t chunk = (total + parties - 1) / parties;
-    const std::size_t lo = begin + id * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
 }
 
 void ThreadTeam::worker_loop(std::size_t id) {
@@ -73,16 +75,15 @@ void ThreadTeam::worker_loop(std::size_t id) {
       seen = generation_;
       region = region_;
     }
+    std::exception_ptr error;
     try {
       (*region)(id);
     } catch (...) {
-      const std::lock_guard lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
+      error = std::current_exception();
     }
-    {
-      const std::lock_guard lock(mutex_);
-      if (--running_ == 0) cv_.notify_all();
-    }
+    const std::lock_guard lock(mutex_);
+    if (!first_error_) first_error_ = error;
+    if (--running_ == 0) cv_.notify_all();
   }
 }
 

@@ -401,6 +401,38 @@ TEST(Ingest, PlainCsvIsNotACampaign) {
   EXPECT_EQ(loaded.dataset.rows(), 2u);
 }
 
+TEST(Ingest, HeaderCountsAreWholeNonNegativeTokens) {
+  // Hand-edited junk, a sign and overflow all degrade to 0 (an empty
+  // rep_counts list); a count never wraps to 2^64 - 1.
+  const std::string path = ::testing::TempDir() + "/exec_header_counts.csv";
+  const auto load = [&](const std::string& failed, const std::string& rep_counts) {
+    {
+      std::ofstream os(path);
+      os << "# experiment: edited\n"
+         << "# env.campaign.failed: " << failed << "\n"
+         << "# env.campaign.interrupted: " << failed << "\n"
+         << "# env.campaign.rounds: " << failed << "\n"
+         << "# env.campaign.rep_counts: " << rep_counts << "\n"
+         << "config,rep,sample,value\n0,0,0,1.5\n";
+    }
+    Ingested loaded = load_measurements(path);
+    std::remove(path.c_str());
+    return loaded;
+  };
+  const Ingested good = load("3", "6,4");
+  EXPECT_EQ(good.failed, 3u);
+  EXPECT_EQ(good.interrupted, 3u);
+  EXPECT_EQ(good.rounds, 3u);
+  EXPECT_EQ(good.rep_counts, (std::vector<std::size_t>{6, 4}));
+  for (const std::string bad : {"-1", "+3", "3x", "0x3", "2.5", "18446744073709551616"}) {
+    const Ingested loaded = load(bad, "6," + bad);
+    EXPECT_EQ(loaded.failed, 0u) << bad;
+    EXPECT_EQ(loaded.interrupted, 0u) << bad;
+    EXPECT_EQ(loaded.rounds, 0u) << bad;
+    EXPECT_TRUE(loaded.rep_counts.empty()) << bad;
+  }
+}
+
 // ---------------------------------------------------------------- traces
 
 TEST(CampaignRunner, WorkersEmitOnTheirOwnTraceTracks) {

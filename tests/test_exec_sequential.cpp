@@ -7,11 +7,13 @@
 // (CampaignResult -> CSV header -> ingest).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/ingest.hpp"
@@ -191,6 +193,55 @@ TEST(SequentialStopping, RetiresQuietConfigsEarlyAndCapsLoudOnes) {
     want += std::to_string(result.stopping[c].reps);
   }
   EXPECT_EQ(rep_counts, want);
+}
+
+/// Threads that ran at least one WitnessBackend cell: each thread's
+/// first cell constructs its thread_local witness. Counting
+/// constructions, not thread ids, stays exact when the OS reuses the id
+/// of a joined thread.
+std::atomic<int> g_cell_threads{0};
+
+struct CellThreadWitness {
+  CellThreadWitness() { g_cell_threads.fetch_add(1); }
+};
+
+class WitnessBackend : public NoiseLadderBackend {
+ public:
+  explicit WitnessBackend(std::thread::id caller) : caller_(caller) {}
+  CellResult run(const Config& config, std::uint64_t seed) override {
+    thread_local CellThreadWitness witness;
+    (void)witness;
+    if (std::this_thread::get_id() == caller_) caller_ran = true;
+    return NoiseLadderBackend::run(config, seed);
+  }
+  std::atomic<bool> caller_ran{false};
+
+ private:
+  std::thread::id caller_;
+};
+
+TEST(SequentialStopping, EveryRoundAndRunReusesOneTeamWhoseWorkerZeroIsTheCaller) {
+  // Three loud configs never converge, so each later round grants one
+  // rep per config: 1 + (12 - 3) rounds of 3 cells at 3 workers.
+  CampaignSpec spec;
+  spec.name = "loud";
+  spec.factors.push_back({"noise", {"loud"}});
+  spec.factors.push_back({"copy", {"a", "b", "c"}});
+  spec.seed = 2718;
+  spec.stopping = ladder_policy();
+  WitnessBackend backend(std::this_thread::get_id());
+  CampaignRunnerOptions opts;
+  opts.workers = 3;
+  CampaignRunner runner(backend, Campaign(spec), opts);
+  const int before = g_cell_threads.load();
+  for (int run = 0; run < 2; ++run) {
+    const CampaignResult result = runner.run();
+    ASSERT_GE(result.rounds, 5u);
+    EXPECT_EQ(result.cache_hits, 0u);
+    runner.clear_cache();  // the second run executes every cell again
+  }
+  EXPECT_LE(g_cell_threads.load() - before, 3);
+  EXPECT_TRUE(backend.caller_ran.load());
 }
 
 TEST(SequentialStopping, ByteDeterministicAcrossWorkerCounts) {

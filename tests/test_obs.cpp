@@ -149,6 +149,13 @@ TEST(TraceSink, ParserRejectsDeepNestingWithoutCrashing) {
 
 // ----------------------------------------------------------------- json
 
+TEST(TraceSink, RankTracksSkipNamesThatAreNoWholeRank) {
+  ParsedTrace trace;
+  trace.track_names = {{7, "rank 1"}, {3, "rank x"},  {9, "rank 0"},
+                       {4, "rank 2b"}, {5, "rank -1"}, {6, "ranking"}};
+  EXPECT_EQ(trace.rank_tracks(), (std::vector<int>{9, 7}));
+}
+
 TEST(Json, AsSizeRangeChecksBeforeItCasts) {
   // Converting a double at or past 2^64 to size_t is undefined, so
   // as_size must refuse it before the cast, not detect it after.

@@ -67,6 +67,8 @@ TEST(ScheduleParser, LineNumberedErrors) {
   expect_error("rank 0\nfrobnicate\n", "unknown op");
   expect_error("rank 0\ncalc 1.0 extra\n", "trailing");
   expect_error("rank 0\nrecv banana 3\n", "rank or 'any'");
+  expect_error("rank 0\nrecv 0x 7\n", "rank or 'any'");
+  expect_error("rank 0\nsend 1 -5 7\n", "whole count");
   EXPECT_THROW((void)parse_schedule("", 0), std::invalid_argument);
 }
 

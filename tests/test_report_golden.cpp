@@ -191,6 +191,39 @@ TEST(ToolFlags, ReportRefusesMalformedThreadsBeforeWork) {
   }
 }
 
+TEST(ToolFlags, ReportFallsBackOnJunkStoppingPolicyValues) {
+  // A hand-edited campaign.stopping line whose quantile or confidence is
+  // not in (0, 1), or whose max_reps is no whole count, reports as if
+  // the value were the default (0.5, 0.95, 0): it neither aborts nor
+  // prints a wrapped cap.
+  ScratchDir dir;
+  const std::string csv = golden::read_golden("campaign_samples.csv.golden");
+  const std::size_t first_line = csv.find('\n') + 1;
+  const auto report = [&](const std::string& values) {
+    const std::string stopping = "sequential " + values;
+    std::ofstream(dir.path() / "edited.csv", std::ios::binary)
+        << csv.substr(0, first_line) << "# env.campaign.stopping: " << stopping << "\n"
+        << csv.substr(first_line);
+    ToolRun run = run_tool(dir.path(), SCIBENCH_REPORT_PATH, "edited.csv");
+    // Only what the report derives from the policy text is compared.
+    for (std::size_t at; (at = run.out.find(stopping)) != std::string::npos;) {
+      run.out.replace(at, stopping.size(), "<policy>");
+    }
+    return run;
+  };
+  const ToolRun want = report("quantile=0.5 confidence=0.95 max_reps=0");
+  ASSERT_EQ(want.exit_code, 0);
+  ASSERT_NE(want.out.find("measurement control: <policy>"), std::string::npos);
+  for (const std::string values :
+       {"quantile=7 confidence=1 max_reps=-1", "quantile=0 confidence=-0.5 max_reps=3x",
+        "quantile=nan confidence=inf max_reps=1e3",
+        "quantile=0.5x confidence=+0.95 max_reps=18446744073709551616"}) {
+    const ToolRun run = report(values);
+    EXPECT_EQ(run.exit_code, 0) << values;
+    EXPECT_EQ(run.out, want.out) << values;
+  }
+}
+
 TEST(ToolFlags, CiRefusesMalformedNumbersBeforeWork) {
   ScratchDir dir;
   const std::string check = "check --history history.jsonl ";

@@ -2,9 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <latch>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,31 +52,6 @@ TEST(ThreadTeam, RunsRegionOnEveryWorker) {
   team.run([&](std::size_t id) { hits[id].fetch_add(1); });
   team.run([&](std::size_t id) { hits[id].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 2);
-}
-
-TEST(ThreadTeam, ParallelForCoversRangeExactlyOnce) {
-  ThreadTeam team(4);
-  std::vector<std::atomic<int>> touched(1000);
-  team.parallel_for(0, 1000, [&](std::size_t i) { touched[i].fetch_add(1); });
-  for (auto& t : touched) EXPECT_EQ(t.load(), 1);
-  // Empty and degenerate ranges are no-ops.
-  team.parallel_for(5, 5, [&](std::size_t) { FAIL(); });
-  team.parallel_for(7, 3, [&](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadTeam, ParallelForComputesCorrectSum) {
-  ThreadTeam team(3);
-  std::vector<double> data(10000);
-  std::iota(data.begin(), data.end(), 1.0);
-  std::vector<double> partial(3, 0.0);
-  team.run([&](std::size_t id) {
-    // Manual reduction: each worker sums its static chunk.
-    const std::size_t chunk = (data.size() + 2) / 3;
-    const std::size_t lo = id * chunk;
-    const std::size_t hi = std::min(data.size(), lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) partial[id] += data[i];
-  });
-  EXPECT_DOUBLE_EQ(partial[0] + partial[1] + partial[2], 10000.0 * 10001.0 / 2.0);
 }
 
 TEST(ThreadTeam, PropagatesExceptions) {
@@ -141,6 +117,102 @@ TEST(ThreadTeam, NestedCallFromOwnWorkerThrows) {
   std::atomic<int> ok{0};
   team.run([&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 2);
+}
+
+TEST(ThreadTeam, RegionZeroRunsOnTheCaller) {
+  ThreadTeam team(3);
+  EXPECT_EQ(team.size(), 3u);
+  std::vector<std::thread::id> ran_on(3);
+  for (int round = 0; round < 2; ++round) {
+    team.run([&](std::size_t id) { ran_on[id] = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    EXPECT_NE(ran_on[1], std::this_thread::get_id());
+    EXPECT_NE(ran_on[2], std::this_thread::get_id());
+    EXPECT_NE(ran_on[1], ran_on[2]);
+  }
+}
+
+/// Threads of this process, or 0 where the OS does not list them.
+std::size_t process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(ThreadTeam, TeamOfOneStartsNoThreadAndTakesNoLock) {
+  const std::size_t before = process_threads();
+  if (before == 0) GTEST_SKIP() << "no per-process thread listing";
+  ThreadTeam team(1);
+  EXPECT_EQ(team.size(), 1u);
+  EXPECT_EQ(process_threads(), before);
+  std::thread::id ran_on;
+  team.run([&](std::size_t id) {
+    EXPECT_EQ(id, 0u);
+    ran_on = std::this_thread::get_id();
+    team.run([](std::size_t) {});  // re-entry is just a call
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // Two callers are inside the region at once: each waits (bounded) for
+  // the other, which a team that serialized its callers would never let
+  // happen.
+  std::atomic<int> inside{0};
+  std::atomic<int> met{0};
+  auto caller = [&] {
+    team.run([&](std::size_t) {
+      inside.fetch_add(1);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (inside.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (inside.load() == 2) met.fetch_add(1);
+    });
+  };
+  std::thread other(caller);
+  caller();
+  other.join();
+  EXPECT_EQ(met.load(), 2);
+}
+
+TEST(ThreadTeam, NestedCallFromTheCallerThrows) {
+  ThreadTeam team(2);
+  EXPECT_THROW(team.run([&](std::size_t id) {
+                 if (id == 0) team.run([](std::size_t) {});
+               }),
+               std::logic_error);
+  // Each worker of `outer` -- the caller and the spawned one -- takes a
+  // turn as worker 0 of `inner`; inside inner's region it is still
+  // inside outer's.
+  ThreadTeam outer(2);
+  ThreadTeam inner(2);
+  std::atomic<int> threw{0};
+  outer.run([&](std::size_t) {
+    inner.run([&](std::size_t inner_id) {
+      if (inner_id != 0) return;
+      try {
+        outer.run([](std::size_t) {});
+      } catch (const std::logic_error&) {
+        threw.fetch_add(1);
+      }
+    });
+  });
+  EXPECT_EQ(threw.load(), 2);
+  std::atomic<int> ok{0};
+  team.run([&](std::size_t) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), 2);
+}
+
+TEST(ThreadTeam, CallerExceptionWaitsForTheOtherWorkers) {
+  ThreadTeam team(3);
+  std::atomic<int> returned{0};
+  EXPECT_THROW(team.run([&](std::size_t id) {
+                 if (id == 0) throw std::runtime_error("caller failure");
+                 std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                 returned.fetch_add(1);
+               }),
+               std::runtime_error);
+  EXPECT_EQ(returned.load(), 2);
 }
 
 TEST(ThreadTeam, Validation) { EXPECT_THROW(ThreadTeam(0), std::invalid_argument); }

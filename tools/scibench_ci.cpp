@@ -28,10 +28,10 @@
 #include <type_traits>
 #include <vector>
 
-#include "cli_number.hpp"
 #include "ci/dashboard.hpp"
 #include "ci/detect.hpp"
 #include "ci/history.hpp"
+#include "core/format.hpp"
 #include "obs/bench_report.hpp"
 
 namespace fs = std::filesystem;
@@ -91,7 +91,7 @@ template <typename T>
 bool parse_value(const char* text, std::type_identity_t<T> lo, std::type_identity_t<T> hi,
                  T& out) {
   if (text == nullptr) return false;
-  const auto value = sci::tools::parse_number(text, lo, hi);
+  const auto value = sci::core::parse_number(text, lo, hi);
   if (!value) {
     std::fprintf(stderr, "invalid value: %s\n", text);
     return false;

@@ -21,9 +21,10 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 
-#include "cli_number.hpp"
 #include "core/dataset.hpp"
+#include "core/format.hpp"
 #include "core/measurement.hpp"
 #include "core/plots.hpp"
 #include "core/report.hpp"
@@ -34,15 +35,13 @@
 
 namespace {
 
-/// "key=value" token lookup in a stopping-policy description like
-/// "sequential quantile=0.5 target=0.05 ... max_reps=64 ...".
-double policy_value(const std::string& text, const std::string& key, double fallback) {
-  const std::string needle = key + "=";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str() + pos + needle.size(), &end);
-  return end == text.c_str() + pos + needle.size() ? fallback : v;
+/// The value of "key=value" in a stopping-policy description like
+/// "sequential quantile=0.5 target=0.05 ... max_reps=64 ...", or "".
+std::string_view policy_token(std::string_view text, const std::string& key) {
+  const std::size_t pos = text.find(key + "=");
+  if (pos == std::string_view::npos) return {};
+  const std::string_view rest = text.substr(pos + key.size() + 1);
+  return rest.substr(0, rest.find(' '));
 }
 
 /// Per-config stop lines for a sequential-stopping campaign export:
@@ -53,10 +52,17 @@ void print_measurement_control(const sci::exec::Ingested& ingested,
   if (ingested.stopping.empty()) return;
   std::printf("measurement control: %s (%zu round%s)\n", ingested.stopping.c_str(),
               ingested.rounds, ingested.rounds == 1 ? "" : "s");
-  const double quantile = policy_value(ingested.stopping, "quantile", 0.5);
-  const double confidence = policy_value(ingested.stopping, "confidence", 0.95);
-  const auto max_reps =
-      static_cast<std::size_t>(policy_value(ingested.stopping, "max_reps", 0.0));
+  // A hand-edited value that is junk or out of range reports as the
+  // default: probabilities must lie in (0, 1).
+  const auto probability = [&](const std::string& key, double fallback) {
+    const auto p = sci::core::parse_number(policy_token(ingested.stopping, key), 0.0, 1.0);
+    return p && *p > 0.0 && *p < 1.0 ? *p : fallback;
+  };
+  const double quantile = probability("quantile", 0.5);
+  const double confidence = probability("confidence", 0.95);
+  const std::size_t max_reps =
+      sci::core::parse_number<std::size_t>(policy_token(ingested.stopping, "max_reps"))
+          .value_or(0);
 
   // One sort per config, center + rank CI from the same sorted pool,
   // sharded over --threads workers; bytes are identical at any count.
@@ -112,7 +118,7 @@ int main(int argc, char** argv) {
       strict = true;
     } else if (flag == "--threads" && arg + 1 < argc) {
       const auto threads =
-          sci::tools::parse_number<std::size_t>(argv[++arg], 0, sci::stats::kMaxThreads);
+          sci::core::parse_number<std::size_t>(argv[++arg], 0, sci::stats::kMaxThreads);
       if (!threads) {
         std::fprintf(stderr, "invalid value: %s\n", argv[arg]);
         return usage(argv[0]);

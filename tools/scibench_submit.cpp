@@ -24,7 +24,7 @@
 #include <iostream>
 #include <string>
 
-#include "cli_number.hpp"
+#include "core/format.hpp"
 #include "exec/interrupt.hpp"
 #include "exec/runner.hpp"
 #include "exec/service.hpp"
@@ -34,7 +34,7 @@
 
 namespace exec = sci::exec;
 namespace json = sci::obs::json;
-namespace tools = sci::tools;
+namespace core = sci::core;
 
 namespace {
 
@@ -117,7 +117,7 @@ void print_usage() {
 /// out of range are all refused before anything runs.
 template <typename T>
 T parse_option(const std::string& option, const char* text, T lo, T hi) {
-  if (const auto value = tools::parse_number(text, lo, hi)) return *value;
+  if (const auto value = core::parse_number(text, lo, hi)) return *value;
   std::fprintf(stderr, "scibench_submit: %s: invalid value \"%s\"\n", option.c_str(), text);
   print_usage();
   std::exit(2);

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "cli_number.hpp"
+#include "core/format.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
 #include "sim/machine.hpp"
@@ -145,11 +145,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--emit-demo") == 0) {
       demo = true;
     } else if (std::strcmp(argv[i], "--ranks") == 0 && i + 1 < argc) {
-      const auto value = sci::tools::parse_number(argv[++i], 1, kMaxRanks);
+      const auto value = sci::core::parse_number(argv[++i], 1, kMaxRanks);
       if (!value) return usage(argv[0]);
       ranks = *value;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      const auto value = sci::tools::parse_number(argv[++i], std::uint64_t{0},
+      const auto value = sci::core::parse_number(argv[++i], std::uint64_t{0},
                                                   std::numeric_limits<std::uint64_t>::max());
       if (!value) return usage(argv[0]);
       seed = *value;

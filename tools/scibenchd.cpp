@@ -43,7 +43,7 @@
 #include <string>
 #include <thread>
 
-#include "cli_number.hpp"
+#include "core/format.hpp"
 #include "exec/interrupt.hpp"
 #include "exec/service.hpp"
 
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       socket_path = next();
     } else if (arg == "--workers") {
       const char* text = next();
-      const auto value = sci::tools::parse_number<std::size_t>(text, 1, kMaxWorkers);
+      const auto value = sci::core::parse_number<std::size_t>(text, 1, kMaxWorkers);
       if (!value) {
         std::fprintf(stderr, "scibenchd: invalid --workers value: %s (1..%zu)\n", text,
                      kMaxWorkers);
