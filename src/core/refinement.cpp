@@ -12,14 +12,11 @@ namespace {
 
 void resummarize(RefinedLevel& lvl, double confidence) {
   // Runs after every refinement batch; one sort serves both the median
-  // and the rank-based CI.
+  // and its CI (the observed [min, max] while n <= 5, so a fresh
+  // midpoint is not mistaken for an exact one).
   const auto sorted = stats::sorted_copy(lvl.samples);
   lvl.median = stats::quantile_sorted(sorted, 0.5);
-  if (sorted.size() > 5) {
-    lvl.ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, confidence);
-  } else {
-    lvl.ci = {lvl.median, lvl.median, confidence};
-  }
+  lvl.ci = stats::median_interval_sorted(sorted, confidence);
 }
 
 /// Relative CI width; the refinement priority.
@@ -70,8 +67,14 @@ std::vector<RefinedLevel> measure_adaptive_levels(
         const double predicted = a.median + t * (c.median - a.median);
         const double gap =
             (b.median != 0.0) ? std::fabs(predicted - b.median) / std::fabs(b.median) : 0.0;
-        // Candidate midpoints flank the poorly-predicted level.
-        if (gap > worst_gap && b.level - a.level > 1.0) {
+        // The same interpolation of the neighbors' CI bounds: where it
+        // overlaps the middle level's CI, the miss may be noise alone.
+        const stats::Interval predicted_ci{(1.0 - t) * a.ci.lower + t * c.ci.lower,
+                                           (1.0 - t) * a.ci.upper + t * c.ci.upper,
+                                           options.confidence};
+        // Candidate midpoints flank a level that is poorly predicted, and
+        // provably so.
+        if (gap > worst_gap && b.level - a.level > 1.0 && !b.ci.overlaps(predicted_ci)) {
           worst_gap = gap;
           insert_after = i;
         }

@@ -10,7 +10,8 @@
 //     its center (uncertainty-driven), and
 //   - inserting midpoints where linear interpolation between neighboring
 //     levels mispredicts the measured value the most (SKaMPI-style
-//     shape-driven refinement).
+//     shape-driven refinement) -- and beyond noise: the interpolation
+//     of the neighbors' CIs must miss the level's own median CI.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +38,7 @@ struct RefinedLevel {
   double level = 0.0;
   std::vector<double> samples;
   double median = 0.0;
-  stats::Interval ci;           ///< CI of the median
+  stats::Interval ci;           ///< median CI (stats::median_interval_sorted)
   bool inserted = false;        ///< added by midpoint refinement
 };
 

@@ -144,6 +144,12 @@ class Backend {
 
   /// One-line description for Rule 9 documentation (defaults to name()).
   [[nodiscard]] virtual std::string describe() const { return name(); }
+
+  /// Everything besides (config, seed) that decides the bytes of a
+  /// cell: name() plus any options. The campaign journal's fingerprint
+  /// mixes it in, so a journal never resumes under other options.
+  /// Defaults to name(), for backends without options that matter.
+  [[nodiscard]] virtual std::string identity() const { return name(); }
 };
 
 /// The campaign seeding scheme: the seed of replication `rep` of grid

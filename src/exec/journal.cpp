@@ -16,21 +16,28 @@ namespace {
 
 namespace json = obs::json;
 
-constexpr std::size_t kVersion = 3;
+constexpr std::size_t kVersion = 4;
 
-/// The fingerprint a version-3 header line carries, or nullopt when the
-/// line is not one (v1/v2 token headers and foreign files included).
-std::optional<std::uint64_t> header_fingerprint(const std::string& line) {
+/// The fingerprint a version-4 header line carries, or nullopt when the
+/// line is no journal header (v1/v2 token headers and foreign files
+/// included). Throws std::runtime_error on the header of another
+/// version.
+std::optional<std::uint64_t> header_fingerprint(const std::string& path,
+                                                const std::string& line) {
+  std::size_t version = 0;
   try {
     const json::Value root = json::parse(line);
-    if (root.at("schema").as_string() == "scibench.journal" &&
-        root.at("version").as_size() == kVersion) {
-      return wire::parse_hex_u64(root.at("fingerprint").as_string());
-    }
+    if (root.at("schema").as_string() != "scibench.journal") return std::nullopt;
+    version = root.at("version").as_size();
+    if (version == kVersion) return wire::parse_hex_u64(root.at("fingerprint").as_string());
   } catch (const std::runtime_error&) {
-    // Not JSON, or a field is missing or mistyped: not a v3 header.
+    // Not JSON, or a field is missing or mistyped: not a journal header.
+    return std::nullopt;
   }
-  return std::nullopt;
+  throw std::runtime_error("CampaignJournal: '" + path + "' is a version-" +
+                           std::to_string(version) + " journal; version " +
+                           std::to_string(kVersion) + " fingerprints factor levels and "
+                           "backend options too, so it cannot resume from it");
 }
 
 /// Writes one whole line and flushes it: after a crash the file holds
@@ -49,19 +56,11 @@ std::uint64_t mix_bytes(std::uint64_t state, const std::string& text) {
 }  // namespace
 
 std::uint64_t CampaignJournal::fingerprint(const Campaign& campaign,
-                                           const std::string& backend_name) {
-  const CampaignSpec& spec = campaign.spec();
+                                           const std::string& backend_identity) {
   std::uint64_t state = 0x9a5c1b3a0d2e4f17ULL;
-  state = mix_bytes(state, spec.name);
-  state = rng::splitmix64_next(state) ^ spec.seed;
-  state = rng::splitmix64_next(state) ^ spec.replications;
-  state = rng::splitmix64_next(state) ^ campaign.config_count();
-  state = mix_bytes(state, backend_name);
-  // Sequential campaigns mix the full policy: a journal written under a
-  // different CI target / rep bounds would replay into different stop
-  // decisions, so it must refuse to resume. Fixed-mode fingerprints
-  // do not depend on the policy at all.
-  if (spec.stopping.sequential()) state = mix_bytes(state, spec.stopping.describe());
+  state = mix_bytes(state, campaign.spec().name);
+  state = mix_bytes(state, campaign.experiment().to_header());
+  state = mix_bytes(state, backend_identity);
   return rng::splitmix64_next(state);
 }
 
@@ -81,10 +80,10 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint)
     while (in && std::getline(in, line)) {
       ends_with_newline = !in.eof();
       if (!has_header) {
-        const std::optional<std::uint64_t> fp = header_fingerprint(line);
+        const std::optional<std::uint64_t> fp = header_fingerprint(path_, line);
         if (!fp) {
           throw std::runtime_error("CampaignJournal: '" + path_ +
-                                   "' exists but is not a version-3 campaign journal");
+                                   "' exists but is not a campaign journal");
         }
         if (*fp != fingerprint) {
           throw std::runtime_error(

@@ -6,7 +6,7 @@
 // both outcomes are final; only interrupted cells are withheld so a
 // resume retries them) and one per retired config:
 //
-//   {"schema": "scibench.journal", "version": 3, "fingerprint": "<16 hex>"}
+//   {"schema": "scibench.journal", "version": 4, "fingerprint": "<16 hex>"}
 //   {"cell": c, "rep": r, "seed": "<16 hex>", "attempts": a, "result": <scibench.cell>}
 //   {"stop": c, "reps": n, "reason": "..."}
 //
@@ -25,12 +25,13 @@
 // are byte-identical to an uninterrupted run (pinned by
 // tests/test_exec_resilience.cpp).
 //
-// Identity: the header carries a fingerprint of (campaign name, seed,
-// replications, config count, backend name) -- plus the stopping-policy
-// description for sequential campaigns, so a journal written under a
-// different CI target or rep bounds refuses to resume. Opening a
-// journal written by a different campaign or backend throws instead of
-// silently serving wrong cells. Within a journal, records are keyed by
+// Identity: the header carries a fingerprint of the campaign's compiled
+// Rule 9 header (Campaign::experiment().to_header(): every factor and
+// level, the replications or the stopping policy, the seed) and the
+// backend's identity() (its name and options). A journal written under
+// another level, sample count or CI target therefore refuses to
+// resume: opening a journal written by a different campaign or backend
+// throws instead of silently serving wrong cells. Within a journal, records are keyed by
 // (config_index, rep) and additionally carry the cell seed; a record
 // whose seed disagrees with the requested cell (e.g. the campaign
 // gained a seed_override) is ignored rather than trusted.
@@ -43,8 +44,10 @@
 //
 // Versions: v1 and v2 journals (the earlier space-separated token
 // format) are refused like any foreign file -- std::runtime_error at
-// open. Delete them, or finish the campaign with the release that
-// wrote them.
+// open. A v3 journal is refused with a message naming its version: its
+// fingerprint covered neither factor levels nor backend options, so it
+// cannot prove it belongs to the campaign. Delete such journals, or
+// finish the campaign with the release that wrote them.
 #pragma once
 
 #include <cstdint>
@@ -98,12 +101,12 @@ class CampaignJournal {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Campaign/backend identity hash written into the journal header:
-  /// splitmix64 chained over the campaign name, seed, replications,
-  /// config count, and backend name -- plus the stopping-policy
-  /// description for sequential campaigns (fixed-mode fingerprints do
-  /// not depend on the policy).
+  /// splitmix64 chained over the campaign name, its Rule 9 header
+  /// (Campaign::experiment().to_header()) and `backend_identity`
+  /// (Backend::identity()). Fixed-mode headers carry the replication
+  /// count, not the policy, so their fingerprints do not depend on it.
   [[nodiscard]] static std::uint64_t fingerprint(const Campaign& campaign,
-                                                 const std::string& backend_name);
+                                                 const std::string& backend_identity);
 
  private:
   std::string path_;

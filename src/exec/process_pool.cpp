@@ -254,6 +254,8 @@ std::string PoolBackend::name() const { return inner_.name(); }
 
 std::string PoolBackend::describe() const { return inner_.describe(); }
 
+std::string PoolBackend::identity() const { return inner_.identity(); }
+
 /// Runs a chunk of cells as one pipelined ProcessPool::run_batch.
 class PoolBackend::Context final : public BackendContext {
  public:

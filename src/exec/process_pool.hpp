@@ -136,7 +136,7 @@ class ProcessPool {
 /// it into an ordinary CampaignRunner and the whole round/journal/cache
 /// machinery runs unchanged, which is how the daemon inherits the
 /// byte-identity contract for free; dedupe is the runner's cache, not
-/// this adapter's. name()/describe() delegate to the equivalent
+/// this adapter's. name()/describe()/identity() delegate to the equivalent
 /// in-process SimBackend so cache keys, journal fingerprints, and Rule 9
 /// headers are indistinguishable from an in-process run. Its context
 /// sends each runner chunk to ProcessPool::run_batch.
@@ -152,6 +152,7 @@ class PoolBackend : public Backend {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string identity() const override;
   [[nodiscard]] CellResult run(const Config& config, std::uint64_t seed) override;
   [[nodiscard]] std::unique_ptr<BackendContext> make_context() override;
 

@@ -880,7 +880,7 @@ CampaignResult CampaignRunner::run() {
   std::unique_ptr<CampaignJournal> journal;
   if (!options_.journal_path.empty()) {
     journal = std::make_unique<CampaignJournal>(
-        options_.journal_path, CampaignJournal::fingerprint(campaign_, backend_name));
+        options_.journal_path, CampaignJournal::fingerprint(campaign_, backend_.identity()));
   }
 
   RunObservers observers{options_, campaign_, backend_name, workers};

@@ -7,9 +7,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <climits>
-#include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -69,133 +68,16 @@ class EventProgressSink : public ProgressSink {
   std::function<void(const std::string&)> emit_;
 };
 
+std::string rejected_event(std::uint64_t job_id, const std::string& error) {
+  return "{\"event\": \"rejected\", \"job\": " + json::dump_size(job_id) +
+         ", \"error\": " + json::quoted(error) + "}";
+}
+
 }  // namespace
 
-CampaignService::CampaignService(ProcessPool& pool, ServiceOptions options)
-    : pool_(pool), options_(options) {
-  service_thread_ = std::thread([this] { service_loop(); });
-}
-
-CampaignService::~CampaignService() {
-  stop();
-  if (service_thread_.joinable()) service_thread_.join();
-}
-
-void CampaignService::emit(ServiceEventSink* sink, const std::string& line) {
-  if (sink != nullptr) sink->on_event(line);
-}
-
-std::uint64_t CampaignService::submit(Submission submission, ServiceEventSink* sink) {
-  std::uint64_t id = 0;
-  bool rejected = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    id = next_job_id_++;
-    if (stopping_) {
-      rejected = true;
-      metrics_.jobs_rejected += 1;
-      JobOutcome outcome;
-      outcome.job_id = id;
-      outcome.error = "service is stopping";
-      outcomes_.emplace(id, std::move(outcome));
-    } else {
-      metrics_.jobs_submitted += 1;
-      // Under the lock: the service thread cannot pop the job, and
-      // write "started" to the same sink, before "queued" is out.
-      emit(sink, "{\"event\": \"queued\", \"job\": " + json::dump_size(id) +
-                     ", \"priority\": " + std::to_string(submission.priority) + "}");
-      QueuedJob job;
-      job.id = id;
-      job.priority = submission.priority;
-      job.submission = std::move(submission);
-      job.sink = sink;
-      queue_.push(std::move(job));
-      if (queue_.size() > metrics_.queue_peak) metrics_.queue_peak = queue_.size();
-    }
-  }
-  if (rejected) {
-    emit(sink, "{\"event\": \"rejected\", \"job\": " + json::dump_size(id) +
-                   ", \"error\": " + json::quoted("service is stopping") + "}");
-    done_cv_.notify_all();
-    return id;
-  }
-  queue_cv_.notify_one();
-  return id;
-}
-
-JobOutcome CampaignService::wait(std::uint64_t job_id) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return outcomes_.count(job_id) != 0; });
-  return outcomes_.at(job_id);
-}
-
-void CampaignService::stop() {
-  std::vector<QueuedJob> cancelled;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ && queue_.empty()) {
-      queue_cv_.notify_all();
-      return;
-    }
-    stopping_ = true;
-    while (!queue_.empty()) {
-      cancelled.push_back(queue_.top());
-      queue_.pop();
-    }
-  }
-  for (auto& job : cancelled) {
-    JobOutcome outcome;
-    outcome.job_id = job.id;
-    outcome.error = "cancelled: service stopping";
-    emit(job.sink,
-         "{\"event\": \"cancelled\", \"job\": " + json::dump_size(job.id) + "}");
-    finish(job.id, std::move(outcome));
-  }
-  queue_cv_.notify_all();
-}
-
-obs::DaemonMetrics CampaignService::metrics() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  obs::DaemonMetrics m = metrics_;
-  m.workers_spawned = pool_.workers_spawned();
-  m.workers_crashed = pool_.workers_crashed();
-  return m;
-}
-
-void CampaignService::finish(std::uint64_t job_id, JobOutcome outcome) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.jobs_completed += outcome.ran ? 1 : 0;
-    metrics_.jobs_with_failures += (outcome.ran && outcome.failed > 0) ? 1 : 0;
-    metrics_.cells_executed += outcome.executed;
-    metrics_.cells_deduped += outcome.deduped;
-    metrics_.cells_journal_replayed += outcome.journal_hits;
-    metrics_.cells_failed += outcome.failed;
-    metrics_.cells_interrupted += outcome.interrupted;
-    outcomes_[job_id] = std::move(outcome);
-  }
-  done_cv_.notify_all();
-}
-
-void CampaignService::service_loop() {
-  for (;;) {
-    QueuedJob job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      job = queue_.top();
-      queue_.pop();
-    }
-    run_job(std::move(job));
-  }
-}
-
-void CampaignService::run_job(QueuedJob job) {
-  ServiceEventSink* sink = job.sink;
+JobOutcome run_job(const Submission& sub, std::uint64_t job_id, ServiceEventSink* sink,
+                   ProcessPool* pool, ResultCache* cache,
+                   const std::atomic<bool>* interrupt) {
   // Cell events arrive on runner worker threads and heartbeats on the
   // monitor thread; serialize them so the sink sees one line at a time.
   std::mutex emit_mutex;
@@ -206,36 +88,29 @@ void CampaignService::run_job(QueuedJob job) {
   };
 
   JobOutcome outcome;
-  outcome.job_id = job.id;
-  const Submission& sub = job.submission;
-
+  outcome.job_id = job_id;
   try {
     Campaign campaign(sub.spec);  // validates; invalid specs are rejected below
+    const std::unique_ptr<Backend> backend =
+        pool != nullptr
+            ? std::unique_ptr<Backend>(std::make_unique<PoolBackend>(*pool, sub.backend))
+            : std::make_unique<SimBackend>(sub.backend);
 
-    emit_line("{\"event\": \"started\", \"job\": " + json::dump_size(job.id) +
+    emit_line("{\"event\": \"started\", \"job\": " + json::dump_size(job_id) +
               ", \"campaign\": " + json::quoted(sub.spec.name) +
               ", \"cells\": " + json::dump_size(campaign.cell_count()) + "}");
 
-    PoolBackend backend(pool_, sub.backend);
-    // The runner borrows the cross-job cache of jobs with equal options.
-    auto cache = std::find_if(caches_.begin(), caches_.end(),
-                              [&](const auto& c) { return c.first == sub.backend; });
-    if (cache == caches_.end()) {
-      cache = caches_.emplace(caches_.end(), std::piecewise_construct,
-                              std::forward_as_tuple(sub.backend), std::tuple<>());
-    }
-    EventProgressSink progress(job.id, emit_line);
+    EventProgressSink progress(job_id, emit_line);
     CampaignRunnerOptions ropts;
-    ropts.workers = pool_.worker_count();  // saturates the fleet; this thread is worker 0
+    ropts.workers = pool != nullptr ? pool->worker_count() : 0;  // saturates the fleet
     ropts.journal_path = sub.journal_path;
     ropts.max_attempts = sub.max_attempts;
-    ropts.cell_budget = sub.cell_budget;
     ropts.metrics_path = sub.metrics_path;
-    ropts.interrupt = options_.interrupt;
+    ropts.interrupt = interrupt;
     ropts.progress = &progress;
     ropts.heartbeat_period_s = sub.heartbeat_s;
 
-    CampaignRunner runner(backend, std::move(campaign), ropts, &cache->second);
+    CampaignRunner runner(*backend, std::move(campaign), ropts, cache);
     const CampaignResult result = runner.run();
 
     if (!sub.samples_csv.empty()) result.samples_dataset().save_csv(sub.samples_csv);
@@ -248,120 +123,164 @@ void CampaignService::run_job(QueuedJob job) {
     outcome.journal_hits = result.journal_hits;
     outcome.failed = result.failed;
     outcome.interrupted = result.interrupted;
-    outcome.retries = result.retries;
-    outcome.rounds = result.rounds;
-    outcome.sequential = result.sequential;
 
-    std::string line = "{\"event\": \"done\", \"job\": " + json::dump_size(job.id);
+    std::string line = "{\"event\": \"done\", \"job\": " + json::dump_size(job_id);
     line += ", \"cells\": " + json::dump_size(outcome.cells);
     line += ", \"executed\": " + json::dump_size(outcome.executed);
     line += ", \"deduped\": " + json::dump_size(outcome.deduped);
     line += ", \"journal_hits\": " + json::dump_size(outcome.journal_hits);
     line += ", \"failed\": " + json::dump_size(outcome.failed);
     line += ", \"interrupted\": " + json::dump_size(outcome.interrupted);
-    line += ", \"retries\": " + json::dump_size(outcome.retries);
-    line += ", \"rounds\": " + json::dump_size(outcome.rounds);
+    line += ", \"retries\": " + json::dump_size(result.retries);
+    line += ", \"rounds\": " + json::dump_size(result.rounds);
     line += ", \"sequential\": ";
-    line += outcome.sequential ? "true" : "false";
+    line += result.sequential ? "true" : "false";
     line += "}";
     emit_line(line);
   } catch (const std::invalid_argument& e) {
-    // The spec itself is broken: admission failure.
-    outcome.ran = false;
+    // The spec or the backend options are broken: admission failure.
+    outcome.rejected = true;
     outcome.error = e.what();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      metrics_.jobs_rejected += 1;
-    }
-    emit_line("{\"event\": \"rejected\", \"job\": " + json::dump_size(job.id) +
-              ", \"error\": " + json::quoted(outcome.error) + "}");
+    emit_line(rejected_event(job_id, outcome.error));
   } catch (const std::exception& e) {
     // The run itself failed (journal mismatch, unwritable CSV...).
-    outcome.ran = false;
     outcome.error = e.what();
-    emit_line("{\"event\": \"error\", \"job\": " + json::dump_size(job.id) +
+    emit_line("{\"event\": \"error\", \"job\": " + json::dump_size(job_id) +
               ", \"error\": " + json::quoted(outcome.error) + "}");
   }
+  return outcome;
+}
 
-  finish(job.id, std::move(outcome));
+std::optional<Submission> admit(std::string_view header_line, std::string_view envelope_line,
+                                ServiceEventSink& sink) {
+  try {
+    return wire::parse_submission(header_line, envelope_line);
+  } catch (const std::exception& e) {
+    sink.on_event(rejected_event(0, e.what()));
+    return std::nullopt;
+  }
+}
+
+CampaignService::CampaignService(ProcessPool& pool, const std::atomic<bool>* interrupt)
+    : pool_(pool), interrupt_(interrupt) {
+  service_thread_ = std::thread([this] { service_loop(); });
+}
+
+CampaignService::~CampaignService() {
+  stop();
+  if (service_thread_.joinable()) service_thread_.join();
+}
+
+std::future<JobOutcome> CampaignService::submit(Submission submission,
+                                                ServiceEventSink* sink) {
+  QueuedJob job{std::move(submission), sink, {}};
+  std::future<JobOutcome> done = job.done.get_future();
+  std::unique_lock<std::mutex> lock(mutex_);
+  const std::uint64_t id = next_job_id_++;
+  if (stopping_) {
+    lock.unlock();
+    JobOutcome outcome;
+    outcome.job_id = id;
+    outcome.rejected = true;
+    outcome.error = "service is stopping";
+    if (sink != nullptr) sink->on_event(rejected_event(id, outcome.error));
+    finish(job, std::move(outcome));
+    return done;
+  }
+  metrics_.jobs_submitted += 1;
+  // Under the lock: the service thread cannot pop the job, and write
+  // "started" to the same sink, before "queued" is out.
+  if (sink != nullptr) {
+    sink->on_event("{\"event\": \"queued\", \"job\": " + json::dump_size(id) +
+                   ", \"priority\": " + std::to_string(job.submission.priority) + "}");
+  }
+  const int priority = job.submission.priority;
+  queue_.emplace(QueueKey{priority, id}, std::move(job));
+  metrics_.queue_peak = std::max(metrics_.queue_peak, queue_.size());
+  queue_cv_.notify_one();
+  return done;
+}
+
+void CampaignService::stop() {
+  std::map<QueueKey, QueuedJob, QueueOrder> cancelled;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+    cancelled.swap(queue_);
+  }
+  for (auto& [key, job] : cancelled) {
+    JobOutcome outcome;
+    outcome.job_id = key.second;
+    outcome.error = "cancelled: service stopping";
+    if (job.sink != nullptr) {
+      job.sink->on_event("{\"event\": \"cancelled\", \"job\": " +
+                         json::dump_size(key.second) + "}");
+    }
+    finish(job, std::move(outcome));
+  }
+  queue_cv_.notify_all();
+}
+
+obs::DaemonMetrics CampaignService::metrics() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  obs::DaemonMetrics m = metrics_;
+  m.workers_spawned = pool_.workers_spawned();
+  m.workers_crashed = pool_.workers_crashed();
+  return m;
+}
+
+void CampaignService::finish(QueuedJob& job, JobOutcome outcome) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    metrics_.jobs_completed += outcome.ran ? 1 : 0;
+    metrics_.jobs_rejected += outcome.rejected ? 1 : 0;
+    metrics_.jobs_with_failures += (outcome.ran && outcome.failed > 0) ? 1 : 0;
+    metrics_.cells_executed += outcome.executed;
+    metrics_.cells_deduped += outcome.deduped;
+    metrics_.cells_journal_replayed += outcome.journal_hits;
+    metrics_.cells_failed += outcome.failed;
+    metrics_.cells_interrupted += outcome.interrupted;
+  }
+  job.done.set_value(std::move(outcome));
+}
+
+void CampaignService::service_loop() {
+  for (;;) {
+    std::uint64_t id = 0;
+    QueuedJob job;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, nothing left
+      id = queue_.begin()->first.second;
+      job = std::move(queue_.begin()->second);
+      queue_.erase(queue_.begin());
+    }
+    // The runner borrows the cross-job cache of jobs with equal options;
+    // a rejected job leaves no cache behind.
+    const SimBackendOptions& options = job.submission.backend;
+    auto cache = std::find_if(caches_.begin(), caches_.end(),
+                              [&](const auto& c) { return c.first == options; });
+    const bool fresh = cache == caches_.end();
+    if (fresh) {
+      cache = caches_.emplace(caches_.end(), std::piecewise_construct,
+                              std::forward_as_tuple(options), std::tuple<>());
+    }
+    JobOutcome outcome = run_job(job.submission, id, job.sink, &pool_, &cache->second, interrupt_);
+    if (fresh && outcome.rejected) caches_.erase(cache);
+    finish(job, std::move(outcome));
+  }
 }
 
 // ------------------------------------------------------------- clients
-
-namespace {
-
-/// The submit header's "priority": an integer in int's range. The
-/// range check comes before the cast, which is undefined for NaN (a
-/// JSON null) and for values outside the range.
-int header_priority(const json::Value& value) {
-  const double p = value.as_number();
-  if (!(p >= INT_MIN && p <= INT_MAX) || p != std::trunc(p)) {
-    throw std::invalid_argument("submit header: \"priority\" must be an integer in [" +
-                                std::to_string(INT_MIN) + ", " + std::to_string(INT_MAX) +
-                                "]");
-  }
-  return static_cast<int>(p);
-}
-
-/// The submit header's "heartbeat_s": finite seconds in [0, kMaxHeartbeatS].
-double header_heartbeat(const json::Value& value) {
-  const double seconds = value.as_number();
-  if (!(seconds >= 0.0 && seconds <= kMaxHeartbeatS)) {
-    throw std::invalid_argument("submit header: \"heartbeat_s\" must be in [0, " +
-                                json::dump_number(kMaxHeartbeatS) + "] seconds");
-  }
-  return seconds;
-}
-
-/// The submit header's "max_attempts": an integer in [0, kMaxAttempts]
-/// (0 runs once, like 1).
-std::size_t header_max_attempts(const json::Value& value) {
-  const std::size_t attempts = value.as_size();
-  if (attempts > kMaxAttempts) {
-    throw std::invalid_argument("submit header: \"max_attempts\" must be at most " +
-                                std::to_string(kMaxAttempts));
-  }
-  return attempts;
-}
-
-}  // namespace
 
 void serve_client(CampaignService& service, int fd) {
   std::string header_line;
   std::string campaign_line;
   SocketEventSink sink(fd);  // a client that stops reading is muted
   if (read_line_fd(fd, header_line) && read_line_fd(fd, campaign_line)) {
-    try {
-      const json::Value header = json::parse(header_line);
-      if (header.at("op").as_string() != "submit") {
-        throw std::runtime_error("unknown op \"" + header.at("op").as_string() + "\"");
-      }
-      const wire::CampaignEnvelope envelope = wire::parse_campaign_json(campaign_line);
-
-      Submission sub;
-      sub.spec = envelope.spec;
-      sub.backend = envelope.backend;
-      const auto str = [&](const char* key) {
-        const json::Value* v = header.find(key);
-        return v == nullptr ? std::string() : v->as_string();
-      };
-      if (const json::Value* v = header.find("priority")) sub.priority = header_priority(*v);
-      sub.journal_path = str("journal");
-      sub.samples_csv = str("samples_csv");
-      sub.summary_csv = str("summary_csv");
-      sub.metrics_path = str("metrics");
-      if (const json::Value* v = header.find("max_attempts")) {
-        sub.max_attempts = header_max_attempts(*v);
-      }
-      if (const json::Value* v = header.find("heartbeat_s")) {
-        sub.heartbeat_s = header_heartbeat(*v);
-      }
-
-      const std::uint64_t id = service.submit(std::move(sub), &sink);
-      (void)service.wait(id);  // terminal event already streamed
-    } catch (const std::exception& e) {
-      write_line_fd(fd, "{\"event\": \"rejected\", \"job\": 0, \"error\": " +
-                            json::quoted(e.what()) + "}");
+    if (std::optional<Submission> sub = admit(header_line, campaign_line, sink)) {
+      service.submit(std::move(*sub), &sink).wait();  // terminal event already streamed
     }
   }
   ::close(fd);

@@ -1,17 +1,18 @@
 // CampaignService: the benchmark-as-a-service core behind scibenchd.
 //
 // The service owns a priority submission queue, the cross-job result
-// caches, and one service thread that runs admitted campaigns through an
-// ordinary CampaignRunner whose backend is a PoolBackend -- cells
-// execute in scibench_worker processes (exec/process_pool.hpp), so a
-// backend that aborts or is SIGKILLed costs one worker, not the daemon.
+// caches, and one service thread that runs admitted campaigns through
+// run_job with a PoolBackend -- cells execute in scibench_worker
+// processes (exec/process_pool.hpp), so a backend that aborts or is
+// SIGKILLed costs one worker, not the daemon.
 //
 // Deliberate reuse over reinvention: the service contains NO scheduling
 // or journaling logic of its own. Rounds, sequential stopping, retry
 // containment, journal WAL/resume, and result assembly are exactly the
-// CampaignRunner's -- which is why a campaign run through the daemon at
-// any worker-process count produces CSVs byte-identical to an
-// in-process run (the PR invariant, pinned by test_exec_service.cpp).
+// CampaignRunner's, and run_job is also `scibench_submit --local`'s
+// whole job -- which is why a campaign run through the daemon at any
+// worker-process count produces CSVs byte-identical to an in-process
+// run (the PR invariant, pinned by test_exec_service.cpp).
 //
 // Queue semantics: jobs run one at a time, highest priority first,
 // submission order within a priority (deterministic; no starvation
@@ -39,58 +40,29 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <list>
 #include <map>
 #include <mutex>
-#include <queue>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "exec/process_pool.hpp"
 #include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
+#include "exec/wire.hpp"
 #include "obs/daemon_metrics.hpp"
 
 namespace sci::exec {
 
-/// One campaign submission: the serializable campaign plus run options
-/// the client controls. Output paths are daemon-side filesystem paths
-/// (the transport is a local Unix socket; client and daemon share the
-/// filesystem by construction).
-struct Submission {
-  CampaignSpec spec;
-  SimBackendOptions backend;
-  /// Larger runs first; ties resolve in submission order.
-  int priority = 0;
-  std::string journal_path;  ///< WAL for crash-safe resume (optional)
-  std::string samples_csv;   ///< written when non-empty
-  std::string summary_csv;   ///< written when non-empty
-  std::string metrics_path;  ///< final ProgressSnapshot (optional)
-  /// At most kMaxAttempts.
-  std::size_t max_attempts = 1;
-  /// Deterministic kill drill (CampaignRunnerOptions::cell_budget).
-  std::size_t cell_budget = 0;
-  /// Emit "progress" events every this many seconds (0 = off); at most
-  /// kMaxHeartbeatS.
-  double heartbeat_s = 0.0;
-};
-
-/// Largest Submission::heartbeat_s (one day). The runner's monitor waits
-/// on a std::chrono duration, whose conversion to clock ticks is
-/// undefined for values far beyond it.
-inline constexpr double kMaxHeartbeatS = 86400.0;
-
-/// Largest Submission::max_attempts. A cell that always fails runs
-/// every attempt, and each attempt of a crashing cell costs a worker
-/// respawn, so an unbounded value would hold the queue practically
-/// forever.
-inline constexpr std::size_t kMaxAttempts = 64;
-
 /// Terminal state of one job.
 struct JobOutcome {
   std::uint64_t job_id = 0;
-  bool ran = false;          ///< false: rejected or cancelled
+  bool ran = false;          ///< false: rejected, cancelled or failed to run
+  bool rejected = false;     ///< an invalid spec or backend options
   std::string error;         ///< rejection/cancellation/abort reason
   std::size_t cells = 0;
   std::size_t executed = 0;
@@ -98,9 +70,6 @@ struct JobOutcome {
   std::size_t journal_hits = 0;
   std::size_t failed = 0;
   std::size_t interrupted = 0;
-  std::size_t retries = 0;
-  std::size_t rounds = 0;
-  bool sequential = false;
 };
 
 /// Receives the event stream of one submission, never concurrently for
@@ -117,28 +86,41 @@ class ServiceEventSink {
   virtual void on_event(const std::string& json_lines) = 0;
 };
 
-struct ServiceOptions {
-  /// Cooperative interrupt forwarded to every runner (see
-  /// exec/interrupt.hpp); a signalled daemon drains the active job as
-  /// interrupted cells and journals nothing partial.
-  const std::atomic<bool>* interrupt = nullptr;
-};
+/// The job body of CampaignService and of `scibench_submit --local`:
+/// runs `sub` as job `job_id`, writes the CSVs it names and streams to
+/// `sink` (may be nullptr), serialized: "started", "cell" chunks,
+/// "progress" heartbeats, then "done", "rejected" (invalid spec or
+/// backend options) or "error" (the run failed). Cells run in `pool`'s
+/// workers through a PoolBackend, or in-process through a SimBackend
+/// when `pool` is nullptr. `cache` (optional) is lent to the runner;
+/// `interrupt` drains the job as interrupted cells (exec/interrupt.hpp).
+[[nodiscard]] JobOutcome run_job(const Submission& sub, std::uint64_t job_id,
+                                 ServiceEventSink* sink, ProcessPool* pool = nullptr,
+                                 ResultCache* cache = nullptr,
+                                 const std::atomic<bool>* interrupt = nullptr);
+
+/// Parses the two submission lines, or streams one "rejected" event
+/// (job 0) to `sink` and returns nullopt.
+[[nodiscard]] std::optional<Submission> admit(std::string_view header_line,
+                                              std::string_view envelope_line,
+                                              ServiceEventSink& sink);
 
 class CampaignService {
  public:
-  CampaignService(ProcessPool& pool, ServiceOptions options = {});
+  /// `interrupt` is forwarded to every job (see run_job).
+  explicit CampaignService(ProcessPool& pool, const std::atomic<bool>* interrupt = nullptr);
   /// Stops the queue (pending jobs are cancelled) and joins.
   ~CampaignService();
 
   CampaignService(const CampaignService&) = delete;
   CampaignService& operator=(const CampaignService&) = delete;
 
-  /// Enqueues a campaign; returns its job id immediately. `sink` may be
-  /// nullptr (no event stream) and must otherwise outlive the job.
-  std::uint64_t submit(Submission submission, ServiceEventSink* sink = nullptr);
-
-  /// Blocks until the job reaches a terminal state.
-  [[nodiscard]] JobOutcome wait(std::uint64_t job_id);
+  /// Enqueues a campaign and returns at once; the future becomes ready
+  /// when the job reaches a terminal state. The service keeps nothing
+  /// of a finished job. `sink` may be nullptr (no event stream) and
+  /// must otherwise outlive the job.
+  [[nodiscard]] std::future<JobOutcome> submit(Submission submission,
+                                               ServiceEventSink* sink = nullptr);
 
   /// Stops accepting work and cancels everything still queued; the
   /// in-flight job (if any) finishes or drains via the interrupt flag.
@@ -148,31 +130,29 @@ class CampaignService {
 
  private:
   struct QueuedJob {
-    std::uint64_t id = 0;
-    int priority = 0;
     Submission submission;
     ServiceEventSink* sink = nullptr;
+    std::promise<JobOutcome> done;
   };
+  /// (priority, job id): the highest priority first, submission order
+  /// within a priority.
+  using QueueKey = std::pair<int, std::uint64_t>;
   struct QueueOrder {
-    bool operator()(const QueuedJob& a, const QueuedJob& b) const noexcept {
-      if (a.priority != b.priority) return a.priority < b.priority;  // max-heap
-      return a.id > b.id;  // FIFO within a priority
+    bool operator()(const QueueKey& a, const QueueKey& b) const noexcept {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
     }
   };
 
   void service_loop();
-  void run_job(QueuedJob job);
-  void finish(std::uint64_t job_id, JobOutcome outcome);
-  static void emit(ServiceEventSink* sink, const std::string& line);
+  void finish(QueuedJob& job, JobOutcome outcome);
 
   ProcessPool& pool_;
-  ServiceOptions options_;
+  const std::atomic<bool>* interrupt_;
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;
-  std::condition_variable done_cv_;
-  std::priority_queue<QueuedJob, std::vector<QueuedJob>, QueueOrder> queue_;
-  std::map<std::uint64_t, JobOutcome> outcomes_;
+  std::map<QueueKey, QueuedJob, QueueOrder> queue_;
   std::uint64_t next_job_id_ = 1;
   bool stopping_ = false;
   obs::DaemonMetrics metrics_;
@@ -213,12 +193,12 @@ bool read_line_fd(int fd, std::string& line);
 
 /// Serves one client connection of scibenchd: reads the two-line
 /// submission (a {"op": "submit", ...} header, then a
-/// "scibench.campaign" envelope), runs it, streams its events to the
-/// client until the terminal one, and closes `fd`. A malformed header
-/// or envelope -- hostile numbers included: a null or out-of-range
-/// "priority", a "max_attempts" above kMaxAttempts, a NaN or
-/// out-of-range "heartbeat_s" -- is answered with one "rejected" event
-/// (job 0).
+/// "scibench.campaign" envelope), admits it, runs it, streams its
+/// events to the client until the terminal one, and closes `fd`. A
+/// malformed header or envelope -- hostile numbers included: a null or
+/// out-of-range "priority", a "max_attempts" above kMaxAttempts, a NaN
+/// or out-of-range "heartbeat_s" -- is answered with one "rejected"
+/// event (job 0).
 void serve_client(CampaignService& service, int fd);
 
 /// How long one event send may block before SocketEventSink gives up

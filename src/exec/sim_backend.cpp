@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "exec/wire.hpp"
 #include "sim/callback.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/machine.hpp"
@@ -92,6 +93,8 @@ std::string SimBackend::describe() const {
   return "simulated cluster (sim::make_machine), kernel " +
          std::string(to_string(options_.kernel));
 }
+
+std::string SimBackend::identity() const { return wire::backend_to_json(options_); }
 
 /// Per-worker reusable state: one warm benchmark driver per distinct
 /// cell shape. Campaign cells are claimed in (config, rep) order, so a

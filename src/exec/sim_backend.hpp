@@ -64,6 +64,8 @@ class SimBackend : public Backend {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::string describe() const override;
+  /// The options as their wire JSON (wire::backend_to_json).
+  [[nodiscard]] std::string identity() const override;
   [[nodiscard]] CellResult run(const Config& config, std::uint64_t seed) override;
 
   /// Per-worker context that keeps one reusable simulation world (plus

@@ -1,7 +1,10 @@
 #include "exec/wire.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -278,6 +281,73 @@ CampaignEnvelope parse_campaign_json(std::string_view text) {
   spec.seed = parse_hex_u64(root.at("seed").as_string());
   envelope.backend = parse_backend(root.at("backend"));
   return envelope;
+}
+
+std::string backend_to_json(const SimBackendOptions& backend) {
+  std::string out = "{";
+  append_backend(out, backend);
+  out += "}";
+  return out;
+}
+
+/// The submit header's path members and the fields they carry.
+constexpr std::pair<const char*, std::string Submission::*> kSubmitPaths[] = {
+    {"journal", &Submission::journal_path},
+    {"samples_csv", &Submission::samples_csv},
+    {"summary_csv", &Submission::summary_csv},
+    {"metrics", &Submission::metrics_path}};
+
+std::string submit_header_to_json(const Submission& sub) {
+  std::string out = "{\"op\": \"submit\", \"priority\": " + std::to_string(sub.priority);
+  for (const auto& [key, field] : kSubmitPaths) {
+    out += ", " + json::quoted(key) + ": ";
+    json::append_quoted(out, sub.*field);
+  }
+  out += ", \"max_attempts\": " + json::dump_size(sub.max_attempts);
+  out += ", \"heartbeat_s\": " + json::dump_number(sub.heartbeat_s);
+  out += "}";
+  return out;
+}
+
+Submission parse_submission(std::string_view header_line, std::string_view envelope_line) {
+  const json::Value header = json::parse(header_line);
+  if (header.at("op").as_string() != "submit") {
+    throw std::runtime_error("unknown op \"" + header.at("op").as_string() + "\"");
+  }
+  CampaignEnvelope envelope = parse_campaign_json(envelope_line);
+
+  Submission sub;
+  sub.spec = std::move(envelope.spec);
+  sub.backend = std::move(envelope.backend);
+  for (const auto& [key, field] : kSubmitPaths) {
+    if (const json::Value* v = header.find(key)) sub.*field = v->as_string();
+  }
+  // Every number is range-checked before it is cast: the casts are
+  // undefined for NaN (a JSON null) and out-of-range values.
+  if (const json::Value* v = header.find("priority")) {
+    const double p = v->as_number();
+    if (!(p >= INT_MIN && p <= INT_MAX) || p != std::trunc(p)) {
+      throw std::invalid_argument("submit header: \"priority\" must be an integer in [" +
+                                  std::to_string(INT_MIN) + ", " + std::to_string(INT_MAX) +
+                                  "]");
+    }
+    sub.priority = static_cast<int>(p);
+  }
+  if (const json::Value* v = header.find("max_attempts")) {
+    sub.max_attempts = v->as_size();  // 0 runs once, like 1
+    if (sub.max_attempts > kMaxAttempts) {
+      throw std::invalid_argument("submit header: \"max_attempts\" must be at most " +
+                                  std::to_string(kMaxAttempts));
+    }
+  }
+  if (const json::Value* v = header.find("heartbeat_s")) {
+    sub.heartbeat_s = v->as_number();
+    if (!(sub.heartbeat_s >= 0.0 && sub.heartbeat_s <= kMaxHeartbeatS)) {
+      throw std::invalid_argument("submit header: \"heartbeat_s\" must be in [0, " +
+                                  json::dump_number(kMaxHeartbeatS) + "] seconds");
+    }
+  }
+  return sub;
 }
 
 std::string job_to_json(const SimBackendOptions& backend, const Config& config,

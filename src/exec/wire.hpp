@@ -1,8 +1,12 @@
 // Wire format for the campaign service: line-delimited canonical JSON
 // over local transports (Unix-domain sockets, worker pipes).
 //
-// Three message families, all emitted through obs/json.hpp so
+// Four message families, all emitted through obs/json.hpp so
 // emit -> parse -> re-emit is byte-identical:
+//
+//   Submit header       A client's first line to scibenchd: the run
+//       options of one Submission; the envelope follows. The daemon and
+//       `scibench_submit --local` both read the pair (parse_submission).
 //
 //   Campaign envelope   A complete, serializable campaign submission:
 //       CampaignSpec (name, base experiment, factors, replications,
@@ -50,6 +54,41 @@ namespace sci::obs::json {
 struct Value;
 }
 
+namespace sci::exec {
+
+/// One campaign submission: the serializable campaign plus run options
+/// the client controls. Output paths are daemon-side filesystem paths
+/// (the transport is a local Unix socket; client and daemon share the
+/// filesystem by construction).
+struct Submission {
+  CampaignSpec spec;
+  SimBackendOptions backend;
+  /// Larger runs first; ties resolve in submission order.
+  int priority = 0;
+  std::string journal_path;  ///< WAL for crash-safe resume (optional)
+  std::string samples_csv;   ///< written when non-empty
+  std::string summary_csv;   ///< written when non-empty
+  std::string metrics_path;  ///< final ProgressSnapshot (optional)
+  /// At most kMaxAttempts.
+  std::size_t max_attempts = 1;
+  /// Emit "progress" events every this many seconds (0 = off); at most
+  /// kMaxHeartbeatS.
+  double heartbeat_s = 0.0;
+};
+
+/// Largest Submission::heartbeat_s (one day). The runner's monitor waits
+/// on a std::chrono duration, whose conversion to clock ticks is
+/// undefined for values far beyond it.
+inline constexpr double kMaxHeartbeatS = 86400.0;
+
+/// Largest Submission::max_attempts. A cell that always fails runs
+/// every attempt, and each attempt of a crashing cell costs a worker
+/// respawn, so an unbounded value would hold the queue practically
+/// forever.
+inline constexpr std::size_t kMaxAttempts = 64;
+
+}  // namespace sci::exec
+
 namespace sci::exec::wire {
 
 inline constexpr int kVersion = 1;
@@ -75,6 +114,18 @@ struct CampaignEnvelope {
                                            const SimBackendOptions& backend);
 /// Inverse; throws std::runtime_error on schema mismatch.
 [[nodiscard]] CampaignEnvelope parse_campaign_json(std::string_view text);
+
+/// {"backend": {...}} as in the envelope: every option, so it
+/// identifies them exactly (SimBackend::identity).
+[[nodiscard]] std::string backend_to_json(const SimBackendOptions& backend);
+
+/// The submit header of `sub`: every run option (spec and backend
+/// travel in the envelope).
+[[nodiscard]] std::string submit_header_to_json(const Submission& sub);
+/// Reads a submit header and its envelope. Throws std::runtime_error on
+/// bad JSON, a foreign "op" or a wrong-typed member, and
+/// std::invalid_argument on a number outside Submission's limits.
+[[nodiscard]] Submission parse_submission(std::string_view header, std::string_view envelope);
 
 /// One cell dispatch (schema "scibench.job", version 1).
 [[nodiscard]] std::string job_to_json(const SimBackendOptions& backend,

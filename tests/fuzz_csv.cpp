@@ -1,7 +1,7 @@
-// Deterministic mutation fuzzing of two file input boundaries: CSV
-// loading and campaign journal replay.
+// Deterministic mutation fuzzing of three input boundaries: CSV
+// loading, campaign journal replay and the daemon's submit codec.
 //
-// One mutator serves both targets. Each iteration picks a seed
+// One mutator serves all three targets. Each iteration picks a seed
 // document, then flips, inserts, splices, duplicates or truncates bytes
 // with a seeded rng::Xoshiro256, weighted toward the target's grammar
 // bytes, and writes the mutant to a file.
@@ -17,11 +17,19 @@
 //            -- and then every replayed record, appended to a fresh
 //            journal, replays bit-identically -- or throws
 //            std::runtime_error.
+//   Submit   Seeds are submit headers (wire::submit_header_to_json) and
+//            the `scibench_submit --emit-demo` envelopes; mutants of
+//            either line go through wire::parse_submission. A parse
+//            either succeeds -- and then the re-emitted header and
+//            envelope parse back to the same Submission -- or throws
+//            std::runtime_error or std::invalid_argument.
 //
 // Any other exception fails the test; a crash or hang fails the ctest
 // case (run under ASan/UBSan in CI). The iteration budgets are fixed,
 // so every run replays the same mutants.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstring>
@@ -363,6 +371,110 @@ TEST(FuzzJournal, ReplaySucceedsAndRoundTripsOrThrowsRuntimeError) {
   EXPECT_GT(opened, kJournalIterations / 20);
   EXPECT_GT(rejected, kJournalIterations / 20);
   EXPECT_GT(records, opened);  // most opened mutants keep records to check
+}
+
+// ------------------------------------------------------------- submit
+
+constexpr std::size_t kSubmitIterations = 2000;
+
+/// Bytes that matter to a submit header or an envelope: JSON structure,
+/// number syntax, string escapes and the letters of true/false/null.
+constexpr std::string_view kSubmitAlphabet = "{}[]\",:\\  0123456789-+.eEtrufalsn";
+
+/// The `scibench_submit --emit-demo` envelopes, read from the built tool.
+std::vector<std::string> demo_envelopes() {
+  std::vector<std::string> out;
+  for (const char* demo : {"pingpong", "pingpong-seq", "reduce", "faulty", "crashy"}) {
+    const std::string command = std::string("'") + SCIBENCH_SUBMIT_PATH + "' --emit-demo " + demo;
+    FILE* pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr) continue;
+    std::string line;
+    char buf[4096];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) line.append(buf, got);
+    if (::pclose(pipe) == 0 && !line.empty() && line.back() == '\n') {
+      line.pop_back();
+      out.push_back(line);
+    }
+  }
+  return out;
+}
+
+/// Headers that set no member, each member, and every member at once.
+std::vector<std::string> submit_headers() {
+  exec::Submission all;
+  all.priority = -7;
+  all.journal_path = "runs/j \"1\".jsonl";
+  all.samples_csv = "s,\n.csv";
+  all.summary_csv = "summary.csv";
+  all.metrics_path = "m\\.json";
+  all.max_attempts = exec::kMaxAttempts;
+  all.heartbeat_s = 0.25;
+  std::vector<std::string> out = {R"({"op": "submit"})",
+                                  exec::wire::submit_header_to_json(exec::Submission{}),
+                                  exec::wire::submit_header_to_json(all)};
+  exec::Submission one;
+  one.heartbeat_s = 1e-300;
+  out.push_back(exec::wire::submit_header_to_json(one));
+  return out;
+}
+
+/// Every field of `b` equals `a`'s: the numbers bit for bit, spec and
+/// backend through their envelope bytes.
+void expect_same_submission(const exec::Submission& a, const exec::Submission& b,
+                            std::size_t iter) {
+  EXPECT_EQ(exec::wire::campaign_to_json(a.spec, a.backend),
+            exec::wire::campaign_to_json(b.spec, b.backend))
+      << "iteration " << iter;
+  EXPECT_EQ(exec::wire::submit_header_to_json(a), exec::wire::submit_header_to_json(b))
+      << "iteration " << iter;
+  EXPECT_EQ(a.priority, b.priority) << "iteration " << iter;
+  EXPECT_EQ(a.journal_path, b.journal_path) << "iteration " << iter;
+  EXPECT_EQ(a.samples_csv, b.samples_csv) << "iteration " << iter;
+  EXPECT_EQ(a.summary_csv, b.summary_csv) << "iteration " << iter;
+  EXPECT_EQ(a.metrics_path, b.metrics_path) << "iteration " << iter;
+  EXPECT_EQ(a.max_attempts, b.max_attempts) << "iteration " << iter;
+  EXPECT_TRUE(same_bits(a.heartbeat_s, b.heartbeat_s)) << "iteration " << iter;
+}
+
+TEST(FuzzSubmit, ParseSucceedsAndRoundTripsOrThrowsATypedError) {
+  const std::vector<std::string> headers = submit_headers();
+  const std::vector<std::string> envelopes = demo_envelopes();
+  ASSERT_EQ(envelopes.size(), 5u) << "could not run " << SCIBENCH_SUBMIT_PATH;
+
+  rng::Xoshiro256 gen(0x5ab317u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < kSubmitIterations; ++iter) {
+    // Mostly a damaged header in front of an intact envelope, so the
+    // header's own parse and range checks are reached.
+    std::string header = headers[gen() % headers.size()];
+    std::string envelope = envelopes[gen() % envelopes.size()];
+    if (gen() % 4 != 0) {
+      header = mutate(headers, kSubmitAlphabet, gen);
+    } else {
+      envelope = mutate(envelopes, kSubmitAlphabet, gen);
+    }
+    try {
+      const exec::Submission sub = exec::wire::parse_submission(header, envelope);
+      ++parsed;
+      const exec::Submission back = exec::wire::parse_submission(
+          exec::wire::submit_header_to_json(sub),
+          exec::wire::campaign_to_json(sub.spec, sub.backend));
+      expect_same_submission(sub, back, iter);
+      if (HasFailure()) break;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << ": parse_submission threw an untyped error: "
+                    << e.what() << "\nheader: " << header;
+    }
+  }
+  std::printf("fuzz_submit: %zu parsed, %zu rejected\n", parsed, rejected);
+  EXPECT_GT(parsed, kSubmitIterations / 20);
+  EXPECT_GT(rejected, kSubmitIterations / 20);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -95,6 +96,27 @@ TEST(Refinement, DeterministicMeasurementStopsEarly) {
   // CIs have zero width everywhere: no point burning the budget.
   EXPECT_LT(calls, 100u);
   EXPECT_EQ(levels.size(), 3u);
+}
+
+TEST(Refinement, BudgetGoesToLevelsWithMoreThanFiveSamples) {
+  // A latency floor (max(x, 1000) times lognormal noise): the middle
+  // levels sit on the floor, and the curve bends at the first of them.
+  // Midpoints inserted where interpolation merely looks off used to
+  // start at 5 samples with a zero-width CI and pile up there; at most
+  // a quarter of the budget may end in levels of n <= 5.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    rng::Xoshiro256 gen(seed);
+    RefinementOptions opts;
+    opts.total_budget = 400;
+    const auto levels = measure_adaptive_levels(
+        [&](double level) { return std::max(level, 1000.0) * rng::lognormal(gen, 0.0, 0.3); },
+        {10.0, 1000.0, 10000.0, 100000.0}, opts);
+    std::size_t thin = 0;
+    for (const auto& lvl : levels) {
+      if (lvl.samples.size() <= 5) thin += lvl.samples.size();
+    }
+    EXPECT_LE(thin, 100u) << "seed " << seed;
+  }
 }
 
 TEST(Refinement, Validation) {

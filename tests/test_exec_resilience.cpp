@@ -37,15 +37,17 @@ std::string temp_path(const std::string& name) {
   return path;
 }
 
-SimBackend small_sim_backend() {
+SimBackendOptions small_sim_options() {
   SimBackendOptions opts;
   opts.kernel = SimKernel::kPingPong;
   opts.samples = 24;
   opts.warmup = 2;
   opts.scale = 1e6;
   opts.unit = "us";
-  return SimBackend(opts);
+  return opts;
 }
+
+SimBackend small_sim_backend() { return SimBackend(small_sim_options()); }
 
 Campaign small_campaign(std::vector<std::string> systems, std::uint64_t seed = 42) {
   CampaignSpec spec;
@@ -367,6 +369,60 @@ TEST(Journal, FingerprintSeparatesCampaignsAndBackends) {
   EXPECT_NE(CampaignJournal::fingerprint(a, "x"), CampaignJournal::fingerprint(a, "y"));
   EXPECT_EQ(CampaignJournal::fingerprint(a, "x"),
             CampaignJournal::fingerprint(small_campaign({"dora"}, 1), "x"));
+}
+
+/// Runs `campaign` on `backend` with its journal at `path`.
+CampaignResult run_journaled(Backend& backend, Campaign campaign, const std::string& path) {
+  CampaignRunnerOptions opts;
+  opts.workers = 2;
+  opts.journal_path = path;
+  CampaignRunner runner(backend, std::move(campaign), opts);
+  return runner.run();
+}
+
+TEST(Journal, ChangedFactorLevelRefusesToResume) {
+  // Records are keyed by (config index, rep), and seeds derive from the
+  // campaign seed, index and rep: resuming a grid whose levels changed
+  // would replay the old cells under the new labels.
+  const std::string path = temp_path("journal_levels.jsonl");
+  SimBackend backend = small_sim_backend();
+  const Campaign first = small_campaign({"dora"});
+  ASSERT_EQ(run_journaled(backend, first, path).executed, first.cell_count());
+  CampaignSpec changed = first.spec();
+  changed.factors[1].levels = {"2048", "8192", "32768"};
+  EXPECT_THROW((void)run_journaled(backend, Campaign(changed), path), std::runtime_error);
+  // The unchanged campaign still resumes from it.
+  EXPECT_EQ(run_journaled(backend, first, path).executed, 0u);
+}
+
+TEST(Journal, ChangedBackendOptionRefusesToResume) {
+  // Same grid, same seeds, other sample count: the recorded cells are
+  // not the cells this backend would produce.
+  const std::string path = temp_path("journal_options.jsonl");
+  SimBackend backend = small_sim_backend();
+  ASSERT_GT(run_journaled(backend, small_campaign({"dora"}), path).executed, 0u);
+  SimBackendOptions more = small_sim_options();
+  more.samples = 50;
+  SimBackend other(more);
+  EXPECT_EQ(other.name(), backend.name());
+  EXPECT_THROW((void)run_journaled(other, small_campaign({"dora"}), path), std::runtime_error);
+}
+
+TEST(Journal, OlderVersionIsRefusedWithItsVersion) {
+  // A version-3 fingerprint covered neither levels nor backend options,
+  // so even a matching one proves nothing; the error says so.
+  const std::string path = temp_path("journal_v3.jsonl");
+  {
+    std::ofstream out(path);
+    out << R"({"schema": "scibench.journal", "version": 3, "fingerprint": "0000000000000001"})"
+        << "\n";
+  }
+  try {
+    CampaignJournal journal(path, 1);
+    ADD_FAILURE() << "a version-3 journal was opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version-3 journal"), std::string::npos) << e.what();
+  }
 }
 
 // ------------------------------------------------- kill / resume

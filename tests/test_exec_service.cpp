@@ -240,6 +240,52 @@ TEST(Wire, EnvelopeContainersAndFlagsAreTyped) {
   }
 }
 
+/// Every Submission field of `got` equals `want`'s; spec and backend
+/// compare through their envelope bytes.
+void expect_same_submission(const Submission& got, const Submission& want) {
+  EXPECT_EQ(wire::campaign_to_json(got.spec, got.backend),
+            wire::campaign_to_json(want.spec, want.backend));
+  EXPECT_EQ(got.priority, want.priority);
+  EXPECT_EQ(got.journal_path, want.journal_path);
+  EXPECT_EQ(got.samples_csv, want.samples_csv);
+  EXPECT_EQ(got.summary_csv, want.summary_csv);
+  EXPECT_EQ(got.metrics_path, want.metrics_path);
+  EXPECT_EQ(got.max_attempts, want.max_attempts);
+  EXPECT_EQ(got.heartbeat_s, want.heartbeat_s);
+}
+
+TEST(Wire, SubmitHeaderRoundTrips) {
+  Submission base;
+  base.spec = grid_spec();
+  base.backend = small_sim_options();
+  const std::string envelope = wire::campaign_to_json(base.spec, base.backend);
+  std::vector<std::pair<const char*, void (*)(Submission&)>> edits = {
+      {"priority", [](Submission& s) { s.priority = -2147483647 - 1; }},
+      {"journal", [](Submission& s) { s.journal_path = "runs/j \"1\".jsonl"; }},
+      {"samples_csv", [](Submission& s) { s.samples_csv = "out/samples,\n.csv"; }},
+      {"summary_csv", [](Submission& s) { s.summary_csv = "out/summary.csv"; }},
+      {"metrics", [](Submission& s) { s.metrics_path = "m\\etrics.json"; }},
+      {"max_attempts", [](Submission& s) { s.max_attempts = kMaxAttempts; }},
+      {"heartbeat_s", [](Submission& s) { s.heartbeat_s = 0.1; }},
+  };
+  Submission all = base;
+  for (const auto& [field, edit] : edits) {
+    SCOPED_TRACE(field);
+    Submission one = base;
+    edit(one);
+    edit(all);
+    const std::string header = wire::submit_header_to_json(one);
+    EXPECT_NE(header, wire::submit_header_to_json(base));
+    const Submission back = wire::parse_submission(header, envelope);
+    expect_same_submission(back, one);
+    EXPECT_EQ(wire::submit_header_to_json(back), header);
+  }
+  const std::string header = wire::submit_header_to_json(all);
+  expect_same_submission(wire::parse_submission(header, envelope), all);
+  // An empty header keeps every default.
+  expect_same_submission(wire::parse_submission(R"({"op": "submit"})", envelope), base);
+}
+
 // ----------------------------------------------- pool byte-identity
 
 TEST(ProcessPoolBackend, FixedCampaignMatchesInProcessByteForByte) {
@@ -615,10 +661,10 @@ TEST(CampaignService, DedupesIdenticalSubmissionsAcrossClients) {
 
   CollectSink sink_a;
   CollectSink sink_b;
-  const std::uint64_t job_a = service.submit(first, &sink_a);
-  const std::uint64_t job_b = service.submit(second, &sink_b);
-  const JobOutcome out_a = service.wait(job_a);
-  const JobOutcome out_b = service.wait(job_b);
+  std::future<JobOutcome> job_a = service.submit(first, &sink_a);
+  std::future<JobOutcome> job_b = service.submit(second, &sink_b);
+  const JobOutcome out_a = job_a.get();
+  const JobOutcome out_b = job_b.get();
 
   ASSERT_TRUE(out_a.ran) << out_a.error;
   ASSERT_TRUE(out_b.ran) << out_b.error;
@@ -668,8 +714,8 @@ TEST(CampaignService, DifferentBackendOptionsNeverShareCells) {
   second.backend = at100;
   second.samples_csv = temp_path("svc_options_100.csv");
 
-  const JobOutcome out_a = service.wait(service.submit(first));
-  const JobOutcome out_b = service.wait(service.submit(second));
+  const JobOutcome out_a = service.submit(first).get();
+  const JobOutcome out_b = service.submit(second).get();
   ASSERT_TRUE(out_a.ran) << out_a.error;
   ASSERT_TRUE(out_b.ran) << out_b.error;
   EXPECT_EQ(out_b.deduped, 0u);
@@ -684,7 +730,7 @@ TEST(CampaignService, RejectsInvalidSpecWithoutDying) {
   Submission bad;
   bad.spec = grid_spec("");  // empty name: Campaign's ctor throws
   CollectSink sink;
-  const JobOutcome out = service.wait(service.submit(bad, &sink));
+  const JobOutcome out = service.submit(bad, &sink).get();
   EXPECT_FALSE(out.ran);
   EXPECT_FALSE(out.error.empty());
   EXPECT_TRUE(sink.saw("\"event\": \"rejected\""));
@@ -694,7 +740,7 @@ TEST(CampaignService, RejectsInvalidSpecWithoutDying) {
   Submission good;
   good.spec = grid_spec("svc_after_reject");
   good.backend = small_sim_options();
-  const JobOutcome ok = service.wait(service.submit(good));
+  const JobOutcome ok = service.submit(good).get();
   EXPECT_TRUE(ok.ran) << ok.error;
   EXPECT_EQ(ok.failed, 0u);
 }
@@ -726,15 +772,14 @@ TEST(CampaignService, ClientThatNeverReadsDoesNotStallTheQueue) {
   next.spec = grid_spec("svc_after_flood");
   next.backend = small_sim_options();
 
-  const std::uint64_t job_a = service.submit(flood, &never_read);
-  const std::uint64_t job_b = service.submit(next, &sink_b);
-  auto waiting = std::async(std::launch::async, [&] { return service.wait(job_b); });
-  const bool finished = waiting.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  std::future<JobOutcome> job_a = service.submit(flood, &never_read);
+  std::future<JobOutcome> job_b = service.submit(next, &sink_b);
+  const bool finished = job_b.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
   ::close(fds[1]);  // frees a wedged sender, so the test ends either way
   EXPECT_TRUE(finished) << "a client that never reads stalled the job queued behind it";
 
-  const JobOutcome out_b = waiting.get();
-  const JobOutcome out_a = service.wait(job_a);
+  const JobOutcome out_b = job_b.get();
+  const JobOutcome out_a = job_a.get();
   EXPECT_TRUE(out_a.ran) << out_a.error;
   EXPECT_EQ(out_a.cells, 1000u);
   EXPECT_EQ(out_a.failed, 0u);
@@ -755,7 +800,7 @@ TEST(CampaignService, CellEventsOfAChunkShareOneEvent) {
   sub.backend = small_sim_options();
   sub.backend.samples = 4;
   CollectSink sink;
-  const JobOutcome out = service.wait(service.submit(sub, &sink));
+  const JobOutcome out = service.submit(sub, &sink).get();
   ASSERT_TRUE(out.ran) << out.error;
 
   std::size_t cell_lines = 0;
@@ -803,6 +848,7 @@ class TrippingBackend : public Backend {
       : inner_(std::move(opts)), trip_(trip), flag_(flag) {}
   std::string name() const override { return inner_.name(); }
   std::string describe() const override { return inner_.describe(); }
+  std::string identity() const override { return inner_.identity(); }
   CellResult run(const Config& config, std::uint64_t seed) override {
     CellResult r = inner_.run(config, seed);
     if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 >= trip_) {
@@ -1060,7 +1106,8 @@ std::vector<std::string> serve_one(CampaignService& service, const std::string& 
 
 TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
   // Each of these reached a cast (to int, to size_t) or a std::chrono
-  // duration whose result is undefined; each must be refused first.
+  // duration whose result is undefined; each must be refused first,
+  // by wire::parse_submission itself and so by the daemon.
   ProcessPool pool(pool_options(1));
   CampaignService service(pool);
   // The last two max_attempts rows fit a size_t but would retry an
@@ -1079,6 +1126,15 @@ TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
            R"({"op": "submit", "heartbeat_s": 1e300})",
            R"({"op": "submit", "heartbeat_s": -1})",
        }) {
+    bool typed = false;
+    try {
+      (void)wire::parse_submission(header, header_test_envelope());
+    } catch (const std::invalid_argument&) {
+      typed = true;
+    } catch (const std::runtime_error&) {
+      typed = true;
+    }
+    EXPECT_TRUE(typed) << header;
     const std::vector<std::string> events = serve_one(service, header);
     ASSERT_EQ(events.size(), 1u) << header;
     const obs::json::Value event = obs::json::parse(events[0]);

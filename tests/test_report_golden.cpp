@@ -10,11 +10,13 @@
 // The tool runs with the CSV's bare file name from inside a temporary
 // directory, so the file name it prints is the same on every host.
 // The same binary also checks that the tools refuse malformed numeric
-// flags with their usage exit code before any work starts.
+// flags with their usage exit code before any work starts, and that
+// `scibench_submit --local` answers like the daemon it stands in for.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -285,6 +287,43 @@ TEST(ToolFlags, DaemonRefusesMalformedWorkersBeforeListening) {
     EXPECT_EQ(run.exit_code, 2) << "--workers '" << value << "'";
     EXPECT_FALSE(fs::exists(dir.path() / "d.sock")) << "--workers '" << value << "' listened";
   }
+}
+
+/// Writes the `--emit-demo pingpong` envelope, its "replications" set
+/// to `replications`, to `dir`/`file`.
+void write_pingpong_envelope(const fs::path& dir, const std::string& file,
+                             const std::string& replications) {
+  std::string envelope = run_tool(dir, SCIBENCH_SUBMIT_PATH, "--emit-demo pingpong").out;
+  const std::string member = "\"replications\": 5,";
+  const std::size_t at = envelope.find(member);
+  ASSERT_NE(at, std::string::npos) << envelope;
+  envelope.replace(at, member.size(), "\"replications\": " + replications + ",");
+  std::ofstream(dir / file, std::ios::binary) << envelope;
+}
+
+TEST(ToolFlags, SubmitLocalRejectsAnInvalidSpecLikeTheDaemon) {
+  // The daemon answers a spec its Campaign refuses with one "rejected"
+  // event and scibench_submit exits 2; --local runs the same job body.
+  ScratchDir dir;
+  write_pingpong_envelope(dir.path(), "r0.line", "0");
+  const ToolRun run = run_tool(dir.path(), SCIBENCH_SUBMIT_PATH, "--local --campaign r0.line");
+  EXPECT_EQ(run.exit_code, 2);
+  ASSERT_EQ(std::count(run.out.begin(), run.out.end(), '\n'), 1) << run.out;
+  EXPECT_EQ(run.out.rfind("{\"event\": \"rejected\", \"job\": 1, ", 0), 0u) << run.out;
+}
+
+TEST(ToolFlags, SubmitLocalHonoursHeartbeat) {
+  // 600 cells of 200 samples run for well over a millisecond, so a
+  // 1 ms heartbeat fires at least once before the terminal event.
+  ScratchDir dir;
+  write_pingpong_envelope(dir.path(), "big.line", "200");
+  const ToolRun run = run_tool(dir.path(), SCIBENCH_SUBMIT_PATH,
+                               "--local --heartbeat 0.001 --campaign big.line");
+  EXPECT_EQ(run.exit_code, 0);
+  const std::size_t progress = run.out.find("\"event\": \"progress\"");
+  const std::size_t done = run.out.find("\"event\": \"done\"");
+  ASSERT_NE(done, std::string::npos) << run.out.substr(0, 400);
+  EXPECT_LT(progress, done) << "no progress event before done";
 }
 
 }  // namespace

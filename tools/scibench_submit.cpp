@@ -1,20 +1,25 @@
 // scibench_submit: client for the scibenchd campaign service.
 //
 // Reads one "scibench.campaign" envelope line (a file or stdin), sends
-// it to the daemon with the run options, and streams the daemon's event
-// lines to stdout until the job reaches a terminal state.
+// it to the daemon after a submit header built from the run options
+// (wire::submit_header_to_json), and streams the daemon's event lines
+// to stdout until the job reaches a terminal state.
 //
 // Extras that make the byte-identity contract checkable from a shell:
 //   --emit-demo NAME   print a ready-made envelope line and exit
 //                      (pingpong | pingpong-seq | reduce | faulty | crashy)
-//   --local            skip the daemon: run the envelope in-process
-//                      through CampaignRunner with the same options.
-//                      `cmp` the CSVs of --local against the daemon's
-//                      to verify byte-identical results at any worker
-//                      count (the invariant CI's daemon-smoke job pins).
+//   --local            skip the daemon: parse the same two lines and
+//                      run them through the daemon's own job body
+//                      (exec::admit, exec::run_job) with an in-process
+//                      SimBackend, printing the same event lines. `cmp`
+//                      its CSVs against the daemon's to verify
+//                      byte-identical results at any worker count (the
+//                      invariant CI's daemon-smoke job pins).
 //
-// Exit codes: 0 done (no failed cells), 1 done with failures or run
-// error, 2 rejected/usage, 3 interrupted (journal resumable).
+// --quiet prints no events. The exit code comes from the terminal
+// event: 0 done (no failed cells), 1 done with failures, run error or
+// no terminal event, 2 rejected/usage, 3 interrupted (journal
+// resumable) or cancelled.
 #include <unistd.h>
 
 #include <climits>
@@ -22,11 +27,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/format.hpp"
 #include "exec/interrupt.hpp"
-#include "exec/runner.hpp"
 #include "exec/service.hpp"
 #include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
@@ -82,25 +87,35 @@ std::string demo_envelope(const std::string& name) {
   return exec::wire::campaign_to_json(spec, backend);
 }
 
-int run_local(const exec::wire::CampaignEnvelope& envelope,
-              const exec::Submission& sub, bool quiet) {
-  exec::SimBackend backend(envelope.backend);
-  exec::CampaignRunnerOptions ropts;
-  ropts.journal_path = sub.journal_path;
-  ropts.max_attempts = sub.max_attempts;
-  ropts.metrics_path = sub.metrics_path;
-  ropts.interrupt = exec::interrupt_flag();
-  exec::CampaignRunner runner(backend, exec::Campaign(envelope.spec), ropts);
-  const exec::CampaignResult result = runner.run();
-  if (!sub.samples_csv.empty()) result.samples_dataset().save_csv(sub.samples_csv);
-  if (!sub.summary_csv.empty()) result.summary_dataset().save_csv(sub.summary_csv);
-  if (!quiet) {
-    std::fprintf(stderr, "local: %zu cells, %zu executed, %zu failed\n",
-                 result.cells.size(), result.executed, result.failed);
+/// Prints event lines (unless quiet) and takes the exit code from the
+/// terminal event, read off the socket or streamed by the in-process
+/// job alike. A terminal event is always one line of its own; an event
+/// of several lines is a chunk of "cell" lines, which sets no code.
+struct EventPrinter : exec::ServiceEventSink {
+  bool quiet = false;
+  std::optional<int> exit_code;  ///< unset until the terminal event
+
+  void on_event(const std::string& json_lines) override {
+    if (!quiet) std::printf("%s\n", json_lines.c_str());
+    try {
+      const json::Value event = json::parse(json_lines);
+      const std::string& kind = event.at("event").as_string();
+      if (kind == "done") {
+        const bool failed = event.at("failed").as_size() > 0;
+        const bool interrupted = event.at("interrupted").as_size() > 0;
+        exit_code = interrupted ? exec::kInterruptedExitCode : (failed ? 1 : 0);
+      } else if (kind == "rejected") {
+        exit_code = 2;
+      } else if (kind == "error") {
+        exit_code = 1;
+      } else if (kind == "cancelled") {
+        exit_code = exec::kInterruptedExitCode;
+      }
+    } catch (const std::exception&) {
+      // Not one event line; keep streaming.
+    }
   }
-  if (result.interrupted > 0) return exec::kInterruptedExitCode;
-  return result.failed > 0 ? 1 : 0;
-}
+};
 
 void print_usage() {
   std::fprintf(stderr,
@@ -128,16 +143,9 @@ T parse_option(const std::string& option, const char* text, T lo, T hi) {
 int main(int argc, char** argv) {
   std::string socket_path;
   std::string campaign_file = "-";
-  std::string header = "{\"op\": \"submit\"";
   bool local = false;
-  bool quiet = false;
-  exec::Submission sub;  // only used by --local; mirrors the header
-
-  const auto add_str = [&](const char* key, const std::string& value) {
-    header += ", \"";
-    header += key;
-    header += "\": " + json::quoted(value);
-  };
+  EventPrinter printer;
+  exec::Submission sub;  // the run options; spec and backend travel in the envelope
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -163,34 +171,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--local") {
       local = true;
     } else if (arg == "--quiet") {
-      quiet = true;
+      printer.quiet = true;
     } else if (arg == "--priority") {
       sub.priority = parse_option(arg, next(), INT_MIN, INT_MAX);
-      header += ", \"priority\": " + std::to_string(sub.priority);
     } else if (arg == "--journal") {
       sub.journal_path = next();
-      add_str("journal", sub.journal_path);
     } else if (arg == "--samples-csv") {
       sub.samples_csv = next();
-      add_str("samples_csv", sub.samples_csv);
     } else if (arg == "--summary-csv") {
       sub.summary_csv = next();
-      add_str("summary_csv", sub.summary_csv);
     } else if (arg == "--metrics") {
       sub.metrics_path = next();
-      add_str("metrics", sub.metrics_path);
     } else if (arg == "--max-attempts") {
       sub.max_attempts = parse_option<std::size_t>(arg, next(), 0, exec::kMaxAttempts);
-      header += ", \"max_attempts\": " + json::dump_size(sub.max_attempts);
     } else if (arg == "--heartbeat") {
       sub.heartbeat_s = parse_option(arg, next(), 0.0, exec::kMaxHeartbeatS);
-      header += ", \"heartbeat_s\": " + json::dump_number(sub.heartbeat_s);
     } else {
       print_usage();
       return arg == "--help" ? 0 : 2;
     }
   }
-  header += "}";
+  const std::string header = exec::wire::submit_header_to_json(sub);
 
   // Read the envelope line.
   std::string envelope_line;
@@ -210,12 +211,11 @@ int main(int argc, char** argv) {
 
   if (local) {
     exec::install_interrupt_handlers();
-    try {
-      return run_local(exec::wire::parse_campaign_json(envelope_line), sub, quiet);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "scibench_submit: %s\n", e.what());
-      return 1;
+    if (const std::optional<exec::Submission> job =
+            exec::admit(header, envelope_line, printer)) {
+      (void)exec::run_job(*job, 1, &printer, nullptr, nullptr, exec::interrupt_flag());
     }
+    return printer.exit_code.value_or(1);  // 1: no terminal event
   }
 
   if (socket_path.empty()) {
@@ -236,35 +236,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  int exit_code = 1;  // pessimistic: overwritten by a terminal event
   std::string line;
-  while (exec::read_line_fd(fd, line)) {
-    if (!quiet) std::printf("%s\n", line.c_str());
-    try {
-      const json::Value event = json::parse(line);
-      const std::string kind = event.at("event").as_string();
-      if (kind == "done") {
-        const bool failed = event.at("failed").as_size() > 0;
-        const bool interrupted = event.at("interrupted").as_size() > 0;
-        exit_code = interrupted ? exec::kInterruptedExitCode : (failed ? 1 : 0);
-        break;
-      }
-      if (kind == "rejected") {
-        exit_code = 2;
-        break;
-      }
-      if (kind == "error") {
-        exit_code = 1;
-        break;
-      }
-      if (kind == "cancelled") {
-        exit_code = exec::kInterruptedExitCode;
-        break;
-      }
-    } catch (const std::exception&) {
-      // Not an event line; keep streaming.
-    }
-  }
+  while (!printer.exit_code && exec::read_line_fd(fd, line)) printer.on_event(line);
   ::close(fd);
-  return exit_code;
+  return printer.exit_code.value_or(1);
 }

@@ -9,6 +9,7 @@
 //
 // Client protocol, per connection (scibench_submit speaks this):
 //   -> {"op": "submit", "priority": ..., "journal": ..., ...}
+//      (wire::submit_header_to_json; read by wire::parse_submission)
 //   -> one "scibench.campaign" envelope line (wire::campaign_to_json)
 //   <- event lines ("queued", "started", "cell", "progress", ...)
 //      until a terminal "done" / "rejected" / "error" / "cancelled"
@@ -148,9 +149,7 @@ int main(int argc, char** argv) {
   popts.workers = workers;
   exec::ProcessPool pool(popts);
 
-  exec::ServiceOptions sopts;
-  sopts.interrupt = exec::interrupt_flag();
-  exec::CampaignService service(pool, sopts);
+  exec::CampaignService service(pool, exec::interrupt_flag());
 
   std::fprintf(stderr, "scibenchd: listening on %s (%zu worker processes)\n",
                socket_path.c_str(), pool.worker_count());
