@@ -65,7 +65,7 @@ class CampaignJournal {
  public:
   /// Opens (or creates) the journal at `path`, replaying any existing
   /// records. Throws std::runtime_error when the file exists but is not
-  /// a version-3 journal or its fingerprint does not match, or when it
+  /// a version-4 journal or its fingerprint does not match, or when it
   /// cannot be opened/created.
   CampaignJournal(std::string path, std::uint64_t fingerprint);
   ~CampaignJournal();

@@ -36,9 +36,9 @@ void LaneRng::fill_indices(std::uint64_t bound, std::size_t count, std::size_t f
   // against 2-/4-wide software-interleaved variants: a single xoshiro
   // chain already runs at its ~5-cycle dependency-latency floor
   // (~1.4 ns/draw here), while four interleaved 256-bit states spill to
-  // the stack and come out 30-170% slower per draw. The cross-lane ILP
-  // that does pay lives downstream, in the consumers that read four
-  // filled rows at once (kahan_mean_rows4).
+  // the stack and come out 30-170% slower per draw. The ILP that does
+  // pay lives downstream, in the consumers that read several filled
+  // rows at once (kahan_mean_rows).
   if (map != nullptr) {
     for (std::size_t l = 0; l < active; ++l)
       fill_one<true>(gens_[first + l], bound, count, map, out + l * stride);

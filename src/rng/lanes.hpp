@@ -4,11 +4,11 @@
 // each, via the precomputed byte-basis table), so lane 0 is exactly the
 // legacy single-stream generator and the streams are provably disjoint
 // for any realistic draw count. Batch fills write one row per lane;
-// consumers that want cross-lane instruction-level parallelism read
-// several filled rows at once (see kahan_mean_rows4 in the bootstrap
-// engine) -- the fill itself stays one-lane-at-a-time because a single
-// xoshiro chain already runs at its dependency-latency floor (see
-// fill_indices).
+// consumers that want instruction-level parallelism read several filled
+// rows at once (the bootstrap engine's kahan_mean_rows sums eight
+// consecutive rows of one lane) -- the fill itself stays
+// one-lane-at-a-time because a single xoshiro chain already runs at its
+// dependency-latency floor (see fill_indices).
 #pragma once
 
 #include <cstddef>

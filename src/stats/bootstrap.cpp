@@ -81,10 +81,9 @@ double loo_quantile(std::span<const double> sorted, std::size_t skip, double p,
   throw std::logic_error("bootstrap: unknown quantile method");
 }
 
-void jackknife_mean_range(std::span<const double> xs, double* jack, std::size_t lo,
-                          std::size_t hi) noexcept {
+void jackknife_mean(std::span<const double> xs, std::span<double> jack) noexcept {
   const std::size_t n = xs.size();
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     double sum = 0.0, comp = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
@@ -94,14 +93,6 @@ void jackknife_mean_range(std::span<const double> xs, double* jack, std::size_t 
       sum = t;
     }
     jack[i] = sum / static_cast<double>(n - 1);
-  }
-}
-
-void jackknife_quantile_range(std::span<const double> sorted, const std::uint32_t* rank,
-                              double p, QuantileMethod method, double* jack,
-                              std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    jack[i] = loo_quantile(sorted, rank[i], p, method);
   }
 }
 

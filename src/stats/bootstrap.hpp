@@ -10,7 +10,13 @@
 // selection over resampled ranks, without materializing a resample of
 // doubles. custom() wraps any callable and evaluates it on a
 // materialized resample. The Statistic overloads are exactly the
-// custom() overloads at the default policy.
+// custom() overloads on one lane.
+//
+// A bootstrap runs on the calling thread with one scalar kernel set.
+// Its result is a pure function of (xs, statistic, replicates, seed,
+// lanes): `lanes` splits the replicates over that many independent RNG
+// streams (rng/lanes.hpp), so it is part of the result's identity and
+// is published with it; lanes = 1 is the historical single stream.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +28,6 @@
 
 #include "stats/confidence.hpp"  // Interval
 #include "stats/descriptive.hpp"  // QuantileMethod
-#include "stats/exec_policy.hpp"
 
 namespace sci::stats {
 
@@ -69,15 +74,13 @@ class ResampleStat {
 };
 
 /// Bootstrap distribution of `statistic` over `replicates` resamples
-/// with replacement. A pure function of (xs, statistic, replicates,
-/// seed, policy.lanes); policy.threads only changes wall time, and the
-/// default policy is the single-stream path. With threads > 1 a custom
-/// statistic's callable runs concurrently and must be thread-safe.
+/// with replacement, split over `lanes` RNG streams (0 and 1 both mean
+/// the single stream). A pure function of all its arguments.
 [[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
                                                          const ResampleStat& statistic,
                                                          std::size_t replicates,
                                                          std::uint64_t seed = 0xb00f,
-                                                         const ExecPolicy& policy = {});
+                                                         std::size_t lanes = 1);
 
 /// Percentile-method CI: quantiles of the bootstrap distribution.
 [[nodiscard]] Interval bootstrap_percentile_ci(std::span<const double> xs,
@@ -85,7 +88,7 @@ class ResampleStat {
                                                std::size_t replicates = 1000,
                                                double confidence = 0.95,
                                                std::uint64_t seed = 0xb00f,
-                                               const ExecPolicy& policy = {});
+                                               std::size_t lanes = 1);
 
 /// BCa (bias-corrected and accelerated) CI; second-order accurate. The
 /// acceleration comes from jackknife influence values: O(n) for
@@ -97,10 +100,10 @@ class ResampleStat {
                                         std::size_t replicates = 1000,
                                         double confidence = 0.95,
                                         std::uint64_t seed = 0xb00f,
-                                        const ExecPolicy& policy = {});
+                                        std::size_t lanes = 1);
 
 /// Opaque-callable conveniences: the ResampleStat::custom(statistic)
-/// overloads above at the default policy.
+/// overloads above on one lane.
 [[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> xs,
                                                          const Statistic& statistic,
                                                          std::size_t replicates,

@@ -25,19 +25,10 @@ void rank_into(std::span<const double> xs, std::vector<double>& sorted,
 [[nodiscard]] double loo_quantile(std::span<const double> sorted, std::size_t skip,
                                   double p, QuantileMethod method);
 
-/// jack[i] = mean of xs with element i removed, for i in [lo, hi):
-/// Kahan over xs in original order skipping i -- the op sequence
-/// arithmetic_mean runs on the materialized loo vector. Range form so
-/// callers can shard indices across threads; each entry depends only
-/// on i, so any sharding produces the serial loop's bytes.
-void jackknife_mean_range(std::span<const double> xs, double* jack, std::size_t lo,
-                          std::size_t hi) noexcept;
-
-/// jack[i] = loo_quantile(sorted, rank[i], p, method) for i in [lo, hi).
-/// Same sharding contract as jackknife_mean_range.
-void jackknife_quantile_range(std::span<const double> sorted, const std::uint32_t* rank,
-                              double p, QuantileMethod method, double* jack,
-                              std::size_t lo, std::size_t hi);
+/// jack[i] = mean of xs with element i removed: Kahan over xs in
+/// original order skipping i -- the op sequence arithmetic_mean runs on
+/// the materialized loo vector. jack.size() == xs.size().
+void jackknife_mean(std::span<const double> xs, std::span<double> jack) noexcept;
 
 /// BCa interval from a *sorted* bootstrap distribution + jackknife values.
 [[nodiscard]] Interval bca_interval(std::span<const double> dist, double theta_hat,

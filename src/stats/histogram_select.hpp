@@ -4,12 +4,11 @@
 // A quantile replicate is "k-th smallest of m ranks drawn from [0, n)".
 // Counting answers it without a single data-dependent branch: bump
 // counts[rank] for each draw (O(m) stores, no comparisons), then walk
-// the prefix sum to the k-th entry (O(n), vectorized 8 bins/step under
-// AVX2). The fill leaves the input row intact, so the engine never
-// copies a row into scratch. Against the branchless partition kernel it
-// replaced, it was 2.2x faster at n = 16, even at n = 2^20, and 7-12%
-// slower at n = 2^21..2^22, sizes no caller reaches
-// (bench/RESULTS_stats_parallel.md).
+// the prefix sum to the k-th entry (O(n)). The fill leaves the input
+// row intact, so the engine never copies a row into scratch. Against
+// the branchless partition kernel it replaced, it was 2.2x faster at
+// n = 16, even at n = 2^20, and 7-12% slower at n = 2^21..2^22, sizes
+// no caller reaches (bench/RESULTS_stats_parallel.md).
 //
 // The result is bit-identical to quantile() on the materialized
 // resample: the kernel consumes a QuantilePlan (selection.hpp) and
@@ -21,7 +20,6 @@
 #include <span>
 
 #include "stats/selection.hpp"  // QuantilePlan
-#include "stats/simd_dispatch.hpp"
 
 namespace sci::stats {
 
@@ -32,7 +30,6 @@ namespace sci::stats {
 [[nodiscard]] double histogram_select_quantile(std::span<const std::uint32_t> row,
                                                std::span<const double> sorted,
                                                std::span<std::uint32_t> counts,
-                                               const QuantilePlan& plan,
-                                               const simd::Kernels& kernels) noexcept;
+                                               const QuantilePlan& plan) noexcept;
 
 }  // namespace sci::stats

@@ -1,12 +1,20 @@
 #include "stats/parallel.hpp"
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "threads/team.hpp"
 
 namespace sci::stats {
 
+namespace {
+
+/// The pooled team of `size` workers: created on first use, shared by
+/// concurrent callers of that size (ThreadTeam::run waits for the
+/// active region; a team of one runs each caller inline), and torn down
+/// when the last holder releases it.
 std::shared_ptr<threads::ThreadTeam> shared_team(std::size_t size) {
   static std::mutex mutex;
   static std::map<std::size_t, std::weak_ptr<threads::ThreadTeam>> pool;
@@ -17,6 +25,8 @@ std::shared_ptr<threads::ThreadTeam> shared_team(std::size_t size) {
   slot = team;
   return team;
 }
+
+}  // namespace
 
 void policy_partition(const ExecPolicy& policy, std::size_t count,
                       const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {

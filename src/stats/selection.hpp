@@ -2,8 +2,8 @@
 // quantile replicate is "k-th smallest of n resampled ranks"; the plan
 // below says which order statistics a (p, method, n) quantile needs,
 // the min/max scans answer the extreme plans, and SelectedPair carries
-// the interpolation neighbors the histogram kernels
-// (histogram_select.hpp, simd_dispatch.hpp) return.
+// the interpolation neighbors the histogram kernel
+// (histogram_select.cpp) returns.
 #pragma once
 
 #include <cstddef>

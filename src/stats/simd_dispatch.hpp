@@ -1,89 +1,18 @@
-// Runtime-dispatched SIMD kernels for the stats hot loops.
-//
-// One binary adapts to the host ISA (SCOPE-style plugin dispatch rather
-// than per-target builds): dispatch() probes the CPU once and returns a
-// table of function pointers -- an AVX2 set on x86-64 hosts that have
-// it, the portable scalar set everywhere else. The contract that makes
-// this safe to use under the repo's determinism rules:
-//
-//   ISA never changes bytes. Every AVX2 kernel performs, per logical
-//   lane, exactly the IEEE-754 operation sequence of its scalar twin
-//   (vaddpd/vsubpd are per-lane adds; gathers are loads; no FMA
-//   contraction, no reassociation), so scalar and SIMD outputs are
-//   bit-identical and a result's identity stays keyed on (seed, lanes)
-//   only -- never on the machine that computed it. Differential tests
-//   in test_stats_parallel.cpp pin this with the ISA forced off.
-//
-// Overrides, strongest first: force_isa() (tests/benches), the
-// SCIBENCH_SIMD environment variable ("scalar" or "avx2", read once),
-// then the CPU probe. Requesting an ISA the host lacks falls back to
-// scalar.
+// The instruction set the stats kernels run on: always scalar, one
+// portable kernel set on every host (bench/RESULTS_stats_parallel.md
+// has the measurements). This header stays only so perfbench's host
+// line can keep printing `simd_isa`, until a change to perfbench moves
+// that probe (ROADMAP, **Order**).
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-
-#include "stats/selection.hpp"  // SelectedPair
 
 namespace sci::stats::simd {
 
 enum class Isa {
   kScalar = 0,
-  kAvx2 = 1,
 };
 
-[[nodiscard]] const char* to_string(Isa isa) noexcept;
+[[nodiscard]] constexpr const char* to_string(Isa /*isa*/) noexcept { return "scalar"; }
 
-/// The kernel table. All entries are bit-compatible across ISAs (see
-/// header comment); pick once per job, not per call.
-struct Kernels {
-  Isa isa = Isa::kScalar;
-
-  /// Four independent Kahan mean chains over rows r = idx + j*stride,
-  /// j in [0, 4): out[j] = Kahan-mean of xs[r_j[i]] in draw order --
-  /// the exact op sequence kahan_mean_row performs per row. The AVX2
-  /// variant gathers the four rows into one vector per step
-  /// (vgatherqpd) and runs the four chains in ymm lanes. Requires all
-  /// indices < 2^31 (i32 gather); the engine guards this.
-  void (*mean_rows4)(const double* xs, const std::uint32_t* idx, std::size_t n,
-                     std::size_t stride, double* out) noexcept;
-
-  /// counts[0..bins) = multiplicity of each value in row[0..m). Values
-  /// must be < bins. Zeroes the table first (the vectorizable half of
-  /// the fill; the scatter-increment itself is scalar on every ISA
-  /// below AVX-512 CD).
-  void (*histogram_fill)(const std::uint32_t* row, std::size_t m, std::uint32_t* counts,
-                         std::size_t bins) noexcept;
-
-  /// Value (bin index) of the k-th smallest element of the multiset
-  /// encoded by `counts`. Requires k < total count. The AVX2 variant
-  /// walks the prefix sum eight bins at a time.
-  std::uint32_t (*rank_select)(const std::uint32_t* counts, std::size_t bins,
-                               std::size_t k) noexcept;
-
-  /// k-th and (k+1)-th smallest in one walk. Requires k + 1 < total.
-  SelectedPair (*rank_select_pair)(const std::uint32_t* counts, std::size_t bins,
-                                   std::size_t k) noexcept;
-};
-
-/// The active kernel table (override > env > CPU probe; cached).
-[[nodiscard]] const Kernels& dispatch() noexcept;
-
-/// The portable scalar table, always available (callers that cannot
-/// meet an AVX2 precondition, e.g. indices >= 2^31, drop to this).
-[[nodiscard]] const Kernels& scalar_kernels() noexcept;
-
-/// ISA dispatch() currently resolves to.
-[[nodiscard]] Isa active_isa() noexcept;
-
-/// Highest ISA the host supports.
-[[nodiscard]] Isa host_isa() noexcept;
-
-/// Test/bench override; capped at host support. Results must not
-/// change -- that is the point of forcing it in differential tests.
-void force_isa(Isa isa) noexcept;
-
-/// Clears force_isa(); dispatch() returns to env + CPU probe.
-void reset_isa() noexcept;
+[[nodiscard]] constexpr Isa active_isa() noexcept { return Isa::kScalar; }
 
 }  // namespace sci::stats::simd

@@ -1,7 +1,8 @@
-// Deterministic mutation fuzzing of three input boundaries: CSV
-// loading, campaign journal replay and the daemon's submit codec.
+// Deterministic mutation fuzzing of five input boundaries: CSV
+// loading, campaign journal replay, the daemon's submit codec, the JSON
+// parser on its own, and the worker reply codec.
 //
-// One mutator serves all three targets. Each iteration picks a seed
+// One mutator serves every target. Each iteration picks a seed
 // document, then flips, inserts, splices, duplicates or truncates bytes
 // with a seeded rng::Xoshiro256, weighted toward the target's grammar
 // bytes, and writes the mutant to a file.
@@ -23,6 +24,17 @@
 //            either succeeds -- and then the re-emitted header and
 //            envelope parse back to the same Submission -- or throws
 //            std::runtime_error or std::invalid_argument.
+//   JSON     Seeds are every document the other targets start from;
+//            mutants go through obs::json::parse alone. A parse either
+//            succeeds -- and then the value's canonical text parses
+//            back to the same canonical text -- or throws
+//            json::ParseError.
+//   Reply    Seeds are worker replies: the "scibench.cell" lines
+//            scibench_worker writes for real cells of the demo
+//            envelopes, and an error reply. Mutants go through
+//            wire::parse_cell_result_json. A parse either succeeds --
+//            and then the re-emitted reply parses back to the same
+//            bytes -- or throws std::runtime_error.
 //
 // Any other exception fails the test; a crash or hang fails the ctest
 // case (run under ASan/UBSan in CI). The iteration budgets are fixed,
@@ -46,7 +58,9 @@
 #include "core/dataset.hpp"
 #include "csv_corpus.hpp"
 #include "exec/ingest.hpp"
+#include "exec/campaign.hpp"
 #include "exec/journal.hpp"
+#include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
 #include "obs/json.hpp"
 #include "rng/xoshiro.hpp"
@@ -377,9 +391,10 @@ TEST(FuzzJournal, ReplaySucceedsAndRoundTripsOrThrowsRuntimeError) {
 
 constexpr std::size_t kSubmitIterations = 2000;
 
-/// Bytes that matter to a submit header or an envelope: JSON structure,
-/// number syntax, string escapes and the letters of true/false/null.
-constexpr std::string_view kSubmitAlphabet = "{}[]\",:\\  0123456789-+.eEtrufalsn";
+/// Bytes that matter to JSON documents -- submit headers, envelopes,
+/// worker replies: structure, number syntax, string escapes and the
+/// letters of true/false/null.
+constexpr std::string_view kJsonAlphabet = "{}[]\",:\\  0123456789-+.eEtrufalsn";
 
 /// The `scibench_submit --emit-demo` envelopes, read from the built tool.
 std::vector<std::string> demo_envelopes() {
@@ -451,9 +466,9 @@ TEST(FuzzSubmit, ParseSucceedsAndRoundTripsOrThrowsATypedError) {
     std::string header = headers[gen() % headers.size()];
     std::string envelope = envelopes[gen() % envelopes.size()];
     if (gen() % 4 != 0) {
-      header = mutate(headers, kSubmitAlphabet, gen);
+      header = mutate(headers, kJsonAlphabet, gen);
     } else {
-      envelope = mutate(envelopes, kSubmitAlphabet, gen);
+      envelope = mutate(envelopes, kJsonAlphabet, gen);
     }
     try {
       const exec::Submission sub = exec::wire::parse_submission(header, envelope);
@@ -475,6 +490,146 @@ TEST(FuzzSubmit, ParseSucceedsAndRoundTripsOrThrowsATypedError) {
   std::printf("fuzz_submit: %zu parsed, %zu rejected\n", parsed, rejected);
   EXPECT_GT(parsed, kSubmitIterations / 20);
   EXPECT_GT(rejected, kSubmitIterations / 20);
+}
+
+// --------------------------------------------------------------- json
+
+constexpr std::size_t kJsonIterations = 2000;
+
+/// The canonical text of `v`: members in their parsed order, numbers in
+/// json::dump_number's shortest round-trip form, strings re-quoted.
+void append_canonical(std::string& out, const obs::json::Value& v) {
+  using Type = obs::json::Value::Type;
+  switch (v.type) {
+    case Type::kNull: out += "null"; break;
+    case Type::kBool: out += v.boolean ? "true" : "false"; break;
+    case Type::kNumber: out += obs::json::dump_number(v.number); break;
+    case Type::kString: obs::json::append_quoted(out, v.string); break;
+    case Type::kArray:
+      out += '[';
+      for (std::size_t i = 0; i < v.array.size(); ++i) {
+        if (i > 0) out += ", ";
+        append_canonical(out, v.array[i]);
+      }
+      out += ']';
+      break;
+    case Type::kObject:
+      out += '{';
+      for (std::size_t i = 0; i < v.object.size(); ++i) {
+        if (i > 0) out += ", ";
+        obs::json::append_quoted(out, v.object[i].first);
+        out += ": ";
+        append_canonical(out, v.object[i].second);
+      }
+      out += '}';
+      break;
+  }
+}
+
+std::string canonical(const obs::json::Value& v) {
+  std::string out;
+  append_canonical(out, v);
+  return out;
+}
+
+/// Every seed document of the other targets, split into lines: each
+/// line is one JSON document (CSV text mostly is not, which the parser
+/// must refuse just as cleanly).
+std::vector<std::string> json_corpus() {
+  std::vector<std::string> docs = submit_headers();
+  for (const std::string& envelope : demo_envelopes()) docs.push_back(envelope);
+  std::istringstream journal(journal_seed(::testing::TempDir() + "/scibench_fuzz_json.journal"));
+  for (std::string line; std::getline(journal, line);) docs.push_back(line);
+  docs.push_back(R"([1e308, -0.0, 5e-324, "\u0041\n\t\"", true, false, null, {}, []])");
+  return docs;
+}
+
+TEST(FuzzJson, ParseReEmitsCanonicallyOrThrowsParseError) {
+  const std::vector<std::string> corpus = json_corpus();
+  ASSERT_GT(corpus.size(), 10u);
+  rng::Xoshiro256 gen(0x150a0u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < kJsonIterations; ++iter) {
+    const std::string doc = mutate(corpus, kJsonAlphabet, gen);
+    try {
+      const std::string text = canonical(obs::json::parse(doc));
+      ++parsed;
+      ASSERT_EQ(canonical(obs::json::parse(text)), text) << "iteration " << iter;
+    } catch (const obs::json::ParseError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << ": parse threw an untyped error: "
+                    << e.what();
+    }
+  }
+  std::printf("fuzz_json: %zu parsed, %zu rejected\n", parsed, rejected);
+  EXPECT_GT(parsed, kJsonIterations / 20);
+  EXPECT_GT(rejected, kJsonIterations / 20);
+}
+
+// -------------------------------------------------------------- reply
+
+constexpr std::size_t kReplyIterations = 2000;
+
+/// What scibench_worker writes back: cell_result_to_json of the cells it
+/// runs -- here the first two cells of the pingpong and reduce demo
+/// envelopes, run as the worker runs them but at three samples each, so
+/// mutations land on the reply's structure as often as on its hex
+/// samples -- and of the error reply a throwing cell gets.
+std::vector<std::string> worker_replies() {
+  std::vector<std::string> replies;
+  const std::vector<std::string> envelopes = demo_envelopes();
+  for (const std::size_t e : {std::size_t{0}, std::size_t{2}}) {  // pingpong, reduce
+    if (e >= envelopes.size()) continue;
+    exec::wire::CampaignEnvelope env = exec::wire::parse_campaign_json(envelopes[e]);
+    env.backend.samples = 3;
+    const exec::Campaign campaign(env.spec);
+    exec::SimBackend backend(env.backend);
+    for (std::size_t c = 0; c < 2 && c < campaign.config_count(); ++c) {
+      const exec::Config config = campaign.config(c);
+      replies.push_back(exec::wire::cell_result_to_json(
+          backend.run(config, campaign.seed_for(config, 0))));
+    }
+  }
+  exec::CellResult failed;
+  failed.error = "cell threw: \"bad\"\nsecond line";
+  replies.push_back(exec::wire::cell_result_to_json(failed));
+  return replies;
+}
+
+TEST(FuzzReply, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
+  const std::vector<std::string> corpus = worker_replies();
+  ASSERT_EQ(corpus.size(), 5u) << "could not run " << SCIBENCH_SUBMIT_PATH;
+  for (const std::string& reply : corpus) {  // the seeds are canonical
+    ASSERT_EQ(exec::wire::cell_result_to_json(exec::wire::parse_cell_result_json(reply)),
+              reply);
+  }
+  rng::Xoshiro256 gen(0xce11u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < kReplyIterations; ++iter) {
+    // A reply is a journal cell record's codec: hex samples in JSON.
+    const std::string doc = mutate(corpus, kJournalAlphabet, gen);
+    try {
+      const std::string text =
+          exec::wire::cell_result_to_json(exec::wire::parse_cell_result_json(doc));
+      ++parsed;
+      ASSERT_EQ(exec::wire::cell_result_to_json(exec::wire::parse_cell_result_json(text)),
+                text)
+          << "iteration " << iter;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter
+                    << ": parse_cell_result_json threw an untyped error: " << e.what();
+    }
+  }
+  std::printf("fuzz_reply: %zu parsed, %zu rejected\n", parsed, rejected);
+  // Every member of a reply is required and every sample is exactly 16
+  // hex digits, so most edits are refusals; about 3% of mutants parse.
+  EXPECT_GT(parsed, kReplyIterations / 50);
+  EXPECT_GT(rejected, kReplyIterations / 20);
 }
 
 }  // namespace

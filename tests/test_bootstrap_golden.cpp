@@ -112,7 +112,7 @@ std::string golden_text(std::size_t n, double step, std::size_t replicates) {
                   bootstrap_percentile_ci(xs, s.fast, replicates, conf, seed),
                   bca_ok ? &bca : nullptr);
 
-    const ExecPolicy lanes8{1, 8};
+    const std::size_t lanes8 = 8;
     std::snprintf(label, sizeof label, "%s ResampleStat lanes=8", s.name);
     if (bca_ok) bca = bootstrap_bca_ci(xs, s.fast, replicates, conf, seed, lanes8);
     append_result(out, label, bootstrap_distribution(xs, s.fast, replicates, seed, lanes8),

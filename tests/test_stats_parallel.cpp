@@ -1,13 +1,13 @@
-// Differential and property tests for the vectorized bootstrap stack:
-// multi-lane RNG streams, the histogram rank-selection kernels, the
-// BootstrapEngine's thread/lane determinism contract, and the grouped
-// policy-taking entry points.
+// Differential and property tests for the multi-lane bootstrap stack:
+// multi-lane RNG streams, the histogram rank-selection kernel, the
+// BootstrapEngine's lane determinism contract, and the grouped
+// policy-taking entry points with their thread fan-out.
 //
 // The oracle throughout is the deliberately naive scalar reference in
 // bootstrap_reference.hpp: lane l draws from Xoshiro256(seed) jumped l
 // times and evaluates each replicate on a materialized resample. The
-// engine -- waves, rank selection, Kahan rows, thread sharding -- must
-// reproduce it bit for bit at every thread count.
+// engine -- index tiles, rank selection, Kahan rows -- must reproduce
+// it bit for bit at every lane count.
 //
 // Own test binary: links counting_new.cpp, which overrides global
 // operator new/delete to count allocator entries, proving the engine's warmed steady state performs
@@ -32,7 +32,6 @@
 #include "stats/histogram_select.hpp"
 #include "stats/parallel.hpp"
 #include "stats/quantile_regression.hpp"
-#include "stats/simd_dispatch.hpp"
 
 namespace sci::stats {
 namespace {
@@ -146,89 +145,11 @@ TEST(Selection, MinMaxOfMatchSortedUnderDuplicates) {
   }
 }
 
-// ------------------------------------- SIMD dispatch + histogram path
-
-/// Restores the dispatch override no matter how a test exits, so ISA
-/// state never leaks between tests.
-struct KernelStateGuard {
-  ~KernelStateGuard() { simd::reset_isa(); }
-};
-
-TEST(SimdDispatch, ForceIsaOverridesAndCapsAtHostSupport) {
-  KernelStateGuard guard;
-  simd::force_isa(simd::Isa::kScalar);
-  EXPECT_EQ(simd::active_isa(), simd::Isa::kScalar);
-  EXPECT_EQ(simd::dispatch().isa, simd::Isa::kScalar);
-  simd::force_isa(simd::Isa::kAvx2);
-  // Requesting AVX2 on a host without it must degrade to scalar, never
-  // hand out a table the machine cannot execute.
-  EXPECT_EQ(simd::active_isa(), simd::host_isa());
-  EXPECT_EQ(simd::dispatch().isa, simd::host_isa());
-  simd::reset_isa();
-  EXPECT_EQ(simd::scalar_kernels().isa, simd::Isa::kScalar);
-}
-
-TEST(SimdDispatch, MeanRows4BitIdenticalAcrossIsaTablesAndToSingleRowKahan) {
-  // The determinism contract at kernel granularity: the dispatched
-  // 4-row kernel (AVX2 on hosts that have it) must emit bit-identical
-  // doubles to the scalar table AND to a plain single-row Kahan chain.
-  rng::Xoshiro256 gen(31);
-  for (const std::size_t n : {1u, 2u, 3u, 17u, 64u, 257u}) {
-    const auto xs = lognormal_sample(n, 700 + n);
-    std::vector<std::uint32_t> idx(4 * n);
-    for (auto& v : idx) v = static_cast<std::uint32_t>(rng::uniform_below(gen, n));
-    double scalar_out[4], dispatched_out[4];
-    simd::scalar_kernels().mean_rows4(xs.data(), idx.data(), n, n, scalar_out);
-    simd::dispatch().mean_rows4(xs.data(), idx.data(), n, n, dispatched_out);
-    for (std::size_t j = 0; j < 4; ++j) {
-      double sum = 0.0, comp = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double y = xs[idx[j * n + i]] - comp;
-        const double t = sum + y;
-        comp = (t - sum) - y;
-        sum = t;
-      }
-      const double want = sum / static_cast<double>(n);
-      ASSERT_EQ(scalar_out[j], want) << "row " << j << " n " << n;
-      ASSERT_EQ(dispatched_out[j], want)
-          << "row " << j << " n " << n << " isa " << to_string(simd::dispatch().isa);
-    }
-  }
-}
-
-TEST(SimdDispatch, RankSelectMatchesExpandedMultisetAcrossIsaTables) {
-  // Oracle: expand the histogram into the sorted multiset it encodes and
-  // index it directly. Bin counts include zeros and runs of zeros so the
-  // pair walk's next-nonzero scan is exercised.
-  rng::Xoshiro256 gen(47);
-  for (const std::size_t bins : {1u, 2u, 7u, 8u, 9u, 16u, 33u, 257u}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      std::vector<std::uint32_t> counts(bins);
-      std::vector<std::uint32_t> expanded;
-      for (std::uint32_t b = 0; b < bins; ++b) {
-        counts[b] = static_cast<std::uint32_t>(rng::uniform_below(gen, 4));
-        for (std::uint32_t c = 0; c < counts[b]; ++c) expanded.push_back(b);
-      }
-      if (expanded.size() < 2) continue;
-      const std::size_t total = expanded.size();
-      for (const std::size_t k : {std::size_t{0}, total / 2, total - 2}) {
-        if (k + 1 >= total) continue;  // pair kernels require k + 1 < total
-        for (const simd::Kernels* kt : {&simd::scalar_kernels(), &simd::dispatch()}) {
-          ASSERT_EQ(kt->rank_select(counts.data(), bins, k), expanded[k])
-              << "bins " << bins << " k " << k << " isa " << to_string(kt->isa);
-          const auto pair = kt->rank_select_pair(counts.data(), bins, k);
-          ASSERT_EQ(pair.kth, expanded[k]) << "isa " << to_string(kt->isa);
-          ASSERT_EQ(pair.next, expanded[k + 1]) << "isa " << to_string(kt->isa);
-        }
-      }
-    }
-  }
-}
-
 TEST(HistogramSelect, MatchesMaterializedQuantile) {
   // Differential per (n, m, p, method), m != n included: histogram
-  // select under both kernel tables == quantile() on the materialized
-  // resample. p in {0, 1} covers the kMin/kMax scans.
+  // select == quantile() on the materialized resample. p in {0, 1}
+  // covers the kMin/kMax scans; the sparse histograms (m draws over n
+  // bins) exercise the pair walk's scan over runs of empty bins.
   rng::Xoshiro256 gen(21);
   for (const std::size_t n : {2u, 3u, 8u, 24u, 57u, 256u}) {
     const auto sorted = sorted_copy(lognormal_sample(n, 500 + n));
@@ -246,39 +167,8 @@ TEST(HistogramSelect, MatchesMaterializedQuantile) {
         for (const double p : {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
           const auto plan = make_quantile_plan(m, p, method);
           const double want = quantile(resample, p, method);
-          for (const simd::Kernels* kt : {&simd::scalar_kernels(), &simd::dispatch()}) {
-            ASSERT_EQ(histogram_select_quantile(row, sorted, counts, plan, *kt), want)
-                << "n " << n << " m " << m << " p " << p
-                << " isa " << to_string(kt->isa);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(BootstrapEngine, IsaForcedOffIsByteIdenticalAcrossLanesAndReplicates) {
-  // Engine-level half of the contract: a full distribution() run with
-  // the ISA forced to scalar equals the auto-dispatched run byte for
-  // byte, across n x R x lanes, for both SIMD-touched kinds.
-  KernelStateGuard guard;
-  const ResampleStat stats[] = {ResampleStat::mean(), ResampleStat::median()};
-  for (const std::size_t n : {2u, 23u, 100u}) {
-    const auto xs = lognormal_sample(n, 900 + n);
-    for (const ResampleStat& stat : stats) {
-      for (const std::size_t replicates : {7u, 250u}) {
-        for (const std::size_t lanes : {1u, 3u, 8u}) {
-          simd::reset_isa();
-          BootstrapEngine auto_engine(ExecPolicy{1, lanes});
-          std::vector<double> auto_out;
-          auto_engine.distribution(xs, stat, replicates, 17, auto_out);
-
-          simd::force_isa(simd::Isa::kScalar);
-          BootstrapEngine scalar_engine(ExecPolicy{1, lanes});
-          std::vector<double> scalar_out;
-          scalar_engine.distribution(xs, stat, replicates, 17, scalar_out);
-          ASSERT_EQ(scalar_out, auto_out)
-              << "n=" << n << " R=" << replicates << " lanes=" << lanes;
+          ASSERT_EQ(histogram_select_quantile(row, sorted, counts, plan), want)
+              << "n " << n << " m " << m << " p " << p;
         }
       }
     }
@@ -288,10 +178,12 @@ TEST(BootstrapEngine, IsaForcedOffIsByteIdenticalAcrossLanesAndReplicates) {
 // ------------------------------------------- engine bit-determinism
 
 TEST(BootstrapEngine, MatchesScalarReferenceAtEveryThreadAndLaneCount) {
-  // The tentpole contract: output is a pure function of (data, stat,
-  // replicates, seed, lanes). Threads shard lanes and never appear in
-  // the answer; waves/selection/Kahan are invisible relative to the
-  // naive per-lane oracle.
+  // The engine's contract: output is a pure function of (data, stat,
+  // replicates, seed, lanes), and index tiles, rank selection and the
+  // interleaved Kahan rows are invisible relative to the naive per-lane
+  // oracle. A bootstrap runs on the calling thread, so lanes are the
+  // only count to vary; with R in {1, 7, 33} the lane blocks cover full
+  // tiles of eight rows and partial ones.
   const auto cases = stat_cases();
   for (const std::size_t n : {2u, 3u, 23u}) {
     const auto xs = lognormal_sample(n, 41 + n);
@@ -301,13 +193,11 @@ TEST(BootstrapEngine, MatchesScalarReferenceAtEveryThreadAndLaneCount) {
         for (const std::size_t lanes : {1u, 2u, 3u, 8u}) {
           const auto want =
               reference_multilane(xs, sc.generic, replicates, 17, lanes);
-          for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-            BootstrapEngine engine(ExecPolicy{threads, lanes});
-            std::vector<double> got;
-            engine.distribution(xs, sc.fast, replicates, 17, got);
-            ASSERT_EQ(got, want) << sc.name << " n=" << n << " R=" << replicates
-                                 << " lanes=" << lanes << " threads=" << threads;
-          }
+          BootstrapEngine engine(lanes);
+          std::vector<double> got;
+          engine.distribution(xs, sc.fast, replicates, 17, got);
+          ASSERT_EQ(got, want) << sc.name << " n=" << n << " R=" << replicates
+                               << " lanes=" << lanes;
         }
       }
     }
@@ -315,45 +205,24 @@ TEST(BootstrapEngine, MatchesScalarReferenceAtEveryThreadAndLaneCount) {
 }
 
 TEST(BootstrapEngine, SingleLaneIsByteIdenticalToLegacyEntryPoints) {
-  // lanes = 1 at any thread count == the historical single-stream path,
-  // through the free-function conveniences as callers use them.
+  // lanes = 0 and lanes = 1 both name the historical single-stream
+  // path: the free-function defaults as callers use them, and a reused
+  // engine.
   const auto xs = lognormal_sample(31, 5);
   for (const auto& sc : stat_cases()) {
     const auto legacy = bootstrap_distribution(xs, sc.fast, 250, 0xb00f);
     const auto legacy_ci = bootstrap_percentile_ci(xs, sc.fast, 250, 0.95, 0xb00f);
     const auto legacy_bca = bootstrap_bca_ci(xs, sc.fast, 250, 0.95, 0xb00f);
-    for (const std::size_t threads : {1u, 4u}) {
-      const ExecPolicy policy{threads, 1};
-      EXPECT_EQ(bootstrap_distribution(xs, sc.fast, 250, 0xb00f, policy), legacy)
+    for (const std::size_t lanes : {0u, 1u}) {
+      EXPECT_EQ(bootstrap_distribution(xs, sc.fast, 250, 0xb00f, lanes), legacy)
           << sc.name;
-      const auto ci = bootstrap_percentile_ci(xs, sc.fast, 250, 0.95, 0xb00f, policy);
+      BootstrapEngine engine(lanes);
+      const auto ci = engine.percentile_ci(xs, sc.fast, 250, 0.95, 0xb00f);
       EXPECT_EQ(ci.lower, legacy_ci.lower) << sc.name;
       EXPECT_EQ(ci.upper, legacy_ci.upper) << sc.name;
-      const auto bca = bootstrap_bca_ci(xs, sc.fast, 250, 0.95, 0xb00f, policy);
+      const auto bca = engine.bca_ci(xs, sc.fast, 250, 0.95, 0xb00f);
       EXPECT_EQ(bca.lower, legacy_bca.lower) << sc.name;
       EXPECT_EQ(bca.upper, legacy_bca.upper) << sc.name;
-    }
-  }
-}
-
-TEST(BootstrapEngine, BcaJackknifeIsThreadInvariant) {
-  // The jackknife shards leave-one-out indices across the team; every
-  // thread count must produce the single-thread bytes, for the O(n^2)
-  // mean kernel, the O(n) quantile kernel, and the materialized kCustom
-  // loop (whose callable runs concurrently and must be thread-safe).
-  const auto xs = lognormal_sample(47, 13);
-  for (const auto& sc : stat_cases()) {
-    for (const std::size_t lanes : {1u, 8u}) {
-      BootstrapEngine serial(ExecPolicy{1, lanes});
-      const Interval want = serial.bca_ci(xs, sc.fast, 251, 0.9, 0xabc);
-      for (const std::size_t threads : {2u, 8u}) {
-        BootstrapEngine threaded(ExecPolicy{threads, lanes});
-        const Interval got = threaded.bca_ci(xs, sc.fast, 251, 0.9, 0xabc);
-        EXPECT_EQ(got.lower, want.lower)
-            << sc.name << " lanes=" << lanes << " threads=" << threads;
-        EXPECT_EQ(got.upper, want.upper)
-            << sc.name << " lanes=" << lanes << " threads=" << threads;
-      }
     }
   }
 }
@@ -361,13 +230,13 @@ TEST(BootstrapEngine, BcaJackknifeIsThreadInvariant) {
 TEST(BootstrapEngine, ReusedEngineMatchesFreshEngineAcrossShapes) {
   // Scratch reuse across calls of different (n, R, stat) shapes must
   // never leak state between jobs.
-  BootstrapEngine engine(ExecPolicy{2, 4});
+  BootstrapEngine engine(4);
   std::vector<double> got;
   for (const std::size_t n : {23u, 2u, 57u, 3u}) {
     const auto xs = lognormal_sample(n, 100 + n);
     for (const std::size_t replicates : {33u, 5u}) {
       for (const auto& sc : stat_cases()) {
-        BootstrapEngine fresh(ExecPolicy{2, 4});
+        BootstrapEngine fresh(4);
         std::vector<double> want;
         fresh.distribution(xs, sc.fast, replicates, 7, want);
         engine.distribution(xs, sc.fast, replicates, 7, got);
@@ -378,7 +247,7 @@ TEST(BootstrapEngine, ReusedEngineMatchesFreshEngineAcrossShapes) {
 }
 
 TEST(BootstrapEngine, ValidatesInput) {
-  BootstrapEngine engine(ExecPolicy{2, 4});
+  BootstrapEngine engine(4);
   std::vector<double> out;
   const std::vector<double> one = {1.0};
   const std::vector<double> ok = {1.0, 2.0, 3.0};
@@ -423,24 +292,6 @@ TEST(GroupedStats, QuantileSummaryIsThreadInvariantAndMatchesScalar) {
   }
 }
 
-TEST(GroupedStats, BootstrapPercentileCiIsThreadInvariant) {
-  std::vector<std::vector<double>> storage;
-  for (std::size_t g = 0; g < 5; ++g) storage.push_back(lognormal_sample(30 + g, g + 1));
-  std::vector<std::span<const double>> groups(storage.begin(), storage.end());
-
-  const auto want = grouped_bootstrap_percentile_ci(groups, ResampleStat::median(), 300,
-                                                    0.95, 42, ExecPolicy{1, 4});
-  ASSERT_EQ(want.size(), groups.size());
-  for (const std::size_t threads : {2u, 8u}) {
-    const auto got = grouped_bootstrap_percentile_ci(groups, ResampleStat::median(), 300,
-                                                     0.95, 42, ExecPolicy{threads, 4});
-    for (std::size_t g = 0; g < want.size(); ++g) {
-      EXPECT_EQ(got[g].lower, want[g].lower) << "threads " << threads;
-      EXPECT_EQ(got[g].upper, want[g].upper) << "threads " << threads;
-    }
-  }
-}
-
 TEST(GroupedStats, QuantileRegressionCiDefaultPolicyMatchesLegacyAndIsThreadInvariant) {
   // Two-level design: y = 1 + 2x + lognormal noise.
   rng::Xoshiro256 gen(3);
@@ -466,8 +317,6 @@ TEST(GroupedStats, QuantileRegressionCiDefaultPolicyMatchesLegacyAndIsThreadInva
     EXPECT_EQ(got.upper, lanes4.upper) << "threads " << threads;
   }
 }
-
-// --------------------------------------------------- alloc audit
 
 TEST(GroupedStats, ConcurrentCallersOfOneSizeShareTheTeam) {
   // Both threads fan out at the same thread count, so both get the one
@@ -498,10 +347,12 @@ TEST(GroupedStats, ConcurrentCallersOfOneSizeShareTheTeam) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// --------------------------------------------------- alloc audit
+
 TEST(BootstrapEngine, WarmedDistributionIsAllocFree) {
   const auto xs = lognormal_sample(64, 9);
   for (const std::size_t lanes : {1u, 8u}) {
-    BootstrapEngine engine(ExecPolicy{1, lanes});
+    BootstrapEngine engine(lanes);
     std::vector<double> out;
     const ResampleStat stats[] = {ResampleStat::mean(), ResampleStat::median()};
     for (const ResampleStat& stat : stats) {
@@ -512,21 +363,6 @@ TEST(BootstrapEngine, WarmedDistributionIsAllocFree) {
       EXPECT_EQ(after - before, 0u) << "lanes " << lanes;
     }
   }
-}
-
-TEST(BootstrapEngine, WarmedThreadedDistributionIsAllocFree) {
-  // The fan-out path: the preconstructed region closure captures only
-  // `this` (fits std::function's SBO) and ThreadTeam::run takes it by
-  // reference, so even the threaded steady state stays off the heap.
-  const auto xs = lognormal_sample(64, 9);
-  BootstrapEngine engine(ExecPolicy{4, 8});
-  std::vector<double> out;
-  const ResampleStat stat = ResampleStat::median();
-  engine.distribution(xs, stat, 500, 3, out);
-  const std::size_t before = sci::testing::allocation_count();
-  engine.distribution(xs, stat, 500, 3, out);
-  const std::size_t after = sci::testing::allocation_count();
-  EXPECT_EQ(after - before, 0u);
 }
 
 }  // namespace
