@@ -11,12 +11,18 @@
 // BENCH_csv_io.json history carries the trajectory.
 //
 // Correctness is asserted in every mode, timing never:
-//   * every exported cell is byte-identical to printf("%.17g");
+//   * every exported cell is byte-identical to printf("%.17g"), both in
+//     the campaign-shaped file and in an export of the %.*g kernel's
+//     edge corpus (csv_corpus::format_edge_values: ties, powers of ten,
+//     2^53 +- k, subnormals, NaN payloads ...), written twice each so
+//     the writer's per-column repeat memo serves every second row;
 //   * the loaded dataset has the written columns and bit-identical rows.
 //
 // `--smoke` runs few passes for CI; `--json DIR` writes
 // DIR/BENCH_csv_io.json for scibench_ci.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +34,7 @@
 #include <unistd.h>
 
 #include "core/dataset.hpp"
+#include "csv_corpus.hpp"
 #include "harness.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
@@ -63,6 +70,27 @@ core::Dataset campaign_shaped() {
   return ds;
 }
 
+/// The kernel's edge corpus as a one-column export in which every
+/// value fills two rows in a row: the second is the repeat memo's copy.
+core::Dataset edge_shaped() {
+  const std::vector<double> values = csv_corpus::format_edge_values(17, 0xed6eu);
+  core::Experiment e;
+  e.name = "csv_io_edges";
+  core::Dataset ds(e, {"value"});
+  ds.reserve(2 * values.size());
+  for (double v : values) {
+    ds.add_row({v});
+    ds.add_row({v});
+  }
+  return ds;
+}
+
+std::string csv_of(const core::Dataset& ds) {
+  std::ostringstream os;
+  ds.write_csv(os);
+  return os.str();
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream os;
@@ -71,21 +99,24 @@ std::string read_file(const std::string& path) {
 }
 
 /// The file must be the header followed by printf("%.17g") cells.
-void check_bytes(const core::Dataset& ds, const std::string& text) {
-  core::Dataset header_only(ds.experiment(), ds.columns());
-  std::ostringstream os;
-  header_only.write_csv(os);
-  std::string want = os.str();
-  char buf[64];
+void check_bytes(const core::Dataset& ds, const std::string& text, const std::string& what) {
+  std::string want = csv_of(core::Dataset(ds.experiment(), ds.columns()));
+  // printf is a pure function of the bits, so a cell equal to the
+  // previous cell checked reuses its text: repeats cost no second printf.
+  std::uint64_t last_bits = 0;
+  char buf[64] = "0";
   for (std::size_t r = 0; r < ds.rows(); ++r) {
     const auto row = ds.row(r);
     for (std::size_t c = 0; c < row.size(); ++c) {
-      std::snprintf(buf, sizeof buf, "%.17g", row[c]);
+      if (const auto bits = std::bit_cast<std::uint64_t>(row[c]); bits != last_bits) {
+        std::snprintf(buf, sizeof buf, "%.17g", row[c]);
+        last_bits = bits;
+      }
       want += buf;
       want += c + 1 < row.size() ? ',' : '\n';
     }
   }
-  bench::check(text == want, "exported bytes equal printf(\"%.17g\") cell by cell");
+  bench::check(text == want, what + " bytes equal printf(\"%.17g\") cell by cell");
 }
 
 void check_loaded(const core::Dataset& want, const core::Dataset& got) {
@@ -129,7 +160,9 @@ int main(int argc, char** argv) {
 
   ds.save_csv(path);
   const std::string text = read_file(path);
-  check_bytes(ds, text);
+  check_bytes(ds, text, "exported");
+  const core::Dataset edges = edge_shaped();
+  check_bytes(edges, csv_of(edges), "edge-corpus");
   check_loaded(ds, core::Dataset::load_csv(path));
   const double mb = static_cast<double>(text.size()) / 1e6;
   const double rows = static_cast<double>(ds.rows());

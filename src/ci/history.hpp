@@ -6,10 +6,12 @@
 // metric point, strictly appended, never rewritten. Ingesting a
 // BENCH_*.json report (obs/bench_report.hpp) appends one point per
 // metric; re-ingesting the same (git_sha, bench, metric) triple is a
-// no-op, so a retried CI job cannot double-count its run. Like the
-// campaign journal, loading tolerates a torn final line (a crash while
-// appending) by skipping it and healing the newline on the next append;
-// corruption anywhere else is an error, not silently dropped data.
+// no-op, so a retried CI job cannot double-count its run. Loading
+// skips every line that does not parse -- a torn final line (a crash
+// while appending, whose newline the next append heals) or a corrupt
+// line anywhere else -- and counts it in skipped_lines(); valid records
+// keep appending after it, and scibench_ci warns with the count. A
+// damaged store thins its history instead of stopping the gate.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +47,9 @@ struct MetricSeries {
 class HistoryStore {
  public:
   /// Opens (and loads) the store at `path`; a missing file is an empty
-  /// store. Unparseable lines (torn appends) are skipped and counted in
-  /// skipped_lines(); on-disk seq values are advisory -- load order
-  /// assigns the authoritative sequence.
+  /// store. Unparseable lines (torn appends, corruption) are skipped and
+  /// counted in skipped_lines(); on-disk seq values are advisory -- load
+  /// order assigns the authoritative sequence.
   explicit HistoryStore(std::string path);
 
   /// Appends one point per metric in `report`; points whose

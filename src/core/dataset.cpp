@@ -1,6 +1,7 @@
 #include "core/dataset.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,8 @@
 #include <fstream>
 #include <stdexcept>
 #include <string_view>
+
+#include "core/format.hpp"
 
 namespace sci::core {
 
@@ -106,11 +109,14 @@ std::vector<double> Dataset::column(const std::string& name) const {
 
 namespace {
 
-/// Buffered CSV output: cells are formatted in place into a fixed
-/// block, which goes to the stream whenever it fills.
+/// Buffered CSV output: rows are formatted in place into a fixed
+/// block, which goes to the stream whenever it fills. Each column
+/// remembers its last value's bits and text, so a cell that repeats the
+/// one above it -- config, rep and factor columns do for every sample
+/// of a cell -- is copied, not formatted again.
 class CsvWriter {
  public:
-  explicit CsvWriter(std::ostream& os) : os_(os) {}
+  CsvWriter(std::ostream& os, std::size_t columns) : os_(os), memo_(columns) {}
   CsvWriter(const CsvWriter&) = delete;
   CsvWriter& operator=(const CsvWriter&) = delete;
 
@@ -124,23 +130,24 @@ class CsvWriter {
     }
   }
 
-  /// Appends `v` exactly as printf("%.17g") prints it, then `sep`.
-  void cell(double v, char sep) {
-    if (kBlock - used_ < kMaxCell) flush();
-    char* const first = buf_ + used_;
-    char* const last = buf_ + kBlock;
-    char* end = nullptr;
-    // Integral cells (indices, counts) print as plain digits under
-    // %.17g well below 1e15; the integer conversion is several times
-    // cheaper. -0 keeps its sign through the general path.
-    if (v > -1e15 && v < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-        !(v == 0.0 && std::signbit(v))) {
-      end = std::to_chars(first, last, static_cast<std::int64_t>(v)).ptr;
-    } else {
-      end = std::to_chars(first, last, v, std::chars_format::general, 17).ptr;
+  /// Appends one row, a cell per column, each exactly as
+  /// printf("%.17g") prints it, separated by commas and ended by a
+  /// newline. The write position stays in a local: stores through a
+  /// char pointer would otherwise make every cell reload the members.
+  void row(const double* cells) {
+    char* p = buf_ + used_;
+    char* const limit = buf_ + kBlock - kMaxCell;
+    const std::size_t width = memo_.size();
+    for (std::size_t c = 0; c < width; ++c) {
+      if (p > limit) {
+        used_ = static_cast<std::size_t>(p - buf_);
+        flush();
+        p = buf_;
+      }
+      p = cell(p, memo_[c], cells[c]);
+      *p++ = c + 1 < width ? ',' : '\n';
     }
-    *end++ = sep;
-    used_ = static_cast<std::size_t>(end - buf_);
+    used_ = static_cast<std::size_t>(p - buf_);
   }
 
   void flush() {
@@ -150,10 +157,45 @@ class CsvWriter {
 
  private:
   static constexpr std::size_t kBlock = 32 * 1024;
-  /// Longest %.17g output ("-2.2250738585072014e-308") plus separator.
-  static constexpr std::size_t kMaxCell = 32;
+  /// Room for one cell: write_general's working space, which also
+  /// holds the longest %.17g output plus the separator.
+  static constexpr std::size_t kMaxCell = kGeneralMinBuffer;
+
+  /// A column's last cell; it starts as +0, whose text is "0". The
+  /// text (24 bytes at most) is copied whole, a fixed-size move.
+  struct Memo {
+    std::uint64_t bits = 0;
+    std::uint8_t len = 1;
+    char text[32] = {'0'};
+  };
+  static_assert(sizeof Memo::text <= kMaxCell);
+
+  /// Writes `v` at `first`, which has kMaxCell bytes of room, and
+  /// returns the end.
+  static char* cell(char* first, Memo& memo, double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    if (bits == memo.bits) {
+      std::memcpy(first, memo.text, sizeof memo.text);
+      return first + memo.len;
+    }
+    char* end = nullptr;
+    // Integral cells (indices, counts) print as plain digits under
+    // %.17g well below 1e15; the integer conversion is cheaper still.
+    // -0 keeps its sign through the general path.
+    if (v > -1e15 && v < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v)) &&
+        !(v == 0.0 && std::signbit(v))) {
+      end = std::to_chars(first, first + kMaxCell, static_cast<std::int64_t>(v)).ptr;
+    } else {
+      end = write_general(first, first + kMaxCell, v, 17);
+    }
+    memo.bits = bits;
+    memo.len = static_cast<std::uint8_t>(end - first);
+    std::memcpy(memo.text, first, sizeof memo.text);
+    return end;
+  }
 
   std::ostream& os_;
+  std::vector<Memo> memo_;
   std::size_t used_ = 0;
   char buf_[kBlock]{};
 };
@@ -161,7 +203,7 @@ class CsvWriter {
 }  // namespace
 
 void Dataset::write_csv(std::ostream& os) const {
-  CsvWriter out(os);
+  CsvWriter out(os, columns_.size());
   const std::string header = experiment_.to_header();
   std::string_view rest = header;
   while (!rest.empty()) {
@@ -175,10 +217,8 @@ void Dataset::write_csv(std::ostream& os) const {
     out.text(columns_[i]);
     out.text(i + 1 < columns_.size() ? "," : "\n");
   }
-  const std::size_t width = columns_.size();
-  for (std::size_t at = 0; at < cells_.size(); at += width) {
-    for (std::size_t i = 0; i + 1 < width; ++i) out.cell(cells_[at + i], ',');
-    out.cell(cells_[at + width - 1], '\n');
+  for (std::size_t at = 0; at < cells_.size(); at += columns_.size()) {
+    out.row(cells_.data() + at);
   }
   out.flush();
 }

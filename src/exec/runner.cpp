@@ -18,6 +18,7 @@
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/online.hpp"
+#include "stats/selection.hpp"
 
 namespace sci::exec {
 
@@ -90,24 +91,76 @@ void set_cell_prefix(const CampaignCell& cell, std::vector<double>& row) {
   }
 }
 
+/// Reorders `v` so each of `ranks` (ascending, distinct, < v.size())
+/// holds the value a full ascending sort would put there.
+void select_ranks(std::span<double> v, std::span<const std::size_t> ranks,
+                  std::size_t offset = 0) {
+  if (ranks.empty()) return;
+  const std::size_t mid = ranks.size() / 2;
+  const std::size_t at = ranks[mid] - offset;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(at), v.end());
+  select_ranks(v.first(at), ranks.first(mid), offset);
+  select_ranks(v.subspan(at + 1), ranks.subspan(mid + 1), offset + at + 1);
+}
+
 /// Appends the six statistics of a summary row: n, median, the
 /// median's rank CI, mean, min, max. These are core::summarize_series'
 /// values from the same stats calls under the same rules (no CI for a
-/// deterministic series or n <= 5), without its diagnostics.
-void append_summary(std::span<const double> xs, std::vector<double>& row) {
+/// deterministic series or n <= 5), without its diagnostics. Instead of
+/// a sort, one pass finds min and max, and `scratch` gets the samples
+/// with only the order statistics the calls read -- the median's two
+/// neighbours and the CI's two ranks -- in sorted place, so each call
+/// returns the bits it returns on a sorted copy. The mean reads the
+/// samples in their original order.
+void append_summary(std::span<const double> xs, std::vector<double>& scratch,
+                    std::vector<double>& row) {
   if (xs.empty()) throw std::invalid_argument("summary_dataset: empty series");
   const core::SummaryOptions options;
-  const auto sorted = stats::sorted_copy(xs);
-  const double median = stats::quantile_sorted(sorted, 0.5);
-  const double min = sorted.front();
-  const double max = sorted.back();
+  const std::size_t n = xs.size();
+  scratch.assign(xs.begin(), xs.end());
+  double min = xs.front();
+  double max = xs.front();
+  bool zero_or_nan = false;
+  for (const double x : xs) {
+    zero_or_nan |= x == 0.0 || x != x;
+    min = std::min(min, x);
+    max = std::max(max, x);
+  }
+  if (zero_or_nan) {
+    // +0 and -0 compare equal with different bits, and NaN has no
+    // order, so which of them lands at a rank is the sort's own choice:
+    // such a sample is sorted as before.
+    std::sort(scratch.begin(), scratch.end());
+    min = scratch.front();
+    max = scratch.back();
+  } else {
+    std::size_t ranks[4];
+    std::size_t count = 0;
+    const stats::QuantilePlan median_plan =
+        stats::make_quantile_plan(n, 0.5, stats::QuantileMethod::kR7Linear);
+    if (median_plan.mode == stats::QuantilePlan::Mode::kPair) {
+      ranks[count++] = median_plan.k;
+      ranks[count++] = median_plan.k + 1;
+    }
+    if (n > 5) {
+      const auto ci_ranks = stats::quantile_confidence_ranks(n, 0.5, options.confidence);
+      ranks[count++] = ci_ranks.lower;
+      ranks[count++] = ci_ranks.upper;
+    }
+    std::sort(ranks, ranks + count);
+    count = static_cast<std::size_t>(std::unique(ranks, ranks + count) - ranks);
+    select_ranks(scratch, {ranks, count});
+  }
+
+  const std::span<const double> placed = scratch;
+  const double median = stats::quantile_sorted(placed, 0.5);
   const bool deterministic = (max - min) <= options.deterministic_rtol * std::fabs(median);
   std::optional<stats::Interval> ci;
-  if (!deterministic && xs.size() > 5) {
-    ci = stats::quantile_confidence_interval_sorted(sorted, 0.5, options.confidence);
+  if (!deterministic && n > 5) {
+    ci = stats::quantile_confidence_interval_sorted(placed, 0.5, options.confidence);
   }
   constexpr double nan = std::numeric_limits<double>::quiet_NaN();
-  row.push_back(static_cast<double>(xs.size()));
+  row.push_back(static_cast<double>(n));
   row.push_back(median);
   row.push_back(ci ? ci->lower : nan);
   row.push_back(ci ? ci->upper : nan);
@@ -152,6 +205,7 @@ core::Dataset CampaignResult::summary_dataset() const {
   ds.reserve(cells.size());
   constexpr double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> row;
+  std::vector<double> scratch;
   for (const auto& cell : cells) {
     // Failed cells keep their row (failed=1, NaN statistics) so a
     // partially-failed campaign renders with explicit holes instead of
@@ -163,7 +217,7 @@ core::Dataset CampaignResult::summary_dataset() const {
       row.push_back(0.0);
       for (int i = 0; i < 6; ++i) row.push_back(nan);
     } else {
-      append_summary(cell.result.samples, row);
+      append_summary(cell.result.samples, scratch, row);
     }
     ds.add_row(row);
   }

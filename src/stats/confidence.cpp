@@ -27,9 +27,7 @@ Interval quantile_confidence_interval(std::span<const double> xs, double p,
   return quantile_confidence_interval_sorted(sorted, p, confidence);
 }
 
-Interval quantile_confidence_interval_sorted(std::span<const double> sorted, double p,
-                                             double confidence) {
-  const std::size_t n = sorted.size();
+RankInterval quantile_confidence_ranks(std::size_t n, double p, double confidence) {
   if (n < 6) throw std::invalid_argument("quantile_confidence_interval: need n > 5");
   if (p <= 0.0 || p >= 1.0)
     throw std::domain_error("quantile_confidence_interval: p in (0,1)");
@@ -43,8 +41,13 @@ Interval quantile_confidence_interval_sorted(std::span<const double> sorted, dou
   auto hi_rank = static_cast<long>(std::ceil(nd * p + spread)) + 1;
   lo_rank = std::max<long>(lo_rank, 1);
   hi_rank = std::min<long>(hi_rank, static_cast<long>(n));
-  return {sorted[static_cast<std::size_t>(lo_rank - 1)],
-          sorted[static_cast<std::size_t>(hi_rank - 1)], confidence};
+  return {static_cast<std::size_t>(lo_rank - 1), static_cast<std::size_t>(hi_rank - 1)};
+}
+
+Interval quantile_confidence_interval_sorted(std::span<const double> sorted, double p,
+                                             double confidence) {
+  const RankInterval ranks = quantile_confidence_ranks(sorted.size(), p, confidence);
+  return {sorted[ranks.lower], sorted[ranks.upper], confidence};
 }
 
 Interval median_confidence_interval(std::span<const double> xs, double confidence) {

@@ -49,6 +49,17 @@ struct Interval {
                                                            double p,
                                                            double confidence = 0.95);
 
+/// 0-based ranks of the two order statistics that bound the p-quantile's
+/// CI in a sample of n > 5: the ranks
+/// quantile_confidence_interval_sorted() reads. Callers that select
+/// order statistics instead of sorting place exactly these.
+struct RankInterval {
+  std::size_t lower = 0;
+  std::size_t upper = 0;
+};
+[[nodiscard]] RankInterval quantile_confidence_ranks(std::size_t n, double p,
+                                                     double confidence = 0.95);
+
 /// Shorthand for the median (p = 0.5).
 [[nodiscard]] Interval median_confidence_interval(std::span<const double> xs,
                                                   double confidence = 0.95);

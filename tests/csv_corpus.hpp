@@ -1,6 +1,8 @@
 // Shared CSV corpora: the cell values whose bytes the Dataset writer
-// pins against printf("%.17g"), and the hand-written documents that pin
-// the Dataset loader's grammar. tests/fuzz_csv.cpp mutates both.
+// pins against printf("%.17g"), the edge corpus of its %.*g kernel
+// (tests/test_core_format.cpp, bench/bench_csv_io.cpp), and the
+// hand-written documents that pin the Dataset loader's grammar.
+// tests/fuzz_csv.cpp mutates the first and the last.
 #pragma once
 
 #include <bit>
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace sci::csv_corpus {
@@ -77,6 +80,68 @@ inline std::vector<double> csv_random_values(std::size_t n, std::uint64_t seed) 
     v.push_back(static_cast<double>(bits - (std::int64_t{1} << 53)));
   }
   for (std::size_t i = 0; i < n; ++i) v.push_back(static_cast<double>(gen() % 100000));
+  return v;
+}
+
+/// Odd multiples of 2^-j whose exact decimal expansion has digits + 1
+/// significant digits ending in 5: the half-way cases of %.{digits}g.
+/// With L integer digits (L <= 0: -L zeros after the point)
+/// and j = digits + 1 - L fractional ones, n / 2^j for odd n is one.
+inline std::vector<double> format_ties(int digits, rng::Xoshiro256& gen) {
+  std::vector<double> out;
+  for (int lead = -3; lead <= digits; ++lead) {
+    const int j = digits + 1 - lead;
+    const double lo = std::ceil(std::ldexp(std::pow(10.0, lead - 1), j));
+    const double hi = std::ldexp(std::pow(10.0, lead), j);
+    if (!(hi <= 0x1p53)) continue;  // n must be exact
+    for (int i = 0; i < 400; ++i) {
+      auto n = static_cast<std::uint64_t>(
+          lo + std::floor(static_cast<double>(gen() >> 11) * 0x1p-53 * (hi - lo)));
+      n |= 1;  // odd: the last fractional digit of n / 2^j is 5
+      if (static_cast<double>(n) >= hi) continue;
+      out.push_back(std::ldexp(static_cast<double>(n), -j));
+      out.push_back(-out.back());
+    }
+  }
+  return out;
+}
+
+/// The edge corpus of the %.*g kernel (core::write_general) at
+/// `digits`, about 660 000 values: csv_special_values, signed
+/// subnormals, random bit patterns, signed lognormal(0, 6) values,
+/// every power of ten from 1e-6 to 1e18 with its +-2000 ulp neighbours
+/// (the decimal carry and the style switch), 2^53 +- k (where the
+/// spacing of doubles passes 1) and the exact ties at `digits`.
+inline std::vector<double> format_edge_values(int digits, std::uint64_t seed) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  rng::Xoshiro256 gen(seed);
+  std::vector<double> v = csv_special_values();
+  for (double x : {9.5, 99.5, 9.9995, 1e-4 * (1 - 1e-16), 123456.5}) v.push_back(x);
+  for (int i = 0; i < 20000; ++i) {
+    const double sub = std::bit_cast<double>(gen() & ((std::uint64_t{1} << 52) - 1));
+    v.push_back(sub);
+    v.push_back(-sub);
+  }
+  for (int i = 0; i < 250000; ++i) v.push_back(std::bit_cast<double>(gen()));
+  for (int i = 0; i < 250000; ++i) {
+    const double x = rng::lognormal(gen, 0.0, 6.0);
+    v.push_back(i % 2 == 0 ? x : -x);
+  }
+  for (int p = -6; p <= 18; ++p) {
+    const double ten = std::pow(10.0, p);
+    double below = ten;
+    double above = ten;
+    v.push_back(ten);
+    for (int ulp = 0; ulp < 2000; ++ulp) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, inf);
+      v.push_back(below);
+      v.push_back(above);
+    }
+  }
+  for (int k = -5000; k <= 5000; ++k) v.push_back(0x1p53 + static_cast<double>(k));
+  const std::vector<double> ties = format_ties(digits, gen);
+  v.insert(v.end(), ties.begin(), ties.end());
   return v;
 }
 

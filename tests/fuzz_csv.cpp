@@ -1,6 +1,7 @@
-// Deterministic mutation fuzzing of five input boundaries: CSV
+// Deterministic mutation fuzzing of six input boundaries: CSV
 // loading, campaign journal replay, the daemon's submit codec, the JSON
-// parser on its own, and the worker reply codec.
+// parser on its own, the worker reply codec, and the bench history
+// lines that scibench_ci reads.
 //
 // One mutator serves every target. Each iteration picks a seed
 // document, then flips, inserts, splices, duplicates or truncates bytes
@@ -35,6 +36,11 @@
 //            wire::parse_cell_result_json. A parse either succeeds --
 //            and then the re-emitted reply parses back to the same
 //            bytes -- or throws std::runtime_error.
+//   History  Seeds are lines of a bench history store
+//            (ci::history_line). Mutants go through
+//            ci::parse_history_line. A parse either succeeds -- and then
+//            the re-emitted line parses back to the same bytes -- or
+//            throws std::runtime_error (json::ParseError is one).
 //
 // Any other exception fails the test; a crash or hang fails the ctest
 // case (run under ASan/UBSan in CI). The iteration budgets are fixed,
@@ -55,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "ci/history.hpp"
 #include "core/dataset.hpp"
 #include "csv_corpus.hpp"
 #include "exec/ingest.hpp"
@@ -630,6 +637,63 @@ TEST(FuzzReply, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
   // hex digits, so most edits are refusals; about 3% of mutants parse.
   EXPECT_GT(parsed, kReplyIterations / 50);
   EXPECT_GT(rejected, kReplyIterations / 20);
+}
+
+// ------------------------------------------------------------ history
+
+constexpr std::size_t kHistoryIterations = 2000;
+
+/// Lines of a bench history store: both improve directions, a NaN
+/// median (written as null), extreme and tiny numbers, and strings that
+/// need escapes.
+std::vector<std::string> history_lines() {
+  std::vector<std::string> lines;
+  const double values[] = {1.25, std::numeric_limits<double>::quiet_NaN(), 1e300, 5e-324,
+                           -0.0, 123456.789};
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    ci::HistoryPoint point;
+    point.seq = i * 977;
+    point.git_sha = i % 2 == 0 ? "0123abcd" : "h\"ead\n\u0001";
+    point.bench = "perfbench";
+    point.metric.name = "metric_" + std::to_string(i);
+    point.metric.unit = i % 3 == 0 ? "ms" : "MB/s";
+    point.metric.improve = i % 2 == 0 ? obs::Improve::kLower : obs::Improve::kHigher;
+    point.metric.n = 20 + i;
+    point.metric.median = values[i];
+    point.metric.ci_lo = values[i] * 0.99;
+    point.metric.ci_hi = values[i] * 1.01;
+    lines.push_back(ci::history_line(point));
+  }
+  return lines;
+}
+
+TEST(FuzzHistory, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
+  const std::vector<std::string> corpus = history_lines();
+  for (const std::string& line : corpus) {  // the seeds are canonical
+    ASSERT_EQ(ci::history_line(ci::parse_history_line(line)), line);
+  }
+  rng::Xoshiro256 gen(0x4157u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < kHistoryIterations; ++iter) {
+    const std::string doc = mutate(corpus, kJsonAlphabet, gen);
+    try {
+      const std::string text = ci::history_line(ci::parse_history_line(doc));
+      ++parsed;
+      ASSERT_EQ(ci::history_line(ci::parse_history_line(text)), text) << "iteration " << iter;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter
+                    << ": parse_history_line threw an untyped error: " << e.what()
+                    << "\nline: " << doc;
+    }
+  }
+  std::printf("fuzz_history: %zu parsed, %zu rejected\n", parsed, rejected);
+  // Every member of a line is required and typed, so most edits are
+  // refusals; about 3% of mutants parse.
+  EXPECT_GT(parsed, kHistoryIterations / 50);
+  EXPECT_GT(rejected, kHistoryIterations / 20);
 }
 
 }  // namespace

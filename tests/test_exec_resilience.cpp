@@ -21,6 +21,7 @@
 #include "exec/runner.hpp"
 #include "exec/sim_backend.hpp"
 #include "golden_file.hpp"
+#include "rng/xoshiro.hpp"
 
 namespace sci::exec {
 namespace {
@@ -680,8 +681,11 @@ TEST(CampaignCsv, GoldenSamplesAndSummaryBytes) {
 TEST(CampaignCsv, SummaryRowsMatchSummarizeSeries) {
   // The summary export computes its six statistics directly; every
   // branch of core::summarize_series that shapes them must agree:
-  // constant series (no CI), n <= 5 (no CI), n > 5, infinities.
-  const std::vector<std::vector<double>> series = {
+  // constant series (no CI), n <= 5 (no CI), n > 5, infinities. It
+  // selects its order statistics instead of sorting, so seeded series
+  // of every length from 1 to 300, with heavy ties, both signs and
+  // infinities, must give the sort's bits too.
+  std::vector<std::vector<double>> series = {
       {3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0},
       {1.0, 2.0, 3.0},
       {5.0},
@@ -689,6 +693,16 @@ TEST(CampaignCsv, SummaryRowsMatchSummarizeSeries) {
       {1.0, 2.0, std::numeric_limits<double>::infinity(), 4.0, 5.0, 6.0, 7.0},
       {-0.0, 0.0, -0.0, 0.0, 0.0, 0.0},
   };
+  rng::Xoshiro256 gen(0x5e1ec7u);
+  for (std::size_t n = 1; n <= 300; ++n) {
+    std::vector<double> xs(n);
+    const std::uint64_t levels = 1 + gen() % 40;  // few levels: many ties
+    for (double& x : xs) {
+      x = static_cast<double>(gen() % levels) * 0.25 - 3.0 + 1e-3;
+      if (gen() % 97 == 0) x = gen() % 2 == 0 ? std::numeric_limits<double>::infinity() : -x;
+    }
+    series.push_back(std::move(xs));
+  }
   CampaignResult result;
   result.experiment.name = "summary_differential";
   for (std::size_t i = 0; i < series.size(); ++i) {
