@@ -130,7 +130,8 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Stable identifier; part of the result-cache key.
+  /// Stable identifier; names the backend in Rule 9 headers, and equal
+  /// identity() implies equal name().
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Produces the samples of one (config, seed) cell replication.
@@ -146,9 +147,10 @@ class Backend {
   [[nodiscard]] virtual std::string describe() const { return name(); }
 
   /// Everything besides (config, seed) that decides the bytes of a
-  /// cell: name() plus any options. The campaign journal's fingerprint
-  /// mixes it in, so a journal never resumes under other options.
-  /// Defaults to name(), for backends without options that matter.
+  /// cell: name() plus any options. It is part of the result-cache key
+  /// (CellKey) and of the campaign journal's fingerprint, so neither a
+  /// cached cell nor a journal is reused under other options. Defaults
+  /// to name(), for backends without options that matter.
   [[nodiscard]] virtual std::string identity() const { return name(); }
 };
 

@@ -22,12 +22,91 @@
 
 namespace sci::exec {
 
-CellKey make_cell_key(const std::string& backend_name, const Config& config,
-                      std::uint64_t seed) {
+std::uint64_t cell_hash(std::string_view backend_name, const Config& config,
+                        std::uint64_t seed) {
   std::uint64_t state = seed ^ 0xa0761d6478bd642fULL;
   state = rng::splitmix64_next(state) ^ backend_name.size();
   for (unsigned char c : backend_name) state = rng::splitmix64_next(state) ^ c;
-  return CellKey{backend_name, config.levels, seed, config.hash(rng::splitmix64_next(state))};
+  return config.hash(rng::splitmix64_next(state));
+}
+
+CellKey make_cell_key(std::shared_ptr<const std::string> identity,
+                      std::string_view backend_name, const Config& config,
+                      std::uint64_t seed) {
+  return CellKey{std::move(identity), config.levels, seed,
+                 cell_hash(backend_name, config, seed)};
+}
+
+namespace {
+
+/// What one cached cell costs: the map node with its key and result,
+/// plus the heap each of them holds.
+std::size_t cell_bytes(const CellKey& key, const CellResult& result) {
+  std::size_t bytes = sizeof(CellKey) + sizeof(CellResult) + 4 * sizeof(void*);
+  for (const auto& [factor, level] : key.levels) {
+    bytes += sizeof(key.levels[0]) + factor.capacity() + level.capacity();
+  }
+  bytes += result.samples.capacity() * sizeof(double);
+  bytes += result.unit.capacity() + result.stop_reason.capacity() + result.error.capacity();
+  return bytes;
+}
+
+}  // namespace
+
+std::optional<CellResult> ResultCache::find(const CellKey& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto it = newer_.find(key); it != newer_.end()) return it->second;
+  const auto it = older_.find(key);
+  if (it == older_.end()) return std::nullopt;
+  const std::size_t cost = cell_bytes(it->first, it->second);
+  Generation::node_type node = older_.extract(it);
+  older_bytes_ -= cost;
+  make_room(cost);
+  CellResult found = node.mapped();
+  newer_.insert(std::move(node));
+  newer_bytes_ += cost;
+  return found;
+}
+
+void ResultCache::insert(const CellKey& key, const CellResult& result) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::size_t cost = cell_bytes(key, result);
+  if (cost > kResultCacheBytes / 2 || newer_.count(key) != 0 || older_.count(key) != 0) return;
+  make_room(cost);
+  newer_.emplace(key, result);
+  newer_bytes_ += cost;
+}
+
+void ResultCache::make_room(std::size_t cost) {
+  if (newer_bytes_ + cost <= kResultCacheBytes / 2) return;
+  evicted_ += older_.size();
+  older_ = std::move(newer_);
+  older_bytes_ = newer_bytes_;
+  newer_.clear();
+  newer_bytes_ = 0;
+}
+
+void ResultCache::clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  newer_.clear();
+  older_.clear();
+  newer_bytes_ = 0;
+  older_bytes_ = 0;
+}
+
+std::size_t ResultCache::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return newer_.size() + older_.size();
+}
+
+std::size_t ResultCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return newer_bytes_ + older_bytes_;
+}
+
+std::size_t ResultCache::evicted() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return evicted_;
 }
 
 std::size_t CampaignResult::rep_count(std::size_t config_index) const {
@@ -231,15 +310,9 @@ CampaignRunner::CampaignRunner(Backend& backend, Campaign campaign,
       options_(std::move(options)),
       cache_(cache != nullptr ? *cache : own_cache_) {}
 
-std::size_t CampaignRunner::cache_size() const {
-  std::lock_guard<std::mutex> lock(cache_.mutex);
-  return cache_.cells.size();
-}
+std::size_t CampaignRunner::cache_size() const { return cache_.size(); }
 
-void CampaignRunner::clear_cache() {
-  std::lock_guard<std::mutex> lock(cache_.mutex);
-  cache_.cells.clear();
-}
+void CampaignRunner::clear_cache() { cache_.clear(); }
 
 namespace {
 
@@ -312,8 +385,7 @@ struct RoundPlanner {
     for (std::size_t c = 0; c < grid.size(); ++c) {
       state[c].series = stats::OnlineSeries(sequential ? policy.max_lag : 1);
       if (sequential) {
-        state[c].tie_break =
-            make_cell_key(backend_name, grid[c], campaign.seed_for(grid[c], 0)).hash;
+        state[c].tie_break = cell_hash(backend_name, grid[c], campaign.seed_for(grid[c], 0));
       }
       schedule(c, sequential ? policy.min_reps : campaign.spec().replications, cells);
     }
@@ -620,6 +692,7 @@ struct CellExecutor {
 
   Backend& backend;
   const std::string& backend_name;
+  const std::shared_ptr<const std::string>& identity;  ///< Backend::identity()
   const CampaignRunnerOptions& options;
   CampaignJournal* journal;
   ResultCache& cache;
@@ -676,11 +749,6 @@ struct CellExecutor {
     observers.busy(w, obs::host_now_s() - t0);
   }
 
-  void cache_insert(const CellKey& key, const CellResult& result) {
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    cache.cells.emplace(key, result);
-  }
-
   /// Resolves one claimed chunk: the per-cell steps before dispatch,
   /// one run_batch for the cells left to run, the per-cell steps after
   /// it, then the chunk's reported cells to the progress hook.
@@ -691,7 +759,7 @@ struct CellExecutor {
     s.reported.assign(chunk.size(), 0);
     for (std::size_t i = 0; i < chunk.size(); ++i) {
       CampaignCell& cell = chunk[i];
-      CellKey key = make_cell_key(backend_name, cell.config, cell.seed);
+      CellKey key = make_cell_key(identity, backend_name, cell.config, cell.seed);
       switch (admit(cell, slot, key)) {
         case Admit::kRun:
           s.batch.push_back(BatchCell{&cell.config, cell.seed, {}});
@@ -717,15 +785,9 @@ struct CellExecutor {
   /// cache -> journal -> context error -> interrupt/budget.
   Admit admit(CampaignCell& cell, const Slot& slot, const CellKey& key) {
     Tally& tally = observers.tally;
-    {
-      std::lock_guard<std::mutex> lock(cache.mutex);
-      const auto it = cache.cells.find(key);
-      if (it != cache.cells.end()) {
-        cell.result = it->second;
-        cell.result.from_cache = true;
-      }
-    }
-    if (cell.result.from_cache) {  // a claimed cell's result starts out empty
+    if (std::optional<CellResult> hit = cache.find(key)) {
+      cell.result = std::move(*hit);
+      cell.result.from_cache = true;
       bump(tally.cache_hits);
       return Admit::kCached;
     }
@@ -738,7 +800,7 @@ struct CellExecutor {
         // same way again); it still counts against the campaign so the
         // resumed accounting matches an uninterrupted run.
         if (rec->error.empty()) {
-          cache_insert(key, cell.result);
+          cache.insert(key, cell.result);
         } else {
           bump(tally.failed);
         }
@@ -800,7 +862,7 @@ struct CellExecutor {
         continue;
       }
       bump(tally.executed);
-      cache_insert(s.keys[j], cell.result);
+      cache.insert(s.keys[j], cell.result);
       s.reported[s.at[j]] = 1;
     }
     if (traced) {
@@ -917,6 +979,7 @@ CampaignResult assemble(const Campaign& campaign, const Backend& backend,
 
 CampaignResult CampaignRunner::run() {
   const std::string backend_name = backend_.name();
+  const auto identity = std::make_shared<const std::string>(backend_.identity());
   RoundPlanner planner{campaign_};
   std::vector<CampaignCell> work = planner.first_round(backend_name);
   if (!team_) {
@@ -934,13 +997,12 @@ CampaignResult CampaignRunner::run() {
   std::unique_ptr<CampaignJournal> journal;
   if (!options_.journal_path.empty()) {
     journal = std::make_unique<CampaignJournal>(
-        options_.journal_path, CampaignJournal::fingerprint(campaign_, backend_.identity()));
+        options_.journal_path, CampaignJournal::fingerprint(campaign_, *identity));
   }
 
   RunObservers observers{options_, campaign_, backend_name, workers};
-  CellExecutor executor{backend_, backend_name, options_, journal.get(),
-                        cache_,   observers,    work,     *team_,
-                        std::vector<CellExecutor::Slot>(workers)};
+  CellExecutor executor{backend_, backend_name, identity, options_, journal.get(), cache_,
+                        observers, work, *team_, std::vector<CellExecutor::Slot>(workers)};
   Tally& tally = observers.tally;
   bump(tally.scheduled_cells, work.size());
   std::size_t round = 0;

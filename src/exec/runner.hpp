@@ -25,11 +25,12 @@
 // byte-deterministic as fixed ones -- including across kill/resume
 // (tests/test_exec_sequential.cpp).
 //
-// A result cache keyed by (backend name, config levels, seed) lets a
-// partially-completed campaign resume without repeating finished cells:
-// re-running the same runner (or a larger campaign that shares cells
-// with an earlier one) only executes what is missing. A runner owns its
-// cache unless the caller lends one, as CampaignService does per job.
+// A result cache keyed by (Backend::identity(), config levels, seed)
+// lets a partially-completed campaign resume without repeating finished
+// cells: re-running the same runner (or a larger campaign that shares
+// cells with an earlier one) only executes what is missing. A runner
+// owns its cache unless the caller lends one, as CampaignService lends
+// its one cache to every job; the cache is bounded (kResultCacheBytes).
 // For resume across PROCESSES -- a killed or crashed campaign -- set
 // CampaignRunnerOptions::journal_path: completed cells append to a
 // crash-safe on-disk journal (exec/journal.hpp) and the rerun replays
@@ -57,7 +58,9 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -86,20 +89,26 @@ struct CampaignCell {
 };
 
 /// Result-cache key. The 64-bit hash picks the bucket, but equality
-/// compares the full identity -- backend name, factor/level assignment,
+/// compares the full identity -- Backend::identity() (its name and
+/// every option that decides a cell's bytes), factor/level assignment,
 /// and seed -- so a hash collision between two distinct cells resolves
 /// to separate entries instead of silently serving the wrong cell's
-/// samples. Deliberately excludes config.index so the same levels at
-/// another grid position (same seed, i.e. under a seed_override) still
-/// reuse their entry.
+/// samples. The hash mixes the backend name, not the identity: equal
+/// identities imply equal names, so it is a valid hash, and it stays a
+/// function of (name, levels, seed) because the sequential planner's
+/// tie-break, and so its CSV bytes, read it. Deliberately excludes
+/// config.index so the same levels at another grid position (same
+/// seed, i.e. under a seed_override) still reuse their entry.
 struct CellKey {
-  std::string backend;
+  /// One string per CampaignRunner::run(), shared by that run's keys.
+  std::shared_ptr<const std::string> identity;
   std::vector<std::pair<std::string, std::string>> levels;
   std::uint64_t seed = 0;
   std::uint64_t hash = 0;  ///< precomputed; NOT part of the identity
 
   [[nodiscard]] bool operator==(const CellKey& other) const noexcept {
-    return seed == other.seed && backend == other.backend && levels == other.levels;
+    return seed == other.seed && levels == other.levels &&
+           (identity == other.identity || *identity == *other.identity);
   }
 };
 
@@ -109,15 +118,47 @@ struct CellKeyHash {
   }
 };
 
-[[nodiscard]] CellKey make_cell_key(const std::string& backend_name, const Config& config,
+/// The hash of a cell of backend `backend_name` (CellKey::hash).
+[[nodiscard]] std::uint64_t cell_hash(std::string_view backend_name, const Config& config,
+                                      std::uint64_t seed);
+[[nodiscard]] CellKey make_cell_key(std::shared_ptr<const std::string> identity,
+                                    std::string_view backend_name, const Config& config,
                                     std::uint64_t seed);
 
-using CellCache = std::unordered_map<CellKey, CellResult, CellKeyHash>;
+/// What a ResultCache may hold, in the bytes ResultCache::bytes() counts.
+inline constexpr std::size_t kResultCacheBytes = std::size_t{64} << 20;
 
-/// Successful cells of past runs, shared by a run's workers under `mutex`.
-struct ResultCache {
-  mutable std::mutex mutex;
-  CellCache cells;
+/// Successful cells of past runs, shared by a run's workers and, when
+/// lent, by every runner of a process (CampaignService's jobs). Bounded
+/// by kResultCacheBytes in two generations: cells enter the newer map,
+/// a hit in the older one moves the cell to the newer, and a newer map
+/// that would pass half the budget replaces the older, whose cells are
+/// dropped. A cell is a pure function of its key, so eviction changes
+/// only how many cells are served from here, never a result byte. A
+/// cell larger than half the budget is not kept.
+class ResultCache {
+ public:
+  /// A copy of the cached result (the entry may be evicted meanwhile).
+  [[nodiscard]] std::optional<CellResult> find(const CellKey& key);
+  void insert(const CellKey& key, const CellResult& result);
+  void clear();
+
+  [[nodiscard]] std::size_t size() const;     ///< cells held
+  [[nodiscard]] std::size_t bytes() const;    ///< <= kResultCacheBytes
+  [[nodiscard]] std::size_t evicted() const;  ///< cells dropped to stay in budget
+
+ private:
+  using Generation = std::unordered_map<CellKey, CellResult, CellKeyHash>;
+  /// Retires the newer generation to older, dropping the older one's
+  /// cells, when `cost` more bytes would take it past half the budget.
+  void make_room(std::size_t cost);
+
+  mutable std::mutex mutex_;
+  Generation newer_;
+  Generation older_;
+  std::size_t newer_bytes_ = 0;
+  std::size_t older_bytes_ = 0;
+  std::size_t evicted_ = 0;
 };
 
 /// Per-config measurement-control outcome (why this config stopped
@@ -246,8 +287,7 @@ struct CampaignRunnerOptions {
 class CampaignRunner {
  public:
   /// `cache`, when non-null, is borrowed instead of the runner's own
-  /// and must outlive the runner; lend one only to runners whose
-  /// backends produce equal results for equal CellKeys.
+  /// and must outlive the runner.
   CampaignRunner(Backend& backend, Campaign campaign, CampaignRunnerOptions options = {},
                  ResultCache* cache = nullptr);
 

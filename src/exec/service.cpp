@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
 #include "obs/json.hpp"
 
@@ -226,6 +227,9 @@ obs::DaemonMetrics CampaignService::metrics() const {
   obs::DaemonMetrics m = metrics_;
   m.workers_spawned = pool_.workers_spawned();
   m.workers_crashed = pool_.workers_crashed();
+  m.cache_cells = cache_.size();
+  m.cache_bytes = cache_.bytes();
+  m.cache_evicted = cache_.evicted();
   return m;
 }
 
@@ -256,18 +260,7 @@ void CampaignService::service_loop() {
       job = std::move(queue_.begin()->second);
       queue_.erase(queue_.begin());
     }
-    // The runner borrows the cross-job cache of jobs with equal options;
-    // a rejected job leaves no cache behind.
-    const SimBackendOptions& options = job.submission.backend;
-    auto cache = std::find_if(caches_.begin(), caches_.end(),
-                              [&](const auto& c) { return c.first == options; });
-    const bool fresh = cache == caches_.end();
-    if (fresh) {
-      cache = caches_.emplace(caches_.end(), std::piecewise_construct,
-                              std::forward_as_tuple(options), std::tuple<>());
-    }
-    JobOutcome outcome = run_job(job.submission, id, job.sink, &pool_, &cache->second, interrupt_);
-    if (fresh && outcome.rejected) caches_.erase(cache);
+    JobOutcome outcome = run_job(job.submission, id, job.sink, &pool_, &cache_, interrupt_);
     finish(job, std::move(outcome));
   }
 }

@@ -1,7 +1,7 @@
 // CampaignService: the benchmark-as-a-service core behind scibenchd.
 //
 // The service owns a priority submission queue, the cross-job result
-// caches, and one service thread that runs admitted campaigns through
+// cache, and one service thread that runs admitted campaigns through
 // run_job with a PoolBackend -- cells execute in scibench_worker
 // processes (exec/process_pool.hpp), so a backend that aborts or is
 // SIGKILLed costs one worker, not the daemon.
@@ -22,12 +22,13 @@
 // overlapping cells of the second submission are served from the cache
 // without touching a worker.
 //
-// Dedupe: the service keeps one ResultCache per distinct
-// SimBackendOptions and lends the matching one to each job's runner, so
-// the runner's cache is the only result cache. Its key is the
-// full-identity CellKey (backend name, factor/level assignment, seed);
-// together with equal options, only a cell that would provably produce
-// identical bytes is ever deduplicated.
+// Dedupe: the service keeps one ResultCache and lends it to every job's
+// runner, so the runner's cache is the only result cache. Its key is
+// the full-identity CellKey (Backend::identity(), which carries every
+// SimBackendOptions field, plus factor/level assignment and seed), so
+// only a cell that would provably produce identical bytes is ever
+// deduplicated. The cache holds at most kResultCacheBytes; what it
+// drops is executed again by the next job that needs it.
 //
 // Events: every state transition is streamed to the submitting client's
 // ServiceEventSink as lines of canonical JSON ("queued", "started",
@@ -41,7 +42,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -52,7 +52,6 @@
 
 #include "exec/process_pool.hpp"
 #include "exec/runner.hpp"
-#include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
 #include "obs/daemon_metrics.hpp"
 
@@ -157,8 +156,8 @@ class CampaignService {
   bool stopping_ = false;
   obs::DaemonMetrics metrics_;
 
-  /// One cache per distinct backend options; service thread only.
-  std::list<std::pair<SimBackendOptions, ResultCache>> caches_;
+  /// Lent to every job; locks itself, so metrics() reads it too.
+  ResultCache cache_;
 
   std::thread service_thread_;
 };

@@ -26,6 +26,9 @@ std::string DaemonMetrics::to_json() const {
   field("cells_interrupted", cells_interrupted);
   field("workers_spawned", workers_spawned);
   field("workers_crashed", workers_crashed);
+  field("cache_cells", cache_cells);
+  field("cache_bytes", cache_bytes);
+  field("cache_evicted", cache_evicted);
   out += "\n}\n";
   return out;
 }

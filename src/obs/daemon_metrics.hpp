@@ -15,7 +15,7 @@
 namespace sci::obs {
 
 struct DaemonMetrics {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
 
   std::size_t jobs_submitted = 0;
   std::size_t jobs_completed = 0;
@@ -34,6 +34,13 @@ struct DaemonMetrics {
 
   std::size_t workers_spawned = 0;  ///< initial fleet + crash respawns
   std::size_t workers_crashed = 0;  ///< deaths observed mid-cell
+
+  /// The cross-job result cache at the snapshot: cells held, the bytes
+  /// they cost (at most exec::kResultCacheBytes), and cells dropped so
+  /// far to stay within that budget.
+  std::size_t cache_cells = 0;
+  std::size_t cache_bytes = 0;
+  std::size_t cache_evicted = 0;
 
   /// Canonical JSON (schema "scibench.daemon_metrics").
   [[nodiscard]] std::string to_json() const;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <functional>
 #include <climits>
+#include <cmath>
 #include <istream>
 #include <set>
 #include <sstream>
@@ -34,6 +35,16 @@ std::string require_string(const Value& event, const std::string& key) {
   return v->string;
 }
 
+/// The track id: an integer an int holds (a cast of anything else is
+/// undefined behaviour).
+int require_tid(const Value& event) {
+  const double tid = require_number(event, "tid");
+  if (!(tid >= INT_MIN && tid <= INT_MAX) || tid != std::trunc(tid)) {
+    throw std::runtime_error("trace event 'tid' is not an int");
+  }
+  return static_cast<int>(tid);
+}
+
 }  // namespace
 
 ParsedTrace parse_trace(const std::string& text) {
@@ -49,7 +60,8 @@ ParsedTrace parse_trace(const std::string& text) {
   ParsedTrace trace;
   for (const Value& ev : events->array) {
     const std::string ph = require_string(ev, "ph");
-    const int tid = static_cast<int>(require_number(ev, "tid"));
+    if (ph.size() != 1) throw std::runtime_error("trace event 'ph' is not one character");
+    const int tid = require_tid(ev);
     const std::string name = require_string(ev, "name");
 
     if (ph == "M") {
@@ -64,7 +76,7 @@ ParsedTrace parse_trace(const std::string& text) {
     }
 
     ParsedEvent out;
-    out.phase = ph.empty() ? '?' : ph[0];
+    out.phase = ph[0];
     out.tid = tid;
     out.name = name;
     if (const Value* cat = ev.find("cat"); cat != nullptr) out.cat = cat->string;

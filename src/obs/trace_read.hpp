@@ -42,8 +42,9 @@ struct ParsedTrace {
 /// Parses TraceSink output with obs::json::parse. Throws
 /// std::runtime_error on malformed JSON (a json::ParseError carrying the
 /// byte offset), on documents over json::kMaxDocumentBytes (64 MiB) or
-/// nested deeper than json::kMaxDepth, and on events missing required
-/// keys -- this is the schema check the tests rely on.
+/// nested deeper than json::kMaxDepth, on events missing required
+/// keys, and on a "ph" of other than one character or a "tid" that is
+/// not an int -- this is the schema check the tests rely on.
 [[nodiscard]] ParsedTrace parse_trace(std::istream& is);
 [[nodiscard]] ParsedTrace parse_trace(const std::string& text);
 [[nodiscard]] ParsedTrace load_trace(const std::string& path);

@@ -1,7 +1,7 @@
-// Deterministic mutation fuzzing of six input boundaries: CSV
+// Deterministic mutation fuzzing of eight input boundaries: CSV
 // loading, campaign journal replay, the daemon's submit codec, the JSON
-// parser on its own, the worker reply codec, and the bench history
-// lines that scibench_ci reads.
+// parser on its own, the worker reply and job codecs, the bench history
+// lines that scibench_ci reads, and the trace reader.
 //
 // One mutator serves every target. Each iteration picks a seed
 // document, then flips, inserts, splices, duplicates or truncates bytes
@@ -36,11 +36,22 @@
 //            wire::parse_cell_result_json. A parse either succeeds --
 //            and then the re-emitted reply parses back to the same
 //            bytes -- or throws std::runtime_error.
+//   Job      Seeds are cell dispatches (wire::job_to_json) of the demo
+//            envelopes' cells. Mutants go through wire::parse_job_json.
+//            A parse either succeeds -- and then the re-emitted job
+//            parses back to the same bytes -- or throws
+//            std::runtime_error.
 //   History  Seeds are lines of a bench history store
 //            (ci::history_line). Mutants go through
 //            ci::parse_history_line. A parse either succeeds -- and then
 //            the re-emitted line parses back to the same bytes -- or
 //            throws std::runtime_error (json::ParseError is one).
+//   Trace    Seeds are obs::TraceSink documents: spans, instants and
+//            counters with arguments, track and process names, and a
+//            merged sink. Mutants go through obs::parse_trace. A parse
+//            either succeeds -- and then the trace's canonical text
+//            parses back to the same text -- or throws
+//            std::runtime_error.
 //
 // Any other exception fails the test; a crash or hang fails the ctest
 // case (run under ASan/UBSan in CI). The iteration budgets are fixed,
@@ -49,6 +60,7 @@
 
 #include <sys/wait.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,6 +82,8 @@
 #include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_read.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace sci {
@@ -639,6 +653,58 @@ TEST(FuzzReply, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
   EXPECT_GT(rejected, kReplyIterations / 20);
 }
 
+// ---------------------------------------------------------------- job
+
+constexpr std::size_t kJobIterations = 2000;
+
+/// What the pool sends scibench_worker: the dispatch of the first two
+/// cells of each demo envelope.
+std::vector<std::string> job_dispatches() {
+  std::vector<std::string> jobs;
+  for (const std::string& envelope : demo_envelopes()) {
+    const exec::wire::CampaignEnvelope env = exec::wire::parse_campaign_json(envelope);
+    const exec::Campaign campaign(env.spec);
+    for (std::size_t c = 0; c < 2 && c < campaign.config_count(); ++c) {
+      const exec::Config config = campaign.config(c);
+      jobs.push_back(
+          exec::wire::job_to_json(env.backend, config, campaign.seed_for(config, 0)));
+    }
+  }
+  return jobs;
+}
+
+std::string reemit_job(std::string_view text) {
+  const exec::wire::JobSpec job = exec::wire::parse_job_json(text);
+  return exec::wire::job_to_json(job.backend, job.config, job.seed);
+}
+
+TEST(FuzzJob, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
+  const std::vector<std::string> corpus = job_dispatches();
+  ASSERT_EQ(corpus.size(), 10u) << "could not run " << SCIBENCH_SUBMIT_PATH;
+  for (const std::string& job : corpus) ASSERT_EQ(reemit_job(job), job);  // canonical seeds
+  rng::Xoshiro256 gen(0x10b5u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < kJobIterations; ++iter) {
+    const std::string doc = mutate(corpus, kJsonAlphabet, gen);
+    try {
+      const std::string text = reemit_job(doc);
+      ++parsed;
+      ASSERT_EQ(reemit_job(text), text) << "iteration " << iter;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << ": parse_job_json threw an untyped error: "
+                    << e.what() << "\njob: " << doc;
+    }
+  }
+  std::printf("fuzz_job: %zu parsed, %zu rejected\n", parsed, rejected);
+  // A job is a backend and a config of required, typed members; about
+  // 2% of mutants parse.
+  EXPECT_GT(parsed, kJobIterations / 100);
+  EXPECT_GT(rejected, kJobIterations / 20);
+}
+
 // ------------------------------------------------------------ history
 
 constexpr std::size_t kHistoryIterations = 2000;
@@ -694,6 +760,110 @@ TEST(FuzzHistory, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
   // refusals; about 3% of mutants parse.
   EXPECT_GT(parsed, kHistoryIterations / 50);
   EXPECT_GT(rejected, kHistoryIterations / 20);
+}
+
+// -------------------------------------------------------------- trace
+
+constexpr std::size_t kTraceIterations = 2000;
+
+/// TraceSink output: rank spans carrying mseq/wait_s arguments, an
+/// instant, counters, track and process names, and a second sink
+/// merged in at another track block.
+std::vector<std::string> trace_documents() {
+  obs::TraceSink sink;
+  sink.set_process_name("fuzz \"trace\"");
+  for (int rank = 0; rank < 3; ++rank) {
+    sink.set_track_name(rank, "rank " + std::to_string(rank));
+    sink.complete(rank, "send", "p2p", 1e-6 * rank, 2.5e-7,
+                  {obs::TraceArg{"mseq", rank}, obs::TraceArg{"bytes", 1024}});
+    sink.complete(rank, "recv", "p2p", 3e-6 + 1e-7 * rank, 1.0 / 3.0 * 1e-6,
+                  {obs::TraceArg{"mseq", rank}, obs::TraceArg{"wait_s", 1e-7}});
+  }
+  sink.instant(obs::kEngineTrack, "tick", "engine", 4.25e-6, {obs::TraceArg{"n", 7}});
+  sink.counter(obs::kHarnessTrack, "inflight", 5e-6, 3.0);
+  sink.set_track_name(obs::kWireTrackBase, "wire 0");
+  obs::TraceSink merged = sink;
+  merged.merge(sink, 100000);
+  const obs::TraceSink::WriteOptions fixed{false};
+  return {sink.to_json(fixed), merged.to_json(fixed)};
+}
+
+/// The microseconds parse_trace reads back as exactly `s` seconds.
+double micros(double s) {
+  double up = s * 1e6;
+  double down = up;
+  for (int i = 0; i < 8; ++i) {
+    if (up * 1e-6 == s) return up;
+    if (down * 1e-6 == s) return down;
+    up = std::nextafter(up, HUGE_VAL);
+    down = std::nextafter(down, -HUGE_VAL);
+  }
+  return s * 1e6;  // no exact value: the fixed-point check reports it
+}
+
+/// A trace's canonical text: the process and track names, then every
+/// event in order with its numeric arguments.
+std::string trace_text(const obs::ParsedTrace& trace) {
+  namespace json = obs::json;
+  std::string out = "{\"traceEvents\": [";
+  const auto open = [&out](char phase, int tid, const std::string& name) {
+    if (out.back() != '[') out += ", ";
+    out += "{\"ph\": ";
+    json::append_quoted(out, std::string(1, phase));
+    out += ", \"tid\": " + std::to_string(tid) + ", \"name\": ";
+    json::append_quoted(out, name);
+  };
+  const auto label = [&](const char* kind, int tid, const std::string& name) {
+    open('M', tid, kind);
+    out += ", \"args\": {\"name\": ";
+    json::append_quoted(out, name);
+    out += "}}";
+  };
+  if (!trace.process_name.empty()) label("process_name", 0, trace.process_name);
+  for (const auto& [tid, name] : trace.track_names) label("thread_name", tid, name);
+  for (const obs::ParsedEvent& e : trace.events) {
+    open(e.phase, e.tid, e.name);
+    out += ", \"cat\": ";
+    json::append_quoted(out, e.cat);
+    out += ", \"ts\": " + json::dump_number(micros(e.ts_s));
+    if (e.phase == 'X') out += ", \"dur\": " + json::dump_number(micros(e.dur_s));
+    out += ", \"args\": {";
+    for (const auto& [key, value] : e.args) {
+      if (out.back() != '{') out += ", ";
+      json::append_quoted(out, key);
+      out += ": " + json::dump_number(value);
+    }
+    out += "}}";
+  }
+  out += "]}";
+  return out;
+}
+
+TEST(FuzzTrace, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
+  const std::vector<std::string> corpus = trace_documents();
+  for (const std::string& doc : corpus) {  // the seeds parse, and so does their text
+    const std::string text = trace_text(obs::parse_trace(doc));
+    ASSERT_EQ(trace_text(obs::parse_trace(text)), text);
+  }
+  rng::Xoshiro256 gen(0x7ace5u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < kTraceIterations; ++iter) {
+    const std::string doc = mutate(corpus, kJsonAlphabet, gen);
+    try {
+      const std::string text = trace_text(obs::parse_trace(doc));
+      ++parsed;
+      ASSERT_EQ(trace_text(obs::parse_trace(text)), text) << "iteration " << iter;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << ": parse_trace threw an untyped error: "
+                    << e.what();
+    }
+  }
+  std::printf("fuzz_trace: %zu parsed, %zu rejected\n", parsed, rejected);
+  EXPECT_GT(parsed, kTraceIterations / 50);
+  EXPECT_GT(rejected, kTraceIterations / 20);
 }
 
 }  // namespace

@@ -127,19 +127,23 @@ TEST(SeedDerivation, OverrideReplacesScheme) {
 /// only, with an execution counter for cache tests.
 class CountingBackend : public Backend {
  public:
+  explicit CountingBackend(std::size_t samples = 16) : samples_(samples) {}
   std::string name() const override { return "counting"; }
   CellResult run(const Config& config, std::uint64_t seed) override {
     calls.fetch_add(1, std::memory_order_relaxed);
     CellResult r;
     r.unit = "u";
     std::uint64_t state = seed;
-    for (std::size_t i = 0; i < 16; ++i) {
+    for (std::size_t i = 0; i < samples_; ++i) {
       r.samples.push_back(static_cast<double>(rng::splitmix64_next(state) >> 40) +
                           static_cast<double>(config.index));
     }
     return r;
   }
   std::atomic<std::size_t> calls{0};
+
+ private:
+  std::size_t samples_;
 };
 
 class ThrowingBackend : public Backend {
@@ -269,6 +273,88 @@ TEST(CampaignRunner, SecondRunIsServedEntirelyFromCache) {
   EXPECT_EQ(runner.cache_size(), 0u);
   (void)runner.run();
   EXPECT_EQ(backend.calls.load(), 12u);
+}
+
+TEST(CampaignRunner, LentCacheNeverServesAnotherBackendIdentity) {
+  // Two SimBackends named "sim.pingpong" whose cells differ: one takes
+  // 48 samples per cell, the other 24. Runners lending one cache must
+  // key cells by the whole identity, not the name, or the second runner
+  // would be served the first one's samples.
+  SimBackend at48 = small_sim_backend();
+  SimBackendOptions opts = at48.options();
+  opts.samples = 24;
+  SimBackend at24(opts);
+  ASSERT_EQ(at48.name(), at24.name());
+  ASSERT_NE(at48.identity(), at24.identity());
+
+  ResultCache cache;
+  const CampaignResult first =
+      CampaignRunner(at48, small_sim_campaign(), with_workers(2), &cache).run();
+  const CampaignResult shared =
+      CampaignRunner(at24, small_sim_campaign(), with_workers(2), &cache).run();
+  EXPECT_EQ(shared.cache_hits, 0u);
+  EXPECT_EQ(shared.executed, shared.cells.size());
+  const CampaignResult fresh = CampaignRunner(at24, small_sim_campaign(), with_workers(2)).run();
+  EXPECT_EQ(csv_of(shared.samples_dataset()), csv_of(fresh.samples_dataset()));
+  EXPECT_EQ(csv_of(shared.summary_dataset()), csv_of(fresh.summary_dataset()));
+
+  // An equal identity still shares: a third runner is served every cell.
+  SimBackend again(at48.options());
+  const CampaignResult third =
+      CampaignRunner(again, small_sim_campaign(), with_workers(2), &cache).run();
+  EXPECT_EQ(third.cache_hits, third.cells.size());
+  EXPECT_EQ(csv_of(third.samples_dataset()), csv_of(first.samples_dataset()));
+}
+
+TEST(ResultCache, StaysWithinItsBudgetAndKeepsTheNewestCells) {
+  // 1 MiB cells, 96 of them: half again the budget. Every insert leaves
+  // the cache within kResultCacheBytes; the newest cells stay, the
+  // oldest go.
+  constexpr std::size_t kSamples = std::size_t{1} << 17;
+  constexpr std::size_t kCells = 96;
+  const auto identity = std::make_shared<const std::string>("counting");
+  Config config;
+  config.levels = {{"k", "v"}};
+  ResultCache cache;
+  for (std::size_t i = 0; i < kCells; ++i) {
+    CellResult r;
+    r.samples.assign(kSamples, static_cast<double>(i));
+    cache.insert(make_cell_key(identity, "counting", config, i), r);
+    ASSERT_LE(cache.bytes(), kResultCacheBytes) << "after cell " << i;
+  }
+  EXPECT_GT(cache.evicted(), 0u);
+  EXPECT_EQ(cache.size() + cache.evicted(), kCells);
+  EXPECT_GT(cache.bytes(), kResultCacheBytes / 2);
+  const std::optional<CellResult> newest =
+      cache.find(make_cell_key(identity, "counting", config, kCells - 1));
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->samples.size(), kSamples);
+  EXPECT_EQ(newest->samples.front(), static_cast<double>(kCells - 1));
+  EXPECT_FALSE(cache.find(make_cell_key(identity, "counting", config, 0)).has_value());
+}
+
+TEST(ResultCache, CampaignRerunAfterEvictionExportsTheSameBytes) {
+  // 72 cells of 1 MiB each pass the cache's budget, so the rerun finds
+  // some cells evicted, executes them again and must export the same
+  // bytes. The samples are compared bit for bit (the samples CSV is a
+  // function of them; 9.4 million rows would only slow the test).
+  CountingBackend backend(std::size_t{1} << 17);
+  CampaignSpec spec;
+  spec.name = "evicted";
+  spec.factors.push_back({"k", {"a", "b", "c", "d", "e", "f", "g", "h", "i"}});
+  spec.replications = 8;
+  CampaignRunner runner(backend, Campaign(spec), with_workers(2));
+
+  const CampaignResult first = runner.run();
+  ASSERT_EQ(first.executed, 72u);
+  EXPECT_LT(runner.cache_size(), 72u);
+  const CampaignResult second = runner.run();
+  EXPECT_LT(second.cache_hits, second.cells.size());
+  EXPECT_EQ(second.executed + second.cache_hits, second.cells.size());
+  EXPECT_EQ(csv_of(second.summary_dataset()), csv_of(first.summary_dataset()));
+  for (std::size_t i = 0; i < first.cells.size(); ++i) {
+    ASSERT_EQ(second.cells[i].result.samples, first.cells[i].result.samples) << "cell " << i;
+  }
 }
 
 // --------------------------------------------------------------- errors

@@ -197,7 +197,7 @@ TEST(Resilience, CellCacheSurvivesHashCollisions) {
   // samples. CellKey keeps the hash for bucketing but compares the full
   // identity.
   CellKey a;
-  a.backend = "b";
+  a.identity = std::make_shared<const std::string>("b");
   a.levels = {{"k", "1"}};
   a.seed = 7;
   a.hash = 0xdeadbeef;
@@ -205,34 +205,41 @@ TEST(Resilience, CellCacheSurvivesHashCollisions) {
   b.levels = {{"k", "2"}};  // different cell, same (forced) hash
   ASSERT_FALSE(a == b);
 
-  CellCache cache;
+  ResultCache cache;
   CellResult ra, rb;
   ra.samples = {1.0};
   rb.samples = {2.0};
-  cache.emplace(a, ra);
-  cache.emplace(b, rb);
+  cache.insert(a, ra);
+  cache.insert(b, rb);
   ASSERT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(a)->second.samples, (std::vector<double>{1.0}));
-  EXPECT_EQ(cache.find(b)->second.samples, (std::vector<double>{2.0}));
+  EXPECT_EQ(cache.find(a)->samples, (std::vector<double>{1.0}));
+  EXPECT_EQ(cache.find(b)->samples, (std::vector<double>{2.0}));
 
-  // Seed and backend are part of the identity too.
+  // Seed and backend identity are part of the identity too.
   CellKey c = a;
   c.seed = 8;
-  EXPECT_EQ(cache.find(c), cache.end());
+  EXPECT_FALSE(cache.find(c).has_value());
   CellKey d = a;
-  d.backend = "other";
-  EXPECT_EQ(cache.find(d), cache.end());
+  d.identity = std::make_shared<const std::string>("other");
+  EXPECT_FALSE(cache.find(d).has_value());
+  // An equal identity held by another run's string is the same cell.
+  CellKey e = a;
+  e.identity = std::make_shared<const std::string>("b");
+  ASSERT_TRUE(cache.find(e).has_value());
+  EXPECT_EQ(cache.find(e)->samples, (std::vector<double>{1.0}));
 }
 
 TEST(Resilience, MakeCellKeyEncodesBackendLevelsAndSeed) {
   Config config;
   config.levels = {{"k", "1"}};
-  const CellKey base = make_cell_key("b", config, 7);
-  EXPECT_EQ(base.backend, "b");
+  const auto identity = std::make_shared<const std::string>("b {options}");
+  const CellKey base = make_cell_key(identity, "b", config, 7);
+  EXPECT_EQ(base.identity, identity);  // shared, not copied
   EXPECT_EQ(base.levels, config.levels);
   EXPECT_EQ(base.seed, 7u);
-  EXPECT_NE(base.hash, make_cell_key("b", config, 8).hash);
-  EXPECT_NE(base.hash, make_cell_key("c", config, 7).hash);
+  EXPECT_EQ(base.hash, cell_hash("b", config, 7));
+  EXPECT_NE(base.hash, make_cell_key(identity, "b", config, 8).hash);
+  EXPECT_NE(base.hash, make_cell_key(identity, "c", config, 7).hash);
 }
 
 // ------------------------------------------------------- journal

@@ -692,8 +692,9 @@ TEST(CampaignService, DedupesIdenticalSubmissionsAcrossClients) {
 
 TEST(CampaignService, DifferentBackendOptionsNeverShareCells) {
   // The pingpong demo grid at 200 samples, then the same grid and seed
-  // at 100: CellKeys match (the backend name is "sim.pingpong" either
-  // way), but the cells differ, so nothing may be deduplicated.
+  // at 100: the backend name is "sim.pingpong" either way, but the
+  // identity in the CellKey carries the sample count, so the cells
+  // differ and nothing may be deduplicated.
   CampaignSpec spec;
   spec.name = "demo-pingpong";
   spec.factors.push_back({"message_bytes", {"1024", "4096", "16384"}});

@@ -135,6 +135,16 @@ TEST(TraceSink, ParserRejectsMalformedJson) {
   EXPECT_THROW((void)parse_trace(std::string(
                    R"({"traceEvents":[{"ph":"X","name":"a"}]})")),
                std::runtime_error);
+  // A tid an int cannot hold, and a phase of more than one character.
+  EXPECT_THROW((void)parse_trace(std::string(
+                   R"({"traceEvents":[{"ph":"i","tid":1e10,"name":"a","ts":0}]})")),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_trace(std::string(
+                   R"({"traceEvents":[{"ph":"i","tid":0.5,"name":"a","ts":0}]})")),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_trace(std::string(
+                   R"({"traceEvents":[{"ph":"Mx","tid":0,"name":"a","ts":0}]})")),
+               std::runtime_error);
 }
 
 TEST(TraceSink, ParserRejectsDeepNestingWithoutCrashing) {
