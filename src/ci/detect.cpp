@@ -194,12 +194,13 @@ Finding analyze_series(const MetricSeries& series, const DetectionOptions& optio
     std::vector<std::vector<double>> design;
     design.reserve(n);
     for (std::size_t i = 0; i < n; ++i) design.push_back({static_cast<double>(i)});
-    const auto fit = stats::quantile_regression(y, design, 0.5);
+    // One call: the point fit, and -- only when it converged -- the
+    // bootstrap refits that warm-start from it.
+    const auto [fit, ci] = stats::quantile_regression_with_ci(
+        y, design, 0.5, 200, 0.95, 0x5c1b3,
+        stats::ExecPolicy{1, options.policy.effective_lanes()});
     if (fit.converged && fit.coefficients.size() >= 2) {
       finding.trend_slope = fit.coefficients[1];
-      const auto ci = stats::quantile_regression_bootstrap_ci(
-          y, design, 0.5, 200, 0.95, 0x5c1b3,
-          stats::ExecPolicy{1, options.policy.effective_lanes()});
       const bool slope_significant =
           ci.lower.size() >= 2 && ci.upper.size() >= 2 &&
           (ci.lower[1] > 0.0 || ci.upper[1] < 0.0);

@@ -1,5 +1,6 @@
 #include "exec/sim_backend.hpp"
 
+#include <climits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -23,13 +24,20 @@ const std::string& machine_name_for(const Config& config,
   return name != nullptr ? *name : options.machine;
 }
 
-/// "processes" wins, "ranks" is the alias, the backend option last.
+/// "processes" wins, "ranks" is the alias, the backend option last. A
+/// level outside [0, INT_MAX] is refused, not wrapped by the cast.
 int ranks_for(const Config& config, const SimBackendOptions& options) {
-  if (config.find_level("processes") != nullptr)
-    return static_cast<int>(config.level_int("processes"));
-  if (config.find_level("ranks") != nullptr)
-    return static_cast<int>(config.level_int("ranks"));
-  return options.ranks;
+  const char* factor = config.find_level("processes") != nullptr ? "processes"
+                       : config.find_level("ranks") != nullptr   ? "ranks"
+                                                                 : nullptr;
+  if (factor == nullptr) return options.ranks;
+  const long long ranks = config.level_int(factor);
+  if (ranks < 0 || ranks > INT_MAX) {
+    throw std::invalid_argument("SimBackend: factor '" + std::string(factor) + "' level " +
+                                std::to_string(ranks) + " is outside [0, " +
+                                std::to_string(INT_MAX) + "]");
+  }
+  return static_cast<int>(ranks);
 }
 
 std::size_t message_bytes_for(const Config& config, const SimBackendOptions& options) {

@@ -66,7 +66,12 @@ SimBackendOptions parse_backend(const json::Value& v) {
   b.base_seconds = v.at("base_seconds").as_number();
   b.serial_fraction = v.at("serial_fraction").as_number();
   b.repetitions = v.at("repetitions").as_size();
-  b.ranks = static_cast<int>(v.at("ranks").as_size());
+  // Range-checked before the cast, which would wrap 2^32 + 4 to 4.
+  const std::size_t ranks = v.at("ranks").as_size();
+  if (ranks > static_cast<std::size_t>(INT_MAX)) {
+    throw std::invalid_argument("wire: \"ranks\" must be at most " + std::to_string(INT_MAX));
+  }
+  b.ranks = static_cast<int>(ranks);
   b.scale = v.at("scale").as_number();
   b.unit = v.at("unit").as_string();
   return b;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "rng/distributions.hpp"
 #include "rng/lanes.hpp"
@@ -43,14 +44,24 @@ double check_loss(double u, double tau) noexcept { return u * (u < 0.0 ? tau - 1
 ///
 /// A design of rank r < p stops with r coefficients pinned; the rest
 /// stay 0, which is one of the (then non-unique) optima.
+///
+/// Row i may carry a weight w_i > 0 -- the loss is sum w_i rho_tau(.),
+/// exactly the loss of w_i copies of the row -- so a bootstrap resample
+/// is solved on its distinct rows. Weights scale the gradient, the
+/// breakpoint weights and the cost of freeing a basic residual; with
+/// none given every row weighs 1. A fit may start from a partial basis
+/// (`start`); the walk from there is the same descent.
 class BarrodaleRoberts {
  public:
-  /// Fits the row-major n x p design (intercept column included).
-  /// Writes p coefficients; returns false -- no fit -- when an input is
-  /// NaN or infinite (the LP has no optimum then), and otherwise only if
-  /// the safety cap on steps is hit or a basis turns out singular.
+  /// Fits the row-major n x p design (intercept column included) with
+  /// row weights `weights` (empty: all 1), starting from the basis rows
+  /// `start` (empty: b = 0). Writes p coefficients; returns false -- no
+  /// fit -- when an input is NaN or infinite (the LP has no optimum
+  /// then), and otherwise only if the safety cap on steps is hit or a
+  /// basis turns out singular.
   bool fit(std::span<const double> y, std::span<const double> design, std::size_t p,
-           double tau, double* coef, double& objective) {
+           double tau, std::span<const double> weights, std::span<const std::size_t> start,
+           double* coef, double& objective) {
     const auto finite = [](double v) { return std::isfinite(v); };
     if (!std::all_of(y.begin(), y.end(), finite) ||
         !std::all_of(design.begin(), design.end(), finite)) {
@@ -61,6 +72,12 @@ class BarrodaleRoberts {
     n_ = y.size();
     p_ = p;
     tau_ = tau;
+    if (weights.empty()) {
+      ones_.assign(n_, 1.0);
+      w_ = ones_.data();
+    } else {
+      w_ = weights.data();
+    }
     rank_ = 0;
     basis_.assign(p, 0);
     cols_.assign(p, 0);
@@ -80,12 +97,14 @@ class BarrodaleRoberts {
     grad_.assign(p, 0.0);
     dir_.assign(p, 0.0);
 
+    seed_basis(start);
+    if (!factor()) return false;
     classify();
     const std::size_t cap = 100 + 20 * n_ * p_;
-    for (std::size_t step = 0;; ++step) {
+    for (steps_ = 0;; ++steps_) {
       Edge edge;
       if (!steepest_edge(edge)) break;  // optimal vertex
-      if (step == cap) return false;
+      if (steps_ == cap) return false;
       const std::size_t enter = line_search(edge);
       if (enter == kNonbasic) return false;
       if (edge.free_col) {
@@ -102,10 +121,28 @@ class BarrodaleRoberts {
       classify();
     }
     objective = 0.0;
-    for (std::size_t i = 0; i < n_; ++i) objective += check_loss(resid_[i], tau_);
+    for (std::size_t i = 0; i < n_; ++i) objective += w_[i] * check_loss(resid_[i], tau_);
     std::copy(b_.begin(), b_.end(), coef);
     return true;
   }
+
+  /// Sizes the scratch for fits of up to n rows and p coefficients, so
+  /// that no later such fit allocates.
+  void reserve(std::size_t n, std::size_t p) {
+    pos_.reserve(n);
+    resid_.reserve(n);
+    row_abs_.reserve(n);
+    sign_.reserve(n);
+    cands_.reserve(n);
+    sorted_basis_.reserve(p);
+  }
+
+  /// The last fit's basis rows, in position order.
+  [[nodiscard]] std::span<const std::size_t> basis() const noexcept {
+    return {basis_.data(), rank_};
+  }
+  /// Descent steps the last fit took.
+  [[nodiscard]] std::size_t steps() const noexcept { return steps_; }
 
  private:
   static constexpr std::size_t kNonbasic = static_cast<std::size_t>(-1);
@@ -120,12 +157,42 @@ class BarrodaleRoberts {
 
   struct Breakpoint {
     double t;           ///< step length at which residual i reaches zero
-    double weight;      ///< |g_i|: the slope increase when it is crossed
+    double weight;      ///< w_i |g_i|: the slope increase when it is crossed
     std::size_t i;
     double g;           ///< signed rate of change of x_i'b along the edge
   };
 
   double x(std::size_t i, std::size_t j) const noexcept { return x_[i * p_ + j]; }
+
+  /// Pins each row of `start` that is independent of the rows pinned
+  /// before it, to the free column where its row -- reduced against
+  /// theirs by forward elimination in work_ -- is largest. The rest of
+  /// the basis fills from free columns during the descent.
+  void seed_basis(std::span<const std::size_t> start) {
+    for (const std::size_t i : start) {
+      double* v = &work_[rank_ * p_];
+      for (std::size_t j = 0; j < p_; ++j) v[j] = x(i, j);
+      for (std::size_t q = 0; q < rank_; ++q) {
+        const double* u = &work_[q * p_];
+        const double f = v[cols_[q]] / u[cols_[q]];
+        if (f == 0.0) continue;
+        for (std::size_t j = 0; j < p_; ++j) v[j] -= f * u[j];
+      }
+      std::size_t col = p_;
+      double pivot = kZeroTol * row_abs_[i];
+      for (std::size_t j = 0; j < p_; ++j) {
+        if (free_[j] && std::fabs(v[j]) > pivot) {
+          col = j;
+          pivot = std::fabs(v[j]);
+        }
+      }
+      if (col == p_) continue;  // in the span of the rows before it
+      basis_[rank_] = i;
+      cols_[rank_] = col;
+      free_[col] = 0;
+      pos_[i] = rank_++;
+    }
+  }
 
   /// inv_ = A^{-1} for A[m][c] = x(basis_[m], cols_[c]) by Gauss-Jordan
   /// with partial pivoting; inv_[c * p_ + m] maps basis position m to
@@ -218,7 +285,7 @@ class BarrodaleRoberts {
         resid_[i] = 0.0;
         sign_[i] = perturbed_sign(i);
       }
-      const double psi = sign_[i] > 0 ? tau_ : tau_ - 1.0;
+      const double psi = w_[i] * (sign_[i] > 0 ? tau_ : tau_ - 1.0);
       for (std::size_t j = 0; j < p_; ++j) grad_[j] += psi * x(i, j);
       grad_mag_ += std::fabs(psi) * row_abs_[i];
     }
@@ -255,9 +322,9 @@ class BarrodaleRoberts {
         dir_max = std::max(dir_max, std::fabs(dir_[j]));
       }
       // Moving +dir raises the freed basic residual's loss at rate
-      // (1 - tau) and -dir at rate tau; a free column pays neither.
-      const double up = (free_col ? 0.0 : 1.0 - tau_) - s;
-      const double down = (free_col ? 0.0 : tau_) + s;
+      // w (1 - tau) and -dir at rate w tau; a free column pays neither.
+      const double up = basic_cost * (1.0 - tau_) - s;
+      const double down = basic_cost * tau_ + s;
       const double tol = kZeroTol * (basic_cost + grad_mag_ * dir_max);
       if (up < -tol && up < best.slope) {
         best = {free_col, index, 1.0, up, tol};
@@ -272,7 +339,7 @@ class BarrodaleRoberts {
       if (free_[j]) consider(true, j, 0.0);
     }
     if (found) return true;
-    for (std::size_t m = 0; m < rank_; ++m) consider(false, m, 1.0);
+    for (std::size_t m = 0; m < rank_; ++m) consider(false, m, w_[basis_[m]]);
     return found;
   }
 
@@ -316,7 +383,7 @@ class BarrodaleRoberts {
       // Only residuals moving toward zero become breakpoints; a zero
       // residual does when its perturbed sign matches the motion.
       if (std::fabs(g) <= kZeroTol * mag || (g > 0.0) != (sign_[i] > 0)) continue;
-      cands_.push_back({resid_[i] == 0.0 ? 0.0 : resid_[i] / g, std::fabs(g), i, g});
+      cands_.push_back({resid_[i] == 0.0 ? 0.0 : resid_[i] / g, w_[i] * std::fabs(g), i, g});
     }
     if (cands_.empty()) return kNonbasic;
 
@@ -398,7 +465,10 @@ class BarrodaleRoberts {
   std::size_t n_ = 0;
   std::size_t p_ = 0;
   double tau_ = 0.5;
+  const double* w_ = nullptr;             ///< [n] row weights
+  std::vector<double> ones_;              ///< [n] the weights of an unweighted fit
   std::size_t rank_ = 0;                  ///< basis size (pinned coefficients)
+  std::size_t steps_ = 0;                 ///< descent steps of the last fit
   std::vector<std::size_t> basis_;        ///< [p] observation at each position
   std::vector<std::size_t> cols_;         ///< [p] coefficient pinned by each position
   std::vector<char> free_;                ///< [p] coefficient not yet pinned
@@ -448,7 +518,7 @@ QuantRegResult solve(BarrodaleRoberts& solver, std::span<const double> y,
   QuantRegResult out;
   out.tau = tau;
   out.coefficients.resize(p);
-  out.converged = solver.fit(y, x, p, tau, out.coefficients.data(), out.objective);
+  out.converged = solver.fit(y, x, p, tau, {}, {}, out.coefficients.data(), out.objective);
   if (!out.converged) {
     out.coefficients.clear();
     out.objective = 0.0;
@@ -483,19 +553,36 @@ std::vector<QuantRegResult> quantile_regression_sweep(
   return out;
 }
 
-QuantRegCI quantile_regression_bootstrap_ci(std::span<const double> y,
-                                            std::span<const std::vector<double>> design,
-                                            double tau, std::size_t replicates,
-                                            double confidence, std::uint64_t seed,
-                                            const ExecPolicy& policy) {
+namespace {
+
+/// The point fit of (y, design) and, when it converged or `always`,
+/// `replicates` xy-pair bootstrap refits of it.
+///
+/// A refit draws its n rows as before -- n uniform_below draws on its
+/// lane -- but keeps them as a count per observation and solves the
+/// distinct rows with those counts as weights: the same loss as the
+/// duplicated resample, on ~63% of the rows. It starts from the point
+/// fit's basis rows the resample holds.
+///
+/// Lane l refits the contiguous replicate block [l*base + min(l, rem),
+/// ...) using Xoshiro256(seed) jumped l times -- the same sharding
+/// contract as BootstrapEngine, so refits depend on `lanes` but never on
+/// `threads`, and lanes = 1 is the historical single-stream sequence.
+detail::QuantRegReplicates fit_and_refit(std::span<const double> y,
+                                         std::span<const std::vector<double>> design,
+                                         double tau, std::size_t replicates, std::uint64_t seed,
+                                         const ExecPolicy& policy, bool always) {
   const std::size_t n = y.size();
   const std::size_t p = checked_width(y, design, tau) + 1;
   const std::vector<double> x = with_intercept(n, p, design);
 
-  // Lane l refits the contiguous replicate block [l*base + min(l, rem),
-  // ...) using Xoshiro256(seed) jumped l times -- the same sharding
-  // contract as BootstrapEngine, so CIs depend on `lanes` but never on
-  // `threads`, and lanes = 1 is the historical single-stream sequence.
+  detail::QuantRegReplicates out;
+  BarrodaleRoberts point;
+  out.fit = solve(point, y, x, p, tau);
+  if (!out.fit.converged && !always) return out;
+  const std::span<const std::size_t> start =
+      out.fit.converged ? point.basis() : std::span<const std::size_t>{};
+
   const std::size_t lanes = std::min(policy.effective_lanes(),
                                      std::max<std::size_t>(replicates, 1));
   rng::LaneRng lane_rng;
@@ -503,41 +590,66 @@ QuantRegCI quantile_regression_bootstrap_ci(std::span<const double> y,
   const std::size_t base = replicates / lanes;
   const std::size_t rem = replicates % lanes;
 
-  // Replicate rep's coefficients live at fits[rep * p], valid when
-  // converged[rep]; indexed by global replicate so the scan below keeps
-  // replicate order at any thread count.
-  std::vector<double> fits(replicates * p);
-  std::vector<char> converged(replicates, 0);
+  // Indexed by global replicate, so any thread count fills the same slots.
+  out.coefficients.resize(replicates * p);
+  out.converged.resize(replicates, 0);
+  out.steps.resize(replicates, 0);
   policy_partition(ExecPolicy{policy.effective_threads(), 1}, lanes,
                    [&](std::size_t, std::size_t lane_lo, std::size_t lane_hi) {
-                     // Per-worker scratch, reused by every refit it runs:
-                     // a resample is n row copies by index.
+                     // Per-worker scratch, reused by every refit it runs.
                      BarrodaleRoberts solver;
+                     solver.reserve(n, p);
+                     std::vector<std::size_t> count(n);
+                     std::vector<std::size_t> row_of(n);
                      std::vector<double> yb(n);
                      std::vector<double> xb(n * p);
+                     std::vector<double> wb(n);
+                     std::vector<std::size_t> warm;
+                     warm.reserve(start.size());
                      for (std::size_t l = lane_lo; l < lane_hi; ++l) {
                        rng::Xoshiro256 gen = lane_rng.lane(l);
-                       const std::size_t start = l * base + std::min(l, rem);
+                       const std::size_t first = l * base + std::min(l, rem);
                        const std::size_t len = base + (l < rem ? 1 : 0);
-                       for (std::size_t rep = start; rep < start + len; ++rep) {
+                       for (std::size_t rep = first; rep < first + len; ++rep) {
+                         std::fill(count.begin(), count.end(), 0);
                          for (std::size_t i = 0; i < n; ++i) {
-                           const auto idx =
-                               static_cast<std::size_t>(rng::uniform_below(gen, n));
-                           yb[i] = y[idx];
-                           std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(idx * p), p,
-                                       xb.begin() + static_cast<std::ptrdiff_t>(i * p));
+                           ++count[static_cast<std::size_t>(rng::uniform_below(gen, n))];
+                         }
+                         std::size_t rows = 0;
+                         for (std::size_t i = 0; i < n; ++i) {
+                           if (count[i] == 0) continue;
+                           row_of[i] = rows;
+                           yb[rows] = y[i];
+                           std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(i * p), p,
+                                       xb.begin() + static_cast<std::ptrdiff_t>(rows * p));
+                           wb[rows++] = static_cast<double>(count[i]);
+                         }
+                         warm.clear();
+                         for (const std::size_t i : start) {
+                           if (count[i] != 0) warm.push_back(row_of[i]);
                          }
                          double objective = 0.0;
-                         converged[rep] =
-                             solver.fit(yb, xb, p, tau, &fits[rep * p], objective) ? 1 : 0;
+                         out.converged[rep] =
+                             solver.fit({yb.data(), rows}, {xb.data(), rows * p}, p, tau,
+                                        {wb.data(), rows}, warm, &out.coefficients[rep * p],
+                                        objective)
+                                 ? 1
+                                 : 0;
+                         out.steps[rep] = solver.steps();
                        }
                      }
                    });
+  return out;
+}
 
+/// Percentile CI of each coefficient over the converged refits.
+QuantRegCI percentile_ci(const detail::QuantRegReplicates& reps, std::size_t p,
+                         double confidence) {
+  const std::size_t replicates = reps.converged.size();
   std::vector<std::vector<double>> coef_samples(p);
   for (std::size_t rep = 0; rep < replicates; ++rep) {
-    if (!converged[rep]) continue;
-    for (std::size_t j = 0; j < p; ++j) coef_samples[j].push_back(fits[rep * p + j]);
+    if (!reps.converged[rep]) continue;
+    for (std::size_t j = 0; j < p; ++j) coef_samples[j].push_back(reps.coefficients[rep * p + j]);
   }
 
   QuantRegCI ci;
@@ -553,5 +665,39 @@ QuantRegCI quantile_regression_bootstrap_ci(std::span<const double> y,
   }
   return ci;
 }
+
+}  // namespace
+
+QuantRegCI quantile_regression_bootstrap_ci(std::span<const double> y,
+                                            std::span<const std::vector<double>> design,
+                                            double tau, std::size_t replicates,
+                                            double confidence, std::uint64_t seed,
+                                            const ExecPolicy& policy) {
+  const auto reps = fit_and_refit(y, design, tau, replicates, seed, policy, true);
+  return percentile_ci(reps, checked_width(y, design, tau) + 1, confidence);
+}
+
+QuantRegFitCI quantile_regression_with_ci(std::span<const double> y,
+                                          std::span<const std::vector<double>> design,
+                                          double tau, std::size_t replicates,
+                                          double confidence, std::uint64_t seed,
+                                          const ExecPolicy& policy) {
+  auto reps = fit_and_refit(y, design, tau, replicates, seed, policy, false);
+  QuantRegFitCI out;
+  if (reps.fit.converged) out.ci = percentile_ci(reps, reps.fit.coefficients.size(), confidence);
+  out.fit = std::move(reps.fit);
+  return out;
+}
+
+namespace detail {
+
+QuantRegReplicates quantile_regression_replicates(std::span<const double> y,
+                                                  std::span<const std::vector<double>> design,
+                                                  double tau, std::size_t replicates,
+                                                  std::uint64_t seed, const ExecPolicy& policy) {
+  return fit_and_refit(y, design, tau, replicates, seed, policy, true);
+}
+
+}  // namespace detail
 
 }  // namespace sci::stats

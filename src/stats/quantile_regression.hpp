@@ -42,13 +42,17 @@ struct QuantRegResult {
     std::span<const double> y, std::span<const std::vector<double>> design,
     std::span<const double> taus);
 
-/// Bootstrap percentile CI half-widths for each coefficient (xy-pair
+/// Bootstrap percentile CI [lower, upper] of each coefficient (xy-pair
 /// bootstrap, `replicates` refits on resampled data, deterministic seed).
-/// Refits are sharded across `policy.lanes` RNG lanes and
-/// min(policy.threads, lanes) pooled workers; results are a pure
-/// function of (data, tau, replicates, seed, lanes) -- any thread count
-/// produces identical CIs, and the default {1, 1} policy reproduces the
-/// historical single-stream refit sequence draw for draw.
+/// Each refit solves the resample's distinct rows weighted by their
+/// draw counts -- the same loss as the duplicated rows -- starting from
+/// the full-sample fit's basis. Refits are sharded across `policy.lanes`
+/// RNG lanes and min(policy.threads, lanes) pooled workers; results are
+/// a pure function of (data, tau, replicates, seed, lanes) -- any thread
+/// count produces identical CIs, and the default {1, 1} policy draws the
+/// historical single-stream resamples draw for draw. A refit whose
+/// resample holds a NaN or infinite row does not converge and is left
+/// out; fewer than 10 converged refits throw std::runtime_error.
 struct QuantRegCI {
   std::vector<double> lower;
   std::vector<double> upper;
@@ -57,5 +61,34 @@ struct QuantRegCI {
     std::span<const double> y, std::span<const std::vector<double>> design, double tau,
     std::size_t replicates = 200, double confidence = 0.95,
     std::uint64_t seed = 0x5eedc0ffee, const ExecPolicy& policy = {});
+
+/// quantile_regression and quantile_regression_bootstrap_ci from one
+/// point fit: the refits warm-start from `fit`. When `fit` does not
+/// converge no refit runs and `ci` stays empty.
+struct QuantRegFitCI {
+  QuantRegResult fit;
+  QuantRegCI ci;
+};
+[[nodiscard]] QuantRegFitCI quantile_regression_with_ci(
+    std::span<const double> y, std::span<const std::vector<double>> design, double tau,
+    std::size_t replicates = 200, double confidence = 0.95,
+    std::uint64_t seed = 0x5eedc0ffee, const ExecPolicy& policy = {});
+
+namespace detail {
+
+/// The refits behind quantile_regression_bootstrap_ci, before the
+/// percentiles, for differential tests and benches. Refit r's p
+/// coefficients sit at coefficients[r * p], valid when converged[r].
+struct QuantRegReplicates {
+  QuantRegResult fit;                 ///< the full-sample fit they start from
+  std::vector<double> coefficients;   ///< [replicates x p]
+  std::vector<char> converged;        ///< [replicates]
+  std::vector<std::size_t> steps;     ///< [replicates] descent steps each took
+};
+[[nodiscard]] QuantRegReplicates quantile_regression_replicates(
+    std::span<const double> y, std::span<const std::vector<double>> design, double tau,
+    std::size_t replicates, std::uint64_t seed, const ExecPolicy& policy = {});
+
+}  // namespace detail
 
 }  // namespace sci::stats

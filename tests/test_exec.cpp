@@ -427,6 +427,28 @@ TEST(SimBackendTest, KernelsArePureFunctionsOfConfigAndSeed) {
   }
 }
 
+TEST(SimBackendTest, RanksLevelOutsideIntIsRefusedNotWrapped) {
+  // A "processes" or "ranks" level is narrowed to int; 2^32 + 4 used to
+  // run as 4 ranks.
+  SimBackendOptions opts;
+  opts.kernel = SimKernel::kReduce;
+  opts.samples = 4;
+  opts.iterations = 2;
+  opts.repetitions = 2;
+  SimBackend backend(opts);
+  for (const char* factor : {"processes", "ranks"}) {
+    for (const char* level : {"4294967300", "2147483648", "-1"}) {
+      Config config;
+      config.levels = {{factor, level}};
+      EXPECT_THROW((void)backend.run(config, 1), std::invalid_argument)
+          << factor << "=" << level;
+    }
+    Config four;
+    four.levels = {{factor, "4"}};
+    EXPECT_FALSE(backend.run(four, 1).samples.empty()) << factor;
+  }
+}
+
 TEST(ThreadedBackendTest, MeasuresRealTeamAndHonorsThreadsFactor) {
   ThreadedBackendOptions opts;
   std::atomic<std::size_t> touched{0};

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -237,6 +238,19 @@ TEST(Wire, EnvelopeContainersAndFlagsAreTyped) {
     ASSERT_FALSE(bad.empty()) << key;
     ASSERT_NE(bad, good) << key;
     EXPECT_THROW((void)wire::parse_campaign_json(bad), std::runtime_error) << bad;
+  }
+}
+
+TEST(Wire, RanksAboveIntMaxIsRefusedNotWrapped) {
+  // "ranks" is narrowed to int; 2^32 + 4 used to run as 4 ranks.
+  const std::string good = wire::campaign_to_json(grid_spec(), small_sim_options());
+  const std::string top = with_member(good, "ranks", "2147483647");
+  ASSERT_NE(top, good);
+  EXPECT_EQ(wire::parse_campaign_json(top).backend.ranks, INT_MAX);
+  for (const char* ranks : {"2147483648", "4294967300", "1e15"}) {
+    EXPECT_THROW((void)wire::parse_campaign_json(with_member(good, "ranks", ranks)),
+                 std::invalid_argument)
+        << ranks;
   }
 }
 
@@ -1142,10 +1156,15 @@ TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
     EXPECT_EQ(event.at("event").as_string(), "rejected") << header;
     EXPECT_FALSE(event.at("error").as_string().empty()) << header;
   }
-  // A wrong-typed envelope member is refused the same way, not run as a
-  // campaign with no factors.
-  {
-    const std::string envelope = with_member(header_test_envelope(), "factors", "7");
+  // Envelope members are refused the same way: a wrong-typed one must
+  // not run as a campaign with no factors, nor a "ranks" of 2^32 + 4 as
+  // one of 4 ranks.
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"factors", "7"},
+           {"ranks", "4294967300"},
+       }) {
+    const std::string envelope = with_member(header_test_envelope(), key, value);
+    ASSERT_NE(envelope, header_test_envelope()) << key;
     const std::vector<std::string> events =
         serve_one(service, R"({"op": "submit"})", envelope);
     ASSERT_EQ(events.size(), 1u) << envelope;

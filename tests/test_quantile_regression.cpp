@@ -9,6 +9,7 @@
 
 #include "lp/simplex.hpp"
 #include "rng/distributions.hpp"
+#include "rng/lanes.hpp"
 #include "rng/xoshiro.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/quantile_regression.hpp"
@@ -430,6 +431,183 @@ TEST(QuantRegDifferential, TrendDetectorRefits) {
                             "n=" + std::to_string(n) + " rep=" + std::to_string(rep));
     }
   }
+}
+
+// ------------------------------- bootstrap refits vs the LP oracle
+
+/// Every refit behind quantile_regression_bootstrap_ci solves its
+/// resample's distinct rows weighted by their draw counts, starting
+/// from the full-sample basis. Each must reach the oracle's optimal loss
+/// on the expanded resample -- the n drawn rows, duplicates and all --
+/// which the test redraws from the lanes' generators. A resample that
+/// holds a non-finite row must not converge.
+void expect_refits_optimal(const std::vector<double>& y, const Design& design, double tau,
+                           std::size_t replicates, std::uint64_t seed, std::size_t lanes,
+                           const std::string& label) {
+  const auto reps = detail::quantile_regression_replicates(y, design, tau, replicates, seed,
+                                                           ExecPolicy{1, lanes});
+  const std::size_t n = y.size();
+  const std::size_t p = (design.empty() ? 0 : design.front().size()) + 1;
+  ASSERT_EQ(reps.converged.size(), replicates) << label;
+  ASSERT_EQ(reps.coefficients.size(), replicates * p) << label;
+  rng::LaneRng lane_rng;
+  lane_rng.reset(seed, lanes);
+  const auto finite_row = [&](std::size_t i) {
+    bool finite = std::isfinite(y[i]);
+    if (!design.empty()) {
+      for (const double v : design[i]) finite = finite && std::isfinite(v);
+    }
+    return finite;
+  };
+  for (std::size_t l = 0; l < lanes; ++l) {
+    rng::Xoshiro256& gen = lane_rng.lane(l);
+    const std::size_t first = l * (replicates / lanes) + std::min(l, replicates % lanes);
+    const std::size_t len = replicates / lanes + (l < replicates % lanes ? 1 : 0);
+    for (std::size_t r = first; r < first + len; ++r) {
+      std::vector<double> yb;
+      Design xb;
+      bool finite = true;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto idx = static_cast<std::size_t>(rng::uniform_below(gen, n));
+        finite = finite && finite_row(idx);
+        yb.push_back(y[idx]);
+        if (!design.empty()) xb.push_back(design[idx]);
+      }
+      const std::string where = label + " refit=" + std::to_string(r);
+      if (!finite) {
+        EXPECT_FALSE(reps.converged[r]) << where;
+        continue;
+      }
+      ASSERT_TRUE(reps.converged[r]) << where;
+      const std::vector<double> b(reps.coefficients.begin() + static_cast<std::ptrdiff_t>(r * p),
+                                  reps.coefficients.begin() +
+                                      static_cast<std::ptrdiff_t>((r + 1) * p));
+      const OracleFit oracle = lp_oracle(yb, xb, tau);
+      double floor = 0.0;
+      for (const double v : yb) floor += std::fabs(v);
+      floor = 1e-13 * floor + 1e-300;
+      EXPECT_NEAR(check_loss_sum(yb, xb, b, tau), oracle.objective,
+                  1e-12 * std::fabs(oracle.objective) + floor)
+          << where;
+    }
+  }
+}
+
+/// Runs `make` for every (k, tau) and checks each refit of a
+/// `replicates`-refit bootstrap of the case.
+void refit_sweep(const char* name, std::size_t replicates,
+                 const std::function<void(rng::Xoshiro256&, std::size_t k,
+                                          std::vector<double>&, Design&)>& make) {
+  rng::Xoshiro256 gen(0xb007);
+  for (std::size_t k = 0; k <= 3; ++k) {
+    for (const double tau : kTaus) {
+      std::vector<double> y;
+      Design design;
+      make(gen, k, y, design);
+      expect_refits_optimal(y, design, tau, replicates, 0x5c1b3 + k, 1,
+                            std::string(name) + " k=" + std::to_string(k) +
+                                " tau=" + std::to_string(tau));
+    }
+  }
+}
+
+TEST(QuantRegBootstrapRefits, QuantisedTiesReachTheOraclesLoss) {
+  // Medians on a coarse grid over an integer sequence: tied responses,
+  // exactly collinear triples, and resamples that repeat them.
+  refit_sweep("quantised", 25, [](rng::Xoshiro256& gen, std::size_t k,
+                                  std::vector<double>& y, Design& design) {
+    const std::size_t n = 8 + rng::uniform_below(gen, 34);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<double> row;
+      for (std::size_t j = 0; j < k; ++j) {
+        row.push_back(static_cast<double>((i * (j + 1)) % (n / (j + 1) + 2)));
+      }
+      if (k > 0) design.push_back(row);
+      y.push_back(std::round(100.0 * (1.0 + 0.004 * static_cast<double>(i) +
+                                      rng::normal(gen, 0.0, 0.02))) /
+                  100.0);
+    }
+  });
+}
+
+TEST(QuantRegBootstrapRefits, BinaryFactorsReachTheOraclesLoss) {
+  // The Figure 4 design and its multi-factor kin: resamples that drop
+  // every row of one level leave a rank-deficient design.
+  refit_sweep("binary", 25, [](rng::Xoshiro256& gen, std::size_t k,
+                               std::vector<double>& y, Design& design) {
+    const std::size_t n = 8 + rng::uniform_below(gen, 34);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<double> row;
+      double level = 1.0;
+      for (std::size_t j = 0; j < k; ++j) {
+        row.push_back(static_cast<double>(rng::uniform_below(gen, 2)));
+        level += 0.3 * row.back();
+      }
+      if (k > 0) design.push_back(row);
+      y.push_back(level * rng::lognormal(gen, 0.0, 0.3));
+    }
+  });
+}
+
+TEST(QuantRegBootstrapRefits, TrendDetectorShapeAtSeveralLanes) {
+  // The detector's own call: tau = 0.5 on (index, median), 200 refits,
+  // sharded over 1 and 3 lanes.
+  rng::Xoshiro256 gen(0x7e4d);
+  std::vector<double> medians;
+  Design design;
+  for (std::size_t i = 0; i < 41; ++i) {
+    medians.push_back(std::round(1000.0 * (1.0 + 0.002 * static_cast<double>(i) +
+                                           rng::normal(gen, 0.0, 0.01))) /
+                      1000.0);
+    design.push_back({static_cast<double>(i)});
+  }
+  for (const std::size_t lanes : {1u, 3u}) {
+    expect_refits_optimal(medians, design, 0.5, 200, 0x5c1b3, lanes,
+                          "trend lanes=" + std::to_string(lanes));
+  }
+}
+
+TEST(QuantRegBootstrapRefits, NanRowLeavesOnlyTheRefitsThatDrawIt) {
+  // A history median recorded as null: no full-sample fit, so every
+  // refit starts cold; those that draw the row do not converge.
+  std::vector<double> y;
+  Design design;
+  for (std::size_t i = 0; i < 30; ++i) {
+    y.push_back(1.0 + 0.01 * static_cast<double>(i % 7));
+    design.push_back({static_cast<double>(i), static_cast<double>(i % 2)});
+  }
+  y[11] = std::numeric_limits<double>::quiet_NaN();
+  for (const double tau : kTaus) {
+    const auto reps = detail::quantile_regression_replicates(y, design, tau, 60, 99);
+    EXPECT_FALSE(reps.fit.converged);
+    EXPECT_NE(std::count(reps.converged.begin(), reps.converged.end(), 0), 0);
+    EXPECT_NE(std::count(reps.converged.begin(), reps.converged.end(), 1), 0);
+    expect_refits_optimal(y, design, tau, 60, 99, 1, "nan tau=" + std::to_string(tau));
+  }
+  // The one-call entry runs no refit at all without a point fit.
+  const auto both = quantile_regression_with_ci(y, design, 0.5);
+  EXPECT_FALSE(both.fit.converged);
+  EXPECT_TRUE(both.ci.lower.empty());
+}
+
+TEST(QuantRegBootstrapRefits, OneCallMatchesTheSeparateFitAndCi) {
+  rng::Xoshiro256 gen(0x0c11);
+  std::vector<double> y;
+  Design design;
+  for (std::size_t i = 0; i < 33; ++i) {
+    y.push_back(std::round(100.0 * (2.0 + 0.01 * static_cast<double>(i) +
+                                    rng::normal(gen, 0.0, 0.05))) /
+                100.0);
+    design.push_back({static_cast<double>(i)});
+  }
+  const auto both = quantile_regression_with_ci(y, design, 0.5, 200, 0.95, 0x5c1b3);
+  const auto fit = quantile_regression(y, design, 0.5);
+  const auto ci = quantile_regression_bootstrap_ci(y, design, 0.5, 200, 0.95, 0x5c1b3);
+  ASSERT_TRUE(both.fit.converged);
+  EXPECT_EQ(both.fit.coefficients, fit.coefficients);
+  EXPECT_EQ(both.fit.objective, fit.objective);
+  EXPECT_EQ(both.ci.lower, ci.lower);
+  EXPECT_EQ(both.ci.upper, ci.upper);
 }
 
 }  // namespace

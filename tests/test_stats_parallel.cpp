@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <span>
 #include <thread>
@@ -363,6 +364,32 @@ TEST(BootstrapEngine, WarmedDistributionIsAllocFree) {
       EXPECT_EQ(after - before, 0u) << "lanes " << lanes;
     }
   }
+}
+
+TEST(QuantRegRefits, AllocationsDoNotGrowWithTheRefitCount) {
+  // Every refit reuses its worker's scratch and solver, so 400 refits
+  // make exactly as many allocator calls as 50: the per-call outputs
+  // and scratch, sized once.
+  rng::Xoshiro256 gen(0x41);
+  std::vector<double> y;
+  std::vector<std::vector<double>> design;
+  for (std::size_t i = 0; i < 41; ++i) {
+    y.push_back(std::round(1000.0 * (1.0 + 0.002 * static_cast<double>(i) +
+                                     rng::normal(gen, 0.0, 0.01))) /
+                1000.0);
+    design.push_back({static_cast<double>(i)});
+  }
+  const auto allocations = [&](std::size_t refits) {
+    const std::size_t before = sci::testing::allocation_count();
+    const auto reps = detail::quantile_regression_replicates(y, design, 0.5, refits, 0x5c1b3);
+    const std::size_t after = sci::testing::allocation_count();
+    EXPECT_EQ(std::count(reps.converged.begin(), reps.converged.end(), 1),
+              static_cast<std::ptrdiff_t>(refits));
+    return after - before;
+  };
+  (void)allocations(1);  // one-time setup (lane tables, statics)
+  const std::size_t few = allocations(50);
+  EXPECT_EQ(allocations(400), few);
 }
 
 }  // namespace
