@@ -237,9 +237,8 @@ std::vector<Finding> analyze_all(const std::vector<MetricSeries>& series,
   // them -- is the same at any thread count.
   //
   // Nested fan-out guard: once series are sharded, each per-series
-  // change-point scan must run serially -- re-entering the pooled team
-  // from inside one of its own workers throws std::logic_error (waiting
-  // for the region it is part of would never end). With a single
+  // change-point scan runs serially, so the outer workers do not each
+  // fork a team of their own and oversubscribe the cores. With a single
   // series (or one thread) the outer partition runs inline, and the
   // scan keeps the split-level parallelism instead.
   std::vector<Finding> findings(series.size());

@@ -34,8 +34,4 @@ bool interrupt_requested() noexcept {
   return g_interrupt.load(std::memory_order_relaxed);
 }
 
-void reset_interrupt() noexcept {
-  g_interrupt.store(false, std::memory_order_relaxed);
-}
-
 }  // namespace sci::exec

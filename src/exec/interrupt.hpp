@@ -32,9 +32,6 @@ void install_interrupt_handlers();
 
 [[nodiscard]] bool interrupt_requested() noexcept;
 
-/// Clears the flag (tests; also lets a daemon survive a drained job).
-void reset_interrupt() noexcept;
-
 /// The "interrupted, resume me" exit code shared by every campaign
 /// binary (resilience_study established the convention; the CI smoke
 /// jobs assert it).

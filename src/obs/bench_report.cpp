@@ -26,13 +26,6 @@ Improve improve_from_string(std::string_view text) {
                            std::string(text) + "\"");
 }
 
-const BenchMetric* BenchReport::find_metric(std::string_view name) const noexcept {
-  for (const auto& m : metrics) {
-    if (m.name == name) return &m;
-  }
-  return nullptr;
-}
-
 std::string bench_report_json(const BenchReport& report) {
   std::string out;
   out.reserve(512 + report.metrics.size() * 160);

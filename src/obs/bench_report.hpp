@@ -60,8 +60,6 @@ struct BenchReport {
   std::map<std::string, std::string> context;  ///< build flags, host facts
   std::vector<BenchMetric> metrics;
   CounterSnapshot counters;  ///< allocator audits etc.; sorted on emit
-
-  [[nodiscard]] const BenchMetric* find_metric(std::string_view name) const noexcept;
 };
 
 /// Canonical JSON for `report` (byte-deterministic; see header comment).

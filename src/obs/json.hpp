@@ -42,8 +42,6 @@ struct Value {
   std::vector<Member> object;  ///< insertion order preserved
   std::vector<Value> array;
 
-  [[nodiscard]] bool is_null() const noexcept { return type == Type::kNull; }
-
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Value* find(std::string_view key) const noexcept;
   /// Member that must exist (throws std::runtime_error naming the key).

@@ -49,9 +49,9 @@ inline std::uint64_t callback_heap_spills_local() noexcept {
 class InlineCallback {
  public:
   /// Inline capacity. The largest steady-state capture today is
-  /// simmpi's irecv completion (shared_ptr control block pointer pair +
-  /// a 56-byte Message) at 72 bytes; 80 leaves headroom without
-  /// inflating the event arena slot past one cache line pair.
+  /// simmpi's message delivery (a World pointer + a 56-byte Message) at
+  /// 64 bytes; 80 leaves headroom without inflating the event arena slot
+  /// past one cache line pair.
   static constexpr std::size_t kInlineBytes = 80;
 
   InlineCallback() noexcept = default;

@@ -8,18 +8,6 @@
 namespace sci::sim {
 namespace {
 
-/// Tallies one perturbation into the observability registry: how often
-/// the noise models fire and how much time they inject (the raw
-/// material of the paper's Figures 5-6 variability).
-void record_noise(double pure, double perturbed) {
-  static obs::Counter& draws = obs::counter(obs::keys::kNoiseDraws);
-  static obs::Counter& injected = obs::counter(obs::keys::kNoiseInjectedNs);
-  draws.add(1);
-  if (perturbed > pure) {
-    injected.add(static_cast<std::uint64_t>((perturbed - pure) * 1e9));
-  }
-}
-
 /// Poisson count via inversion; rates here keep lambda small.
 unsigned poisson_count(double lambda, rng::Xoshiro256& gen) {
   if (lambda <= 0.0) return 0;
@@ -73,8 +61,9 @@ double ComputeNoise::apply(double duration, rng::Xoshiro256& gen) const {
 }
 
 double ComputeNoise::perturb(double duration, rng::Xoshiro256& gen) const {
-  const double out = apply(duration, gen);
-  record_noise(duration, out);
+  NoiseTally tally;
+  const double out = perturb(duration, gen, tally);
+  tally.flush();
   return out;
 }
 
@@ -97,8 +86,9 @@ double NetworkNoise::apply(double duration, rng::Xoshiro256& gen) const {
 }
 
 double NetworkNoise::perturb(double duration, rng::Xoshiro256& gen) const {
-  const double out = apply(duration, gen);
-  record_noise(duration, out);
+  NoiseTally tally;
+  const double out = perturb(duration, gen, tally);
+  tally.flush();
   return out;
 }
 

@@ -14,13 +14,14 @@
 
 namespace sci::sim {
 
-/// Local accumulator for noise observability. The immediate-publishing
-/// perturb() overloads touch two registry counters per draw -- cheap,
-/// but measurable when simmpi perturbs every message of a million-event
-/// run. A NoiseTally batches the same tallies in two plain integers and
-/// publishes them in one registry transaction at flush(); totals are
-/// identical because each draw's injected time is truncated to ns
-/// exactly as the immediate path truncates it.
+/// Local accumulator for noise observability: how often the noise models
+/// fire and how much time they inject (the raw material of the paper's
+/// Figures 5-6 variability). Publishing to the registry per draw is
+/// measurable when simmpi perturbs every message of a million-event run,
+/// so a NoiseTally batches the tallies in two plain integers and
+/// publishes them in one registry transaction at flush(). The immediate
+/// perturb() overloads record one draw into a local tally and flush it,
+/// so both paths truncate each draw's injected time to ns the same way.
 struct NoiseTally {
   std::uint64_t draws = 0;
   std::uint64_t injected_ns = 0;

@@ -25,7 +25,6 @@ class LocalClock {
   }
 
   [[nodiscard]] double offset() const noexcept { return offset_s_; }
-  [[nodiscard]] double drift_ppm() const noexcept { return (rate_ - 1.0) * 1e6; }
 
  private:
   double offset_s_ = 0.0;

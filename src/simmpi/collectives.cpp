@@ -19,6 +19,45 @@ int pow2_floor(int p) noexcept {
 
 constexpr std::size_t kCtrlBytes = 8;  // one double on the wire
 
+void combine_inplace(ReduceOp op, std::vector<double>& acc,
+                     const std::vector<double>& other, std::size_t offset = 0) {
+  for (std::size_t i = 0; i < other.size(); ++i) {
+    acc.at(offset + i) = apply(op, acc.at(offset + i), other[i]);
+  }
+}
+
+/// Recursive doubling over the largest power-of-two set, with the
+/// excess ranks folded in first and sent the result last; tags count
+/// from `tag_base`. The scalar allreduce is this kernel on one element.
+sim::Task<std::vector<double>> allreduce_v_rd(Comm& comm, std::vector<double> values,
+                                              ReduceOp op, int tag_base) {
+  const int p = comm.size();
+  const int r = comm.rank();
+  const int p2 = pow2_floor(p);
+  const std::size_t bytes = 8 * values.size();
+
+  if (r >= p2) {
+    co_await comm.send(r - p2, tag_base, bytes, std::move(values));
+    Message m = co_await comm.recv(r - p2, tag_base + 1);
+    co_return std::move(m.payload);
+  }
+  if (r + p2 < p) {
+    Message m = co_await comm.recv(r + p2, tag_base);
+    combine_inplace(op, values, m.payload);
+  }
+  for (int mask = 1; mask < p2; mask *= 2) {
+    const int partner = r ^ mask;
+    co_await comm.send(partner, tag_base + 2 + mask, bytes,
+                       std::vector<double>(values));
+    Message m = co_await comm.recv(partner, tag_base + 2 + mask);
+    combine_inplace(op, values, m.payload);
+  }
+  if (r + p2 < p) {
+    co_await comm.send(r + p2, tag_base + 1, bytes, std::vector<double>(values));
+  }
+  co_return values;
+}
+
 }  // namespace
 
 double apply(ReduceOp op, double a, double b) noexcept {
@@ -126,38 +165,10 @@ sim::Task<double> allreduce(Comm& comm, double value, ReduceOp op) {
   SCI_SIM_SPAN(span, comm.world().engine(), comm.rank(), "allreduce", "coll", {{"p", p}});
   co_await comm.compute(comm.world().machine().coll_entry_overhead_s);
   if (p == 1) co_return value;
-
-  const int r = comm.rank();
-  const int p2 = pow2_floor(p);
-  double acc = value;
-
-  // Fold in the excess ranks.
-  if (r >= p2) {
-    co_await comm.send(r - p2, kTagAllreduce, kCtrlBytes, std::vector<double>(1, acc));
-    // Wait for the final result from the partner.
-    Message m = co_await comm.recv(r - p2, kTagAllreduce + 1);
-    co_return m.payload.at(0);
-  }
-  if (r + p2 < p) {
-    Message m = co_await comm.recv(r + p2, kTagAllreduce);
-    acc = apply(op, acc, m.payload.at(0));
-  }
-
-  // Recursive doubling among the power-of-two set.
-  for (int mask = 1; mask < p2; mask *= 2) {
-    const int partner = r ^ mask;
-    co_await comm.send(partner, kTagAllreduce + 2 + mask, kCtrlBytes, std::vector<double>(1, acc));
-    Message m = co_await comm.recv(partner, kTagAllreduce + 2 + mask);
-    acc = apply(op, acc, m.payload.at(0));
-  }
-
-  // Unfold: send the result back to the excess rank.
-  if (r + p2 < p) {
-    co_await comm.send(r + p2, kTagAllreduce + 1, kCtrlBytes, std::vector<double>(1, acc));
-  }
-  co_return acc;
+  const std::vector<double> out =
+      co_await allreduce_v_rd(comm, std::vector<double>(1, value), op, kTagAllreduce);
+  co_return out[0];
 }
-
 
 sim::Task<std::vector<double>> gather(Comm& comm, double value, int root) {
   const int p = comm.size();
@@ -303,43 +314,7 @@ sim::Task<double> scan(Comm& comm, double value, ReduceOp op) {
 
 namespace {
 
-void combine_inplace(ReduceOp op, std::vector<double>& acc,
-                     const std::vector<double>& other, std::size_t offset = 0) {
-  for (std::size_t i = 0; i < other.size(); ++i) {
-    acc.at(offset + i) = apply(op, acc.at(offset + i), other[i]);
-  }
-}
-
 constexpr int kTagAllreduceV = 2'000'000;
-
-sim::Task<std::vector<double>> allreduce_v_rd(Comm& comm, std::vector<double> values,
-                                              ReduceOp op) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  const int p2 = pow2_floor(p);
-  const std::size_t bytes = 8 * values.size();
-
-  if (r >= p2) {
-    co_await comm.send(r - p2, kTagAllreduceV, bytes, std::move(values));
-    Message m = co_await comm.recv(r - p2, kTagAllreduceV + 1);
-    co_return std::move(m.payload);
-  }
-  if (r + p2 < p) {
-    Message m = co_await comm.recv(r + p2, kTagAllreduceV);
-    combine_inplace(op, values, m.payload);
-  }
-  for (int mask = 1; mask < p2; mask *= 2) {
-    const int partner = r ^ mask;
-    co_await comm.send(partner, kTagAllreduceV + 2 + mask, bytes,
-                       std::vector<double>(values));
-    Message m = co_await comm.recv(partner, kTagAllreduceV + 2 + mask);
-    combine_inplace(op, values, m.payload);
-  }
-  if (r + p2 < p) {
-    co_await comm.send(r + p2, kTagAllreduceV + 1, bytes, std::vector<double>(values));
-  }
-  co_return values;
-}
 
 sim::Task<std::vector<double>> allreduce_v_ring(Comm& comm, std::vector<double> values,
                                                 ReduceOp op) {
@@ -410,7 +385,7 @@ sim::Task<std::vector<double>> allreduce_v(Comm& comm, std::vector<double> value
   if (algo == AllreduceAlgo::kRing) {
     co_return co_await allreduce_v_ring(comm, std::move(values), op);
   }
-  co_return co_await allreduce_v_rd(comm, std::move(values), op);
+  co_return co_await allreduce_v_rd(comm, std::move(values), op, kTagAllreduceV);
 }
 
 sim::Task<void> window_sync(Comm& comm, double window_s, int master, int rounds) {

@@ -41,62 +41,111 @@ sim::Task<void> wait_all(std::span<Request> requests) {
   for (auto& r : requests) (void)co_await r.wait();
 }
 
-Request Comm::isend(int dst, int tag, std::size_t bytes, std::vector<double> payload) {
-  if (dst < 0 || dst >= size()) throw std::out_of_range("Comm::isend: bad destination");
-  ++stats_.sends;
-  stats_.bytes_sent += bytes;
-  World& w = *world_;
-  const double o = w.machine_.loggp.overhead_s;
+// The send and receive cores are inlined into each of their callers, all
+// in this file: a call per message costs pingpong cells a few percent.
+[[gnu::always_inline]] inline double World::post_send(Comm& from, int dst, int tag,
+                                                      std::size_t bytes,
+                                                      std::vector<double>&& payload,
+                                                      bool blocking) {
+  ++from.stats_.sends;
+  from.stats_.bytes_sent += bytes;
+  const int src = from.rank_;
+  const double o = machine_.loggp.overhead_s;
 
-  const double base = w.route_base(rank_, dst);
-  const double wire = w.faulty_transfer(base, bytes, rank_, dst, gen_);
+  // Wire time including this network's noise and any injected faults
+  // (degraded routes, dropped attempts); drawn from the *sender's*
+  // stream so runs stay deterministic. The route base is precomputed per
+  // rank pair and the tallies are batched: nothing on this path touches
+  // the topology or the counter registry.
+  const double base = route_base(src, dst);
+  const double wire = faulty_transfer(base, bytes, src, dst, from.gen_);
+
+  // Rendezvous: payloads above the eager limit pay a ready-to-send
+  // handshake (one small-message round trip) before the data moves, and
+  // the sender stays busy through the handshake.
   double handshake = 0.0;
-  if (bytes > w.machine_.loggp.eager_threshold_bytes) {
-    handshake = 2.0 * (o + w.network_.transfer_time_on_route(base, 8, gen_, w.noise_tally_));
+  if (bytes > machine_.loggp.eager_threshold_bytes) {
+    handshake = 2.0 * (o + network_.transfer_time_on_route(base, 8, from.gen_, noise_tally_));
   }
 
-  Message msg;
-  msg.src = rank_;
-  msg.dst = dst;
-  msg.tag = tag;
-  msg.bytes = bytes;
-  msg.seq = w.next_msg_seq_++;
-  msg.payload = std::move(payload);
+  const std::uint64_t seq = next_msg_seq_++;
 
-  double arrival = w.engine_.now() + o + handshake + wire;
-  double& last =
-      w.fifo_clock_[static_cast<std::size_t>(rank_)][static_cast<std::size_t>(dst)];
+  // FIFO non-overtaking per (src, dst): a message may not arrive before
+  // one sent earlier on the same channel.
+  const double t0 = engine_.now();
+  double arrival = t0 + o + handshake + wire;
+  double& last = fifo_clock_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
   arrival = std::max(arrival, last);
   last = arrival;
+
+  // A blocking sender also pays the inter-message gap; a nonblocking one
+  // only holds its buffer through the overhead and the handshake.
+  const double busy = o + (blocking ? machine_.loggp.gap_per_msg_s : 0.0) + handshake;
   if (obs::TraceSink* s = obs::sink()) {
-    const double t0 = w.engine_.now();
     const double wire_start = t0 + o + handshake;
-    const double ideal = w.network_.ideal_transfer_on_route(base, bytes);
-    s->complete(rank_, "isend", "p2p", t0, o + handshake,
-                {{"dst", dst}, {"tag", tag}, {"bytes", bytes}, {"mseq", msg.seq}});
-    s->complete(obs::kWireTrackBase + rank_, "wire", "net.wire", wire_start,
-                arrival - wire_start,
-                {{"src", rank_},
+    const double ideal = network_.ideal_transfer_on_route(base, bytes);
+    s->complete(src, blocking ? "send" : "isend", "p2p", t0, busy,
+                {{"dst", dst}, {"tag", tag}, {"bytes", bytes}, {"mseq", seq}});
+    s->complete(obs::kWireTrackBase + src, "wire", "net.wire", wire_start, arrival - wire_start,
+                {{"src", src},
                  {"dst", dst},
                  {"bytes", bytes},
-                 {"mseq", msg.seq},
+                 {"mseq", seq},
                  {"noise_s", wire - ideal}});
   }
-  w.engine_.schedule_at(arrival,
-                        [&w, m = std::move(msg)]() mutable { w.deliver(std::move(m)); });
+  // The message is built in the event's capture and handed to deliver()
+  // by reference: the event runs in place in its arena slot.
+  engine_.schedule_at(arrival,
+                      [this, m = Message{src, dst, tag, bytes, seq, std::move(payload)}]() mutable {
+                        deliver(std::move(m));
+                      });
+  return busy;
+}
 
+[[gnu::always_inline]] inline bool World::post_receive(int rank, const PostedRecv& posted) {
+  Mailbox& box = mailboxes_[static_cast<std::size_t>(rank)];
+  const auto it = std::find_if(box.unexpected.begin(), box.unexpected.end(), [&](const Message& m) {
+    return matches(posted.src, posted.tag, m);
+  });
+  if (it == box.unexpected.end()) {
+    box.posted.push_back(posted);
+    return false;
+  }
+  Message& msg = *posted.out;
+  msg = std::move(*it);
+  box.unexpected.erase(it);
+  SCI_TRACE_COMPLETE(rank, posted.span_name(), "p2p", engine_.now(), machine_.loggp.overhead_s,
+                     {{"src", msg.src},
+                      {"tag", msg.tag},
+                      {"bytes", msg.bytes},
+                      {"mseq", msg.seq},
+                      {"wait_s", 0.0}});
+  return true;
+}
+
+void World::complete_request(std::shared_ptr<Request::State> state, double delay) {
+  engine_.schedule_after(delay, [state = std::move(state)] {
+    state->complete = true;
+    if (state->waiter) std::exchange(state->waiter, nullptr).resume();
+  });
+}
+
+void World::drop_posted() noexcept {
+  for (Mailbox& box : mailboxes_) {
+    for (const PostedRecv& p : box.posted) {
+      if (p.request) p.request->keep_alive.reset();
+    }
+    box.posted.clear();
+  }
+}
+
+Request Comm::isend(int dst, int tag, std::size_t bytes, std::vector<double> payload) {
+  if (dst < 0 || dst >= size()) throw std::out_of_range("Comm::isend: bad destination");
+  World& w = *world_;
+  const double busy = w.post_send(*this, dst, tag, bytes, std::move(payload), false);
   Request req;
   req.state_ = std::make_shared<Request::State>();
-  req.state_->world = &w;
-  // Sender-side completion: overhead (+ handshake under rendezvous).
-  w.engine_.schedule_after(o + handshake, [state = req.state_] {
-    state->complete = true;
-    if (state->waiter) {
-      const auto h = state->waiter;
-      state->waiter = nullptr;
-      h.resume();
-    }
-  });
+  w.complete_request(req.state_, busy);
   return req;
 }
 
@@ -104,27 +153,13 @@ Request Comm::irecv(int src, int tag) {
   if (src != kAnySource && (src < 0 || src >= size()))
     throw std::out_of_range("Comm::irecv: bad source");
   World& w = *world_;
-  auto& box = w.mailboxes_[static_cast<std::size_t>(rank_)];
-
   Request req;
   req.state_ = std::make_shared<Request::State>();
-  req.state_->world = &w;
-
-  auto it = std::find_if(box.unexpected.begin(), box.unexpected.end(),
-                         [&](const Message& m) { return World::matches(src, tag, m); });
-  if (it != box.unexpected.end()) {
-    Message msg = std::move(*it);
-    box.unexpected.erase(it);
-    SCI_TRACE_COMPLETE(rank_, "irecv", "p2p", w.engine_.now(),
-                       w.machine_.loggp.overhead_s,
-                       {{"src", msg.src},
-                        {"tag", msg.tag},
-                        {"bytes", msg.bytes},
-                        {"mseq", msg.seq},
-                        {"wait_s", 0.0}});
-    w.complete_request(req.state_, std::move(msg));
+  Request::State* state = req.state_.get();
+  if (w.post_receive(rank_, {src, tag, &state->msg, {}, state, w.engine_.now()})) {
+    w.complete_request(req.state_, w.machine_.loggp.overhead_s);
   } else {
-    box.posted_nb.push_back(World::PostedIrecv{src, tag, req.state_, w.engine_.now()});
+    state->keep_alive = req.state_;
   }
   return req;
 }
@@ -166,100 +201,17 @@ double World::faulty_transfer(double base, std::size_t bytes, int src_rank, int 
   return wire;
 }
 
-void World::complete_request(const std::shared_ptr<Request::State>& state, Message msg) {
-  const double o = machine_.loggp.overhead_s;
-  engine_.schedule_after(o, [state, m = std::move(msg)]() mutable {
-    state->msg = std::move(m);
-    state->complete = true;
-    if (state->waiter) {
-      const auto h = state->waiter;
-      state->waiter = nullptr;
-      h.resume();
-    }
-  });
-}
-
 void Comm::SendAwaitable::await_suspend(std::coroutine_handle<> h) {
-  ++comm->stats_.sends;
-  comm->stats_.bytes_sent += bytes;
   World& w = *comm->world_;
-  const double o = w.machine_.loggp.overhead_s;
-  const double gap = w.machine_.loggp.gap_per_msg_s;
-
-  // Wire time including this network's noise and any injected faults
-  // (degraded routes, dropped attempts); drawn from the *sender's*
-  // stream so runs stay deterministic. The route base is precomputed per
-  // rank pair and the tallies are batched: nothing on this path touches
-  // the topology or the counter registry.
-  const double base = w.route_base(comm->rank_, dst);
-  const double wire = w.faulty_transfer(base, bytes, comm->rank_, dst, comm->gen_);
-
-  // Rendezvous: payloads above the eager limit pay a ready-to-send
-  // handshake (one small-message round trip) before the data moves, and
-  // the sender stays blocked through the handshake.
-  double handshake = 0.0;
-  if (bytes > w.machine_.loggp.eager_threshold_bytes) {
-    handshake =
-        2.0 * (o + w.network_.transfer_time_on_route(base, 8, comm->gen_, w.noise_tally_));
-  }
-
-  Message msg;
-  msg.src = comm->rank_;
-  msg.dst = dst;
-  msg.tag = tag;
-  msg.bytes = bytes;
-  msg.seq = w.next_msg_seq_++;
-  msg.payload = std::move(payload);
-
-  // FIFO non-overtaking per (src, dst): a message may not arrive before
-  // one sent earlier on the same channel.
-  double arrival = w.engine_.now() + o + handshake + wire;
-  double& last = w.fifo_clock_[static_cast<std::size_t>(comm->rank_)]
-                             [static_cast<std::size_t>(dst)];
-  arrival = std::max(arrival, last);
-  last = arrival;
-
-  if (obs::TraceSink* s = obs::sink()) {
-    const double t0 = w.engine_.now();
-    const double wire_start = t0 + o + handshake;
-    const double ideal = w.network_.ideal_transfer_on_route(base, bytes);
-    s->complete(comm->rank_, "send", "p2p", t0, o + gap + handshake,
-                {{"dst", dst}, {"tag", tag}, {"bytes", bytes}, {"mseq", msg.seq}});
-    s->complete(obs::kWireTrackBase + comm->rank_, "wire", "net.wire", wire_start,
-                arrival - wire_start,
-                {{"src", comm->rank_},
-                 {"dst", dst},
-                 {"bytes", bytes},
-                 {"mseq", msg.seq},
-                 {"noise_s", wire - ideal}});
-  }
-  w.engine_.schedule_at(arrival, [&w, m = std::move(msg)]() mutable { w.deliver(std::move(m)); });
-
-  // The sender is blocked for its CPU overhead plus the inter-message
-  // gap (eager), plus the handshake when rendezvous applies.
-  w.engine_.schedule_after(o + gap + handshake, [h] { h.resume(); });
+  const double busy = w.post_send(*comm, dst, tag, bytes, std::move(payload), true);
+  w.engine_.schedule_after(busy, [h] { h.resume(); });
 }
 
 void Comm::RecvAwaitable::await_suspend(std::coroutine_handle<> h) {
   World& w = *comm->world_;
-  auto& box = w.mailboxes_[static_cast<std::size_t>(comm->rank_)];
-  const double o = w.machine_.loggp.overhead_s;
-
-  auto it = std::find_if(box.unexpected.begin(), box.unexpected.end(),
-                         [&](const Message& m) { return World::matches(src, tag, m); });
-  if (it != box.unexpected.end()) {
-    result = std::move(*it);
-    box.unexpected.erase(it);
-    SCI_TRACE_COMPLETE(comm->rank_, "recv", "p2p", w.engine_.now(), o,
-                       {{"src", result.src},
-                        {"tag", result.tag},
-                        {"bytes", result.bytes},
-                        {"mseq", result.seq},
-                        {"wait_s", 0.0}});
-    w.engine_.schedule_after(o, [h] { h.resume(); });
-    return;
+  if (w.post_receive(comm->rank_, {src, tag, &result, h, nullptr, w.engine_.now()})) {
+    w.engine_.schedule_after(w.machine_.loggp.overhead_s, [h] { h.resume(); });
   }
-  box.posted.push_back(World::PostedRecv{src, tag, h, &result, w.engine_.now()});
 }
 
 void Comm::ComputeAwaitable::await_suspend(std::coroutine_handle<> h) {
@@ -382,11 +334,8 @@ void World::reset(std::uint64_t seed) {
     straggler_factor_.clear();
   }
 
-  for (Mailbox& box : mailboxes_) {
-    box.unexpected.clear();
-    box.posted.clear();
-    box.posted_nb.clear();
-  }
+  drop_posted();
+  for (Mailbox& box : mailboxes_) box.unexpected.clear();
   for (auto& row : fifo_clock_) std::fill(row.begin(), row.end(), 0.0);
   programs_.clear();
   delivered_ = 0;
@@ -450,7 +399,8 @@ std::size_t World::run() {
   const std::size_t processed = engine_.run();
   flush_counters();
   for (const auto& box : mailboxes_) {
-    if (!box.posted.empty()) {
+    if (std::any_of(box.posted.begin(), box.posted.end(),
+                    [](const PostedRecv& p) { return p.request == nullptr; })) {
       throw std::runtime_error(
           "World::run: deadlock -- a rank is blocked in recv with no matching "
           "message in flight");
@@ -465,48 +415,37 @@ std::size_t World::run() {
   return processed;
 }
 
-void World::deliver(Message msg) {
+void World::deliver(Message&& msg) {
   ++delivered_;
   auto& receiver = *comms_[static_cast<std::size_t>(msg.dst)];
   ++receiver.stats_.receives;
   receiver.stats_.bytes_received += msg.bytes;
   auto& box = mailboxes_[static_cast<std::size_t>(msg.dst)];
+  const auto it = std::find_if(box.posted.begin(), box.posted.end(),
+                               [&](const PostedRecv& p) { return matches(p.src, p.tag, msg); });
+  if (it == box.posted.end()) {
+    box.unexpected.push_back(std::move(msg));
+    return;
+  }
+  const PostedRecv posted = *it;
+  box.posted.erase(it);
   const double o = machine_.loggp.overhead_s;
-  auto it = std::find_if(box.posted.begin(), box.posted.end(),
-                         [&](const PostedRecv& p) { return matches(p.src, p.tag, msg); });
-  if (it != box.posted.end()) {
-    PostedRecv posted = *it;
-    box.posted.erase(it);
-    // Recv span covers the full wait: from when the rank blocked to when
-    // the receive-side overhead finishes. `wait_s` is the late-sender
-    // time the trace CLI attributes back to sources.
-    SCI_TRACE_COMPLETE(msg.dst, "recv", "p2p", posted.posted_at,
-                       engine_.now() + o - posted.posted_at,
-                       {{"src", msg.src},
-                        {"tag", msg.tag},
-                        {"bytes", msg.bytes},
-                        {"mseq", msg.seq},
-                        {"wait_s", engine_.now() - posted.posted_at}});
-    *posted.out = std::move(msg);
+  // The receive span covers the full wait: from when the receive was
+  // posted to when the receive-side overhead finishes. `wait_s` is the
+  // late-sender time the trace CLI attributes back to sources.
+  SCI_TRACE_COMPLETE(msg.dst, posted.span_name(), "p2p", posted.posted_at,
+                     engine_.now() + o - posted.posted_at,
+                     {{"src", msg.src},
+                      {"tag", msg.tag},
+                      {"bytes", msg.bytes},
+                      {"mseq", msg.seq},
+                      {"wait_s", engine_.now() - posted.posted_at}});
+  *posted.out = std::move(msg);
+  if (posted.request) {
+    complete_request(std::move(posted.request->keep_alive), o);
+  } else {
     engine_.schedule_after(o, [h = posted.waiter] { h.resume(); });
-    return;
   }
-  auto nb = std::find_if(box.posted_nb.begin(), box.posted_nb.end(),
-                         [&](const PostedIrecv& p) { return matches(p.src, p.tag, msg); });
-  if (nb != box.posted_nb.end()) {
-    auto state = nb->state;
-    SCI_TRACE_COMPLETE(msg.dst, "irecv", "p2p", nb->posted_at,
-                       engine_.now() + o - nb->posted_at,
-                       {{"src", msg.src},
-                        {"tag", msg.tag},
-                        {"bytes", msg.bytes},
-                        {"mseq", msg.seq},
-                        {"wait_s", engine_.now() - nb->posted_at}});
-    box.posted_nb.erase(nb);
-    complete_request(state, std::move(msg));
-    return;
-  }
-  box.unexpected.push_back(std::move(msg));
 }
 
 }  // namespace sci::simmpi

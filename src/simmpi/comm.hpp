@@ -2,8 +2,9 @@
 //
 // World owns the machine model, one Comm per rank, mailboxes, and the
 // rank programs (coroutines). Semantics mirror a small MPI subset:
-// blocking eager send/recv with (source, tag) matching incl. wildcards,
-// FIFO non-overtaking per (src, dst) pair, and collectives built from
+// blocking and nonblocking send/recv with (source, tag) matching incl.
+// wildcards, posted receives matched in posting order, FIFO
+// non-overtaking per (src, dst) pair, and collectives built from
 // point-to-point (see collectives.hpp).
 #pragma once
 
@@ -14,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,7 +67,9 @@ class Request {
     bool complete = false;
     Message msg;
     std::coroutine_handle<> waiter;
-    World* world = nullptr;
+    /// Owns the state while its irecv is posted, so a Request dropped
+    /// before the match cannot leave the mailbox entry dangling.
+    std::shared_ptr<State> keep_alive;
   };
   std::shared_ptr<State> state_;
 };
@@ -167,6 +171,7 @@ class World {
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
+  ~World() { drop_posted(); }
 
   /// Rewinds this world to the state a freshly constructed
   /// World(machine, ranks, seed, policy) would have: same node
@@ -230,28 +235,41 @@ class World {
   friend struct Comm::SendAwaitable;
   friend struct Comm::RecvAwaitable;
 
+  /// One posted receive: a blocking recv resumes `waiter`, an irecv
+  /// completes `request` (which owns itself through keep_alive while
+  /// posted). Either way the matched message lands in *out.
   struct PostedRecv {
     int src;
     int tag;
-    std::coroutine_handle<> waiter;
     Message* out;
-    double posted_at = 0.0;  ///< when the rank blocked (late-sender attribution)
-  };
-  struct PostedIrecv {
-    int src;
-    int tag;
-    std::shared_ptr<Request::State> state;
-    double posted_at = 0.0;
+    std::coroutine_handle<> waiter;
+    Request::State* request;
+    double posted_at;  ///< when the receive was posted (late-sender attribution)
+
+    [[nodiscard]] const char* span_name() const noexcept { return request ? "irecv" : "recv"; }
   };
   struct Mailbox {
     std::vector<Message> unexpected;
-    std::vector<PostedRecv> posted;
-    std::vector<PostedIrecv> posted_nb;
+    std::vector<PostedRecv> posted;  ///< blocking and nonblocking, in posting order
   };
+  static_assert(std::is_trivially_copyable_v<PostedRecv>, "the blocking path copies entries");
 
-  void complete_request(const std::shared_ptr<Request::State>& state, Message msg);
+  /// The one send path of send and isend: traffic counters, wire time
+  /// (with faults), rendezvous handshake, FIFO ordering, the send/isend
+  /// and wire spans, and the delivery event. Returns how long the
+  /// sender is busy: o + handshake, plus the gap g when `blocking`.
+  double post_send(Comm& from, int dst, int tag, std::size_t bytes,
+                   std::vector<double>&& payload, bool blocking);
+  /// Matches a receive against rank's unexpected queue: a hit moves the
+  /// message into *posted.out, emits the recv/irecv span and returns
+  /// true; a miss appends the receive to the rank's posted queue.
+  bool post_receive(int rank, const PostedRecv& posted);
+  /// Marks `state` complete and resumes its waiter after `delay`.
+  void complete_request(std::shared_ptr<Request::State> state, double delay);
+  /// Empties every posted queue, releasing the irecvs' self-ownership.
+  void drop_posted() noexcept;
 
-  void deliver(Message msg);  // runs at arrival time
+  void deliver(Message&& msg);  // runs at arrival time
   /// Publishes traffic deltas since the last flush to obs::counters().
   void flush_counters();
   /// Payload wire time for one (src, dst) transfer with fault injection

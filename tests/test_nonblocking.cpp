@@ -86,6 +86,43 @@ TEST(Nonblocking, IrecvBeforeSendAndAfter) {
   EXPECT_EQ(completed, 2);
 }
 
+TEST(Nonblocking, EarlierPostedIrecvMatchesBeforeALaterRecv) {
+  // MPI matches posted receives in posting order: the irecv posted
+  // first takes the first message, although the blocking recv posted
+  // after it matches that message too.
+  World world(sim::make_noiseless(4), 2, 7);
+  double irecv_got = 0.0;
+  double recv_got = 0.0;
+  world.launch_on(0, [&](Comm& c) -> sim::Task<void> {
+    Request req = c.irecv(kAnySource, 7);
+    const Message m = co_await c.recv(1, 7);
+    recv_got = m.payload.at(0);
+    const Message n = co_await req.wait();
+    irecv_got = n.payload.at(0);
+  });
+  world.launch_on(1, [](Comm& c) -> sim::Task<void> {
+    co_await c.send(0, 7, 8, std::vector<double>(1, 1.0));
+    co_await c.send(0, 7, 8, std::vector<double>(1, 2.0));
+  });
+  world.run();
+  EXPECT_EQ(irecv_got, 1.0);
+  EXPECT_EQ(recv_got, 2.0);
+}
+
+TEST(Nonblocking, UnmatchedIrecvOfAFinishedRankIsNoDeadlock) {
+  // Only a rank blocked in recv deadlocks; an irecv nobody answers is
+  // left pending by a program that finished without waiting on it.
+  World world(sim::make_noiseless(4), 2, 8);
+  Request pending;
+  world.launch_on(0, [&](Comm& c) -> sim::Task<void> {
+    pending = c.irecv(1, 99);  // nobody sends tag 99
+    co_await c.compute(1e-6);
+  });
+  world.launch_on(1, [](Comm& c) -> sim::Task<void> { co_await c.compute(1e-6); });
+  EXPECT_NO_THROW(world.run());
+  EXPECT_FALSE(pending.test());
+}
+
 TEST(Nonblocking, WaitAllCompletesEverything) {
   World world(sim::make_daint(), 4, 4);
   bool done = false;
