@@ -136,6 +136,7 @@ int main(int argc, char** argv) {
   ropts.cell_budget = budget;
   ropts.max_attempts = 2;
   ropts.metrics_path = metrics_path;
+  ropts.samples_csv = csv_path;  // written by run(), interrupted or not
   ropts.interrupt = exec::interrupt_flag();
   if (heartbeat_s > 0.0) {
     ropts.progress = &heartbeat;
@@ -161,7 +162,6 @@ int main(int argc, char** argv) {
   }
 
   if (!csv_path.empty()) {
-    result.samples_dataset().save_csv(csv_path);
     std::printf("samples -> %s\n", csv_path.c_str());
   }
   if (!metrics_path.empty()) {

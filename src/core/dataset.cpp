@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -178,16 +177,7 @@ class CsvWriter {
       std::memcpy(first, memo.text, sizeof memo.text);
       return first + memo.len;
     }
-    char* end = nullptr;
-    // Integral cells (indices, counts) print as plain digits under
-    // %.17g well below 1e15; the integer conversion is cheaper still.
-    // -0 keeps its sign through the general path.
-    if (v > -1e15 && v < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-        !(v == 0.0 && std::signbit(v))) {
-      end = std::to_chars(first, first + kMaxCell, static_cast<std::int64_t>(v)).ptr;
-    } else {
-      end = write_general(first, first + kMaxCell, v, 17);
-    }
+    char* const end = write_csv_cell(first, v);
     memo.bits = bits;
     memo.len = static_cast<std::uint8_t>(end - first);
     std::memcpy(memo.text, first, sizeof memo.text);
@@ -202,21 +192,28 @@ class CsvWriter {
 
 }  // namespace
 
-void Dataset::write_csv(std::ostream& os) const {
-  CsvWriter out(os, columns_.size());
+std::string Dataset::csv_header() const {
   const std::string header = experiment_.to_header();
+  std::string out;
+  out.reserve(header.size() + 64);
   std::string_view rest = header;
   while (!rest.empty()) {
     const std::size_t eol = std::min(rest.find('\n'), rest.size());
-    out.text("# ");
-    out.text(rest.substr(0, eol));
-    out.text("\n");
+    out += "# ";
+    out += rest.substr(0, eol);
+    out += '\n';
     rest.remove_prefix(std::min(eol + 1, rest.size()));
   }
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    out.text(columns_[i]);
-    out.text(i + 1 < columns_.size() ? "," : "\n");
+    out += columns_[i];
+    out += i + 1 < columns_.size() ? ',' : '\n';
   }
+  return out;
+}
+
+void Dataset::write_csv(std::ostream& os) const {
+  CsvWriter out(os, columns_.size());
+  out.text(csv_header());
   for (std::size_t at = 0; at < cells_.size(); at += columns_.size()) {
     out.row(cells_.data() + at);
   }

@@ -67,6 +67,10 @@ class Dataset {
 
   /// CSV with '#'-prefixed experiment header. R: read.csv(f, comment.char="#").
   void write_csv(std::ostream& os) const;
+  /// What write_csv writes before the first row: the experiment header,
+  /// each line prefixed "# ", and the column line. The one header
+  /// writer, also of exec's campaign export (exec/csv_export.hpp).
+  [[nodiscard]] std::string csv_header() const;
   void save_csv(const std::string& path) const;
 
   /// Parses a CSV produced by write_csv (header comments are skipped).

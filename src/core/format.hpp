@@ -7,6 +7,7 @@
 
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -166,6 +167,19 @@ inline constexpr std::ptrdiff_t kGeneralMinBuffer = 40;
   if (digits > 17) throw std::invalid_argument("format_general: digits > 17");
   char buf[kGeneralMinBuffer];  // "-2.2250738585072014e-308" is the longest
   return {buf, write_general(buf, buf + sizeof buf, v, digits)};
+}
+
+/// Writes `v` at `first` as a CSV cell, exactly as printf("%.17g")
+/// prints it, and returns the end; [first, first + kGeneralMinBuffer)
+/// must be writable. Integral cells below 1e15 in magnitude (indices,
+/// counts) print as plain digits under %.17g, and the integer to_chars
+/// is cheaper than the kernel; -0 keeps its sign through the kernel.
+[[nodiscard]] inline char* write_csv_cell(char* first, double v) noexcept {
+  if (v > -1e15 && v < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v)) &&
+      !(v == 0.0 && std::signbit(v))) {
+    return std::to_chars(first, first + kGeneralMinBuffer, static_cast<std::int64_t>(v)).ptr;
+  }
+  return write_general(first, first + kGeneralMinBuffer, v, 17);
 }
 
 /// Appends text, characters and integers with `<<`, like an ostream

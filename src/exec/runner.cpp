@@ -12,13 +12,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include "exec/csv_export.hpp"
 #include "exec/journal.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/trace.hpp"
-#include "stats/confidence.hpp"
-#include "stats/descriptive.hpp"
 #include "stats/online.hpp"
-#include "stats/selection.hpp"
 
 namespace sci::exec {
 
@@ -37,43 +35,61 @@ CellKey make_cell_key(std::shared_ptr<const std::string> identity,
                  cell_hash(backend_name, config, seed)};
 }
 
-namespace {
-
-/// What one cached cell costs: the map node with its key and result,
-/// plus the heap each of them holds.
-std::size_t cell_bytes(const CellKey& key, const CellResult& result) {
-  std::size_t bytes = sizeof(CellKey) + sizeof(CellResult) + 4 * sizeof(void*);
+std::size_t ResultCache::cell_bytes(const CellKey& key, const Entry& entry) {
+  std::size_t bytes = sizeof(CellKey) + sizeof(Entry) + 4 * sizeof(void*);
   for (const auto& [factor, level] : key.levels) {
     bytes += sizeof(key.levels[0]) + factor.capacity() + level.capacity();
   }
+  const CellResult& result = entry.result;
   bytes += result.samples.capacity() * sizeof(double);
   bytes += result.unit.capacity() + result.stop_reason.capacity() + result.error.capacity();
+  // The text's allocation also holds the shared_ptr's control block.
+  if (entry.csv) bytes += entry.csv->bytes() + 2 * sizeof(void*);
   return bytes;
 }
 
-}  // namespace
-
-std::optional<CellResult> ResultCache::find(const CellKey& key) {
+std::optional<CellResult> ResultCache::find(const CellKey& key,
+                                            std::shared_ptr<const CellCsv>* csv) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = newer_.find(key); it != newer_.end()) return it->second;
+  const auto found = [csv](const Entry& entry) {
+    if (csv != nullptr) *csv = entry.csv;
+    return entry.result;
+  };
+  if (const auto it = newer_.find(key); it != newer_.end()) return found(it->second);
   const auto it = older_.find(key);
   if (it == older_.end()) return std::nullopt;
   const std::size_t cost = cell_bytes(it->first, it->second);
   Generation::node_type node = older_.extract(it);
   older_bytes_ -= cost;
   make_room(cost);
-  CellResult found = node.mapped();
+  std::optional<CellResult> result = found(node.mapped());
   newer_.insert(std::move(node));
   newer_bytes_ += cost;
-  return found;
+  return result;
 }
 
-void ResultCache::insert(const CellKey& key, const CellResult& result) {
+void ResultCache::insert(const CellKey& key, const CellResult& result,
+                         std::shared_ptr<const CellCsv> csv) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t cost = cell_bytes(key, result);
-  if (cost > kResultCacheBytes / 2 || newer_.count(key) != 0 || older_.count(key) != 0) return;
+  for (Generation* held : {&newer_, &older_}) {
+    const auto it = held->find(key);
+    if (it == held->end()) continue;
+    // A held cell only ever gains its text; it enters the newer
+    // generation again at its new cost, as a hit would.
+    if (it->second.csv || !csv) return;
+    (held == &newer_ ? newer_bytes_ : older_bytes_) -= cell_bytes(it->first, it->second);
+    held->erase(it);
+    break;
+  }
+  Entry entry{result, std::move(csv)};
+  std::size_t cost = cell_bytes(key, entry);
+  if (cost > kResultCacheBytes / 2 && entry.csv) {  // keep the cell without its text
+    entry.csv.reset();
+    cost = cell_bytes(key, entry);
+  }
+  if (cost > kResultCacheBytes / 2) return;
   make_room(cost);
-  newer_.emplace(key, result);
+  newer_.emplace(key, std::move(entry));
   newer_bytes_ += cost;
 }
 
@@ -145,162 +161,6 @@ std::vector<double> CampaignResult::merged_series(std::size_t config_index) cons
 core::MeasurementSummary CampaignResult::summary(std::size_t config_index,
                                                  std::size_t rep) const {
   return core::summarize_series(series(config_index, rep));
-}
-
-namespace {
-
-std::vector<std::string> cell_columns(const std::vector<CampaignCell>& cells) {
-  std::vector<std::string> cols = {"config", "rep"};
-  if (!cells.empty()) {
-    for (const auto& [factor, level] : cells.front().config.levels) {
-      cols.push_back("f_" + factor);
-    }
-  }
-  return cols;
-}
-
-/// Overwrites `row` with a cell's leading cells: config, rep and the
-/// factor level indices.
-void set_cell_prefix(const CampaignCell& cell, std::vector<double>& row) {
-  row.clear();
-  row.push_back(static_cast<double>(cell.config.index));
-  row.push_back(static_cast<double>(cell.rep));
-  for (std::size_t idx : cell.config.level_indices) {
-    row.push_back(static_cast<double>(idx));
-  }
-}
-
-/// Reorders `v` so each of `ranks` (ascending, distinct, < v.size())
-/// holds the value a full ascending sort would put there.
-void select_ranks(std::span<double> v, std::span<const std::size_t> ranks,
-                  std::size_t offset = 0) {
-  if (ranks.empty()) return;
-  const std::size_t mid = ranks.size() / 2;
-  const std::size_t at = ranks[mid] - offset;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(at), v.end());
-  select_ranks(v.first(at), ranks.first(mid), offset);
-  select_ranks(v.subspan(at + 1), ranks.subspan(mid + 1), offset + at + 1);
-}
-
-/// Appends the six statistics of a summary row: n, median, the
-/// median's rank CI, mean, min, max. These are core::summarize_series'
-/// values from the same stats calls under the same rules (no CI for a
-/// deterministic series or n <= 5), without its diagnostics. Instead of
-/// a sort, one pass finds min and max, and `scratch` gets the samples
-/// with only the order statistics the calls read -- the median's two
-/// neighbours and the CI's two ranks -- in sorted place, so each call
-/// returns the bits it returns on a sorted copy. The mean reads the
-/// samples in their original order.
-void append_summary(std::span<const double> xs, std::vector<double>& scratch,
-                    std::vector<double>& row) {
-  if (xs.empty()) throw std::invalid_argument("summary_dataset: empty series");
-  const core::SummaryOptions options;
-  const std::size_t n = xs.size();
-  scratch.assign(xs.begin(), xs.end());
-  double min = xs.front();
-  double max = xs.front();
-  bool zero_or_nan = false;
-  for (const double x : xs) {
-    zero_or_nan |= x == 0.0 || x != x;
-    min = std::min(min, x);
-    max = std::max(max, x);
-  }
-  if (zero_or_nan) {
-    // +0 and -0 compare equal with different bits, and NaN has no
-    // order, so which of them lands at a rank is the sort's own choice:
-    // such a sample is sorted as before.
-    std::sort(scratch.begin(), scratch.end());
-    min = scratch.front();
-    max = scratch.back();
-  } else {
-    std::size_t ranks[4];
-    std::size_t count = 0;
-    const stats::QuantilePlan median_plan =
-        stats::make_quantile_plan(n, 0.5, stats::QuantileMethod::kR7Linear);
-    if (median_plan.mode == stats::QuantilePlan::Mode::kPair) {
-      ranks[count++] = median_plan.k;
-      ranks[count++] = median_plan.k + 1;
-    }
-    if (n > 5) {
-      const auto ci_ranks = stats::quantile_confidence_ranks(n, 0.5, options.confidence);
-      ranks[count++] = ci_ranks.lower;
-      ranks[count++] = ci_ranks.upper;
-    }
-    std::sort(ranks, ranks + count);
-    count = static_cast<std::size_t>(std::unique(ranks, ranks + count) - ranks);
-    select_ranks(scratch, {ranks, count});
-  }
-
-  const std::span<const double> placed = scratch;
-  const double median = stats::quantile_sorted(placed, 0.5);
-  const bool deterministic = (max - min) <= options.deterministic_rtol * std::fabs(median);
-  std::optional<stats::Interval> ci;
-  if (!deterministic && n > 5) {
-    ci = stats::quantile_confidence_interval_sorted(placed, 0.5, options.confidence);
-  }
-  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
-  row.push_back(static_cast<double>(n));
-  row.push_back(median);
-  row.push_back(ci ? ci->lower : nan);
-  row.push_back(ci ? ci->upper : nan);
-  row.push_back(stats::arithmetic_mean(xs));
-  row.push_back(min);
-  row.push_back(max);
-}
-
-}  // namespace
-
-core::Dataset CampaignResult::samples_dataset() const {
-  auto cols = cell_columns(cells);
-  cols.push_back("sample");
-  cols.push_back("value");
-  core::Dataset ds(experiment, std::move(cols));
-  std::size_t rows = 0;
-  for (const auto& cell : cells) {
-    if (cell.result.error.empty()) rows += cell.result.samples.size();
-  }
-  ds.reserve(rows);
-  std::vector<double> row;
-  for (const auto& cell : cells) {
-    if (!cell.result.error.empty()) continue;
-    set_cell_prefix(cell, row);
-    row.resize(row.size() + 2);
-    const std::size_t sample_at = row.size() - 2;
-    for (std::size_t i = 0; i < cell.result.samples.size(); ++i) {
-      row[sample_at] = static_cast<double>(i);
-      row[sample_at + 1] = cell.result.samples[i];
-      ds.add_row(row);
-    }
-  }
-  return ds;
-}
-
-core::Dataset CampaignResult::summary_dataset() const {
-  auto cols = cell_columns(cells);
-  for (const char* c : {"failed", "n", "median", "ci_lo", "ci_hi", "mean", "min", "max"}) {
-    cols.emplace_back(c);
-  }
-  core::Dataset ds(experiment, std::move(cols));
-  ds.reserve(cells.size());
-  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<double> row;
-  std::vector<double> scratch;
-  for (const auto& cell : cells) {
-    // Failed cells keep their row (failed=1, NaN statistics) so a
-    // partially-failed campaign renders with explicit holes instead of
-    // silently shrinking the grid.
-    const bool cell_failed = !cell.result.error.empty();
-    set_cell_prefix(cell, row);
-    row.push_back(cell_failed ? 1.0 : 0.0);
-    if (cell_failed) {
-      row.push_back(0.0);
-      for (int i = 0; i < 6; ++i) row.push_back(nan);
-    } else {
-      append_summary(cell.result.samples, scratch, row);
-    }
-    ds.add_row(row);
-  }
-  return ds;
 }
 
 CampaignRunner::CampaignRunner(Backend& backend, Campaign campaign,
@@ -700,6 +560,7 @@ struct CellExecutor {
   std::vector<CampaignCell>& work;  ///< the current round
   threads::ThreadTeam& team;
   std::vector<Slot> slots;
+  const bool export_csv = !options.samples_csv.empty() || !options.summary_csv.empty();
   Counter next{0};
   Counter budget_used{0};
 
@@ -782,13 +643,23 @@ struct CellExecutor {
     }
   }
 
+  /// Keeps a successful cell in the cache, with its CSV text when the
+  /// run writes CSVs: formatted here, on the worker, unless the cell
+  /// already has it.
+  void keep(const CellKey& key, CampaignCell& cell) {
+    if (export_csv && !cell.csv) cell.csv = format_cell_csv(cell.result.samples);
+    cache.insert(key, cell.result, cell.csv);
+  }
+
   /// cache -> journal -> context error -> interrupt/budget.
   Admit admit(CampaignCell& cell, const Slot& slot, const CellKey& key) {
     Tally& tally = observers.tally;
-    if (std::optional<CellResult> hit = cache.find(key)) {
+    if (std::optional<CellResult> hit = cache.find(key, &cell.csv)) {
       cell.result = std::move(*hit);
       cell.result.from_cache = true;
       bump(tally.cache_hits);
+      // Cached by a run that wrote no CSVs: its text is made once, now.
+      if (export_csv && !cell.csv) keep(key, cell);
       return Admit::kCached;
     }
     if (journal != nullptr) {
@@ -800,7 +671,7 @@ struct CellExecutor {
         // same way again); it still counts against the campaign so the
         // resumed accounting matches an uninterrupted run.
         if (rec->error.empty()) {
-          cache.insert(key, cell.result);
+          keep(key, cell);
         } else {
           bump(tally.failed);
         }
@@ -862,7 +733,7 @@ struct CellExecutor {
         continue;
       }
       bump(tally.executed);
-      cache.insert(s.keys[j], cell.result);
+      keep(s.keys[j], cell);
       s.reported[s.at[j]] = 1;
     }
     if (traced) {
@@ -1027,7 +898,20 @@ CampaignResult CampaignRunner::run() {
 
   CampaignResult result = assemble(campaign_, backend_, planner.state, tally, round);
   observers.complete(result);
+  export_csvs(result);
   return result;
+}
+
+void CampaignRunner::export_csvs(const CampaignResult& result) const {
+  if (options_.samples_csv.empty() && options_.summary_csv.empty()) return;
+  const bool traced = SCI_TRACE_ATTACHED();  // no sink: no clock reads
+  const double t0 = traced ? obs::host_now_s() : 0.0;
+  if (!options_.samples_csv.empty()) save_samples_csv(result, options_.samples_csv);
+  if (!options_.summary_csv.empty()) save_summary_csv(result, options_.summary_csv);
+  if (traced) {
+    SCI_TRACE_COMPLETE(obs::kHarnessTrack, "campaign.export", "exec", t0,
+                       obs::host_now_s() - t0, {obs::TraceArg{"cells", result.cells.size()}});
+  }
 }
 
 }  // namespace sci::exec

@@ -36,6 +36,15 @@
 // crash-safe on-disk journal (exec/journal.hpp) and the rerun replays
 // them, producing byte-identical CSVs to an uninterrupted run.
 //
+// CSV export: with CampaignRunnerOptions::samples_csv / summary_csv
+// set, the runner writes the campaign's CSVs at the end of run(). A
+// cell's CSV text is formatted once, on the worker thread that finishes
+// it (or admits it from the journal, or from a cache entry that has no
+// text yet), and cached next to its result; the export writes one
+// header and concatenates the cells' text behind their integer row
+// prefixes (exec/csv_export.hpp). A deduplicated resubmission formats
+// no number.
+//
 // Failure containment: a backend whose run() or make_context() throws
 // can no longer take the process down. Cells are retried up to
 // max_attempts with deterministically derived seeds; cells that still
@@ -68,6 +77,7 @@
 #include "core/measurement.hpp"
 #include "exec/backend.hpp"
 #include "exec/campaign.hpp"
+#include "exec/csv_export.hpp"
 #include "exec/progress.hpp"
 #include "threads/team.hpp"
 
@@ -86,6 +96,10 @@ struct CampaignCell {
   std::size_t rep = 0;
   std::uint64_t seed = 0;
   CellResult result;
+  /// The cell's CSV text, set on successful cells of a run that writes
+  /// CSVs (CampaignRunnerOptions::samples_csv / summary_csv); shared
+  /// with the result cache.
+  std::shared_ptr<const CellCsv> csv;
 };
 
 /// Result-cache key. The 64-bit hash picks the bucket, but equality
@@ -135,12 +149,21 @@ inline constexpr std::size_t kResultCacheBytes = std::size_t{64} << 20;
 /// that would pass half the budget replaces the older, whose cells are
 /// dropped. A cell is a pure function of its key, so eviction changes
 /// only how many cells are served from here, never a result byte. A
-/// cell larger than half the budget is not kept.
+/// cell larger than half the budget is not kept. Next to its result a
+/// cell keeps its CSV text once a run that writes CSVs has made it;
+/// the text counts against the budget.
 class ResultCache {
  public:
-  /// A copy of the cached result (the entry may be evicted meanwhile).
-  [[nodiscard]] std::optional<CellResult> find(const CellKey& key);
-  void insert(const CellKey& key, const CellResult& result);
+  /// A copy of the cached result (the entry may be evicted meanwhile);
+  /// `csv`, when non-null, receives the cell's text (null if it has
+  /// none).
+  [[nodiscard]] std::optional<CellResult> find(const CellKey& key,
+                                               std::shared_ptr<const CellCsv>* csv = nullptr);
+  /// Keeps a successful cell with its text (`csv` may be null). A cell
+  /// already held only takes `csv` when it has no text yet. A cell whose
+  /// text would take it past half the budget is kept without the text.
+  void insert(const CellKey& key, const CellResult& result,
+              std::shared_ptr<const CellCsv> csv = nullptr);
   void clear();
 
   [[nodiscard]] std::size_t size() const;     ///< cells held
@@ -148,7 +171,14 @@ class ResultCache {
   [[nodiscard]] std::size_t evicted() const;  ///< cells dropped to stay in budget
 
  private:
-  using Generation = std::unordered_map<CellKey, CellResult, CellKeyHash>;
+  struct Entry {
+    CellResult result;
+    std::shared_ptr<const CellCsv> csv;  ///< null until a CSV-writing run formats it
+  };
+  using Generation = std::unordered_map<CellKey, Entry, CellKeyHash>;
+  /// What one cached cell costs: the map node with its key, result and
+  /// text, plus the heap each of them holds.
+  static std::size_t cell_bytes(const CellKey& key, const Entry& entry);
   /// Retires the newer generation to older, dropping the older one's
   /// cells, when `cost` more bytes would take it past half the budget.
   void make_room(std::size_t cost);
@@ -236,9 +266,12 @@ struct CampaignResult {
   ///   config, rep, f_<factor> (level index), sample, value.
   /// Factor levels are recorded as indices so the table stays numeric;
   /// the embedded experiment header documents the index -> level map.
+  /// Its CSV is what CampaignRunnerOptions::samples_csv gets
+  /// (exec/csv_export.hpp writes the same bytes from cached text).
   [[nodiscard]] core::Dataset samples_dataset() const;
-  /// One row per cell: config, rep, f_<factor>..., n, median, ci_lo,
-  /// ci_hi, mean, min, max (CI cells are NaN when n is too small).
+  /// One row per cell: config, rep, f_<factor>..., failed, n, median,
+  /// ci_lo, ci_hi, mean, min, max (CI cells are NaN when n is too
+  /// small); its CSV is what CampaignRunnerOptions::summary_csv gets.
   [[nodiscard]] core::Dataset summary_dataset() const;
 };
 
@@ -282,6 +315,14 @@ struct CampaignRunnerOptions {
   /// on budget interruption, so an external watcher always finds a
   /// whole file describing how far the campaign got.
   std::string metrics_path;
+  /// When non-empty, run() writes the samples / summary CSV here as its
+  /// last step, after the metrics snapshot, byte-identical to
+  /// samples_dataset().save_csv() / summary_dataset().save_csv(). With
+  /// either set, each successful cell's CSV text is formatted on the
+  /// worker that finishes or admits it and kept in the result cache, so
+  /// the export only concatenates (exec/csv_export.hpp).
+  std::string samples_csv;
+  std::string summary_csv;
 };
 
 class CampaignRunner {
@@ -298,6 +339,9 @@ class CampaignRunner {
   void clear_cache();
 
  private:
+  /// Writes the CSVs the options name, under a "campaign.export" span.
+  void export_csvs(const CampaignResult& result) const;
+
   Backend& backend_;
   Campaign campaign_;
   CampaignRunnerOptions options_;

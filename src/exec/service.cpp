@@ -107,15 +107,14 @@ JobOutcome run_job(const Submission& sub, std::uint64_t job_id, ServiceEventSink
     ropts.journal_path = sub.journal_path;
     ropts.max_attempts = sub.max_attempts;
     ropts.metrics_path = sub.metrics_path;
+    ropts.samples_csv = sub.samples_csv;
+    ropts.summary_csv = sub.summary_csv;
     ropts.interrupt = interrupt;
     ropts.progress = &progress;
     ropts.heartbeat_period_s = sub.heartbeat_s;
 
     CampaignRunner runner(*backend, std::move(campaign), ropts, cache);
-    const CampaignResult result = runner.run();
-
-    if (!sub.samples_csv.empty()) result.samples_dataset().save_csv(sub.samples_csv);
-    if (!sub.summary_csv.empty()) result.summary_dataset().save_csv(sub.summary_csv);
+    const CampaignResult result = runner.run();  // writes the CSVs too
 
     outcome.ran = true;
     outcome.cells = result.cells.size();

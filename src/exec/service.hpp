@@ -23,7 +23,10 @@
 // without touching a worker.
 //
 // Dedupe: the service keeps one ResultCache and lends it to every job's
-// runner, so the runner's cache is the only result cache. Its key is
+// runner, so the runner's cache is the only result cache. A cell cached
+// by a job that wrote CSVs keeps its CSV text there too, so a
+// deduplicated resubmission's export copies bytes instead of formatting
+// numbers (exec/csv_export.hpp). Its key is
 // the full-identity CellKey (Backend::identity(), which carries every
 // SimBackendOptions field, plus factor/level assignment and seed), so
 // only a cell that would provably produce identical bytes is ever
@@ -86,7 +89,8 @@ class ServiceEventSink {
 };
 
 /// The job body of CampaignService and of `scibench_submit --local`:
-/// runs `sub` as job `job_id`, writes the CSVs it names and streams to
+/// runs `sub` as job `job_id` -- its runner writes the CSVs it names
+/// (CampaignRunnerOptions::samples_csv / summary_csv) -- and streams to
 /// `sink` (may be nullptr), serialized: "started", "cell" chunks,
 /// "progress" heartbeats, then "done", "rejected" (invalid spec or
 /// backend options) or "error" (the run failed). Cells run in `pool`'s

@@ -66,8 +66,12 @@ struct Submission {
   /// Larger runs first; ties resolve in submission order.
   int priority = 0;
   std::string journal_path;  ///< WAL for crash-safe resume (optional)
-  std::string samples_csv;   ///< written when non-empty
-  std::string summary_csv;   ///< written when non-empty
+  /// Written when non-empty by the job's CampaignRunner at the end of
+  /// its run (CampaignRunnerOptions::samples_csv / summary_csv), from
+  /// text cached next to each cell, so a deduplicated cell costs the
+  /// export a copy.
+  std::string samples_csv;
+  std::string summary_csv;
   std::string metrics_path;  ///< final ProgressSnapshot (optional)
   /// At most kMaxAttempts.
   std::size_t max_attempts = 1;

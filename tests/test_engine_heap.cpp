@@ -28,31 +28,26 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(InlineCallback, SimulatorCaptureShapesStayInline) {
-  // The shapes the simulator actually schedules (see simmpi/comm.cpp):
-  // coroutine resumes, posted-recv resumes, message deliveries, and the
-  // irecv completion (shared_ptr + 56-byte Message) -- the largest.
+  // The shapes the simulator schedules (see simmpi/comm.cpp): coroutine
+  // resumes, request completions (a shared_ptr to the request state),
+  // and the message delivery World::post_send schedules -- a World
+  // pointer and the Message itself, the largest of them.
   struct FakeHandle {
     void* p;
-  };
-  struct FakeMessage {
-    int src, dst, tag;
-    std::size_t bytes;
-    std::uint64_t seq;
-    std::vector<double> payload;
   };
   FakeHandle h{nullptr};
   auto resume = [h] { (void)h; };
   static_assert(InlineCallback::stores_inline<decltype(resume)>());
 
-  simmpi::World* w = nullptr;
-  FakeMessage msg{};
-  auto deliver = [w, m = std::move(msg)]() mutable { (void)w, (void)m; };
-  static_assert(InlineCallback::stores_inline<decltype(deliver)>());
-
   auto state = std::make_shared<int>(0);
-  FakeMessage msg2{};
-  auto complete = [state, m = std::move(msg2)]() mutable { (void)state, (void)m; };
+  auto complete = [state = std::move(state)] { (void)state; };
   static_assert(InlineCallback::stores_inline<decltype(complete)>());
+
+  simmpi::World* w = nullptr;
+  auto deliver = [w, m = simmpi::Message{}]() mutable { (void)w, (void)m; };
+  static_assert(InlineCallback::stores_inline<decltype(deliver)>());
+  static_assert(sizeof(deliver) >= sizeof(resume) && sizeof(deliver) >= sizeof(complete));
+  static_assert(sizeof(deliver) == sizeof(simmpi::World*) + sizeof(simmpi::Message));
 }
 
 TEST(InlineCallback, InvokesAndMoves) {

@@ -319,9 +319,10 @@ TEST(GroupedStats, QuantileRegressionCiDefaultPolicyMatchesLegacyAndIsThreadInva
   }
 }
 
-TEST(GroupedStats, ConcurrentCallersOfOneSizeShareTheTeam) {
-  // Both threads fan out at the same thread count, so both get the one
-  // pooled team of that size and must take turns on it.
+TEST(GroupedStats, ConcurrentCallersPartitionIndependently) {
+  // policy_partition builds a team per call, so two threads fanning out
+  // at the same thread count share nothing; each must still see every
+  // index of its own range exactly once.
   constexpr std::size_t kCount = 1000;
   std::atomic<int> failures{0};
   const auto caller = [&failures] {
