@@ -53,35 +53,12 @@ Dataset::Dataset(Experiment experiment, std::vector<std::string> columns)
                                 "' would be written as a '#' comment line");
   }
   check_unique(columns_);
-  base_columns_ = columns_.size();
 }
 
 void Dataset::add_row(std::span<const double> row) {
   if (row.size() != columns_.size())
     throw std::invalid_argument("Dataset::add_row: arity mismatch");
   cells_.insert(cells_.end(), row.begin(), row.end());
-}
-
-void Dataset::enable_provenance() {
-  if (provenance_) return;
-  if (!cells_.empty())
-    throw std::logic_error("Dataset::enable_provenance: call before the first row");
-  const auto& extra = obs::provenance_columns();
-  std::vector<std::string> widened = columns_;
-  widened.insert(widened.end(), extra.begin(), extra.end());
-  check_unique(widened);
-  columns_ = std::move(widened);
-  provenance_ = true;
-}
-
-void Dataset::add_row(std::span<const double> row, const obs::SampleProvenance& prov) {
-  if (!provenance_)
-    throw std::logic_error("Dataset::add_row(prov): enable_provenance() first");
-  if (row.size() != base_columns_)
-    throw std::invalid_argument("Dataset::add_row: arity mismatch");
-  const auto cells = obs::provenance_row(prov);
-  cells_.insert(cells_.end(), row.begin(), row.end());
-  cells_.insert(cells_.end(), cells.begin(), cells.end());
 }
 
 std::span<const double> Dataset::row(std::size_t i) const {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "obs/provenance.hpp"
 
 namespace sci::core {
 
@@ -34,20 +33,6 @@ class Dataset {
   void add_row(std::span<const double> row);
   void add_row(std::initializer_list<double> row) {
     add_row(std::span(row.begin(), row.size()));
-  }
-
-  /// Widens the schema with obs::provenance_columns() (trace id +
-  /// counter deltas). Call before the first row; rows added afterwards
-  /// must use the provenance overload of add_row.
-  void enable_provenance();
-  [[nodiscard]] bool provenance_enabled() const noexcept { return provenance_; }
-
-  /// Appends one observation plus its provenance cells. `row` carries
-  /// only the measurement columns; the provenance columns are filled
-  /// from `prov`.
-  void add_row(std::span<const double> row, const obs::SampleProvenance& prov);
-  void add_row(std::initializer_list<double> row, const obs::SampleProvenance& prov) {
-    add_row(std::span(row.begin(), row.size()), prov);
   }
 
   /// Capacity for `rows` rows, so appending them never reallocates.
@@ -83,8 +68,6 @@ class Dataset {
   Experiment experiment_;
   std::vector<std::string> columns_;
   std::vector<double> cells_;  ///< rows() x columns_.size(), row-major
-  bool provenance_ = false;
-  std::size_t base_columns_ = 0;  ///< column count before provenance widening
 };
 
 }  // namespace sci::core

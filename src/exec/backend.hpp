@@ -42,8 +42,7 @@ struct Config {
   [[nodiscard]] const std::string* find_level(const std::string& factor) const noexcept;
   /// Level of `factor`; throws std::out_of_range when absent.
   [[nodiscard]] const std::string& level(const std::string& factor) const;
-  /// Numeric level (strict parse; throws std::invalid_argument on junk).
-  [[nodiscard]] double level_double(const std::string& factor) const;
+  /// Integer level (strict parse; throws std::invalid_argument on junk).
   [[nodiscard]] long long level_int(const std::string& factor) const;
 
   /// "system=dora message_bytes=64" -- for labels and error messages.

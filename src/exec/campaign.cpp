@@ -46,17 +46,6 @@ const std::string& Config::level(const std::string& factor) const {
   throw std::out_of_range("Config::level: no factor '" + factor + "' in " + to_string());
 }
 
-double Config::level_double(const std::string& factor) const {
-  const std::string& text = level(factor);
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw std::invalid_argument("Config::level_double: factor '" + factor +
-                                "' level '" + text + "' is not numeric");
-  }
-  return value;
-}
-
 long long Config::level_int(const std::string& factor) const {
   const std::string& text = level(factor);
   long long value = 0;

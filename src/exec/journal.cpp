@@ -181,9 +181,4 @@ void CampaignJournal::append_stop(std::size_t config_index, std::size_t reps,
   stops_[config_index] = StopRecord{reps, reason};
 }
 
-std::size_t CampaignJournal::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
 }  // namespace sci::exec

@@ -95,9 +95,6 @@ class CampaignJournal {
   /// Appends one stop decision and flushes it before returning.
   void append_stop(std::size_t config_index, std::size_t reps, const std::string& reason);
 
-  /// Records replayed at open plus records appended since.
-  [[nodiscard]] std::size_t size() const;
-
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Campaign/backend identity hash written into the journal header:

@@ -102,14 +102,6 @@ void ResultCache::make_room(std::size_t cost) {
   newer_bytes_ = 0;
 }
 
-void ResultCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  newer_.clear();
-  older_.clear();
-  newer_bytes_ = 0;
-  older_bytes_ = 0;
-}
-
 std::size_t ResultCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return newer_.size() + older_.size();
@@ -158,21 +150,12 @@ std::vector<double> CampaignResult::merged_series(std::size_t config_index) cons
   return out;
 }
 
-core::MeasurementSummary CampaignResult::summary(std::size_t config_index,
-                                                 std::size_t rep) const {
-  return core::summarize_series(series(config_index, rep));
-}
-
 CampaignRunner::CampaignRunner(Backend& backend, Campaign campaign,
                                CampaignRunnerOptions options, ResultCache* cache)
     : backend_(backend),
       campaign_(std::move(campaign)),
       options_(std::move(options)),
       cache_(cache != nullptr ? *cache : own_cache_) {}
-
-std::size_t CampaignRunner::cache_size() const { return cache_.size(); }
-
-void CampaignRunner::clear_cache() { cache_.clear(); }
 
 namespace {
 

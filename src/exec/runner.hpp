@@ -74,7 +74,6 @@
 #include <vector>
 
 #include "core/dataset.hpp"
-#include "core/measurement.hpp"
 #include "exec/backend.hpp"
 #include "exec/campaign.hpp"
 #include "exec/csv_export.hpp"
@@ -164,7 +163,6 @@ class ResultCache {
   /// text would take it past half the budget is kept without the text.
   void insert(const CellKey& key, const CellResult& result,
               std::shared_ptr<const CellCsv> csv = nullptr);
-  void clear();
 
   [[nodiscard]] std::size_t size() const;     ///< cells held
   [[nodiscard]] std::size_t bytes() const;    ///< <= kResultCacheBytes
@@ -258,9 +256,6 @@ struct CampaignResult {
                                                   std::size_t rep = 0) const;
   /// All replications of one config concatenated in rep order.
   [[nodiscard]] std::vector<double> merged_series(std::size_t config_index) const;
-  /// Rule 5/6 summary of one cell's samples.
-  [[nodiscard]] core::MeasurementSummary summary(std::size_t config_index,
-                                                 std::size_t rep = 0) const;
 
   /// Long-form dataset: one row per sample with columns
   ///   config, rep, f_<factor> (level index), sample, value.
@@ -334,9 +329,6 @@ class CampaignRunner {
 
   /// Executes every cell not already cached; byte-deterministic output.
   [[nodiscard]] CampaignResult run();
-
-  [[nodiscard]] std::size_t cache_size() const;
-  void clear_cache();
 
  private:
   /// Writes the CSVs the options name, under a "campaign.export" span.

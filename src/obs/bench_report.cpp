@@ -224,15 +224,4 @@ std::string BenchReporter::write_json(const std::string& dir) const {
   return path;
 }
 
-std::string BenchReporter::render_markdown() const {
-  std::string out = "| metric | unit | n | median | 95% CI |\n|---|---|---|---|---|\n";
-  char buf[160];
-  for (const auto& m : report_.metrics) {
-    std::snprintf(buf, sizeof buf, "| `%s` | %s | %zu | %.6g | [%.6g, %.6g] |\n",
-                  m.name.c_str(), m.unit.c_str(), m.n, m.median, m.ci_lo, m.ci_hi);
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace sci::obs

@@ -104,9 +104,6 @@ class BenchReporter {
   /// missing); returns the path, or empty on I/O failure.
   std::string write_json(const std::string& dir) const;
 
-  /// Compact GitHub-flavored table of the recorded metrics.
-  [[nodiscard]] std::string render_markdown() const;
-
  private:
   BenchReport report_;
 };

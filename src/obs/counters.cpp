@@ -26,11 +26,6 @@ CounterSnapshot CounterRegistry::snapshot() const {
   return snap;
 }
 
-void CounterRegistry::reset_all() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, ctr] : counters_) ctr.reset();
-}
-
 std::uint64_t snapshot_value(const CounterSnapshot& snap, std::string_view name) {
   const auto it = std::lower_bound(
       snap.begin(), snap.end(), name,

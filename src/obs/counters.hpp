@@ -36,7 +36,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -54,9 +53,6 @@ class CounterRegistry {
   Counter& get(std::string_view name);
 
   [[nodiscard]] CounterSnapshot snapshot() const;
-
-  /// Zeroes every registered counter (test isolation).
-  void reset_all();
 
  private:
   mutable std::mutex mutex_;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -118,12 +117,6 @@ void TraceSink::write_json(std::ostream& os, const WriteOptions& options) const 
     os << '}';
   }
   os << "\n]\n}\n";
-}
-
-std::string TraceSink::to_json(const WriteOptions& options) const {
-  std::ostringstream os;
-  write_json(os, options);
-  return os.str();
 }
 
 void TraceSink::save(const std::string& path, const WriteOptions& options) const {

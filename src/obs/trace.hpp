@@ -91,8 +91,6 @@ class TraceSink {
   /// deterministic except for the optional wall-clock metadata line.
   void write_json(std::ostream& os, const WriteOptions& options) const;
   void write_json(std::ostream& os) const { write_json(os, WriteOptions{}); }
-  [[nodiscard]] std::string to_json(const WriteOptions& options) const;
-  [[nodiscard]] std::string to_json() const { return to_json(WriteOptions{}); }
   void save(const std::string& path, const WriteOptions& options) const;
   void save(const std::string& path) const { save(path, WriteOptions{}); }
 

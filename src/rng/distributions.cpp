@@ -37,35 +37,4 @@ bool bernoulli(Xoshiro256& gen, double p) noexcept {
   return uniform01(gen) < p;
 }
 
-double gamma(Xoshiro256& gen, double shape, double scale) noexcept {
-  // Marsaglia & Tsang (2000). For shape < 1 use the boost trick
-  // G(a) = G(a+1) * U^(1/a).
-  if (shape < 1.0) {
-    const double u = uniform01(gen);
-    return gamma(gen, shape + 1.0, scale) * std::pow(u + 0x1.0p-54, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = normal(gen);
-    double v = 1.0 + c * x;
-    if (v <= 0.0) continue;
-    v = v * v * v;
-    const double u = uniform01(gen);
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (std::log(u + 0x1.0p-54) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v * scale;
-  }
-}
-
-std::size_t discrete(Xoshiro256& gen, std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  double r = uniform01(gen) * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.empty() ? 0 : weights.size() - 1;
-}
-
 }  // namespace sci::rng

@@ -62,12 +62,6 @@ namespace sci::rng {
 /// Bernoulli trial with probability p (1 draw).
 [[nodiscard]] bool bernoulli(Xoshiro256& gen, double p) noexcept;
 
-/// Gamma(shape k, scale theta) via Marsaglia-Tsang; draw count varies.
-[[nodiscard]] double gamma(Xoshiro256& gen, double shape, double scale) noexcept;
-
-/// Samples an index according to non-negative `weights` (1 draw).
-[[nodiscard]] std::size_t discrete(Xoshiro256& gen, std::span<const double> weights) noexcept;
-
 /// Fisher-Yates shuffle (size-1 draws, one uniform_below per step).
 inline void shuffle(Xoshiro256& gen, std::span<std::size_t> values) noexcept {
   for (std::size_t i = values.size(); i > 1; --i) {

@@ -5,8 +5,7 @@
 
 namespace sci::sim {
 
-template <typename Bound>
-std::size_t Engine::drain(Bound may_fire) {
+std::size_t Engine::run() {
   // A stopped engine restarts cleanly on the next run: stop() only ends
   // the run it interrupts.
   stopped_ = false;
@@ -16,7 +15,7 @@ std::size_t Engine::drain(Bound may_fire) {
   // run, not per event); a sink attached mid-run is picked up by the
   // next run, which is when measurement scopes attach anyway.
   SCI_TRACE_SINK_HOIST(trace_sink);
-  while (!queue_.empty() && !stopped_ && may_fire(queue_.top())) {
+  while (!queue_.empty() && !stopped_) {
     now_ = queue_.top().time;
     // The node leaves the heap first, then the callback runs in place in
     // its (stable) arena slot: no copy out, and the slot is recycled the
@@ -44,19 +43,6 @@ void Engine::flush_observability(std::size_t processed, double run_start) {
   arena.set_max(queue_.arena_slots());
   SCI_TRACE_COMPLETE(obs::kEngineTrack, "run", "engine", run_start, now_ - run_start,
                      {{"events", static_cast<double>(processed)}});
-}
-
-std::size_t Engine::run() {
-  return drain([](const EventQueue::Node&) { return true; });
-}
-
-std::size_t Engine::run_until(double deadline) {
-  const std::size_t processed =
-      drain([deadline](const EventQueue::Node& ev) { return ev.time <= deadline; });
-  // Advance to the deadline only when the run genuinely exhausted it; a
-  // stop() mid-run must not teleport the clock forward.
-  if (!stopped_ && now_ < deadline) now_ = deadline;
-  return processed;
 }
 
 }  // namespace sci::sim

@@ -52,10 +52,6 @@ class Engine {
   /// Returns the number of events processed.
   std::size_t run();
 
-  /// Runs until simulated time exceeds `deadline` (events beyond it stay
-  /// queued), the queue drains, or stop() is called.
-  std::size_t run_until(double deadline);
-
   void stop() noexcept { stopped_ = true; }
 
   /// Returns the engine to its just-constructed state -- time 0,
@@ -84,10 +80,6 @@ class Engine {
   [[nodiscard]] std::size_t arena_slots() const noexcept { return queue_.arena_slots(); }
 
  private:
-  /// Shared drain loop; Bound is a predicate deciding whether the next
-  /// event may fire.
-  template <typename Bound>
-  std::size_t drain(Bound may_fire);
   void flush_observability(std::size_t processed, double run_start);
 
   EventQueue queue_;

@@ -34,8 +34,7 @@ Machine make_daint() {
   m.node_peak_flops = 94.5e12 / 64.0;
   m.node_base_efficiency = 0.96;
   // XC30 node: ~100 W idle, ~350 W under HPL (CPU + K20X).
-  m.power = {.idle_w = 100.0, .compute_w = 250.0,
-             .net_j_per_msg = 1e-6, .net_j_per_byte = 30e-9};
+  m.power = {.idle_w = 100.0, .compute_w = 250.0};
   return m;
 }
 
@@ -138,8 +137,7 @@ Machine make_bgq() {
   m.node_base_efficiency = 0.85;
   m.clock_drift_ppm_sigma = 1.0;
   m.clock_offset_sigma_s = 2e-5;
-  m.power = {.idle_w = 40.0, .compute_w = 45.0,
-             .net_j_per_msg = 0.5e-6, .net_j_per_byte = 20e-9};
+  m.power = {.idle_w = 40.0, .compute_w = 45.0};
   return m;
 }
 

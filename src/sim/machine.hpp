@@ -24,14 +24,11 @@ namespace sci::sim {
 
 /// Per-node power model: energy is a first-class cost metric in the
 /// paper (Section 3.1.1 lists Joules beside seconds and dollars; flop/W
-/// is its canonical rate example). Job energy =
-///   nodes * idle_w * makespan + compute_w * busy_time
-///   + per-message/per-byte network energy.
+/// is its canonical rate example). Job energy (hpl::SimHplRun) =
+///   nodes * (idle_w * makespan + compute_w * compute time).
 struct PowerModel {
   double idle_w = 100.0;           ///< node baseline draw
   double compute_w = 150.0;        ///< extra draw while computing
-  double net_j_per_msg = 1e-6;     ///< NIC per-message energy
-  double net_j_per_byte = 30e-9;   ///< wire + SerDes energy per byte
 };
 
 struct Machine {

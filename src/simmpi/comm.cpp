@@ -344,23 +344,6 @@ void World::reset(std::uint64_t seed) {
   counted_bytes_ = 0;
 }
 
-double World::energy_joules() const noexcept {
-  const auto& power = machine_.power;
-  // Distinct nodes in the allocation (round-robin may reuse nodes).
-  std::vector<std::size_t> distinct = nodes_;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-
-  double joules =
-      power.idle_w * engine_.now() * static_cast<double>(distinct.size());
-  for (const auto& comm : comms_) {
-    joules += power.compute_w * comm->busy_seconds();
-    joules += power.net_j_per_msg * static_cast<double>(comm->stats().sends);
-    joules += power.net_j_per_byte * static_cast<double>(comm->stats().bytes_sent);
-  }
-  return joules;
-}
-
 void World::flush_counters() {
   // Watermark-based bulk publish: traffic totals are already exact in
   // CommStats; the registry only needs the delta since the last flush,

@@ -225,11 +225,6 @@ class World {
   /// per rank. Call once after constructing the sink.
   void name_trace_tracks(obs::TraceSink& sink) const;
 
-  /// Job energy so far under the machine's power model (Joules): every
-  /// allocated node idles for the whole makespan, compute adds its
-  /// differential draw, and each message pays NIC + per-byte energy.
-  [[nodiscard]] double energy_joules() const noexcept;
-
  private:
   friend class Comm;
   friend struct Comm::SendAwaitable;

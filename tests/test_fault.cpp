@@ -169,7 +169,7 @@ TEST(FaultDeterminism, BenignMachineDrawsNothingExtra) {
 // --------------------------------------------------------- effects
 
 TEST(FaultEffects, InjectedFaultsCostTimeAndCount) {
-  obs::CounterRegistry::instance().reset_all();
+  const auto before = obs::CounterRegistry::instance().snapshot();
   const sim::Machine plain = sim::make_machine("dora");
   const sim::Machine chaos = sim::make_machine("dora+chaos");
   double clean_total = 0.0, faulty_total = 0.0;
@@ -181,30 +181,30 @@ TEST(FaultEffects, InjectedFaultsCostTimeAndCount) {
 
   // Across eight seeds of "chaos", every fault class fires at least once
   // (drop_prob 0.02 x 200 sends/run; degrade/straggler 0.10-0.15/draw).
-  const auto snap = obs::CounterRegistry::instance().snapshot();
+  const auto snap = obs::snapshot_delta(before, obs::CounterRegistry::instance().snapshot());
   EXPECT_GT(obs::snapshot_value(snap, obs::keys::kFaultDrops), 0u);
   EXPECT_GT(obs::snapshot_value(snap, obs::keys::kFaultRetransmitNs), 0u);
   EXPECT_GT(obs::snapshot_value(snap, obs::keys::kFaultStragglerNs), 0u);
 }
 
 TEST(FaultEffects, CleanMachinePublishesNoFaultCounters) {
-  obs::CounterRegistry::instance().reset_all();
+  const auto before = obs::CounterRegistry::instance().snapshot();
   (void)pingpong_elapsed(sim::make_machine("dora"), 3, 100);
-  const auto snap = obs::CounterRegistry::instance().snapshot();
+  const auto snap = obs::snapshot_delta(before, obs::CounterRegistry::instance().snapshot());
   EXPECT_EQ(obs::snapshot_value(snap, obs::keys::kFaultDrops), 0u);
   EXPECT_EQ(obs::snapshot_value(snap, obs::keys::kFaultDegradedTransfers), 0u);
   EXPECT_EQ(obs::snapshot_value(snap, obs::keys::kFaultStragglerNs), 0u);
 }
 
 TEST(FaultEffects, DegradedLinksShowUpInCounters) {
-  obs::CounterRegistry::instance().reset_all();
+  const auto before = obs::CounterRegistry::instance().snapshot();
   // link_degrade_prob 0.15 per directed route, 2 routes per seed: across
   // 32 seeds the chance no route ever degrades is ~(0.85^64) ~ 3e-5.
   const sim::Machine degraded = sim::make_machine("dora+degraded");
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
     (void)pingpong_elapsed(degraded, seed, 10);
   }
-  const auto snap = obs::CounterRegistry::instance().snapshot();
+  const auto snap = obs::snapshot_delta(before, obs::CounterRegistry::instance().snapshot());
   EXPECT_GT(obs::snapshot_value(snap, obs::keys::kFaultDegradedTransfers), 0u);
 }
 

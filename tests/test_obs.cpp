@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -13,7 +14,6 @@
 #include "core/report.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
-#include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
 #include "sim/machine.hpp"
@@ -22,6 +22,14 @@
 
 namespace sci::obs {
 namespace {
+
+/// The sink's JSON, as write_json streams it.
+std::string json_of(const TraceSink& sink,
+                    const TraceSink::WriteOptions& options = TraceSink::WriteOptions{}) {
+  std::ostringstream os;
+  sink.write_json(os, options);
+  return os.str();
+}
 
 // ---------------------------------------------------------------- sink
 
@@ -33,7 +41,7 @@ TEST(TraceSink, CollectsAndSerializesEvents) {
   sink.counter(990, "queue_depth", 0.0, 4.0);
   EXPECT_EQ(sink.size(), 3u);
 
-  const ParsedTrace trace = parse_trace(sink.to_json());
+  const ParsedTrace trace = parse_trace(json_of(sink));
   ASSERT_EQ(trace.events.size(), 3u);
   EXPECT_EQ(trace.events[0].phase, 'X');
   EXPECT_EQ(trace.events[0].name, "send");
@@ -52,7 +60,7 @@ TEST(TraceSink, NonFiniteValuesStillWriteJson) {
   sink.complete(0, "send", "p2p", 1e-6, 2e-6,
                 {{"ratio", std::numeric_limits<double>::infinity()}, {"bytes", 0.1}});
   sink.counter(990, "queue_depth", 0.0, std::numeric_limits<double>::quiet_NaN());
-  const ParsedTrace trace = parse_trace(sink.to_json());
+  const ParsedTrace trace = parse_trace(json_of(sink));
   ASSERT_EQ(trace.events.size(), 2u);
   EXPECT_EQ(trace.events[0].arg("bytes"), 0.1);
   EXPECT_FALSE(trace.events[0].has_arg("ratio"));
@@ -69,7 +77,7 @@ TEST(TraceSink, NonFiniteTimesWriteNullAndAreTypedRejections) {
                                      std::tuple{0.0, inf, "'dur'"}}) {
     TraceSink sink;
     sink.complete(0, "x", "c", ts, dur);
-    const std::string text = sink.to_json();
+    const std::string text = json_of(sink);
     EXPECT_NO_THROW((void)json::parse(text)) << text;
     try {
       (void)parse_trace(text);
@@ -83,7 +91,7 @@ TEST(TraceSink, NonFiniteTimesWriteNullAndAreTypedRejections) {
   // Finite values keep their fixed-point bytes.
   TraceSink sink;
   sink.complete(0, "x", "c", 1.5e-6, 0.25e-6);
-  EXPECT_NE(sink.to_json().find("\"ts\":1.500000,\"dur\":0.250000"), std::string::npos);
+  EXPECT_NE(json_of(sink).find("\"ts\":1.500000,\"dur\":0.250000"), std::string::npos);
 }
 
 TEST(TraceSink, UnattachedMacrosEmitNothing) {
@@ -193,21 +201,21 @@ TEST(Json, ContainerAndBoolReadsAreTyped) {
 // ------------------------------------------------------------- counters
 
 TEST(Counters, RegistryAddsAndSnapshots) {
-  CounterRegistry::instance().reset_all();
+  const auto before = CounterRegistry::instance().snapshot();
   counter("test.alpha").add(3);
   counter("test.alpha").add(2);
   counter("test.hwm").set_max(7);
   counter("test.hwm").set_max(4);  // lower: no effect
 
   const auto snap = CounterRegistry::instance().snapshot();
-  EXPECT_EQ(snapshot_value(snap, "test.alpha"), 5u);
-  EXPECT_EQ(snapshot_value(snap, "test.hwm"), 7u);
+  EXPECT_EQ(snapshot_value(snapshot_delta(before, snap), "test.alpha"), 5u);
+  EXPECT_EQ(snapshot_value(snap, "test.hwm"),
+            std::max<std::uint64_t>(7, snapshot_value(before, "test.hwm")));
   EXPECT_EQ(snapshot_value(snap, "test.missing"), 0u);
   EXPECT_TRUE(std::is_sorted(snap.begin(), snap.end()));
 }
 
 TEST(Counters, SnapshotDeltaDropsZeroEntries) {
-  CounterRegistry::instance().reset_all();
   const auto before = CounterRegistry::instance().snapshot();
   counter("test.delta").add(4);
   const auto delta = snapshot_delta(before, CounterRegistry::instance().snapshot());
@@ -232,7 +240,7 @@ std::string traced_reduce_json(int ranks, std::uint64_t seed) {
   world.run();
   TraceSink::WriteOptions options;
   options.wallclock_metadata = false;  // byte-stable output
-  return sink.to_json(options);
+  return json_of(sink, options);
 }
 
 TEST(SimTrace, SixteenRankReduceEmitsSchemaValidTrace) {
@@ -346,7 +354,6 @@ TEST(SimTrace, LateSendersAttributeReceiverBlockTime) {
 
 // Counters tally whether or not a trace sink is attached.
 TEST(SimTrace, CountersTallyTrafficAndNoise) {
-  CounterRegistry::instance().reset_all();
   const auto before = CounterRegistry::instance().snapshot();
   (void)traced_reduce_json(16, 42);
   const auto delta =
@@ -373,7 +380,7 @@ TEST(HarnessTrace, MeasureAdaptiveEmitsSampleSpansAndCiChecks) {
                                              options);
   ASSERT_FALSE(result.samples.empty());
 
-  const ParsedTrace trace = parse_trace(sink.to_json());
+  const ParsedTrace trace = parse_trace(json_of(sink));
   int samples = 0, ci_checks = 0, adaptive_spans = 0;
   for (const auto& ev : trace.events) {
     if (ev.tid != kHarnessTrack) continue;
@@ -387,7 +394,6 @@ TEST(HarnessTrace, MeasureAdaptiveEmitsSampleSpansAndCiChecks) {
 }
 
 TEST(HarnessTrace, AdaptiveBumpsHarnessCounters) {
-  CounterRegistry::instance().reset_all();
   const auto before = CounterRegistry::instance().snapshot();
   core::AdaptiveOptions options;
   options.min_samples = 10;
@@ -400,52 +406,7 @@ TEST(HarnessTrace, AdaptiveBumpsHarnessCounters) {
   EXPECT_GE(snapshot_value(delta, keys::kCiRecomputes), 1u);
 }
 
-// ------------------------------------------------------------ provenance
-
-TEST(Provenance, ProbeDeltasAndDatasetRoundtrip) {
-  CounterRegistry::instance().reset_all();
-  core::Experiment e;
-  e.name = "prov-test";
-  core::Dataset ds(e, {"time_s"});
-  ds.enable_provenance();
-  ASSERT_TRUE(ds.provenance_enabled());
-
-  SampleProbe probe;
-  probe.begin(/*trace_id=*/7);
-  counter(keys::kNetMessages).add(3);
-  counter(keys::kNetBytes).add(24);
-  const SampleProvenance prov = probe.end();
-  EXPECT_EQ(prov.trace_id, 7u);
-  EXPECT_EQ(prov.messages, 3u);
-  EXPECT_EQ(prov.bytes, 24u);
-  ds.add_row({0.5}, prov);
-
-  std::ostringstream os;
-  ds.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("prov_trace_id"), std::string::npos);
-  EXPECT_NE(csv.find("prov_messages"), std::string::npos);
-
-  EXPECT_EQ(ds.column("prov_trace_id").at(0), 7.0);
-  EXPECT_EQ(ds.column("prov_messages").at(0), 3.0);
-  EXPECT_EQ(ds.column("prov_bytes").at(0), 24.0);
-}
-
-TEST(Provenance, MixedAddRowArityIsChecked) {
-  core::Experiment e;
-  e.name = "prov-arity";
-  core::Dataset ds(e, {"a", "b"});
-  ds.enable_provenance();
-  EXPECT_THROW(ds.add_row({1.0, 2.0}), std::invalid_argument);  // needs prov cells
-  EXPECT_THROW(ds.add_row({1.0}, SampleProvenance{}), std::invalid_argument);
-  ds.add_row({1.0, 2.0}, SampleProvenance{});
-  EXPECT_EQ(ds.rows(), 1u);
-
-  core::Dataset plain(e, {"a"});
-  plain.add_row({1.0});
-  EXPECT_THROW(plain.enable_provenance(), std::logic_error);
-  EXPECT_THROW(plain.add_row({1.0}, SampleProvenance{}), std::logic_error);
-}
+// ------------------------------------------------------ counter footer
 
 TEST(Provenance, ReportEmbedsCounterSummary) {
   core::Experiment e;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,9 @@ TEST(P2pPins, GoldenTraceOfEverySendAndReceiveFlavour) {
 
   obs::TraceSink::WriteOptions options;
   options.wallclock_metadata = false;
-  const std::string json = noisy_sink.to_json(options);
+  std::ostringstream os;
+  noisy_sink.write_json(os, options);
+  const std::string json = os.str();
   EXPECT_NE(json.find("\"drop\""), std::string::npos) << "the faulty world dropped nothing";
   golden::expect_golden("p2p_trace.json.golden", json);
 }

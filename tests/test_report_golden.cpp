@@ -172,6 +172,61 @@ TEST(ReportGolden, MultimodalMarkdown) {
   golden::expect_golden("report_multimodal.md.golden", run.out);
 }
 
+/// A data file as an older release wrote it with per-sample provenance
+/// columns (Dataset::enable_provenance, since removed): the measured
+/// columns, then five prov_* counter columns.
+constexpr const char* kLegacyProvenanceCsv =
+    "# experiment: legacy-provenance\n"
+    "# description: a dataset written with Dataset::enable_provenance\n"
+    "# env.system: dora\n"
+    "rep,value,prov_trace_id,prov_messages,prov_bytes,prov_noise_draws,"
+    "prov_harness_overhead_s\n"
+    "0,1.25,100,1,64,3,9.9999999999999995e-07\n"
+    "1,1.5,101,3,128,3,1.9999999999999999e-06\n"
+    "2,1.375,102,5,192,3,3.0000000000000001e-06\n"
+    "3,2,103,7,256,3,3.9999999999999998e-06\n"
+    "4,1.125,104,9,320,3,4.9999999999999996e-06\n"
+    "5,1.75,105,11,384,3,6.0000000000000002e-06\n"
+    "6,1.3125,106,13,448,3,6.9999999999999999e-06\n"
+    "7,1.625,107,15,512,3,7.9999999999999996e-06\n"
+    "8,1.4375,108,17,576,3,9.0000000000000002e-06\n"
+    "9,1.5625,109,19,640,3,9.9999999999999991e-06\n";
+
+/// The same file without its prov_* columns.
+constexpr const char* kLegacyPlainCsv =
+    "# experiment: legacy-provenance\n"
+    "# description: a dataset written with Dataset::enable_provenance\n"
+    "# env.system: dora\n"
+    "rep,value\n"
+    "0,1.25\n1,1.5\n2,1.375\n3,2\n4,1.125\n5,1.75\n6,1.3125\n7,1.625\n8,1.4375\n"
+    "9,1.5625\n";
+
+TEST(ReportGolden, LegacyProvenanceColumnsStillLoadAndRender) {
+  // The prov_* columns are plain data now: the file loads, plain and
+  // --strict, and the value column's report is the one the file without
+  // them gets (same path, so the printed name is the same too).
+  ScratchDir dir;
+  const fs::path csv = dir.path() / "legacy.csv";
+  std::ofstream(csv, std::ios::binary) << kLegacyPlainCsv;
+  const ToolRun plain = run_tool(dir.path(), SCIBENCH_REPORT_PATH, "legacy.csv value");
+  ASSERT_EQ(plain.exit_code, 0);
+  ASSERT_NE(plain.out.find("column 'value', 10 observations"), std::string::npos)
+      << plain.out;
+
+  std::ofstream(csv, std::ios::binary | std::ios::trunc) << kLegacyProvenanceCsv;
+  for (const char* args : {"legacy.csv value", "--strict legacy.csv value"}) {
+    const ToolRun run = run_tool(dir.path(), SCIBENCH_REPORT_PATH, args);
+    EXPECT_EQ(run.exit_code, 0) << args;
+    EXPECT_EQ(run.out, plain.out) << args;
+  }
+  // Without a column argument the last column (a prov_* one) is read.
+  const ToolRun last = run_tool(dir.path(), SCIBENCH_REPORT_PATH, "--strict legacy.csv");
+  EXPECT_EQ(last.exit_code, 0);
+  EXPECT_NE(last.out.find("column 'prov_harness_overhead_s', 10 observations"),
+            std::string::npos)
+      << last.out;
+}
+
 /// Values no numeric flag may take: a negative value, trailing junk, no
 /// digits at all, a leading '+' or space.
 const std::vector<std::string> kMalformed = {"-1", "4x", "abc", "", "+4", " 4"};

@@ -143,12 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
                    (std::exp(0.25) - 1.0) * std::exp(0.25),
                    [](Xoshiro256& g) { return lognormal(g, 0.0, 0.5); }},
         // Pareto(1, 3): mean 3/2, var 3/4
-        MomentCase{"pareto13", 1.5, 0.75, [](Xoshiro256& g) { return pareto(g, 1.0, 3.0); }},
-        // Gamma(4, 0.5): mean 2, var 1
-        MomentCase{"gamma4", 2.0, 1.0, [](Xoshiro256& g) { return gamma(g, 4.0, 0.5); }},
-        // Gamma(0.5, 2): mean 1, var 2 (shape < 1 branch)
-        MomentCase{"gamma_half", 1.0, 2.0,
-                   [](Xoshiro256& g) { return gamma(g, 0.5, 2.0); }}),
+        MomentCase{"pareto13", 1.5, 0.75, [](Xoshiro256& g) { return pareto(g, 1.0, 3.0); }}),
     [](const auto& tpi) { return tpi.param.name; });
 
 TEST(Bernoulli, FrequencyMatchesP) {
@@ -157,17 +152,6 @@ TEST(Bernoulli, FrequencyMatchesP) {
   constexpr int kN = 100000;
   for (int i = 0; i < kN; ++i) hits += bernoulli(gen, 0.3);
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
-}
-
-TEST(Discrete, FollowsWeights) {
-  Xoshiro256 gen(12);
-  const std::vector<double> weights = {1.0, 3.0, 6.0};
-  std::array<int, 3> counts{};
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) ++counts[discrete(gen, weights)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(kN), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(kN), 0.3, 0.01);
-  EXPECT_NEAR(counts[2] / static_cast<double>(kN), 0.6, 0.01);
 }
 
 TEST(Shuffle, ProducesPermutation) {

@@ -211,22 +211,9 @@ int main(int argc, char** argv) {
     report.add_series({column, "(file units)", values});
   }
 
-  // Provenance footer: datasets written with Dataset::enable_provenance
-  // carry per-row counter deltas; sum them back into run totals so the
-  // report keeps its production story (Rule 9). Live registry counters
-  // (nonzero only when this process itself measured) ride along.
+  // Counter footer (Rule 9): live registry counters, nonzero only when
+  // this process itself measured.
   sci::obs::CounterSnapshot counters;
-  for (const auto& c : ds.columns()) {
-    if (c.rfind("prov_", 0) != 0 || c == "prov_trace_id") continue;
-    double sum = 0.0;
-    for (double v : ds.column(c)) sum += v;
-    if (c == "prov_harness_overhead_s") {
-      counters.emplace_back("csv.harness_overhead_ns",
-                            static_cast<std::uint64_t>(sum * 1e9 + 0.5));
-    } else {
-      counters.emplace_back("csv." + c.substr(5), static_cast<std::uint64_t>(sum + 0.5));
-    }
-  }
   for (const auto& [name, value] : sci::obs::CounterRegistry::instance().snapshot()) {
     if (value != 0) counters.emplace_back(name, value);
   }
