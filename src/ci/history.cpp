@@ -16,41 +16,20 @@ std::vector<double> MetricSeries::medians() const {
   return out;
 }
 
+constexpr auto point_fields = [](auto& io, auto& point) {
+  io("seq", point.seq);
+  io("sha", point.git_sha);
+  io("bench", point.bench);
+  obs::metric_fields(io, point.metric);
+};
+
 std::string history_line(const HistoryPoint& point) {
-  std::string out;
-  out.reserve(192);
-  out += "{\"seq\": " + json::dump_size(point.seq);
-  out += ", \"sha\": ";
-  json::append_quoted(out, point.git_sha);
-  out += ", \"bench\": ";
-  json::append_quoted(out, point.bench);
-  out += ", \"name\": ";
-  json::append_quoted(out, point.metric.name);
-  out += ", \"unit\": ";
-  json::append_quoted(out, point.metric.unit);
-  out += ", \"improve\": ";
-  json::append_quoted(out, obs::to_string(point.metric.improve));
-  out += ", \"n\": " + json::dump_size(point.metric.n);
-  out += ", \"median\": " + json::dump_number(point.metric.median);
-  out += ", \"ci_lo\": " + json::dump_number(point.metric.ci_lo);
-  out += ", \"ci_hi\": " + json::dump_number(point.metric.ci_hi);
-  out += "}";
-  return out;
+  return json::write(json::Layout::kLine, point_fields, point);
 }
 
 HistoryPoint parse_history_line(std::string_view line) {
-  const json::Value root = json::parse(line);
   HistoryPoint point;
-  point.seq = root.at("seq").as_size();
-  point.git_sha = root.at("sha").as_string();
-  point.bench = root.at("bench").as_string();
-  point.metric.name = root.at("name").as_string();
-  point.metric.unit = root.at("unit").as_string();
-  point.metric.improve = obs::improve_from_string(root.at("improve").as_string());
-  point.metric.n = root.at("n").as_size();
-  point.metric.median = root.at("median").as_number();
-  point.metric.ci_lo = root.at("ci_lo").as_number();
-  point.metric.ci_hi = root.at("ci_hi").as_number();
+  json::Reader(json::parse(line), "bench history").read(point_fields, point);
   return point;
 }
 

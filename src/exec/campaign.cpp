@@ -18,12 +18,14 @@ std::string compact_double(double v) {
 
 }  // namespace
 
+const char* to_string(StoppingPolicy::Mode mode) noexcept {
+  return mode == StoppingPolicy::Mode::kSequential ? "sequential" : "fixed";
+}
+
 std::string StoppingPolicy::describe() const {
-  if (!sequential()) {
-    return max_reps == 0 ? std::string("fixed")
-                         : "fixed n=" + std::to_string(max_reps);
-  }
-  std::string out = "sequential quantile=" + compact_double(quantile);
+  std::string out = to_string(mode);
+  if (!sequential()) return max_reps == 0 ? out : out + " n=" + std::to_string(max_reps);
+  out += " quantile=" + compact_double(quantile);
   out += " target=" + compact_double(target_rel_ci_half_width);
   out += " confidence=" + compact_double(confidence);
   out += " min_reps=" + std::to_string(min_reps);

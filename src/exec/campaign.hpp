@@ -111,6 +111,9 @@ struct StoppingPolicy {
   [[nodiscard]] std::string describe() const;
 };
 
+/// "fixed" or "sequential".
+[[nodiscard]] const char* to_string(StoppingPolicy::Mode mode) noexcept;
+
 struct CampaignSpec {
   std::string name;
   std::string description;

@@ -16,7 +16,30 @@ namespace {
 
 namespace json = obs::json;
 
-constexpr std::size_t kVersion = 4;
+constexpr json::Schema kJournalSchema{"scibench.journal", 4};
+
+/// The member that tells a stop record from a cell record.
+constexpr std::string_view kStop = "stop";
+
+constexpr auto header_fields = [](auto& io, auto& fingerprint) {
+  io.schema(kJournalSchema);
+  io("fingerprint", wire::Hex{fingerprint});
+};
+
+constexpr auto cell_fields = [](auto& io, auto& config_index, auto& rep, auto& seed,
+                                auto& result) {
+  io("cell", config_index);
+  io("rep", rep);
+  io("seed", wire::Hex{seed});
+  io("attempts", result.attempts);
+  io.object("result", wire::cell_fields, result);
+};
+
+constexpr auto stop_fields = [](auto& io, auto& config_index, auto& stop) {
+  io(kStop, config_index);
+  io("reps", stop.reps);
+  io("reason", stop.reason);
+};
 
 /// The fingerprint a version-4 header line carries, or nullopt when the
 /// line is no journal header (v1/v2 token headers and foreign files
@@ -24,20 +47,20 @@ constexpr std::size_t kVersion = 4;
 /// version.
 std::optional<std::uint64_t> header_fingerprint(const std::string& path,
                                                 const std::string& line) {
-  std::size_t version = 0;
+  std::uint64_t fingerprint = 0;
   try {
-    const json::Value root = json::parse(line);
-    if (root.at("schema").as_string() != "scibench.journal") return std::nullopt;
-    version = root.at("version").as_size();
-    if (version == kVersion) return wire::parse_hex_u64(root.at("fingerprint").as_string());
+    json::Reader(json::parse(line), "CampaignJournal").read(header_fields, fingerprint);
+  } catch (const json::VersionError& e) {
+    throw std::runtime_error("CampaignJournal: '" + path + "' is a version-" +
+                             std::to_string(e.version) + " journal; version " +
+                             std::to_string(kJournalSchema.version) +
+                             " fingerprints factor levels and "
+                             "backend options too, so it cannot resume from it");
   } catch (const std::runtime_error&) {
     // Not JSON, or a field is missing or mistyped: not a journal header.
     return std::nullopt;
   }
-  throw std::runtime_error("CampaignJournal: '" + path + "' is a version-" +
-                           std::to_string(version) + " journal; version " +
-                           std::to_string(kVersion) + " fingerprints factor levels and "
-                           "backend options too, so it cannot resume from it");
+  return fingerprint;
 }
 
 /// Writes one whole line and flushes it: after a crash the file holds
@@ -96,16 +119,17 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint)
       }
       try {
         const json::Value root = json::parse(line);
-        if (const json::Value* stop = root.find("stop")) {
-          const std::size_t config_index = stop->as_size();
-          StopRecord record{root.at("reps").as_size(), root.at("reason").as_string()};
-          stops_[config_index] = std::move(record);
+        std::size_t config_index = 0;
+        if (root.find(kStop) != nullptr) {
+          StopRecord stop;
+          json::Reader(root, "CampaignJournal").read(stop_fields, config_index, stop);
+          stops_[config_index] = std::move(stop);
         } else {
-          const std::size_t config_index = root.at("cell").as_size();
-          const std::size_t rep = root.at("rep").as_size();
-          const std::uint64_t seed = wire::parse_hex_u64(root.at("seed").as_string());
-          CellResult result = wire::cell_result_from_json(root.at("result"));
-          result.attempts = root.at("attempts").as_size();
+          std::size_t rep = 0;
+          std::uint64_t seed = 0;
+          CellResult result;
+          json::Reader(root, "CampaignJournal")
+              .read(cell_fields, config_index, rep, seed, result);
           records_[{config_index, rep}] = {seed, std::move(result)};
         }
       } catch (const std::runtime_error&) {
@@ -120,12 +144,7 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint)
                              "' for appending: " + std::strerror(errno));
   }
   if (!has_header) {
-    std::string header = "{\"schema\": \"scibench.journal\", \"version\": ";
-    header += json::dump_size(kVersion);
-    header += ", \"fingerprint\": ";
-    json::append_quoted(header, wire::hex_u64(fingerprint));
-    header += "}\n";
-    write_line(file_, header);
+    write_line(file_, json::write(json::Layout::kLine, header_fields, fingerprint) + "\n");
   } else if (!ends_with_newline) {
     // Heal a torn tail so the next record starts on its own line
     // instead of gluing onto the scar.
@@ -149,14 +168,8 @@ void CampaignJournal::append(std::size_t config_index, std::size_t rep,
                              std::uint64_t seed, const CellResult& result) {
   std::string line;
   line.reserve(160 + result.samples.size() * 20);
-  line += "{\"cell\": " + json::dump_size(config_index);
-  line += ", \"rep\": " + json::dump_size(rep);
-  line += ", \"seed\": ";
-  json::append_quoted(line, wire::hex_u64(seed));
-  line += ", \"attempts\": " + json::dump_size(result.attempts);
-  line += ", \"result\": ";
-  wire::append_cell_result(line, result);
-  line += "}\n";
+  json::Writer(line).write(cell_fields, config_index, rep, seed, result);
+  line += '\n';
   std::lock_guard<std::mutex> lock(mutex_);
   write_line(file_, line);
   records_[{config_index, rep}] = {seed, result};
@@ -171,14 +184,12 @@ const CampaignJournal::StopRecord* CampaignJournal::find_stop(
 
 void CampaignJournal::append_stop(std::size_t config_index, std::size_t reps,
                                   const std::string& reason) {
-  std::string line = "{\"stop\": " + json::dump_size(config_index);
-  line += ", \"reps\": " + json::dump_size(reps);
-  line += ", \"reason\": ";
-  json::append_quoted(line, reason);
-  line += "}\n";
+  const StopRecord stop{reps, reason};
+  const std::string line =
+      json::write(json::Layout::kLine, stop_fields, config_index, stop) + "\n";
   std::lock_guard<std::mutex> lock(mutex_);
   write_line(file_, line);
-  stops_[config_index] = StopRecord{reps, reason};
+  stops_[config_index] = stop;
 }
 
 }  // namespace sci::exec

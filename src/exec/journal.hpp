@@ -10,8 +10,9 @@
 //   {"cell": c, "rep": r, "seed": "<16 hex>", "attempts": a, "result": <scibench.cell>}
 //   {"stop": c, "reps": n, "reason": "..."}
 //
-// "result" is the object wire::append_cell_result emits for a worker
-// reply, so a CellResult has one codec on the pipe and on disk. Every
+// "result" is the object a worker reply carries (wire::cell_fields), so
+// a CellResult has one codec on the pipe and on disk. Each line kind is
+// one field list (obs/json.hpp) that writes and reads it. Every
 // append is fflush()ed before the runner moves on, so after a crash or
 // kill the file holds every cell whose record write completed plus at
 // most one torn line at the tail. On replay a line that does not parse

@@ -1,6 +1,7 @@
 #include "exec/sim_backend.hpp"
 
 #include <climits>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -52,18 +53,6 @@ void apply_scale(CellResult& result, double scale) {
   }
 }
 
-/// Appends `value` in decimal without touching the heap (std::to_string
-/// would be fine for small numbers but makes no such promise).
-void append_number(std::string& out, std::uint64_t value) {
-  char digits[20];
-  std::size_t n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  while (n != 0) out.push_back(digits[--n]);
-}
-
 /// The per-call allocation audit (CellResult::coro_frame_heap_allocs,
 /// callback_heap_spills): thread-local tallies read at construction and
 /// again in fill(), so concurrent workers never see each other's.
@@ -89,8 +78,20 @@ const char* to_string(SimKernel kernel) noexcept {
 }
 
 SimBackend::SimBackend(SimBackendOptions options) : options_(std::move(options)) {
+  // Written as !(in range) so that NaN, a JSON null, is refused too.
   if (options_.samples == 0) throw std::invalid_argument("SimBackend: samples >= 1");
-  if (options_.scale == 0.0) throw std::invalid_argument("SimBackend: zero scale");
+  for (const double seconds : {options_.sync_window_s, options_.base_seconds}) {
+    if (!(seconds >= 0.0 && std::isfinite(seconds))) {
+      throw std::invalid_argument(
+          "SimBackend: sync_window_s and base_seconds must be finite and >= 0");
+    }
+  }
+  if (!(options_.serial_fraction >= 0.0 && options_.serial_fraction <= 1.0)) {
+    throw std::invalid_argument("SimBackend: serial_fraction must be in [0, 1]");
+  }
+  if (!(options_.scale > 0.0 && std::isfinite(options_.scale))) {
+    throw std::invalid_argument("SimBackend: scale must be finite and > 0");
+  }
 }
 
 std::string SimBackend::name() const {
@@ -123,7 +124,7 @@ class SimBackend::Context final : public BackendContext {
     key_.clear();
     key_.append(machine_name);
     key_.push_back('|');
-    append_number(key_, param);
+    obs::json::append_integer(key_, param);
     auto it = benches.find(key_);
     if (it == benches.end()) {
       it = benches.emplace(key_, make(*sim::machine_preset(machine_name), param)).first;

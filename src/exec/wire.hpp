@@ -1,8 +1,12 @@
 // Wire format for the campaign service: line-delimited canonical JSON
 // over local transports (Unix-domain sockets, worker pipes).
 //
-// Four message families, all emitted through obs/json.hpp so
-// emit -> parse -> re-emit is byte-identical:
+// Each message declares its members once, as a field list
+// (obs/json.hpp): json::Writer walks the list to emit the line and
+// json::Reader walks the same list to parse it, so an emitter cannot
+// drift from its parser and emit -> parse -> re-emit is byte-identical.
+// The lists live in wire.cpp; cell_fields, which the campaign journal
+// embeds, and the hex codecs are below. Four message families:
 //
 //   Submit header       A client's first line to scibenchd: the run
 //       options of one Submission; the envelope follows. The daemon and
@@ -31,8 +35,8 @@
 //       byte-identity invariant requires. JSON numbers would round-trip
 //       via shortest-form decimal too, but hex also survives NaN
 //       payloads. The campaign journal (exec/journal.hpp) embeds this
-//       same object in its cell records, so a CellResult has one codec
-//       whether it crosses a pipe or goes to disk.
+//       same object (cell_fields) in its cell records, so a CellResult
+//       has one codec whether it crosses a pipe or goes to disk.
 //
 // u64 seeds travel as 16-digit hex strings: a JSON number is a double
 // and cannot represent every 64-bit seed.
@@ -49,10 +53,7 @@
 #include "exec/backend.hpp"
 #include "exec/campaign.hpp"
 #include "exec/sim_backend.hpp"
-
-namespace sci::obs::json {
-struct Value;
-}
+#include "obs/json.hpp"
 
 namespace sci::exec {
 
@@ -147,12 +148,46 @@ struct JobSpec {
 [[nodiscard]] std::string cell_result_to_json(const CellResult& result);
 [[nodiscard]] CellResult parse_cell_result_json(std::string_view text);
 
-/// The same codec one level down, for documents that embed the cell
-/// object: append_cell_result writes it at the end of `out`, and
-/// cell_result_from_json reads it from an already parsed value
-/// (std::runtime_error on a wrong schema, a missing field or a bad
-/// hex sample).
-void append_cell_result(std::string& out, const CellResult& result);
-[[nodiscard]] CellResult cell_result_from_json(const obs::json::Value& root);
+/// A u64 member carried as hex_u64 text.
+template <class T>
+struct Hex {
+  T& value;
+
+  void write(std::string& out) const { obs::json::append_quoted(out, hex_u64(value)); }
+  void read(const obs::json::Value& v, std::string_view, std::string_view) const {
+    value = parse_hex_u64(v.as_string());
+  }
+};
+
+/// Samples carried as an array of hex_double bit patterns.
+template <class V>
+struct HexSamples {
+  V& values;
+
+  void write(std::string& out) const {
+    out += '[';
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i > 0) out += ", ";
+      obs::json::append_quoted(out, hex_double(values[i]));
+    }
+    out += ']';
+  }
+  void read(const obs::json::Value& v, std::string_view, std::string_view) const {
+    const auto& items = v.as_array();
+    values.reserve(items.size());
+    for (const auto& item : items) values.push_back(parse_hex_double(item.as_string()));
+  }
+};
+
+/// The cell result's field list, shared by the worker reply and the
+/// journal's cell records.
+inline constexpr auto cell_fields = [](auto& io, auto& result) {
+  io.schema({"scibench.cell", kVersion});
+  io("unit", result.unit);
+  io("stop_reason", result.stop_reason);
+  io("warmup_discarded", result.warmup_discarded);
+  io("error", result.error);
+  io("samples", HexSamples{result.samples});
+};
 
 }  // namespace sci::exec::wire

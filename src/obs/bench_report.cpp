@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "obs/json.hpp"
 #include "stats/confidence.hpp"
 #include "stats/descriptive.hpp"
 
@@ -19,103 +18,29 @@ const char* to_string(Improve improve) noexcept {
   return improve == Improve::kHigher ? "higher" : "lower";
 }
 
-Improve improve_from_string(std::string_view text) {
-  if (text == "higher") return Improve::kHigher;
-  if (text == "lower") return Improve::kLower;
-  throw std::runtime_error("bench report: improve must be \"higher\" or \"lower\", got \"" +
-                           std::string(text) + "\"");
-}
+constexpr auto report_fields = [](auto& io, auto& report) {
+  io.schema({"scibench.bench", BenchReport::kVersion});
+  io("bench", report.bench);
+  io("git_sha", report.git_sha);
+  io.dict("context", report.context);  // std::map: sorted by key
+  io.list("metrics", report.metrics, metric_fields);
+  io.list("counters", report.counters, counter_fields);
+};
 
 std::string bench_report_json(const BenchReport& report) {
-  std::string out;
-  out.reserve(512 + report.metrics.size() * 160);
-  out += "{\n  \"schema\": \"scibench.bench\",\n  \"version\": ";
-  out += json::dump_size(static_cast<std::size_t>(BenchReport::kVersion));
-  out += ",\n  \"bench\": ";
-  json::append_quoted(out, report.bench);
-  out += ",\n  \"git_sha\": ";
-  json::append_quoted(out, report.git_sha);
-  out += ",\n  \"context\": {";
-  bool first = true;
-  for (const auto& [key, value] : report.context) {  // std::map: sorted by key
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    json::append_quoted(out, key);
-    out += ": ";
-    json::append_quoted(out, value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"metrics\": [";
-  first = true;
-  for (const auto& m : report.metrics) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += "{\"name\": ";
-    json::append_quoted(out, m.name);
-    out += ", \"unit\": ";
-    json::append_quoted(out, m.unit);
-    out += ", \"improve\": ";
-    json::append_quoted(out, to_string(m.improve));
-    out += ", \"n\": " + json::dump_size(m.n);
-    out += ", \"median\": " + json::dump_number(m.median);
-    out += ", \"ci_lo\": " + json::dump_number(m.ci_lo);
-    out += ", \"ci_hi\": " + json::dump_number(m.ci_hi);
-    out += "}";
-  }
-  out += first ? "],\n" : "\n  ],\n";
   // Counters sorted by name: deterministic across platforms regardless
   // of the order the harness recorded them in.
-  CounterSnapshot counters = report.counters;
-  std::sort(counters.begin(), counters.end());
-  out += "  \"counters\": [";
-  first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += "{\"name\": ";
-    json::append_quoted(out, name);
-    out += ", \"value\": " + json::dump_size(static_cast<std::size_t>(value));
-    out += "}";
+  if (!std::is_sorted(report.counters.begin(), report.counters.end())) {
+    BenchReport sorted = report;
+    std::sort(sorted.counters.begin(), sorted.counters.end());
+    return bench_report_json(sorted);
   }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  return json::write(json::Layout::kIndented, report_fields, report);
 }
 
 BenchReport parse_bench_report(std::string_view json_text) {
-  const json::Value root = json::parse(json_text);
-  if (root.type != json::Value::Type::kObject) {
-    throw std::runtime_error("bench report: top level must be an object");
-  }
-  if (root.at("schema").as_string() != "scibench.bench") {
-    throw std::runtime_error("bench report: unknown schema \"" +
-                             root.at("schema").as_string() + "\"");
-  }
-  const std::size_t version = root.at("version").as_size();
-  if (version != static_cast<std::size_t>(BenchReport::kVersion)) {
-    throw std::runtime_error("bench report: unsupported version " +
-                             std::to_string(version));
-  }
   BenchReport report;
-  report.bench = root.at("bench").as_string();
-  report.git_sha = root.at("git_sha").as_string();
-  for (const auto& [key, value] : root.at("context").as_object()) {
-    report.context[key] = value.as_string();
-  }
-  for (const auto& m : root.at("metrics").as_array()) {
-    BenchMetric metric;
-    metric.name = m.at("name").as_string();
-    metric.unit = m.at("unit").as_string();
-    metric.improve = improve_from_string(m.at("improve").as_string());
-    metric.n = m.at("n").as_size();
-    metric.median = m.at("median").as_number();
-    metric.ci_lo = m.at("ci_lo").as_number();
-    metric.ci_hi = m.at("ci_hi").as_number();
-    report.metrics.push_back(std::move(metric));
-  }
-  for (const auto& c : root.at("counters").as_array()) {
-    report.counters.emplace_back(c.at("name").as_string(),
-                                 static_cast<std::uint64_t>(c.at("value").as_size()));
-  }
+  json::Reader(json::parse(json_text), "bench report").read(report_fields, report);
   return report;
 }
 

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "obs/counters.hpp"
+#include "obs/json.hpp"
 
 namespace sci::obs {
 
@@ -40,7 +41,6 @@ namespace sci::obs {
 /// "ms" -> kLower). Drives the sign convention in scibench_ci.
 enum class Improve { kLower, kHigher };
 [[nodiscard]] const char* to_string(Improve improve) noexcept;
-[[nodiscard]] Improve improve_from_string(std::string_view text);  ///< throws on junk
 
 struct BenchMetric {
   std::string name;  ///< e.g. "pingpong_8B.1w.reuse"
@@ -50,6 +50,18 @@ struct BenchMetric {
   double median = 0.0;
   double ci_lo = 0.0;       ///< 95% CI (stats::median_interval_sorted)
   double ci_hi = 0.0;
+};
+
+/// BenchMetric's field list (obs/json.hpp), shared by BENCH_*.json and
+/// the bench history store.
+inline constexpr auto metric_fields = [](auto& io, auto& m) {
+  io("name", m.name);
+  io("unit", m.unit);
+  io("improve", json::Named{m.improve, {Improve::kLower, Improve::kHigher}});
+  io("n", m.n);
+  io("median", m.median);
+  io("ci_lo", m.ci_lo);
+  io("ci_hi", m.ci_hi);
 };
 
 struct BenchReport {

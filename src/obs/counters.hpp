@@ -44,6 +44,13 @@ class Counter {
 /// Name -> value pairs, sorted by name (deterministic iteration).
 using CounterSnapshot = std::vector<std::pair<std::string, std::uint64_t>>;
 
+/// One CounterSnapshot entry as a {"name", "value"} JSON object: the
+/// field list (obs/json.hpp) of every document that carries counters.
+inline constexpr auto counter_fields = [](auto& io, auto& counter) {
+  io("name", counter.first);
+  io("value", counter.second);
+};
+
 class CounterRegistry {
  public:
   static CounterRegistry& instance();

@@ -4,33 +4,27 @@
 
 namespace sci::obs {
 
+constexpr auto metrics_fields = [](auto& io, auto& m) {
+  io.schema({"scibench.daemon_metrics", DaemonMetrics::kVersion});
+  io("jobs_submitted", m.jobs_submitted);
+  io("jobs_completed", m.jobs_completed);
+  io("jobs_with_failures", m.jobs_with_failures);
+  io("jobs_rejected", m.jobs_rejected);
+  io("queue_peak", m.queue_peak);
+  io("cells_executed", m.cells_executed);
+  io("cells_deduped", m.cells_deduped);
+  io("cells_journal_replayed", m.cells_journal_replayed);
+  io("cells_failed", m.cells_failed);
+  io("cells_interrupted", m.cells_interrupted);
+  io("workers_spawned", m.workers_spawned);
+  io("workers_crashed", m.workers_crashed);
+  io("cache_cells", m.cache_cells);
+  io("cache_bytes", m.cache_bytes);
+  io("cache_evicted", m.cache_evicted);
+};
+
 std::string DaemonMetrics::to_json() const {
-  std::string out;
-  out.reserve(512);
-  out += "{\n  \"schema\": \"scibench.daemon_metrics\",\n  \"version\": ";
-  out += json::dump_size(static_cast<std::size_t>(kVersion));
-  const auto field = [&out](const char* name, std::size_t value) {
-    out += ",\n  \"";
-    out += name;
-    out += "\": " + json::dump_size(value);
-  };
-  field("jobs_submitted", jobs_submitted);
-  field("jobs_completed", jobs_completed);
-  field("jobs_with_failures", jobs_with_failures);
-  field("jobs_rejected", jobs_rejected);
-  field("queue_peak", queue_peak);
-  field("cells_executed", cells_executed);
-  field("cells_deduped", cells_deduped);
-  field("cells_journal_replayed", cells_journal_replayed);
-  field("cells_failed", cells_failed);
-  field("cells_interrupted", cells_interrupted);
-  field("workers_spawned", workers_spawned);
-  field("workers_crashed", workers_crashed);
-  field("cache_cells", cache_cells);
-  field("cache_bytes", cache_bytes);
-  field("cache_evicted", cache_evicted);
-  out += "\n}\n";
-  return out;
+  return json::write(json::Layout::kIndented, metrics_fields, *this);
 }
 
 }  // namespace sci::obs

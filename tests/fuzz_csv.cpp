@@ -1,8 +1,8 @@
-// Deterministic mutation fuzzing of ten input boundaries: CSV loading,
-// campaign journal replay, the daemon's submit codec, the JSON parser
-// on its own, the worker reply and job codecs, the bench history lines
-// and BENCH_*.json reports that scibench_ci reads, the trace reader,
-// and the campaign metrics file.
+// Deterministic mutation fuzzing of eleven input boundaries: CSV
+// loading, campaign journal replay, the daemon's submit codec, the JSON
+// parser on its own, the worker reply and job codecs, the bench history
+// lines and BENCH_*.json reports that scibench_ci reads, the trace
+// reader, the campaign metrics file and the simmpi replay schedule.
 //
 // One mutator serves every target. Each iteration picks a seed
 // document, then flips, inserts, splices, duplicates or truncates bytes
@@ -66,6 +66,13 @@
 //            through exec::parse_progress_snapshot. A parse either
 //            succeeds -- and then the re-emitted snapshot parses back
 //            to the same bytes -- or throws std::runtime_error.
+//   Schedule Seeds are simmpi replay schedules: per-rank and `all`
+//            blocks of calc, send, recv (from a rank and from `any`),
+//            barrier, reduce and allreduce. Mutants go through
+//            simmpi::parse_schedule at a fixed four ranks, so an `all`
+//            block cannot multiply memory. A parse either succeeds --
+//            and then every peer is a rank or kAnySource and every calc
+//            is finite and >= 0 -- or throws std::invalid_argument.
 //
 // Any other exception fails the test; a crash or hang fails the ctest
 // case (run under ASan/UBSan in CI). The iteration budgets are fixed,
@@ -101,6 +108,8 @@
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
 #include "rng/xoshiro.hpp"
+#include "simmpi/comm.hpp"
+#include "simmpi/replay.hpp"
 
 namespace sci {
 namespace {
@@ -941,6 +950,58 @@ TEST(FuzzProgressSnapshot, ParseReEmitsCanonicallyOrThrowsRuntimeError) {
   // A snapshot has 24 required, typed members; about 1.4% of mutants
   // parse.
   EXPECT_GT(parsed, kProgressIterations / 100);
+}
+
+// ------------------------------------------------------------ schedule
+
+constexpr std::size_t kScheduleIterations = 2000;
+constexpr int kScheduleRanks = 4;
+
+/// Bytes that matter to a schedule: words of its ops, numbers, comments
+/// and line breaks.
+constexpr std::string_view kScheduleAlphabet = "\n\n  #0123456789-+.eaillnrk";
+
+std::vector<std::string> schedules() {
+  return {"rank 0\ncalc 1e-3\nsend 1 64 7\nrecv 1 7\nrank 1\nrecv 0 7\nsend 0 64 7\n",
+          "all\nbarrier\nallreduce\nreduce 2\nrank 0\nrecv any 5\n",
+          "# halo\nall\ncalc 0.5\nrank 3\nsend 0 1048576 1\nrank 0\nrecv 3 1\ncalc 0\n"};
+}
+
+TEST(FuzzSchedule, ParseKeepsPeersInRangeOrThrowsInvalidArgument) {
+  const std::vector<std::string> corpus = schedules();
+  rng::Xoshiro256 gen(0x5c4edu);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t iter = 0; iter < kScheduleIterations; ++iter) {
+    const std::string doc = mutate(corpus, kScheduleAlphabet, gen);
+    try {
+      const simmpi::Schedule schedule = simmpi::parse_schedule(doc, kScheduleRanks);
+      ++parsed;
+      ASSERT_EQ(schedule.per_rank.size(), static_cast<std::size_t>(kScheduleRanks));
+      for (const auto& ops : schedule.per_rank) {
+        for (const simmpi::Op& op : ops) {
+          const bool peered = op.kind == simmpi::OpKind::kSend ||
+                              op.kind == simmpi::OpKind::kRecv ||
+                              op.kind == simmpi::OpKind::kReduce;
+          const bool any = op.kind == simmpi::OpKind::kRecv && op.peer == simmpi::kAnySource;
+          if (peered && !any) {
+            EXPECT_TRUE(op.peer >= 0 && op.peer < kScheduleRanks)
+                << "iteration " << iter << ": peer " << op.peer << "\n" << doc;
+          }
+          EXPECT_TRUE(std::isfinite(op.seconds) && op.seconds >= 0.0)
+              << "iteration " << iter << ": calc " << op.seconds << "\n" << doc;
+        }
+      }
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << ": parse_schedule threw an untyped error: "
+                    << e.what() << "\ndoc: " << doc;
+    }
+  }
+  std::printf("fuzz_schedule: %zu parsed, %zu rejected\n", parsed, rejected);
+  EXPECT_GT(parsed, kScheduleIterations / 20);
+  EXPECT_GT(rejected, kScheduleIterations / 20);
 }
 
 }  // namespace

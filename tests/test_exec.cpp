@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -445,6 +446,37 @@ TEST(SimBackendTest, RanksLevelOutsideIntIsRefusedNotWrapped) {
     four.levels = {{factor, "4"}};
     EXPECT_FALSE(backend.run(four, 1).samples.empty()) << factor;
   }
+}
+
+TEST(SimBackendTest, OutOfRangeFloatOptionsAreRefused) {
+  // A null (NaN), infinite, negative or oversized option used to run and
+  // report garbage samples as success.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto refused = [](auto set) {
+    SimBackendOptions opts;
+    set(opts);
+    EXPECT_THROW(SimBackend{opts}, std::invalid_argument);
+  };
+  for (const double bad : {nan, inf, -inf, -1e-9}) {
+    refused([bad](SimBackendOptions& o) { o.sync_window_s = bad; });
+    refused([bad](SimBackendOptions& o) { o.base_seconds = bad; });
+  }
+  for (const double bad : {nan, -0.01, 1.01, inf}) {
+    refused([bad](SimBackendOptions& o) { o.serial_fraction = bad; });
+  }
+  for (const double bad : {nan, inf, -inf, 0.0, -0.0, -1.0}) {
+    refused([bad](SimBackendOptions& o) { o.scale = bad; });
+  }
+  // The ends of each range stay valid.
+  SimBackendOptions edges;
+  edges.sync_window_s = 0.0;
+  edges.base_seconds = 0.0;
+  edges.serial_fraction = 1.0;
+  edges.scale = 5e-324;
+  EXPECT_NO_THROW(SimBackend{edges});
+  edges.serial_fraction = 0.0;
+  EXPECT_NO_THROW(SimBackend{edges});
 }
 
 TEST(ThreadedBackendTest, MeasuresRealTeamAndHonorsThreadsFactor) {

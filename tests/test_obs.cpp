@@ -408,7 +408,7 @@ TEST(HarnessTrace, AdaptiveBumpsHarnessCounters) {
 
 // ------------------------------------------------------ counter footer
 
-TEST(Provenance, ReportEmbedsCounterSummary) {
+TEST(ReportFooter, EmbedsCounterSummary) {
   core::Experiment e;
   e.name = "ctr-report";
   core::ReportBuilder report(e);
