@@ -1182,5 +1182,22 @@ TEST(ServeClient, HostileHeaderNumbersAreTypedRejections) {
   EXPECT_NE(events.back().find("\"event\": \"done\""), std::string::npos) << events.back();
 }
 
+TEST(ServeClient, HeaderRangeRefusalsNameTheirMember) {
+  // A client whose header is refused learns which member to fix.
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"priority", "1e300"},
+           {"max_attempts", std::to_string(kMaxAttempts + 1)},
+           {"heartbeat_s", "-1"},
+       }) {
+    const std::string header = R"({"op": "submit", ")" + key + "\": " + value + "}";
+    try {
+      (void)wire::parse_submission(header, header_test_envelope());
+      ADD_FAILURE() << header << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + key + '"'), std::string::npos) << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sci::exec
